@@ -11,7 +11,7 @@ import numpy as np
 from boxot import (
     Hyperrectangle,
     SampleSet,
-    cell_box_volume_exact,
+    cell_box_moments_exact,
     cell_box_volumes_mc,
     classify_points,
 )
@@ -37,9 +37,7 @@ def main():
         print("".join("ABC"[j] for j in labels))
     print()
 
-    exact = np.array(
-        [cell_box_volume_exact(samples, g, j, box) for j in range(samples.n)]
-    )
+    exact, _, _ = cell_box_moments_exact(samples, g, box)
     mc = cell_box_volumes_mc(
         samples, g, box, eps_bar=0.005, eta_prime=0.05, seed=7, box_index=0
     )

@@ -4,6 +4,14 @@ Data containers for box-supported densities and sample sets, separation
 oracles, point classification into Laguerre (power) cells, Monte-Carlo and
 exact cell volumes, and closed-form moments of the density.
 
+Exact cell moments (l <= 3) come from a restricted power diagram. Cells j
+and j' can share a facet only if the lifted points (y_j, ||y_j||^2 - g_j)
+and (y_j', ||y_j'||^2 - g_j') are joined by an edge of the lifted points'
+lower convex hull, and a site that is not a vertex of that hull has an empty
+cell. The hull is a sort and a monotone chain in 1-D and one Qhull call in
+2-D and 3-D, once per call; each cell is then the box clipped by its
+neighbours' half-spaces only.
+
 All operations are pure functions on immutable inputs. Monte-Carlo sampling
 is deterministic given (seed, box index); see :func:`box_rng` for the
 substream rule.
@@ -17,6 +25,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 MASS_TOL = 1e-9
 
@@ -374,48 +383,95 @@ def cell_box_volumes_mc(
 
 
 # ---------------------------------------------------------------------------
-# exact cell volumes and moments (l <= 3)
+# exact cell volumes and moments (l <= 3): restricted power diagram
 # ---------------------------------------------------------------------------
 
+# A lifted-hull facet counts as lower when the last component of its unit
+# outward normal is below this. The slack admits near-vertical facets of
+# either tilt: their edges can only add neighbours, never drop one.
+_VERTICAL_TOL = 1e-8
 
-def _cell_halfspaces(samples: SampleSet, g: np.ndarray, j: int):
-    """Rows (a, b) with cell j = {x : a.x <= b for all rows}."""
-    y = samples.points
-    rows_a = []
-    rows_b = []
-    norms = (y**2).sum(-1)
-    for jp in range(samples.n):
-        if jp == j:
-            continue
-        rows_a.append(2.0 * (y[jp] - y[j]))
-        rows_b.append(g[j] - g[jp] + norms[jp] - norms[j])
-    return rows_a, rows_b
+# (first, second) vertex positions of the edges of a simplex with l + 1
+# vertices, for the lifted hull's facets in dimension l = 2, 3.
+_SIMPLEX_EDGES = {l: np.triu_indices(l + 1, 1) for l in (2, 3)}
 
 
-def _interval_cell_moments(lo, hi, rows_a, rows_b):
-    for a, b in zip(rows_a, rows_b):
-        a = float(a[0])
-        if a > 0:
-            hi = min(hi, b / a)
-        else:
-            lo = max(lo, b / a)
-    if hi <= lo:
-        return 0.0, np.zeros(1), 0.0
-    vol = hi - lo
-    first = np.array([(hi**2 - lo**2) / 2.0])
-    second = (hi**3 - lo**3) / 3.0
-    return vol, first, second
+def _lower_chain(xs: list[float], zs: list[float]) -> list[int]:
+    """Indices of the lower convex hull of the points (xs, zs), left to right.
+
+    Monotone chain over the points sorted by x (the xs are distinct). A point
+    on or above the segment joining its chain neighbours is dropped.
+    """
+    chain: list[int] = []
+    for j in sorted(range(len(xs)), key=xs.__getitem__):
+        while len(chain) >= 2:
+            i0, i1 = chain[-2], chain[-1]
+            cross = (xs[i1] - xs[i0]) * (zs[j] - zs[i0]) - (zs[i1] - zs[i0]) * (
+                xs[j] - xs[i0]
+            )
+            if cross > 0.0:
+                break
+            chain.pop()
+        chain.append(j)
+    return chain
+
+
+def _power_neighbours(
+    y: np.ndarray, lift: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate Laguerre neighbours of every cell (l >= 2), from Qhull.
+
+    Cells j and j' share a facet only if (y_j, lift_j) and (y_j', lift_j')
+    are joined by an edge of the lower convex hull of the lifted points, and
+    cell j is nonempty only if its lifted point is a vertex of that hull
+    (Aurenhammer 1987). Returns ``(alive, src, dst)``: a mask of the cells
+    that may be nonempty, and directed pairs sorted by ``src`` that contain
+    every neighbour pair. Extra pairs are harmless (their half-spaces are
+    redundant), so every doubtful case errs towards more pairs: near-vertical
+    facets count as lower, and all pairs are used when there are too few
+    points for a full-dimensional hull or Qhull rejects the input.
+    """
+    n, l = y.shape
+    hull = None
+    if n > l + 1:
+        try:
+            # "Qc" reports the points Qhull finds coplanar with a facet.
+            hull = ConvexHull(np.column_stack([y, lift]), qhull_options="Qc")
+        except QhullError:
+            pass
+    if hull is None:
+        src, dst = np.nonzero(~np.eye(n, dtype=bool))
+        return np.ones(n, dtype=bool), src, dst
+    alive = np.zeros(n, dtype=bool)
+    lower = hull.simplices[hull.equations[:, l] < _VERTICAL_TOL]
+    first = lower[:, _SIMPLEX_EDGES[l][0]].ravel()
+    second = lower[:, _SIMPLEX_EDGES[l][1]].ravel()
+    alive[lower.ravel()] = True
+    # Points Qhull kept as coplanar with a facet rather than as vertices may
+    # own a sliver cell: make them everyone's neighbour.
+    if hull.coplanar.size:
+        near = np.unique(hull.coplanar[:, 0])
+        alive[near] = True
+        first = np.concatenate([first, np.repeat(near, n)])
+        second = np.concatenate([second, np.tile(np.arange(n), near.size)])
+    pairs = np.unique(np.concatenate([first * n + second, second * n + first]))
+    src, dst = np.divmod(pairs, n)
+    keep = src != dst
+    return alive, src[keep], dst[keep]
 
 
 def _clip_polygon(poly, a, b):
     """Sutherland-Hodgman clip of a convex polygon against a.x <= b."""
+    vals = [a[0] * p[0] + a[1] * p[1] - b for p in poly]
+    if max(vals) <= 0.0:
+        return poly
     out = []
     m = len(poly)
     for i in range(m):
         p = poly[i]
         q = poly[(i + 1) % m]
-        fp = a[0] * p[0] + a[1] * p[1] - b
-        fq = a[0] * q[0] + a[1] * q[1] - b
+        fp = vals[i]
+        fq = vals[(i + 1) % m]
         pin = fp <= 0.0
         qin = fq <= 0.0
         if pin and qin:
@@ -431,70 +487,158 @@ def _clip_polygon(poly, a, b):
 
 
 def _polygon_moments(poly):
-    """(area, integral x, integral ||x||^2) over a convex polygon, signed fan."""
+    """(area, (integral x, integral y), integral ||x||^2) of a convex polygon."""
     if len(poly) < 3:
-        return 0.0, np.zeros(2), 0.0
+        return 0.0, (0.0, 0.0), 0.0
     x0, y0 = poly[0]
-    area = 0.0
-    first = np.zeros(2)
-    second = 0.0
+    area = fx = fy = second = 0.0
     for i in range(1, len(poly) - 1):
         x1, y1 = poly[i]
         x2, y2 = poly[i + 1]
         cross = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
         tri = 0.5 * cross
         area += tri
-        first[0] += tri * (x0 + x1 + x2) / 3.0
-        first[1] += tri * (y0 + y1 + y2) / 3.0
-        sq = x0**2 + y0**2 + x1**2 + y1**2 + x2**2 + y2**2
         sx, sy = x0 + x1 + x2, y0 + y1 + y2
+        fx += tri * sx / 3.0
+        fy += tri * sy / 3.0
+        sq = x0**2 + y0**2 + x1**2 + y1**2 + x2**2 + y2**2
         second += tri / 12.0 * (sq + sx**2 + sy**2)
     if area < 0:
-        return -area, -first, -second
-    return area, first, second
+        return -area, (-fx, -fy), -second
+    return area, (fx, fy), second
 
 
-def _polytope_moments_3d(rows_a, rows_b):
-    """(volume, integral x, integral ||x||^2) of {A x <= b} via hull tetrahedra."""
-    from scipy.optimize import linprog
-    from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
+def _box_polyhedron(lo, hi):
+    """Vertex list and face index lists (each face a cycle) of a 3-D box."""
+    verts = [
+        (x, y, z)
+        for z in (lo[2], hi[2])
+        for y in (lo[1], hi[1])
+        for x in (lo[0], hi[0])
+    ]
+    faces = [
+        [0, 2, 3, 1], [4, 5, 7, 6],  # z = lo, z = hi
+        [0, 1, 5, 4], [2, 6, 7, 3],  # y = lo, y = hi
+        [0, 4, 6, 2], [1, 3, 7, 5],  # x = lo, x = hi
+    ]
+    return verts, faces
 
-    A = np.asarray(rows_a, dtype=float)
-    b = np.asarray(rows_b, dtype=float)
-    # Chebyshev center: max r s.t. A x + ||A_i|| r <= b.
-    norms = np.linalg.norm(A, axis=1)
-    res = linprog(
-        c=[0.0, 0.0, 0.0, -1.0],
-        A_ub=np.hstack([A, norms[:, None]]),
-        b_ub=b,
-        bounds=[(None, None)] * 3 + [(0.0, None)],
-        method="highs",
-    )
-    if res.status != 0 or res.x[3] <= 1e-11:
-        return 0.0, np.zeros(3), 0.0
-    interior = res.x[:3]
-    try:
-        hs = HalfspaceIntersection(np.hstack([A, -b[:, None]]), interior)
-        hull = ConvexHull(hs.intersections)
-    except QhullError:
-        return 0.0, np.zeros(3), 0.0
-    pts = hs.intersections
-    c = pts.mean(axis=0)
-    vol = 0.0
-    first = np.zeros(3)
-    second = 0.0
-    csq = (c**2).sum()
-    for simplex in hull.simplices:
-        t0, t1, t2 = pts[simplex]
-        v = abs(np.linalg.det(np.stack([t0 - c, t1 - c, t2 - c]))) / 6.0
-        if v == 0.0:
-            continue
-        vol += v
-        ssum = c + t0 + t1 + t2
-        first += v * ssum / 4.0
-        sq = csq + (t0**2).sum() + (t1**2).sum() + (t2**2).sum()
-        second += v / 20.0 * (sq + (ssum**2).sum())
-    return vol, first, second
+
+def _clip_polyhedron(verts, faces, a, b):
+    """Clip a convex polyhedron (vertices, face cycles) against a.x <= b.
+
+    Each face is clipped by Sutherland-Hodgman. A cut edge's new vertex is
+    computed once, from its inside end, and shared by both faces on the edge.
+    The new vertices bound the cap face, which is ordered by angle about
+    their centroid in the cutting plane.
+    """
+    a0, a1, a2 = a
+    vals = [a0 * x + a1 * y + a2 * z - b for x, y, z in verts]
+    if max(vals) <= 0.0:
+        return verts, faces
+    if min(vals) > 0.0:
+        return [], []
+    index = [-1] * len(verts)
+    kept = []
+    for i, f in enumerate(vals):
+        if f <= 0.0:
+            index[i] = len(kept)
+            kept.append(verts[i])
+    cut: dict[tuple[int, int], int] = {}
+
+    def cut_vertex(i, o):
+        key = (i, o)
+        if key not in cut:
+            p, q = verts[i], verts[o]
+            t = vals[i] / (vals[i] - vals[o])
+            cut[key] = len(kept)
+            kept.append((
+                p[0] + t * (q[0] - p[0]),
+                p[1] + t * (q[1] - p[1]),
+                p[2] + t * (q[2] - p[2]),
+            ))
+        return cut[key]
+
+    clipped = []
+    for face in faces:
+        out = []
+        p = face[-1]
+        for q in face:
+            if vals[q] <= 0.0:
+                if vals[p] > 0.0:
+                    out.append(cut_vertex(q, p))
+                out.append(index[q])
+            elif vals[p] <= 0.0:
+                out.append(cut_vertex(p, q))
+            p = q
+        if len(out) >= 3:
+            clipped.append(out)
+    cap = list(cut.values())
+    if len(cap) >= 3:
+        m = len(cap)
+        cx = sum(kept[i][0] for i in cap) / m
+        cy = sum(kept[i][1] for i in cap) / m
+        cz = sum(kept[i][2] for i in cap) / m
+        # (u, v) spans the cutting plane: u = e x a for the axis e least
+        # aligned with a, v = a x u.
+        ax = min(range(3), key=lambda d: abs(a[d]))
+        if ax == 0:
+            u = (0.0, -a2, a1)
+        elif ax == 1:
+            u = (a2, 0.0, -a0)
+        else:
+            u = (-a1, a0, 0.0)
+        v = (a1 * u[2] - a2 * u[1], a2 * u[0] - a0 * u[2], a0 * u[1] - a1 * u[0])
+
+        def angle(i):
+            dx, dy, dz = kept[i][0] - cx, kept[i][1] - cy, kept[i][2] - cz
+            return math.atan2(
+                dx * v[0] + dy * v[1] + dz * v[2], dx * u[0] + dy * u[1] + dz * u[2]
+            )
+
+        clipped.append(sorted(cap, key=angle))
+    return kept, clipped
+
+
+def _polyhedron_moments(verts, faces):
+    """(volume, integral x, integral ||x||^2) of a convex polyhedron.
+
+    Sums the tetrahedra from the vertex centroid to a fan of every face; the
+    centroid lies in the closed polyhedron, so unsigned volumes are exact.
+    """
+    if not faces:
+        return 0.0, (0.0, 0.0, 0.0), 0.0
+    m = len(verts)
+    cx = sum(v[0] for v in verts) / m
+    cy = sum(v[1] for v in verts) / m
+    cz = sum(v[2] for v in verts) / m
+    csq = cx * cx + cy * cy + cz * cz
+    vol = fx = fy = fz = second = 0.0
+    for face in faces:
+        x0, y0, z0 = verts[face[0]]
+        ux, uy, uz = x0 - cx, y0 - cy, z0 - cz
+        sq0 = csq + x0 * x0 + y0 * y0 + z0 * z0
+        for i in range(1, len(face) - 1):
+            x1, y1, z1 = verts[face[i]]
+            x2, y2, z2 = verts[face[i + 1]]
+            vx, vy, vz = x1 - cx, y1 - cy, z1 - cz
+            wx, wy, wz = x2 - cx, y2 - cy, z2 - cz
+            det = (
+                ux * (vy * wz - vz * wy)
+                - uy * (vx * wz - vz * wx)
+                + uz * (vx * wy - vy * wx)
+            )
+            t = abs(det) / 6.0
+            if t == 0.0:
+                continue
+            sx, sy, sz = cx + x0 + x1 + x2, cy + y0 + y1 + y2, cz + z0 + z1 + z2
+            vol += t
+            fx += t * sx / 4.0
+            fy += t * sy / 4.0
+            fz += t * sz / 4.0
+            sq = sq0 + x1 * x1 + y1 * y1 + z1 * z1 + x2 * x2 + y2 * y2 + z2 * z2
+            second += t / 20.0 * (sq + sx * sx + sy * sy + sz * sz)
+    return vol, (fx, fy, fz), second
 
 
 def cell_box_moments_exact(
@@ -502,8 +646,15 @@ def cell_box_moments_exact(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact (volume, integral x, integral ||x||^2) of L_j(g) n box for all j.
 
-    Supported for l <= 3 only: 1D interval intersection, 2D half-plane
-    clipping, 3D half-space intersection with tetrahedral decomposition.
+    Restricted power diagram, for l <= 3 only. The neighbour pairs come from
+    the lower convex hull of the lifted points (y_j, ||y_j||^2 - g_j): a sort
+    and a monotone chain in 1-D, ``scipy.spatial.ConvexHull`` in 2-D and 3-D;
+    a site that is not a hull vertex has an empty cell. Each cell is then
+    the box clipped by its neighbours' half-spaces only, after dropping
+    those that do not cut the box: an interval in 1-D, a polygon in 2-D and
+    a face-list polyhedron in 3-D. A cell has about 6 neighbours in 2-D and
+    15 in 3-D, so the cost is one O(n log n) hull per call plus O(n) small
+    clips per box.
     Returns (vols (n,), firsts (n, l), seconds (n,)). Deterministic.
     """
     g = np.asarray(g, dtype=float)
@@ -511,33 +662,69 @@ def cell_box_moments_exact(
     if l > 3:
         raise ValueError("exact cell volumes support dimension <= 3 only")
     n = samples.n
+    y = samples.points
+    norms = (y**2).sum(-1)
     vols = np.zeros(n)
     firsts = np.zeros((n, l))
     seconds = np.zeros(n)
+
+    if l == 1:
+        ys, gs, ns = y[:, 0].tolist(), g.tolist(), norms.tolist()
+        chain = _lower_chain(ys, (norms - g).tolist())
+        # Consecutive chain cells meet where their half-space rows cut.
+        cuts = [
+            (gs[i] - gs[j] + ns[j] - ns[i]) / (2.0 * (ys[j] - ys[i]))
+            for i, j in zip(chain, chain[1:])
+        ]
+        ends = [-math.inf, *cuts, math.inf]
+        box_lo, box_hi = float(box.lo[0]), float(box.hi[0])
+        for pos, j in enumerate(chain):
+            lo = max(box_lo, ends[pos])
+            hi = min(box_hi, ends[pos + 1])
+            if hi > lo:
+                vols[j] = hi - lo
+                firsts[j, 0] = (hi**2 - lo**2) / 2.0
+                seconds[j] = (hi**3 - lo**3) / 3.0
+        return vols, firsts, seconds
+
+    alive, src, dst = _power_neighbours(y, norms - g)
+    rows_a = 2.0 * (y[dst] - y[src])
+    rows_b = g[src] - g[dst] + norms[dst] - norms[src]
+    # Per row, the centre and half-range of a.x - b over the box: a row whose
+    # half-space holds the whole box is redundant in it, and one whose
+    # half-space misses the box empties the cell there.
+    centre = (rows_a @ box.midpoint - rows_b).tolist()
+    reach = (np.abs(rows_a) @ (0.5 * box.widths)).tolist()
+    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+    row_a, row_b = rows_a.tolist(), rows_b.tolist()
+
+    lo, hi = box.lo.tolist(), box.hi.tolist()
     if l == 2:
-        x0, y0 = box.lo
-        x1, y1 = box.hi
-        base = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    for j in range(n):
-        rows_a, rows_b = _cell_halfspaces(samples, g, j)
-        if l == 1:
-            vols[j], firsts[j], seconds[j] = _interval_cell_moments(
-                float(box.lo[0]), float(box.hi[0]), rows_a, rows_b
-            )
-        elif l == 2:
-            poly = base
-            for a, b in zip(rows_a, rows_b):
-                poly = _clip_polygon(poly, a, b)
-                if len(poly) < 3:
-                    break
-            vols[j], firsts[j], seconds[j] = _polygon_moments(poly)
+        base = [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
+    else:
+        base = _box_polyhedron(lo, hi)
+    for j in np.flatnonzero(alive).tolist():
+        cutting = []
+        for r in range(bounds[j], bounds[j + 1]):
+            if centre[r] > reach[r]:
+                break
+            if centre[r] > -reach[r]:
+                cutting.append(r)
         else:
-            eye = np.eye(3)
-            box_a = list(eye) + list(-eye)
-            box_b = list(box.hi) + list(-box.lo)
-            vols[j], firsts[j], seconds[j] = _polytope_moments_3d(
-                box_a + rows_a, box_b + rows_b
-            )
+            if l == 2:
+                poly = base
+                for r in cutting:
+                    poly = _clip_polygon(poly, row_a[r], row_b[r])
+                    if len(poly) < 3:
+                        break
+                vols[j], firsts[j], seconds[j] = _polygon_moments(poly)
+            else:
+                verts, faces = base
+                for r in cutting:
+                    verts, faces = _clip_polyhedron(verts, faces, row_a[r], row_b[r])
+                    if not faces:
+                        break
+                vols[j], firsts[j], seconds[j] = _polyhedron_moments(verts, faces)
     return vols, firsts, seconds
 
 

@@ -1,8 +1,12 @@
 """Hyperrectangle/Laguerre geometry: types, oracles, volumes, moments."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from boxot import fixtures as fx
 from boxot.geometry import (
@@ -386,6 +390,128 @@ class TestExactCellMoments3d:
         box = Hyperrectangle([0.0] * 4, [1.0] * 4)
         with pytest.raises(ValueError):
             cell_box_moments_exact(samples, np.zeros(2), box)
+
+
+def _brute_force_moments(samples, g, box):
+    """Cell moments from all n - 1 half-spaces per cell, without neighbour lists.
+
+    1-D cells are intervals. In 2-D and 3-D each cell is built by scipy's
+    HalfspaceIntersection from a Chebyshev centre found by linprog, and its
+    moments are summed over the simplices joining that centre to the facets
+    of the ConvexHull of the cell's vertices. A cell whose inradius r is
+    below 1e-14 of the smallest box width counts as empty: a convex cell's
+    volume is at most r times its surface, far below the tolerance.
+    """
+    y = samples.points
+    n, l = y.shape
+    norms = (y**2).sum(-1)
+    eye = np.eye(l)
+    box_a = np.vstack([eye, -eye])
+    box_b = np.concatenate([box.hi, -box.lo])
+    vols = np.zeros(n)
+    firsts = np.zeros((n, l))
+    seconds = np.zeros(n)
+    for j in range(n):
+        others = np.arange(n) != j
+        a = np.vstack([2.0 * (y[others] - y[j]), box_a])
+        b = np.concatenate([g[j] - g[others] + norms[others] - norms[j], box_b])
+        if l == 1:
+            lo = max(bi / ai for ai, bi in zip(a[:, 0], b) if ai < 0)
+            hi = min(bi / ai for ai, bi in zip(a[:, 0], b) if ai > 0)
+            if hi > lo:
+                vols[j] = hi - lo
+                firsts[j, 0] = (hi**2 - lo**2) / 2.0
+                seconds[j] = (hi**3 - lo**3) / 3.0
+            continue
+        res = linprog(
+            c=[0.0] * l + [-1.0],
+            A_ub=np.hstack([a, np.linalg.norm(a, axis=1)[:, None]]),
+            b_ub=b,
+            bounds=[(None, None)] * l + [(0.0, None)],
+            method="highs",
+        )
+        if res.status != 0 or res.x[l] <= 1e-14 * box.widths.min():
+            continue
+        centre = res.x[:l]
+        pts = HalfspaceIntersection(np.hstack([a, -b[:, None]]), centre).intersections
+        for facet in ConvexHull(pts).simplices:
+            simplex = np.vstack([centre, pts[facet]])
+            v = abs(np.linalg.det(simplex[1:] - simplex[0])) / math.factorial(l)
+            s = simplex.sum(axis=0)
+            vols[j] += v
+            firsts[j] += v * s / (l + 1)
+            seconds[j] += v * ((simplex**2).sum() + s @ s) / ((l + 1) * (l + 2))
+    return vols, firsts, seconds
+
+
+def _lattice(l, per_axis, spacing):
+    axes = [spacing * (np.arange(per_axis) - (per_axis - 1) / 2.0)] * l
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, l)
+
+
+def _power_diagram_cases():
+    """(id, points, g, boxes) covering the neighbour rule's regimes.
+
+    Per dimension the boxes are a wide one holding every sink, a corner box
+    that most cells miss and one outside the sinks' hull; lattices add a box
+    whose faces lie on cell boundaries.
+    """
+    rng = np.random.default_rng(20261018)
+    cases = []
+    boxes = {}
+    for l in (1, 2, 3):
+        boxes[l] = (
+            Hyperrectangle([-1.2] * l, [1.2] * l),
+            Hyperrectangle([0.7] * l, [0.95] * l),
+            Hyperrectangle([1.5] + [-0.3] * (l - 1), [2.5] + [0.3] * (l - 1)),
+        )
+        for n in (1, 2, l + 1, l + 2, 9, 24, 64 if l < 3 else 40):
+            pts = rng.uniform(-1.0, 1.0, size=(n, l))
+            g = rng.normal(scale=0.3, size=n)
+            cases.append((f"l{l}-n{n}-random", pts, g, boxes[l]))
+        # Large weights hide cells: a low g_j lifts site j above the lower hull.
+        pts = rng.uniform(-1.0, 1.0, size=(24, l))
+        g = rng.normal(scale=0.3, size=24)
+        g[::4] -= 5.0
+        g[1] += 3.0
+        cases.append((f"l{l}-hidden", pts, g, boxes[l]))
+        # Cospherical sinks at g = 0: many lifted points share each facet.
+        pts = _lattice(l, {1: 8, 2: 5, 3: 3}[l], 0.5)
+        aligned = Hyperrectangle([-0.75] * l, [0.25] * l)
+        cases.append((f"l{l}-lattice", pts, np.zeros(len(pts)), boxes[l] + (aligned,)))
+    # Flat lifted point sets: Qhull raises and every pair is used.
+    t = rng.uniform(-1.0, 1.0, size=8)
+    line2 = np.column_stack([t, 0.3 * t + 0.1])
+    cases.append(("l2-collinear", line2, rng.normal(scale=0.3, size=8), boxes[2]))
+    plane3 = np.column_stack([rng.uniform(-1.0, 1.0, size=(10, 2)), np.full(10, 0.2)])
+    cases.append(("l3-coplanar", plane3, rng.normal(scale=0.3, size=10), boxes[3]))
+    line3 = np.outer(rng.uniform(-1.0, 1.0, size=6), [0.5, -0.2, 0.8])
+    cases.append(("l3-collinear", line3, rng.normal(scale=0.3, size=6), boxes[3]))
+    return cases
+
+
+_POWER_DIAGRAM_CASES = _power_diagram_cases()
+
+
+class TestRestrictedPowerDiagram:
+    """The neighbour-restricted kernel against clipping by all n - 1 rows."""
+
+    @pytest.mark.parametrize(
+        "points, g, boxes",
+        [case[1:] for case in _POWER_DIAGRAM_CASES],
+        ids=[case[0] for case in _POWER_DIAGRAM_CASES],
+    )
+    def test_matches_brute_force(self, points, g, boxes):
+        samples = SampleSet.uniform(points)
+        for box in boxes:
+            vols, firsts, seconds = cell_box_moments_exact(samples, g, box)
+            ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
+            tol = 1e-12 * box.volume
+            r = box.max_corner_norm()
+            assert abs(vols.sum() - box.volume) <= tol
+            assert np.abs(vols - ref_vols).max() <= tol
+            assert np.abs(firsts - ref_firsts).max() <= tol * r
+            assert np.abs(seconds - ref_seconds).max() <= tol * r**2
 
 
 def _midpoint_moments(density, cells_per_box=10_000):

@@ -260,6 +260,22 @@ class TestFiniteDifferenceGradient:
             an = gradient(symmetric_square, g, backend="exact")
             assert np.linalg.norm(fd - an) <= 1e-3 * max(np.linalg.norm(an), 1e-12)
 
+    def test_matches_exact_gradient_in_3d(self):
+        """Central differences of E probe the 3-D clipper's first and second moments."""
+        from boxot.dual_solver import gradient
+
+        rng = np.random.default_rng(30)
+        left = Hyperrectangle([-1.0, -1.0, -1.0], [0.0, 1.0, 1.0])
+        right = Hyperrectangle([0.0, -1.0, -1.0], [1.0, 1.0, 1.0])
+        density = BoxDensity(dimension=3, boxes=((left, 0.1), (right, 0.15)))
+        samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(10, 3)))
+        instance = Instance(density, samples)
+        for _ in range(3):
+            g = rng.normal(scale=0.2, size=10)
+            fd = finite_difference_gradient(instance, g)
+            an = gradient(instance, g, backend="exact")
+            assert np.linalg.norm(fd - an) <= 1e-6 * np.linalg.norm(an)
+
     def test_bad_step_raises(self, symmetric_interval):
         with pytest.raises(ValueError):
             finite_difference_gradient(symmetric_interval, np.zeros(2), h=0.0)
