@@ -18,8 +18,6 @@ from .dual_solver import (
     epsilon_prime,
     gradient,
     iteration_budget,
-    is_centered,
-    smoothness_constant,
     solve_dual,
     transform_dual_for_scale,
     transform_dual_for_shift,
@@ -28,27 +26,20 @@ from .estimator import (
     EstimationResult,
     closed_form_from_plan,
     estimate_parameters,
-    primal_cost_identity,
 )
 from .geometry import (
     BoxDensity,
-    Hyperplane,
     Hyperrectangle,
     Instance,
     InstanceStats,
     SampleSet,
-    approximate_density,
     box_moments,
     box_rng,
-    box_separation_oracle,
-    box_shadow_volume,
     cell_box_moments_exact,
     cell_box_volume_exact,
     cell_box_volumes_mc,
-    classify_point,
     classify_points,
     instance_stats,
-    laguerre_separation_oracle,
     mc_sample_count,
 )
 from .instance_io import (
@@ -85,7 +76,6 @@ __all__ = [
     "CnfFormula",
     "DiscretePlan",
     "EstimationResult",
-    "Hyperplane",
     "Hyperrectangle",
     "Instance",
     "InstanceStats",
@@ -95,18 +85,14 @@ __all__ = [
     "SolverConfig",
     "SolverTrace",
     "WeightedPoints",
-    "approximate_density",
     "assignment_to_theta",
     "box_moments",
     "box_rng",
-    "box_separation_oracle",
-    "box_shadow_volume",
     "brute_force_sat",
     "cell_box_moments_exact",
     "cell_box_volume_exact",
     "cell_box_volumes_mc",
     "center_weights",
-    "classify_point",
     "classify_points",
     "closed_form_from_plan",
     "decide_positive_likelihood",
@@ -119,20 +105,16 @@ __all__ = [
     "finite_difference_gradient",
     "gradient",
     "instance_stats",
-    "is_centered",
     "iteration_budget",
-    "laguerre_separation_oracle",
     "likelihood_positive",
     "load_instance",
     "mc_sample_count",
     "parse_dimacs",
     "parse_instance",
-    "primal_cost_identity",
     "reduce_3sat",
     "save_instance",
     "semidiscrete_1d_exact",
     "serialize_instance",
-    "smoothness_constant",
     "solve_dual",
     "solve_discrete_ot_exact",
     "transform_dual_for_scale",

@@ -20,14 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
-    MC_SAMPLE_CAP,
-    _MC_CHUNK,
     Instance,
     SampleSet,
     box_moments,
-    box_rng,
     cell_box_moments_exact,
     cell_box_volumes_mc,
+    potential_integral_mc,
 )
 
 ITERATION_CAP = 10**18
@@ -123,10 +121,6 @@ def center_weights(g: np.ndarray) -> np.ndarray:
     return g - g.mean()
 
 
-def is_centered(g: np.ndarray, tol: float = 1e-9) -> bool:
-    return abs(float(np.asarray(g, dtype=float).sum())) <= tol
-
-
 # ---------------------------------------------------------------------------
 # energy and gradient
 # ---------------------------------------------------------------------------
@@ -184,25 +178,9 @@ def energy(
     m = int(
         math.ceil(rng_range**2 * math.log(2.0 * k / eta_prime) / (2.0 * accuracy**2))
     )
-    if m > MC_SAMPLE_CAP:
-        raise ValueError(
-            f"MC energy budget {m} exceeds cap {MC_SAMPLE_CAP}; "
-            "loosen accuracy or use the exact backend"
-        )
-    y = samples.points
-    ynorm = (y**2).sum(-1)
     total = 0.0
     for idx, (box, w) in enumerate(instance.density.boxes):
-        rng = box_rng(seed, idx)
-        acc = 0.0
-        remaining = m
-        while remaining > 0:
-            chunk = min(remaining, _MC_CHUNK)
-            pts = rng.uniform(box.lo, box.hi, size=(chunk, box.dimension))
-            scores = ynorm[None, :] - 2.0 * (pts @ y.T) - g[None, :]
-            acc += float((scores.min(axis=1) + (pts**2).sum(-1)).sum())
-            remaining -= chunk
-        total += w * box.volume * acc / m
+        total += potential_integral_mc(samples, g, box, w, m, seed, box_index=idx)
     return total + base
 
 
@@ -250,11 +228,6 @@ def gradient(
 # ---------------------------------------------------------------------------
 # derived budgets
 # ---------------------------------------------------------------------------
-
-
-def smoothness_constant(instance: Instance) -> float:
-    """L = 2 n l k / s^2 (errors at construction if s degenerates)."""
-    return instance.stats.L
 
 
 def epsilon_prime(instance: Instance, epsilon: float) -> float:

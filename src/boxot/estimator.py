@@ -75,12 +75,6 @@ def closed_form_from_plan(
     return float(sigma), mu
 
 
-def primal_cost_identity(moments, sum_by_norm: float, cross_term: float) -> float:
-    """p* = int ||x||^2 dalpha + sum_j b_j ||y_j||^2 - 2 crossTerm."""
-    _, _, second = moments
-    return second + sum_by_norm - 2.0 * cross_term
-
-
 def estimate_parameters(instance: Instance, config: SolverConfig) -> EstimationResult:
     """Full pipeline: moments, dual solve at cost ||x - y||^2, rho, closed forms.
 

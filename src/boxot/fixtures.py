@@ -99,7 +99,6 @@ def random_instance(
     max_dim: int = 2,
     max_boxes: int = 2,
     max_samples: int = 4,
-    uniform_demands: bool = True,
 ) -> Instance:
     """Random well-separated instance for property tests.
 
@@ -133,10 +132,4 @@ def random_instance(
         p = rng.uniform(-2.5, 2.5, size=l)
         if all(np.linalg.norm(p - q) >= 0.35 for q in points):
             points.append(p)
-    pts = np.array(points)
-    if uniform_demands:
-        samples = SampleSet.uniform(pts)
-    else:
-        d = rng.uniform(0.5, 1.5, size=n)
-        samples = SampleSet(points=pts, demands=d / d.sum())
-    return Instance(density, samples)
+    return Instance(density, SampleSet.uniform(np.array(points)))

@@ -1,8 +1,8 @@
 """Hyperrectangle and Laguerre-cell geometry.
 
-Data containers for box-supported densities and sample sets, separation
-oracles, point classification into Laguerre (power) cells, Monte-Carlo and
-exact cell volumes, and closed-form moments of the density.
+Data containers for box-supported densities and sample sets, point
+classification into Laguerre (power) cells, Monte-Carlo and exact cell
+volumes, and closed-form moments of the density.
 
 Exact cell moments (l <= 3) come from a restricted power diagram. Cells j
 and j' can share a facet only if the lifted points (y_j, ||y_j||^2 - g_j)
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -33,13 +33,6 @@ MASS_TOL = 1e-9
 # is the only realistic option and we refuse rather than thrash.
 MC_SAMPLE_CAP = 50_000_000
 _MC_CHUNK = 2_000_000
-
-
-class Hyperplane(NamedTuple):
-    """Half-space boundary a.z = beta with the feasible side a.z <= beta."""
-
-    a: np.ndarray
-    beta: float
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +74,6 @@ class Hyperrectangle:
     @property
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool((self.lo <= x).all() and (x <= self.hi).all())
 
     def max_corner_norm(self) -> float:
         """Largest Euclidean norm over the 2^l corners (no enumeration needed)."""
@@ -159,10 +148,15 @@ class SampleSet:
             raise ValueError("demands must be nonnegative")
         if abs(dem.sum() - 1.0) > MASS_TOL:
             raise ValueError("demands must sum to 1")
-        for i in range(pts.shape[0]):
-            for j in range(i + 1, pts.shape[0]):
-                if (pts[i] == pts[j]).all():
-                    raise ValueError(f"samples {i} and {j} coincide")
+        # A stable sort puts equal rows next to each other in index order, so
+        # the adjacent equal pair with the smallest first index is the
+        # smallest coinciding (i, j), the pair a scan in index order finds.
+        order = np.lexsort(pts.T)
+        same = np.flatnonzero((pts[order[1:]] == pts[order[:-1]]).all(axis=1))
+        if same.size:
+            first = same[np.argmin(order[same])]
+            i, j = order[first], order[first + 1]
+            raise ValueError(f"samples {i} and {j} coincide")
 
     @classmethod
     def uniform(cls, points: Sequence[Sequence[float]] | np.ndarray) -> "SampleSet":
@@ -187,18 +181,14 @@ class SampleSet:
 class InstanceStats:
     """Derived instance constants.
 
-    N      total source mass (1 by construction, kept explicit).
     D      max norm over the reference set: samples and all box corners.
     s      min of (min pairwise sample distance, min box width).
     L      smoothness constant 2 n l k / s^2.
-    reference_set_size  n + k 2^l (corners counted nominally).
     """
 
-    N: float
     D: float
     s: float
     L: float
-    reference_set_size: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +212,7 @@ class Instance:
 
 
 def instance_stats(density: BoxDensity, samples: SampleSet) -> InstanceStats:
-    """Compute (N, D, s, L) for a density/sample pair."""
+    """Compute (D, s, L) for a density/sample pair."""
     n, l, k = samples.n, density.dimension, density.k
     d_samples = float(np.linalg.norm(samples.points, axis=1).max())
     d_corners = max(box.max_corner_norm() for box, _ in density.boxes)
@@ -237,88 +227,29 @@ def instance_stats(density: BoxDensity, samples: SampleSet) -> InstanceStats:
     if not s > 0:
         raise ValueError("degenerate instance: s = 0")
     smooth = 2.0 * n * l * k / s**2
-    return InstanceStats(
-        N=density.total_mass,
-        D=big_d,
-        s=s,
-        L=smooth,
-        reference_set_size=n + k * 2**l,
-    )
+    return InstanceStats(D=big_d, s=s, L=smooth)
 
 
 # ---------------------------------------------------------------------------
-# separation oracles and classification
+# classification
 # ---------------------------------------------------------------------------
 
 
-def box_separation_oracle(box: Hyperrectangle, x: np.ndarray) -> Hyperplane | None:
-    """Membership test for a box, with a separating hyperplane on failure.
-
-    Returns None when lo <= x <= hi componentwise. Otherwise returns an
-    axis-aligned Hyperplane (a, beta) with a.x > beta and a.z <= beta for
-    every z in the box (first violated face in axis order, lower before
-    upper). O(l) comparisons.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != box.lo.shape:
-        raise ValueError("point dimension does not match box dimension")
-    for d in range(box.dimension):
-        if x[d] < box.lo[d]:
-            a = np.zeros(box.dimension)
-            a[d] = -1.0
-            return Hyperplane(a, -float(box.lo[d]))
-        if x[d] > box.hi[d]:
-            a = np.zeros(box.dimension)
-            a[d] = 1.0
-            return Hyperplane(a, float(box.hi[d]))
-    return None
-
-
-def _scores(samples: SampleSet, g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # ||x - y_j||^2 - g_j minus the j-independent ||x||^2 term.
+def _scores(samples: SampleSet, g: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    # ||x - y_j||^2 - g_j minus the j-independent ||x||^2 term, for each row
+    # x of xs: shape (m, l) -> (m, n).
     y = samples.points
-    return (y**2).sum(-1) - 2.0 * (y @ x) - g
-
-
-def laguerre_separation_oracle(
-    samples: SampleSet, g: np.ndarray, j: int, x: np.ndarray
-) -> Hyperplane | None:
-    """Membership test for Laguerre cell j, with a cut on failure.
-
-    Cell j is {x : ||x-y_j||^2 - g_j <= ||x-y_j'||^2 - g_j' for all j'}. On
-    failure returns the hyperplane for the smallest violated j':
-    a = 2 (y_j' - y_j), beta = g_j - g_j' + ||y_j'||^2 - ||y_j||^2, which
-    satisfies a.x > beta and a.z <= beta on the cell. O(n l) time.
-    """
-    g = np.asarray(g, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not 0 <= j < samples.n:
-        raise ValueError(f"cell index {j} out of range")
-    scores = _scores(samples, g, x)
-    violated = np.flatnonzero(scores < scores[j])
-    if violated.size == 0:
-        return None
-    jp = int(violated[0])
-    y = samples.points
-    a = 2.0 * (y[jp] - y[j])
-    beta = float(g[j] - g[jp] + (y[jp] ** 2).sum() - (y[j] ** 2).sum())
-    return Hyperplane(a, beta)
-
-
-def classify_point(samples: SampleSet, g: np.ndarray, x: np.ndarray) -> int:
-    """Index of the Laguerre cell containing x; ties go to the smallest index."""
-    g = np.asarray(g, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return int(np.argmin(_scores(samples, g, x)))
+    return (y**2).sum(-1)[None, :] - 2.0 * (xs @ y.T) - g[None, :]
 
 
 def classify_points(samples: SampleSet, g: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`classify_point` over rows of xs, shape (m, l) -> (m,)."""
+    """Laguerre cell index of each row of xs, shape (m, l) -> (m,).
+
+    Ties go to the smallest index.
+    """
     g = np.asarray(g, dtype=float)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    y = samples.points
-    scores = (y**2).sum(-1)[None, :] - 2.0 * (xs @ y.T) - g[None, :]
-    return np.argmin(scores, axis=1)
+    return np.argmin(_scores(samples, g, xs), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +264,27 @@ def box_rng(seed: int, box_index: int) -> np.random.Generator:
     identical, non-overlapping streams.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(box_index,)))
+
+
+def _box_draws(
+    box: Hyperrectangle, m: int, seed, box_index: int
+) -> Iterator[np.ndarray]:
+    """m uniform points of the box from ``box_rng(seed, box_index)``.
+
+    Yields them in chunks of at most ``_MC_CHUNK`` rows, so memory stays
+    bounded. A budget above ``MC_SAMPLE_CAP`` is refused before any draw.
+    """
+    if m > MC_SAMPLE_CAP:
+        raise ValueError(
+            f"MC budget {m} exceeds cap {MC_SAMPLE_CAP}; "
+            "loosen the accuracy targets or use the exact backend"
+        )
+    rng = box_rng(seed, box_index)
+    remaining = m
+    while remaining > 0:
+        chunk = min(remaining, _MC_CHUNK)
+        yield rng.uniform(box.lo, box.hi, size=(chunk, box.dimension))
+        remaining -= chunk
 
 
 def mc_sample_count(n: int, eps_bar: float, eta_prime: float) -> int:
@@ -366,20 +318,30 @@ def cell_box_volumes_mc(
     if not np.isfinite(g).all():
         raise ValueError("dual weights must be finite")
     m = mc_sample_count(samples.n, eps_bar, eta_prime)
-    if m > MC_SAMPLE_CAP:
-        raise ValueError(
-            f"MC budget {m} exceeds cap {MC_SAMPLE_CAP}; "
-            "loosen eps_bar/eta_prime or use the exact backend"
-        )
-    rng = box_rng(seed, box_index)
     counts = np.zeros(samples.n, dtype=np.int64)
-    remaining = m
-    while remaining > 0:
-        chunk = min(remaining, _MC_CHUNK)
-        pts = rng.uniform(box.lo, box.hi, size=(chunk, box.dimension))
+    for pts in _box_draws(box, m, seed, box_index):
         counts += np.bincount(classify_points(samples, g, pts), minlength=samples.n)
-        remaining -= chunk
     return counts / m * box.volume
+
+
+def potential_integral_mc(
+    samples: SampleSet,
+    g: np.ndarray,
+    box: Hyperrectangle,
+    weight: float,
+    m: int,
+    seed,
+    box_index: int = 0,
+) -> float:
+    """Estimate weight * integral over the box of min_j(||x - y_j||^2 - g_j).
+
+    Averages the potential over m uniform points of the box, drawn as in
+    :func:`cell_box_volumes_mc`; the caller picks m for its accuracy target.
+    """
+    acc = 0.0
+    for pts in _box_draws(box, m, seed, box_index):
+        acc += float((_scores(samples, g, pts).min(axis=1) + (pts**2).sum(-1)).sum())
+    return weight * box.volume * acc / m
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +701,7 @@ def cell_box_volume_exact(
 
 
 # ---------------------------------------------------------------------------
-# density moments and construction helpers
+# density moments
 # ---------------------------------------------------------------------------
 
 
@@ -759,70 +721,3 @@ def box_moments(density: BoxDensity) -> tuple[float, np.ndarray, float]:
         cubes = (box.hi**3 - box.lo**3) / 3.0
         second += w * float((cubes * (vol / box.widths)).sum())
     return n_mass, first, second
-
-
-def approximate_density(
-    grid_values: np.ndarray,
-    cell_widths: Sequence[float] | float,
-    origin: Sequence[float] | None = None,
-    compact: bool = False,
-) -> BoxDensity:
-    """Build a BoxDensity from density values sampled on a regular grid.
-
-    One box per strictly positive grid cell, weight proportional to the
-    sampled value and rescaled so the total mass is exactly 1. With
-    ``compact=True``, consecutive equal-weight cells along the last axis are
-    merged into single boxes.
-    """
-    values = np.asarray(grid_values, dtype=float)
-    l = values.ndim
-    widths = np.broadcast_to(np.asarray(cell_widths, dtype=float), (l,)).astype(float)
-    if origin is None:
-        origin = np.zeros(l)
-    origin = np.asarray(origin, dtype=float)
-    if (values < 0).any():
-        raise ValueError("grid values must be nonnegative")
-    cell_vol = float(np.prod(widths))
-    total = values.sum() * cell_vol
-    if total <= 0:
-        raise ValueError("grid has no positive cell")
-
-    boxes: list[tuple[Hyperrectangle, float]] = []
-    flat_index = list(np.ndindex(values.shape))
-    i = 0
-    while i < len(flat_index):
-        idx = flat_index[i]
-        v = values[idx]
-        if v <= 0:
-            i += 1
-            continue
-        run = 1
-        if compact:
-            # extend along the last axis while the weight repeats
-            while i + run < len(flat_index):
-                nxt = flat_index[i + run]
-                if nxt[:-1] != idx[:-1] or nxt[-1] != idx[-1] + run:
-                    break
-                if values[nxt] != v:
-                    break
-                run += 1
-        lo = origin + np.array(idx) * widths
-        hi = lo + widths
-        hi[-1] = lo[-1] + run * widths[-1]
-        boxes.append((Hyperrectangle(lo, hi), float(v / total)))
-        i += run
-    return BoxDensity(dimension=l, boxes=tuple(boxes))
-
-
-def box_shadow_volume(box: Hyperrectangle, direction: np.ndarray) -> float:
-    """(l-1)-volume of the box's shadow on the hyperplane orthogonal to ``direction``.
-
-    Closed form for boxes: sum_d |u_d| * vol / width_d with u the unit
-    direction.
-    """
-    u = np.asarray(direction, dtype=float)
-    norm = np.linalg.norm(u)
-    if norm == 0:
-        raise ValueError("direction must be nonzero")
-    u = u / norm
-    return float((np.abs(u) * box.volume / box.widths).sum())

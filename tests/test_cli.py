@@ -9,6 +9,7 @@ import pytest
 from boxot.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
+    EXIT_NUMERICAL_ABORT,
     EXIT_OK,
     SEED_ENV_VAR,
     main,
@@ -137,6 +138,19 @@ class TestEstimate:
         assert main(["estimate", str(path)]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert "boxes 0 and 1" in err and "overlap" in err
+
+    def test_mc_budget_refusal(self, tmp_path, capsys):
+        # l = 4 selects the MC backend; at epsilon 0.1 its per-box budget is
+        # far above the sample cap, and the refusal is a numerical abort
+        path = tmp_path / "cube-4d.json"
+        path.write_text(json.dumps({
+            "dimension": 4,
+            "boxes": [{"lo": [-1.0] * 4, "hi": [1.0] * 4, "weight": 1 / 16}],
+            "samples": [{"point": [1.0, 0, 0, 0]}, {"point": [-1.0, 0, 0, 0]}],
+        }))
+        code = main(["estimate", str(path), "--epsilon", "0.1"])
+        assert code == EXIT_NUMERICAL_ABORT
+        assert "exceeds cap" in capsys.readouterr().err
 
     def test_bad_epsilon(self, instance_files, capsys):
         code = main(

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from boxot import fixtures as fx
+from boxot import geometry
 from boxot.dual_solver import (
     ITERATION_CAP,
     SolverAbort,
@@ -15,14 +16,18 @@ from boxot.dual_solver import (
     energy,
     epsilon_prime,
     gradient,
-    is_centered,
     iteration_budget,
-    smoothness_constant,
     solve_dual,
     transform_dual_for_scale,
     transform_dual_for_shift,
 )
-from boxot.geometry import classify_points
+from boxot.geometry import (
+    BoxDensity,
+    Hyperrectangle,
+    Instance,
+    SampleSet,
+    classify_points,
+)
 
 
 class TestEnergy:
@@ -135,14 +140,14 @@ class TestBudgets:
     def test_smoothness_constants(
         self, symmetric_interval, single_sink, symmetric_square
     ):
-        assert smoothness_constant(symmetric_interval) == 1.0
-        assert smoothness_constant(single_sink) == 2.0
-        assert smoothness_constant(symmetric_square) == 2.0
+        assert symmetric_interval.stats.L == 1.0
+        assert single_sink.stats.L == 2.0
+        assert symmetric_square.stats.L == 2.0
 
     def test_empirical_smoothness_below_constant(self, named_instances):
         rng = np.random.default_rng(31)
         for instance in named_instances.values():
-            L = smoothness_constant(instance)
+            L = instance.stats.L
             n = instance.samples.n
             for _ in range(100):
                 g = center_weights(rng.uniform(-1, 1, size=n))
@@ -157,11 +162,64 @@ class TestCentering:
     def test_center_weights(self):
         g = center_weights(np.array([1.0, 2.0, 3.0]))
         assert_allclose(g, [-1.0, 0.0, 1.0])
-        assert is_centered(g)
+        assert abs(g.sum()) <= 1e-9
 
-    def test_is_centered_tolerance(self):
-        assert is_centered(np.array([0.5, -0.5]))
-        assert not is_centered(np.array([0.5, 0.5]))
+
+def _box_pair_3d():
+    """Two unit cubes in 3-D with three sinks: exercises box_index > 0."""
+    density = BoxDensity(
+        dimension=3,
+        boxes=(
+            (Hyperrectangle([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), 0.5),
+            (Hyperrectangle([1.5, 0.0, 0.0], [2.5, 1.0, 1.0]), 0.5),
+        ),
+    )
+    samples = SampleSet.uniform([[0.2, 0.5, 0.5], [1.0, 0.3, 0.6], [2.0, 0.5, 0.4]])
+    return Instance(density, samples)
+
+
+class TestMcDraws:
+    # Values recorded with the per-estimator draw loops that the shared
+    # chunked loop replaced; the MC contract is that they stay bit-identical.
+    def test_gradient_is_pinned(self, symmetric_square):
+        grad = gradient(
+            symmetric_square, np.array([0.1, -0.1]),
+            eps_bar=0.05, eta_prime=0.1, seed=(5, 3), backend="mc",
+        )
+        assert grad.tolist() == [-0.050135501355013545, 0.050135501355013545]
+        grad = gradient(
+            _box_pair_3d(), np.array([0.05, -0.1, 0.05]),
+            eps_bar=0.05, eta_prime=0.1, seed=(5, 3), backend="mc",
+        )
+        assert grad.tolist() == [
+            -0.03179023088525351, 0.19602042000232045, -0.16423018911706694
+        ]
+
+    def test_energy_is_pinned(self, symmetric_square):
+        # about 2.4e6 draws: more than one chunk
+        e = energy(
+            symmetric_square, np.array([0.1, -0.1]),
+            accuracy=0.0065, eta_prime=0.1, seed=(5, 3, 1), backend="mc",
+        )
+        assert e == 0.6642276323166377
+        e = energy(
+            _box_pair_3d(), np.array([0.05, -0.1, 0.05]),
+            accuracy=0.5, eta_prime=0.1, seed=(5, 3, 1), backend="mc",
+        )
+        assert e == 0.216445801774224
+
+    def test_budget_above_cap_is_refused_before_drawing(
+        self, symmetric_square, monkeypatch
+    ):
+        def no_draws(seed, box_index):
+            raise AssertionError("drew samples past the cap")
+
+        monkeypatch.setattr(geometry, "box_rng", no_draws)
+        g = np.zeros(2)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            energy(symmetric_square, g, accuracy=1e-3, eta_prime=0.1, backend="mc")
+        with pytest.raises(ValueError, match="exceeds cap"):
+            gradient(symmetric_square, g, eps_bar=1e-4, eta_prime=0.1, backend="mc")
 
 
 class TestSolveDual:
@@ -301,7 +359,7 @@ class TestNecessityFamilies:
                 instance, (g_a, g_b) = family(m)
                 diff = gradient(instance, g_a) - gradient(instance, g_b)
                 ratio = np.linalg.norm(diff) / np.linalg.norm(g_a - g_b)
-                assert ratio <= smoothness_constant(instance) + 1e-9
+                assert ratio <= instance.stats.L + 1e-9
 
 
 class TestTransforms:

@@ -8,11 +8,7 @@ from numpy.testing import assert_allclose
 
 from boxot import fixtures as fx
 from boxot.dual_solver import SolverConfig
-from boxot.estimator import (
-    closed_form_from_plan,
-    estimate_parameters,
-    primal_cost_identity,
-)
+from boxot.estimator import closed_form_from_plan, estimate_parameters
 from boxot.geometry import (
     BoxDensity,
     Hyperrectangle,
@@ -59,28 +55,6 @@ class TestClosedForm:
         moments = (1.0, np.array([1.0]), 1.0)
         with pytest.raises(ValueError, match="variance"):
             closed_form_from_plan(moments, np.array([0.5]), 0.3)
-
-
-class TestPrimalCostIdentity:
-    def test_fixture_values(self, symmetric_interval, single_sink):
-        moments, _, sbn = _oracle_inputs(symmetric_interval)
-        assert_allclose(primal_cost_identity(moments, sbn, 0.5), 1 / 3)
-        moments, _, sbn = _oracle_inputs(single_sink)
-        assert_allclose(primal_cost_identity(moments, sbn, 0.25), 1 / 12)
-
-    def test_perfect_match_costs_zero(self, symmetric_square):
-        moments, _, sbn = _oracle_inputs(symmetric_square)
-        cross = (moments[2] + sbn) / 2
-        assert_allclose(primal_cost_identity(moments, sbn, cross), 0.0, atol=1e-15)
-
-    def test_round_trip_through_rho(self, asymmetric_demands):
-        # rho extraction followed by the identity must return E exactly
-        moments, _, sbn = _oracle_inputs(asymmetric_demands)
-        rng = np.random.default_rng(6)
-        for _ in range(25):
-            e = float(rng.uniform(0.0, 1.0))
-            rho = 0.5 * (moments[2] + sbn - e)
-            assert abs(primal_cost_identity(moments, sbn, rho) - e) <= 1e-12
 
 
 class TestEstimateParameters:

@@ -1,4 +1,4 @@
-"""Hyperrectangle/Laguerre geometry: types, oracles, volumes, moments."""
+"""Hyperrectangle/Laguerre geometry: types, classification, volumes, moments."""
 
 import math
 
@@ -9,23 +9,19 @@ from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from boxot import fixtures as fx
+from boxot import geometry
 from boxot.geometry import (
     BoxDensity,
     Hyperrectangle,
     Instance,
     SampleSet,
-    approximate_density,
     box_moments,
     box_rng,
-    box_separation_oracle,
-    box_shadow_volume,
     cell_box_moments_exact,
     cell_box_volume_exact,
     cell_box_volumes_mc,
-    classify_point,
     classify_points,
     instance_stats,
-    laguerre_separation_oracle,
     mc_sample_count,
 )
 
@@ -37,13 +33,6 @@ class TestHyperrectangle:
         assert_allclose(box.widths, [1.0, 4.0])
         assert box.volume == 4.0
         assert_allclose(box.midpoint, [0.5, 1.0])
-
-    def test_contains_is_closed(self):
-        box = Hyperrectangle([0.0], [1.0])
-        assert box.contains(np.array([0.0]))
-        assert box.contains(np.array([1.0]))
-        assert box.contains(np.array([0.5]))
-        assert not box.contains(np.array([1.0000001]))
 
     def test_degenerate_width_raises(self):
         with pytest.raises(ValueError):
@@ -120,22 +109,36 @@ class TestSampleSet:
         with pytest.raises(ValueError):
             SampleSet.uniform(np.array([[0.0, 1.0], [0.0, 1.0]]))
 
+    def test_duplicate_names_the_smallest_pair(self):
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(-1, 1, size=(300, 2))
+        # a scan in index order meets (12, 270) before (41, 250) and (41, 290)
+        pts[250] = pts[41]
+        pts[270] = pts[12]
+        pts[290] = pts[41]
+        with pytest.raises(ValueError, match="samples 12 and 270 coincide"):
+            SampleSet.uniform(pts)
+        pts[270] = rng.uniform(2, 3, size=2)
+        with pytest.raises(ValueError, match="samples 41 and 250 coincide"):
+            SampleSet.uniform(pts)
+
+    def test_signed_zeros_coincide(self):
+        with pytest.raises(ValueError, match="samples 0 and 2 coincide"):
+            SampleSet.uniform(np.array([[0.0, 1.0], [0.5, 1.0], [-0.0, 1.0]]))
+
 
 class TestInstanceStats:
     def test_symmetric_interval_constants(self, symmetric_interval):
         stats = symmetric_interval.stats
-        assert stats.N == 1.0
         assert stats.D == 1.0
         assert stats.s == 2.0
         assert stats.L == 1.0
-        assert stats.reference_set_size == 4
 
     def test_square_diagonal_dominates(self, symmetric_square):
         stats = symmetric_square.stats
         assert_allclose(stats.D, np.sqrt(2.0))
         assert stats.s == 2.0
         assert stats.L == 2.0
-        assert stats.reference_set_size == 6
 
     def test_corner_can_dominate_samples(self):
         density = BoxDensity(
@@ -156,104 +159,32 @@ class TestInstanceStats:
         assert_allclose(stats.s, 0.1)
 
 
-class TestBoxSeparationOracle:
-    def test_interior_point(self):
-        box = Hyperrectangle([0.0, 0.0], [1.0, 1.0])
-        assert box_separation_oracle(box, np.array([0.5, 0.5])) is None
-
-    def test_violated_upper_face(self):
-        box = Hyperrectangle([0.0, 0.0], [1.0, 1.0])
-        plane = box_separation_oracle(box, np.array([2.0, 0.5]))
-        assert_allclose(plane.a, [1.0, 0.0])
-        assert plane.beta == 1.0
-
-    def test_violated_lower_face(self):
-        box = Hyperrectangle([0.0], [1.0])
-        plane = box_separation_oracle(box, np.array([-0.5]))
-        assert_allclose(plane.a, [-1.0])
-        assert plane.beta == 0.0
-
-    def test_plane_separates(self):
-        rng = np.random.default_rng(11)
-        box = Hyperrectangle([-1.0, 0.0, 2.0], [1.0, 3.0, 4.0])
-        corners = np.array(
-            [[x, y, z] for x in (-1, 1) for y in (0, 3) for z in (2, 4)],
-            dtype=float,
-        )
-        for _ in range(200):
-            x = rng.uniform(-3, 6, size=3)
-            plane = box_separation_oracle(box, x)
-            if plane is None:
-                assert box.contains(x)
-            else:
-                assert plane.a @ x > plane.beta
-                assert (corners @ plane.a <= plane.beta + 1e-12).all()
-
-    def test_dimension_mismatch_raises(self):
-        box = Hyperrectangle([0.0], [1.0])
-        with pytest.raises(ValueError):
-            box_separation_oracle(box, np.array([0.5, 0.5]))
-
-
-class TestLaguerreSeparationOracle:
-    def test_voronoi_half_line(self):
-        samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
-        g = np.zeros(2)
-        assert laguerre_separation_oracle(samples, g, 0, np.array([-0.5])) is None
-
-    def test_violated_cell_gives_separator(self):
-        samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
-        g = np.zeros(2)
-        plane = laguerre_separation_oracle(samples, g, 1, np.array([-0.5]))
-        assert_allclose(plane.a, [-4.0])
-        assert plane.beta == 0.0
-        assert plane.a @ np.array([-0.5]) > plane.beta
-
-    def test_bad_index_raises(self):
-        samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
-        with pytest.raises(ValueError):
-            laguerre_separation_oracle(samples, np.zeros(2), 2, np.array([0.0]))
-
-    def test_consistency_with_classification(self):
-        rng = np.random.default_rng(5)
-        samples = SampleSet.uniform(rng.uniform(-1, 1, size=(4, 2)))
-        g = rng.uniform(-0.5, 0.5, size=4)
-        g -= g.mean()
-        for _ in range(200):
-            x = rng.uniform(-2, 2, size=2)
-            j_star = classify_point(samples, g, x)
-            assert laguerre_separation_oracle(samples, g, j_star, x) is None
-            for j in range(4):
-                plane = laguerre_separation_oracle(samples, g, j, x)
-                if plane is not None:
-                    assert j != j_star
-                    assert plane.a @ x > plane.beta
-
-
 class TestClassifyPoint:
     def test_nearer_site_wins(self):
         samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
-        assert classify_point(samples, np.zeros(2), np.array([0.3])) == 1
+        assert classify_points(samples, np.zeros(2), np.array([[0.3]])).tolist() == [1]
 
     def test_tie_breaks_to_smallest_index(self):
         samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
-        assert classify_point(samples, np.zeros(2), np.array([0.0])) == 0
+        assert classify_points(samples, np.zeros(2), np.array([[0.0]])).tolist() == [0]
 
     def test_weights_move_the_boundary(self):
         samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
         g = np.array([0.0, 0.5])
         # boundary sits at x = -1/8
-        assert classify_point(samples, g, np.array([-0.2])) == 0
-        assert classify_point(samples, g, np.array([-0.1])) == 1
+        labels = classify_points(samples, g, np.array([[-0.2], [-0.1]]))
+        assert labels.tolist() == [0, 1]
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(3)
         samples = SampleSet.uniform(rng.uniform(-1, 1, size=(5, 3)))
         g = rng.uniform(-0.3, 0.3, size=5)
         xs = rng.uniform(-2, 2, size=(50, 3))
-        vec = classify_points(samples, g, xs)
-        scalar = [classify_point(samples, g, x) for x in xs]
-        assert (vec == scalar).all()
+        # argmin_j ||x - y_j||^2 - g_j, one point at a time
+        scalar = [
+            int(np.argmin(((x - samples.points) ** 2).sum(-1) - g)) for x in xs
+        ]
+        assert classify_points(samples, g, xs).tolist() == scalar
 
 
 class TestMcVolumes:
@@ -307,6 +238,16 @@ class TestMcVolumes:
         box = Hyperrectangle([-1.0], [1.0])
         with pytest.raises(ValueError):
             cell_box_volumes_mc(samples, np.array([np.nan, 0.0]), box, 0.05, 0.1, 0)
+
+    def test_budget_above_cap_is_refused_before_drawing(self, monkeypatch):
+        def no_draws(seed, box_index):
+            raise AssertionError("drew samples past the cap")
+
+        monkeypatch.setattr(geometry, "box_rng", no_draws)
+        samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
+        box = Hyperrectangle([-1.0], [1.0])
+        with pytest.raises(ValueError, match="exceeds cap"):
+            cell_box_volumes_mc(samples, np.zeros(2), box, 1e-4, 0.05, seed=0)
 
 
 class TestExactCellMoments1d:
@@ -576,46 +517,3 @@ class TestBoxMoments:
         assert abs(exact[0] - ref[0]) / abs(ref[0]) <= 1e-6
         assert np.abs(exact[1] - ref[1]).max() <= 1e-6 * max(1.0, np.abs(ref[1]).max())
         assert abs(exact[2] - ref[2]) / abs(ref[2]) <= 1e-4
-
-
-class TestApproximateDensity:
-    def test_constant_density(self):
-        density = approximate_density(np.ones(4), 0.25)
-        assert density.k == 4
-        assert_allclose(density.total_mass, 1.0)
-        assert_allclose([w for _, w in density.boxes], [1.0] * 4)
-
-    def test_step_function(self):
-        density = approximate_density(np.array([1.0, 3.0]), 0.5)
-        assert_allclose([w for _, w in density.boxes], [0.5, 1.5])
-
-    def test_single_positive_cell(self):
-        density = approximate_density(np.array([0.0, 2.0, 0.0]), 0.5)
-        assert density.k == 1
-        box, w = density.boxes[0]
-        assert_allclose(w, 1.0 / box.volume)
-
-    def test_compact_merges_runs(self):
-        density = approximate_density(np.array([1.0, 1.0, 2.0, 2.0]), 0.25, compact=True)
-        assert density.k == 2
-        assert_allclose(density.total_mass, 1.0)
-
-    def test_2d_grid(self):
-        values = np.array([[1.0, 0.0], [2.0, 1.0]])
-        density = approximate_density(values, (0.5, 0.5))
-        assert density.k == 3
-        assert_allclose(density.total_mass, 1.0)
-
-
-class TestShadowBound:
-    def test_projection_bound(self):
-        rng = np.random.default_rng(17)
-        for l in (1, 2, 3):
-            for _ in range(50):
-                lo = rng.uniform(-2, 0, size=l)
-                hi = lo + rng.uniform(0.1, 2.0, size=l)
-                box = Hyperrectangle(lo, hi)
-                u = rng.normal(size=l)
-                shadow = box_shadow_volume(box, u)
-                xi = box.widths.min()
-                assert shadow <= (2 * l / xi) * box.volume + 1e-12
