@@ -119,7 +119,11 @@ def _verify_oracle(args: argparse.Namespace, seed: int) -> int:
         disc = 0.0
     else:
         sources = discretize_source(instance.density, args.resolution)
-        plan = solve_discrete_ot_exact(sources, instance.samples)
+        try:
+            plan = solve_discrete_ot_exact(sources, instance.samples)
+        except RuntimeError as exc:
+            print(f"oracle: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL_ABORT
         p_star = plan.cost
         disc = (
             discretization_error_bound(

@@ -112,6 +112,18 @@ def _apportion(weights: np.ndarray, total_units: int) -> np.ndarray:
     return units
 
 
+def _scaled_costs(points, sinks):
+    """Squared distances C, their integer rounding C_int and its scale.
+
+    The quantum keeps every integer objective value (MASS_UNITS units moved
+    at cost at most max C_int) inside int64.
+    """
+    C = ((points[:, None, :] - sinks[None, :, :]) ** 2).sum(-1)
+    max_c = float(C.max())
+    quantum_inv = max(1.0, math.floor(_INT64_BUDGET / (MASS_UNITS * max(max_c, 1.0))))
+    return C, np.rint(C * quantum_inv).astype(np.int64), quantum_inv
+
+
 def _certify_optimal(C_int, a_int, b_int, x, duals):
     """Exact integer optimality certificate for a candidate transportation plan.
 
@@ -141,6 +153,141 @@ def _certify_optimal(C_int, a_int, b_int, x, duals):
     return X
 
 
+def _arc_lp(costs, src, snk, a_int, b_int, method):
+    """HiGHS on the transportation LP restricted to the arcs (src[t], snk[t]).
+
+    Returns the vertex (arc flows, equality duals: sources then sinks), or
+    None when the solve does not end optimal (infeasible restrictions too).
+    """
+    m, n = a_int.size, b_int.size
+    arcs = np.arange(src.size)
+    A_eq = sp.csr_matrix(
+        (
+            np.ones(2 * src.size),
+            (np.concatenate([src, m + snk]), np.concatenate([arcs, arcs])),
+        ),
+        shape=(m + n, src.size),
+    )
+    b_eq = np.concatenate([a_int, b_int]).astype(float)
+    res = linprog(
+        costs.astype(float), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method=method
+    )
+    if res.status != 0:
+        return None
+    return res.x, res.eqlin.marginals
+
+
+def _full_plan(C_int, a_int, b_int, methods):
+    """Certified (X, sink duals) from HiGHS on all m*n arcs, or None."""
+    m, n = C_int.shape
+    src, snk = np.divmod(np.arange(m * n), n)
+    for method in methods:
+        lp = _arc_lp(C_int.ravel(), src, snk, a_int, b_int, method)
+        if lp is not None:
+            X = _certify_optimal(C_int, a_int, b_int, *lp)
+            if X is not None:
+                return X, np.rint(lp[1][m:]).astype(np.int64)
+    return None
+
+
+# The banded route: problems of up to _FULL_LP_SOURCES sources go to HiGHS
+# whole (its time grows much faster than linearly in m on these degenerate
+# LPs); larger ones take their sink duals from a subsample one eighth the
+# size and solve a band of at least ceil(m / _BAND_DIVISOR) sources. A failed
+# round retries with a band four times as wide and duals rebalanced by
+# _BALANCE_SWEEPS sweeps, for at most _BAND_ROUNDS rounds.
+_FULL_LP_SOURCES = 500
+_BAND_DIVISOR = 64
+_BAND_ROUNDS = 3
+_BALANCE_SWEEPS = 4
+
+
+def _balance_sinks(C_int, a_int, b_int, v):
+    """Coordinate ascent on the discrete dual, one sink at a time.
+
+    Sets each v_j but the last (the duals are defined up to a constant) to
+    where the sources that prefer sink j just carry its demand b_j.
+    """
+    v = v.copy()
+    for _ in range(_BALANCE_SWEEPS):
+        for j in range(v.size - 1):
+            rival = np.delete(C_int - v, j, axis=1).min(axis=1)
+            threshold = C_int[:, j] - rival
+            order = np.argsort(threshold, kind="stable")
+            reached = np.searchsorted(np.cumsum(a_int[order]), b_int[j])
+            v[j] = threshold[order[reached]]
+    return v
+
+
+def _banded_plan(C_int, a_int, b_int):
+    """Certified (X, sink duals) from small restricted LPs, or None.
+
+    The sink duals v are guessed from a strided subsample of the sources
+    (odd stride, so grid-ordered sources sample as a lattice) with its masses
+    re-apportioned to the same unit total, solved recursively. Under v,
+    source i prefers the sink minimising C_ij - v_j; its gap is the margin to
+    the runner-up. The sources with the smallest gaps are free, and so are,
+    smallest gap first, as many of a sink's own sources as keep the rest
+    within its demand; every other source is fixed to its preferred sink.
+    HiGHS moves the free sources' mass, over their arcs whose reduced cost is
+    at most the largest free gap, into the demand the fixed sources leave.
+    The fixed sources take u_i = C_ij - v_j from the new duals, and the
+    assembled plan must pass :func:`_certify_optimal` on the whole problem.
+    A round whose band is infeasible or whose plan fails the certificate is
+    retried with a wider band and the duals rebalanced by
+    :func:`_balance_sinks`.
+    """
+    m, n = C_int.shape
+    if m <= _FULL_LP_SOURCES:
+        return _full_plan(C_int, a_int, b_int, ("highs",))
+    positive = np.flatnonzero(a_int)
+    stride = -(-positive.size // max(_FULL_LP_SOURCES, positive.size // 8))
+    sub = positive[:: stride | 1]
+    guess = _banded_plan(C_int[sub], _apportion(a_int[sub], MASS_UNITS), b_int)
+    if guess is None:
+        return None
+    v = guess[1]
+    rows = np.arange(m)
+    free_count = -(-m // _BAND_DIVISOR)
+    for attempt in range(_BAND_ROUNDS):
+        if attempt:
+            v = _balance_sinks(C_int, a_int, b_int, v)
+            free_count = min(m, 4 * free_count)
+        shifted = C_int - v
+        best = shifted.argmin(axis=1)
+        reduced = shifted - shifted[rows, best][:, None]
+        is_best = np.arange(n) == best[:, None]
+        gap = np.where(is_best, np.iinfo(np.int64).max, reduced).min(axis=1)
+        order = np.argsort(gap, kind="stable")
+        fixed = np.ones(m, dtype=bool)
+        fixed[order[:free_count]] = False
+        b_rest = b_int - np.bincount(
+            best[fixed], weights=a_int[fixed], minlength=n
+        ).astype(np.int64)
+        for j in np.flatnonzero(b_rest < 0):
+            mine = order[fixed[order] & (best[order] == j)]
+            released = mine[: np.searchsorted(np.cumsum(a_int[mine]), -b_rest[j]) + 1]
+            fixed[released] = False
+            b_rest[j] += a_int[released].sum()
+        free = np.flatnonzero(~fixed)
+        delta = gap[free].max()
+        fi, fj = np.nonzero(reduced[free] <= delta)
+        lp = _arc_lp(C_int[free[fi], fj], fi, fj, a_int[free], b_rest, "highs")
+        if lp is None:
+            continue
+        x, duals = lp
+        v = np.rint(duals[free.size:]).astype(np.int64)
+        u = C_int[rows, best] - v[best]
+        u[free] = np.rint(duals[: free.size]).astype(np.int64)
+        flows = np.zeros((m, n))
+        flows[fixed, best[fixed]] = a_int[fixed]
+        flows[free[fi], fj] = x
+        X = _certify_optimal(C_int, a_int, b_int, flows, np.concatenate([u, v]))
+        if X is not None:
+            return X, v
+    return None
+
+
 def solve_discrete_ot_exact(
     sources: WeightedPoints, samples: SampleSet, demands: np.ndarray | None = None
 ) -> DiscretePlan:
@@ -148,12 +295,17 @@ def solve_discrete_ot_exact(
 
     The problem is rationally scaled (masses apportioned to ``MASS_UNITS``
     integer units, squared-distance costs rounded to an adaptive quantum),
-    a candidate vertex solution is produced by HiGHS, and optimality is then
-    proven by an exact integer certificate (:func:`_certify_optimal`); a
-    dual-simplex retry covers certificate failures. The LP engine is only a
-    candidate generator, so no iterative tolerance enters the result. Ties
-    between optimal vertices are resolved by the engine's deterministic
-    pivoting; support comparisons in tests use instances with unique optima.
+    and a candidate vertex plan with duals is proven optimal for the whole
+    m x n problem by an exact integer certificate (:func:`_certify_optimal`).
+    The candidate comes from HiGHS on a small restricted LP: sources far from
+    every Laguerre boundary of subsample-guessed duals are fixed to their
+    sink and only a band near the boundaries is solved (Schmitzer 2016's
+    sparse support, checked by full pricing). If that route fails to
+    certify, HiGHS solves the full LP, with a dual-simplex retry. The LP
+    engine is only a candidate generator, so no iterative tolerance enters
+    the result. Ties between optimal vertices are resolved by the engine's
+    deterministic pivoting; support comparisons in tests use instances with
+    unique optima.
     """
     pts = np.atleast_2d(np.asarray(sources.points, dtype=float))
     masses = np.asarray(sources.masses, dtype=float)
@@ -165,34 +317,20 @@ def solve_discrete_ot_exact(
         raise ValueError("source mass and demand totals do not balance")
     m, n = masses.size, demands.size
 
-    diff = pts[:, None, :] - samples.points[None, :, :]
-    C = (diff**2).sum(-1)
-    max_c = float(C.max())
-    quantum_inv = max(1.0, math.floor(_INT64_BUDGET / (MASS_UNITS * max(max_c, 1.0))))
-    C_int = np.rint(C * quantum_inv).astype(np.int64)
+    C, C_int, quantum_inv = _scaled_costs(pts, samples.points)
     a_int = _apportion(masses, MASS_UNITS)
     b_int = _apportion(demands, MASS_UNITS)
 
-    rows = sp.kron(sp.eye(m, format="csr"), np.ones((1, n)), format="csr")
-    cols = sp.kron(np.ones((1, m)), sp.eye(n, format="csr"), format="csr")
-    A_eq = sp.vstack([rows, cols], format="csr")
-    b_eq = np.concatenate([a_int, b_int]).astype(float)
-    c_vec = C_int.ravel().astype(float)
-
-    X = None
     first = "highs" if m * n <= 50_000 else "highs-ipm"
-    for method in (first, "highs-ds"):
-        res = linprog(c_vec, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method=method)
-        if res.status == 0:
-            X = _certify_optimal(C_int, a_int, b_int, res.x, res.eqlin.marginals)
-            if X is not None:
-                break
-    if X is None:
+    plan = _banded_plan(C_int, a_int, b_int) or _full_plan(
+        C_int, a_int, b_int, (first, "highs-ds")
+    )
+    if plan is None:
         raise RuntimeError("transportation solve failed to produce a certified plan")
 
-    flows = X * (total / MASS_UNITS)
+    flows = plan[0] * (total / MASS_UNITS)
     cost = float((flows * C).sum())
-    slop = max_c * (m + n) / MASS_UNITS * total + 1.0 / quantum_inv
+    slop = float(C.max()) * (m + n) / MASS_UNITS * total + 1.0 / quantum_inv
     return DiscretePlan(
         sources=WeightedPoints(pts, masses),
         flows=flows,

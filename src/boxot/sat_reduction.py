@@ -12,6 +12,7 @@ which happens for some theta iff the formula is satisfiable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -79,6 +80,13 @@ class ReductionOutput:
     def instance(self) -> Instance:
         return Instance(self.density, self.samples)
 
+    @cached_property
+    def _box_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corners of every gadget box, stacked once."""
+        los = np.stack([box.lo for box, _ in self.density.boxes])
+        his = np.stack([box.hi for box, _ in self.density.boxes])
+        return los, his
+
 
 def _satisfying_rows(polarities: tuple[bool, bool, bool]):
     """Truth-table rows (FFF..TTT ascending) minus the unique falsifying one."""
@@ -141,8 +149,7 @@ def likelihood_positive(reduction: ReductionOutput, theta: np.ndarray) -> bool:
     boundaries).
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    los = np.stack([box.lo for box, _ in reduction.density.boxes])
-    his = np.stack([box.hi for box, _ in reduction.density.boxes])
+    los, his = reduction._box_bounds
     shifted = reduction.samples.points - theta[None, :]
     inside = (
         (shifted[:, None, :] >= los[None, :, :])

@@ -4,8 +4,10 @@ import json
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
+from boxot import cli
 from boxot.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
@@ -15,6 +17,7 @@ from boxot.cli import (
     main,
 )
 from boxot.fixtures import named_instances
+from boxot.geometry import BoxDensity, Hyperrectangle, Instance, SampleSet
 from boxot.instance_io import load_instance, save_instance
 
 SAT_TEXT = "p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
@@ -214,6 +217,40 @@ class TestVerify:
         )
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip().endswith("PASS")
+
+    def test_oracle_pass_default_resolution(self, tmp_path, capsys):
+        """2-D, two boxes, three sinks: 80 000 oracle sources at resolution 200."""
+        density = BoxDensity(
+            dimension=2,
+            boxes=(
+                (Hyperrectangle([-1.0, -1.0], [0.0, 1.0]), 0.3),
+                (Hyperrectangle([0.25, -0.5], [1.25, 0.5]), 0.4),
+            ),
+        )
+        samples = SampleSet.uniform(np.array([[-0.6, 0.4], [-0.3, -0.7], [0.9, 0.1]]))
+        path = tmp_path / "two-box.json"
+        save_instance(path, Instance(density, samples), {"name": "two-box"})
+        code = main(["verify", str(path), "--mode", "oracle", "--seed", "0"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.strip().endswith("PASS")
+
+    def test_oracle_failure_is_numerical_abort(
+        self, instance_files, monkeypatch, capsys
+    ):
+        def fail(*args, **kwargs):
+            raise RuntimeError(
+                "transportation solve failed to produce a certified plan"
+            )
+
+        monkeypatch.setattr(cli, "solve_discrete_ot_exact", fail)
+        code = main(
+            ["verify", instance_files["symmetric-square"],
+             "--mode", "oracle", "--seed", "0", "--resolution", "10"]
+        )
+        assert code == EXIT_NUMERICAL_ABORT
+        err = capsys.readouterr().err
+        assert err.startswith("oracle: transportation solve failed")
+        assert err.count("\n") == 1
 
     def test_sat_modes(self, tmp_path, capsys):
         sat = tmp_path / "sat.cnf"

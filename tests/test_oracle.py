@@ -1,13 +1,21 @@
 """Ground-truth solvers: discretization, exact discrete OT, 1D transport, FD."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from boxot import fixtures as fx
 from boxot.geometry import BoxDensity, Hyperrectangle, Instance, SampleSet
+from boxot import oracle
 from boxot.oracle import (
+    MASS_UNITS,
     WeightedPoints,
+    _apportion,
+    _banded_plan,
+    _full_plan,
+    _scaled_costs,
     discretization_error_bound,
     discretize_source,
     finite_difference_gradient,
@@ -113,8 +121,6 @@ class TestSolveDiscreteOtExact:
         samples = SampleSet.uniform(rng.uniform(-1, 1, size=(3, 2)))
         plan = solve_discrete_ot_exact(sources, samples)
         costs = ((pts[:, None, :] - samples.points[None, :, :]) ** 2).sum(-1)
-        import itertools
-
         best = min(
             sum(costs[i, p[i]] for i in range(3)) / 3
             for p in itertools.permutations(range(3))
@@ -131,6 +137,116 @@ class TestSolveDiscreteOtExact:
         sources = discretize_source(symmetric_square.density, 20)
         plan = solve_discrete_ot_exact(sources, symmetric_square.samples)
         assert 0 < plan.rounding_cost_bound < 1e-6
+
+
+def _grid_problem(rng, l, k, n, resolution, demands=None):
+    """Integer transport problem of a random k-box density's midpoint grid.
+
+    Boxes sit side by side along axis 0 with gaps; sinks are uniform in a
+    slightly larger cube. Returns (C_int, a_int, b_int) as the oracle scales
+    them.
+    """
+    edges = np.sort(rng.uniform(-1.0, 1.0, size=2 * k))
+    boxes = []
+    for i in range(k):
+        lo = np.concatenate([[edges[2 * i]], rng.uniform(-1.0, -0.2, size=l - 1)])
+        hi = np.concatenate([[edges[2 * i + 1]], rng.uniform(0.2, 1.0, size=l - 1)])
+        boxes.append(Hyperrectangle(lo, hi))
+    shares = rng.dirichlet(np.ones(k))
+    density = BoxDensity(
+        dimension=l, boxes=tuple((b, w / b.volume) for b, w in zip(boxes, shares))
+    )
+    sources = discretize_source(density, resolution)
+    sinks = rng.uniform(-1.2, 1.2, size=(n, l))
+    if demands is None:
+        demands = rng.dirichlet(np.ones(n))
+    _, C_int, _ = _scaled_costs(sources.points, sinks)
+    a_int = _apportion(sources.masses, MASS_UNITS)
+    return C_int, a_int, _apportion(demands, MASS_UNITS)
+
+
+def _assert_same_optimum(C_int, a_int, b_int):
+    banded = _banded_plan(C_int, a_int, b_int)
+    full = _full_plan(C_int, a_int, b_int, ("highs", "highs-ds"))
+    assert banded is not None and full is not None
+    assert (C_int * banded[0]).sum() == (C_int * full[0]).sum()
+
+
+class TestBandedRoute:
+    """The restricted-LP route must certify the same optimal cost as HiGHS
+    on the full problem (integer costs C_int . X, so ties may differ in X)."""
+
+    # (l, k) -> grid resolution: 600-730 sources, above the 500 that HiGHS
+    # solves whole, so the band is used and the full LP stays quick
+    RESOLUTION = {
+        (1, 1): 650, (1, 2): 325, (2, 1): 25, (2, 2): 18, (3, 1): 9, (3, 2): 7
+    }
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_matches_full_lp(self, l):
+        rng = np.random.default_rng(100 + l)
+        for n, k in itertools.product(range(1, 7), (1, 2)):
+            resolution = self.RESOLUTION[l, k]
+            _assert_same_optimum(*_grid_problem(rng, l, k, n, resolution))
+
+    def test_single_source(self):
+        rng = np.random.default_rng(110)
+        for n in (1, 3):
+            C_int, a_int, b_int = _grid_problem(rng, 2, 1, n, 1)
+            assert C_int.shape == (1, n)
+            _assert_same_optimum(C_int, a_int, b_int)
+
+    def test_zero_demand_sink(self):
+        rng = np.random.default_rng(111)
+        for l in (1, 2, 3):
+            demands = np.array([0.5, 0.0, 0.3, 0.2])
+            problem = _grid_problem(rng, l, 2, 4, self.RESOLUTION[l, 2], demands)
+            assert problem[2][1] == 0
+            _assert_same_optimum(*problem)
+
+    def test_exact_ties(self):
+        """Symmetric sinks over a symmetric grid: rows and diagonals of sources tie."""
+        square = Hyperrectangle([-1.0, -1.0], [1.0, 1.0])
+        density = BoxDensity(dimension=2, boxes=((square, 0.25),))
+        cross = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+        for sinks, resolution in ((cross[:2], 25), (cross, 26), (cross, 25)):
+            sources = discretize_source(density, resolution)
+            _, C_int, _ = _scaled_costs(sources.points, sinks)
+            a_int = _apportion(sources.masses, MASS_UNITS)
+            b_int = _apportion(np.full(len(sinks), 1.0 / len(sinks)), MASS_UNITS)
+            _assert_same_optimum(C_int, a_int, b_int)
+
+    def test_large_two_sink_problem(self):
+        """80 000 sources: the exact two-sink greedy is the reference.
+
+        With two sinks the problem is a fractional knapsack: sink 0 takes its
+        demand from the sources with the smallest C_i0 - C_i1.
+        """
+        rng = np.random.default_rng(112)
+        C_int, a_int, b_int = _grid_problem(rng, 2, 2, 2, 200)
+        assert C_int.shape == (80_000, 2)
+        banded = _banded_plan(C_int, a_int, b_int)
+        assert banded is not None
+        saving = C_int[:, 0] - C_int[:, 1]
+        order = np.argsort(saving, kind="stable")
+        before = np.cumsum(a_int[order]) - a_int[order]
+        taken = np.clip(b_int[0] - before, 0, a_int[order])
+        greedy = (a_int * C_int[:, 1]).sum() + (taken * saving[order]).sum()
+        assert (C_int * banded[0]).sum() == greedy
+
+    def test_full_lp_fallback(self, monkeypatch):
+        """With the banded route failing, HiGHS on the full LP still certifies."""
+        rng = np.random.default_rng(113)
+        sources = WeightedPoints(
+            points=rng.uniform(-1, 1, size=(600, 2)), masses=np.full(600, 1 / 600)
+        )
+        samples = SampleSet.uniform(rng.uniform(-1, 1, size=(3, 2)))
+        banded = solve_discrete_ot_exact(sources, samples)
+        monkeypatch.setattr(oracle, "_banded_plan", lambda *args: None)
+        fallback = solve_discrete_ot_exact(sources, samples)
+        assert np.abs(fallback.flows.sum(axis=1) - sources.masses).max() <= 1e-9
+        assert np.abs(fallback.flows.sum(axis=0) - samples.demands).max() <= 1e-9
+        assert_allclose(fallback.cost, banded.cost, rtol=1e-12)
 
 
 class TestSemidiscrete1dExact:
