@@ -36,7 +36,6 @@ from .geometry import (
     box_moments,
     box_rng,
     cell_box_moments_exact,
-    cell_box_volume_exact,
     cell_box_volumes_mc,
     classify_points,
     instance_stats,
@@ -90,7 +89,6 @@ __all__ = [
     "box_rng",
     "brute_force_sat",
     "cell_box_moments_exact",
-    "cell_box_volume_exact",
     "cell_box_volumes_mc",
     "center_weights",
     "classify_points",

@@ -22,6 +22,7 @@ import numpy as np
 from .geometry import (
     Instance,
     SampleSet,
+    _power_diagram,
     box_moments,
     cell_box_moments_exact,
     cell_box_volumes_mc,
@@ -118,7 +119,7 @@ class SolverTrace:
 def center_weights(g: np.ndarray) -> np.ndarray:
     """Project g onto the zero-sum subspace G_0 (does not change E)."""
     g = np.asarray(g, dtype=float)
-    return g - g.mean()
+    return g - g.sum() / g.size
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +133,59 @@ def _resolve_backend(backend: str, dimension: int) -> str:
     if backend == "exact" and dimension > 3:
         raise ValueError("exact backend supports dimension <= 3 only")
     return backend
+
+
+def _finite_weights(g) -> np.ndarray:
+    g = np.asarray(g, dtype=float)
+    if not np.isfinite(g).all():
+        raise ValueError("dual weights must be finite")
+    return g
+
+
+def _exact_moments(instance: Instance, g: np.ndarray) -> list:
+    """(gamma, vols, firsts, seconds) of every box from one power diagram of g."""
+    samples = instance.samples
+    diagram = _power_diagram(samples, g)
+    return [
+        (w, *cell_box_moments_exact(samples, g, box, diagram))
+        for box, w in instance.density.boxes
+    ]
+
+
+def _gradient_from(samples: SampleSet, box_volumes: list) -> np.ndarray:
+    """b - sum over boxes of gamma vol(L_j n H), centred onto G_0.
+
+    ``box_volumes`` holds (gamma, vols) per box.
+    """
+    out = samples.demands.copy()
+    for w, vols in box_volumes:
+        out -= w * vols
+    return out - out.sum() / out.size
+
+
+def _exact_energy(instance: Instance, g: np.ndarray, moments: list) -> float:
+    """E(g) from the cells' moments: sum_j of the integral of ||x - y_j||^2 - g_j
+    over L_j(g), plus <g, b>."""
+    samples = instance.samples
+    y = samples.points
+    total = 0.0
+    for w, vols, firsts, seconds in moments:
+        total += w * float(
+            seconds.sum()
+            - 2.0 * (firsts * y).sum()
+            + ((samples.squared_norms - g) * vols).sum()
+        )
+    return total + float(g @ samples.demands)
+
+
+def _exact_gradient_and_energy(
+    instance: Instance, g: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """:func:`gradient` and :func:`energy` on the exact backend, from one pass."""
+    g = _finite_weights(g)
+    moments = _exact_moments(instance, g)
+    grad = _gradient_from(instance.samples, [(w, v) for w, v, _, _ in moments])
+    return grad, _exact_energy(instance, g, moments)
 
 
 def energy(
@@ -150,25 +204,12 @@ def energy(
     ``accuracy`` at failure probability eta_prime; the integrand range is
     bounded by 4 D^2 + 2 ||g||_inf.
     """
-    g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all():
-        raise ValueError("dual weights must be finite")
+    g = _finite_weights(g)
     samples = instance.samples
     backend = _resolve_backend(backend, instance.dimension)
-    base = float(g @ samples.demands)
 
     if backend == "exact":
-        total = 0.0
-        y = samples.points
-        ynorm = (y**2).sum(-1)
-        for box, w in instance.density.boxes:
-            vols, firsts, seconds = cell_box_moments_exact(samples, g, box)
-            total += w * float(
-                seconds.sum()
-                - 2.0 * (firsts * y).sum()
-                + ((ynorm - g) * vols).sum()
-            )
-        return total + base
+        return _exact_energy(instance, g, _exact_moments(instance, g))
 
     if accuracy is None or eta_prime is None:
         raise ValueError("mc energy needs accuracy and eta_prime")
@@ -181,7 +222,7 @@ def energy(
     total = 0.0
     for idx, (box, w) in enumerate(instance.density.boxes):
         total += potential_integral_mc(samples, g, box, w, m, seed, box_index=idx)
-    return total + base
+    return total + float(g @ samples.demands)
 
 
 def gradient(
@@ -201,28 +242,23 @@ def gradient(
     Projection onto G_0 is a contraction (grad E lies in G_0), so it never
     increases the error.
     """
-    g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all():
-        raise ValueError("dual weights must be finite")
-    samples = instance.samples
+    g = _finite_weights(g)
     backend = _resolve_backend(backend, instance.dimension)
-    out = samples.demands.astype(float).copy()
-
+    samples = instance.samples
     if backend == "exact":
-        for box, w in instance.density.boxes:
-            vols, _, _ = cell_box_moments_exact(samples, g, box)
-            out -= w * vols
+        box_volumes = [(w, vols) for w, vols, _, _ in _exact_moments(instance, g)]
     else:
         if eps_bar is None or eta_prime is None:
             raise ValueError("mc gradient needs eps_bar and eta_prime")
         k = instance.density.k
         per_cell = eps_bar / math.sqrt(samples.n)
-        for idx, (box, w) in enumerate(instance.density.boxes):
-            vols = cell_box_volumes_mc(
+        box_volumes = [
+            (w, cell_box_volumes_mc(
                 samples, g, box, per_cell, eta_prime / k, seed, box_index=idx
-            )
-            out -= w * vols
-    return out - out.mean()
+            ))
+            for idx, (box, w) in enumerate(instance.density.boxes)
+        ]
+    return _gradient_from(samples, box_volumes)
 
 
 # ---------------------------------------------------------------------------
@@ -313,25 +349,32 @@ def solve_dual(
     step = 1.0 / stats.L
     start = time.perf_counter()
     stop_reason = "budget"
+    # With trace_energy on the exact backend, one geometry pass per iterate
+    # feeds both the gradient and the traced energy.
+    fused = config.trace_energy and backend == "exact"
     for t in range(1, m_eff + 1):
-        grad_e = gradient(
-            instance,
-            g,
-            eps_bar=noise_budget,
-            eta_prime=eta_iter,
-            seed=(config.seed, t),
-            backend=backend,
-        )
+        if fused:
+            grad_e, e_here = _exact_gradient_and_energy(instance, g)
+        else:
+            grad_e = gradient(
+                instance,
+                g,
+                eps_bar=noise_budget,
+                eta_prime=eta_iter,
+                seed=(config.seed, t),
+                backend=backend,
+            )
+            e_here = math.nan
         grad_f = -grad_e
-        gnorm = float(np.linalg.norm(grad_f))
+        # np.linalg.norm's formula for a vector, without its dispatch.
+        gnorm = math.sqrt(float(grad_f.dot(grad_f)))
         if not math.isfinite(gnorm):
             trace.aborted = True
             trace.M_bar = t
             trace.stop_reason = "abort"
             raise SolverAbort("non-finite gradient", trace)
         wall = (time.perf_counter() - start) * 1e3
-        e_here = math.nan
-        if config.trace_energy:
+        if config.trace_energy and not fused:
             e_here = energy(
                 instance,
                 g,
@@ -399,5 +442,4 @@ def transform_dual_for_scale(
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     g = np.asarray(g, dtype=float)
-    ynorm = (samples.points**2).sum(-1)
-    return (1.0 - sigma) * ynorm + sigma * g
+    return (1.0 - sigma) * samples.squared_norms + sigma * g

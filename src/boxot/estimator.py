@@ -87,7 +87,7 @@ def estimate_parameters(instance: Instance, config: SolverConfig) -> EstimationR
     b = instance.samples.demands
     y = instance.samples.points
     sum_by = b @ y
-    sum_by_norm = float(b @ (y**2).sum(-1))
+    sum_by_norm = float(b @ instance.samples.squared_norms)
 
     g, e_est, trace = solve_dual(instance, config)
     rho = 0.5 * (second + sum_by_norm - e_est)

@@ -9,8 +9,8 @@ and j' can share a facet only if the lifted points (y_j, ||y_j||^2 - g_j)
 and (y_j', ||y_j'||^2 - g_j') are joined by an edge of the lifted points'
 lower convex hull, and a site that is not a vertex of that hull has an empty
 cell. The hull is a sort and a monotone chain in 1-D and one Qhull call in
-2-D and 3-D, once per call; each cell is then the box clipped by its
-neighbours' half-spaces only.
+2-D and 3-D, built once per iterate (one g) and shared by every box; each
+cell is then the box clipped by its neighbours' half-spaces only.
 
 All operations are pure functions on immutable inputs. Monte-Carlo sampling
 is deterministic given (seed, box index); see :func:`box_rng` for the
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -172,6 +172,11 @@ class SampleSet:
     def dimension(self) -> int:
         return self.points.shape[1]
 
+    @cached_property
+    def squared_norms(self) -> np.ndarray:
+        """||y_j||^2 of every sink."""
+        return (self.points**2).sum(-1)
+
     @property
     def uniform_demands(self) -> bool:
         return bool(np.allclose(self.demands, 1.0 / self.n, atol=MASS_TOL, rtol=0.0))
@@ -238,8 +243,7 @@ def instance_stats(density: BoxDensity, samples: SampleSet) -> InstanceStats:
 def _scores(samples: SampleSet, g: np.ndarray, xs: np.ndarray) -> np.ndarray:
     # ||x - y_j||^2 - g_j minus the j-independent ||x||^2 term, for each row
     # x of xs: shape (m, l) -> (m, n).
-    y = samples.points
-    return (y**2).sum(-1)[None, :] - 2.0 * (xs @ y.T) - g[None, :]
+    return samples.squared_norms[None, :] - 2.0 * (xs @ samples.points.T) - g[None, :]
 
 
 def classify_points(samples: SampleSet, g: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -380,30 +384,25 @@ def _lower_chain(xs: list[float], zs: list[float]) -> list[int]:
 
 def _power_neighbours(
     y: np.ndarray, lift: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate Laguerre neighbours of every cell (l >= 2), from Qhull.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Candidate Laguerre neighbours of every cell (l >= 2, n > l + 1), from Qhull.
 
     Cells j and j' share a facet only if (y_j, lift_j) and (y_j', lift_j')
     are joined by an edge of the lower convex hull of the lifted points, and
     cell j is nonempty only if its lifted point is a vertex of that hull
     (Aurenhammer 1987). Returns ``(alive, src, dst)``: a mask of the cells
     that may be nonempty, and directed pairs sorted by ``src`` that contain
-    every neighbour pair. Extra pairs are harmless (their half-spaces are
-    redundant), so every doubtful case errs towards more pairs: near-vertical
-    facets count as lower, and all pairs are used when there are too few
-    points for a full-dimensional hull or Qhull rejects the input.
+    every neighbour pair; or None when Qhull rejects the input (too flat for
+    a full-dimensional hull), and every pair must be used. Extra pairs are
+    harmless (their half-spaces are redundant), so every doubtful case errs
+    towards more pairs: near-vertical facets count as lower.
     """
     n, l = y.shape
-    hull = None
-    if n > l + 1:
-        try:
-            # "Qc" reports the points Qhull finds coplanar with a facet.
-            hull = ConvexHull(np.column_stack([y, lift]), qhull_options="Qc")
-        except QhullError:
-            pass
-    if hull is None:
-        src, dst = np.nonzero(~np.eye(n, dtype=bool))
-        return np.ones(n, dtype=bool), src, dst
+    try:
+        # "Qc" reports the points Qhull finds coplanar with a facet.
+        hull = ConvexHull(np.column_stack([y, lift]), qhull_options="Qc")
+    except QhullError:
+        return None
     alive = np.zeros(n, dtype=bool)
     lower = hull.simplices[hull.equations[:, l] < _VERTICAL_TOL]
     first = lower[:, _SIMPLEX_EDGES[l][0]].ravel()
@@ -420,6 +419,74 @@ def _power_neighbours(
     src, dst = np.divmod(pairs, n)
     keep = src != dst
     return alive, src[keep], dst[keep]
+
+
+class _PowerDiagram(NamedTuple):
+    """The Laguerre cells of one (samples, g), shared by every box.
+
+    ``cells`` lists the cells that may be nonempty. In 1-D they are in
+    chain order, and cell ``cells[p]`` is the interval
+    ``[ends[p], ends[p + 1]]``. In 2-D and 3-D, ``rows[p]`` lists the
+    half-space rows ``(a, b)``, meaning a.x <= b, of cell ``cells[p]``
+    against each of its candidate neighbours. Everything is plain floats.
+    """
+
+    cells: list[int]
+    ends: list[float]
+    rows: list[list[tuple[list[float], float]]]
+
+
+def _power_diagram(samples: SampleSet, g: np.ndarray) -> _PowerDiagram:
+    """The restricted power diagram of the sinks under weights g (l <= 3).
+
+    Cell j is {x : ||x - y_j||^2 - g_j <= ||x - y_j'||^2 - g_j' for all j'},
+    so its row against neighbour j' is a = 2 (y_j' - y_j),
+    b = g_j - g_j' + ||y_j'||^2 - ||y_j||^2. The neighbours come from the
+    lower convex hull of the lifted points (y_j, ||y_j||^2 - g_j): a
+    monotone chain in 1-D, :func:`_power_neighbours` in 2-D and 3-D. When
+    n <= l + 1 or Qhull rejects the points every pair is used, and those
+    rows are built with plain loops.
+    """
+    g = np.asarray(g, dtype=float)
+    y = samples.points
+    n, l = y.shape
+    if l > 3:
+        raise ValueError("exact cell volumes support dimension <= 3 only")
+    norms = samples.squared_norms
+    gs, ns = g.tolist(), norms.tolist()
+    if l == 1:
+        ys = y[:, 0].tolist()
+        chain = _lower_chain(ys, [nj - gj for nj, gj in zip(ns, gs)])
+        # Consecutive chain cells meet where their half-space rows cut.
+        cuts = [
+            (gs[i] - gs[j] + ns[j] - ns[i]) / (2.0 * (ys[j] - ys[i]))
+            for i, j in zip(chain, chain[1:])
+        ]
+        return _PowerDiagram(chain, [-math.inf, *cuts, math.inf], [])
+
+    neighbours = _power_neighbours(y, norms - g) if n > l + 1 else None
+    if neighbours is None:
+        ys = y.tolist()
+        rows = [
+            [
+                ([2.0 * (q - p) for p, q in zip(ys[i], ys[j])],
+                 gs[i] - gs[j] + ns[j] - ns[i])
+                for j in range(n)
+                if j != i
+            ]
+            for i in range(n)
+        ]
+        return _PowerDiagram(list(range(n)), [], rows)
+    alive, src, dst = neighbours
+    row_a = (2.0 * (y[dst] - y[src])).tolist()
+    row_b = (g[src] - g[dst] + norms[dst] - norms[src]).tolist()
+    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+    cells = np.flatnonzero(alive).tolist()
+    rows = [
+        list(zip(row_a[bounds[j]:bounds[j + 1]], row_b[bounds[j]:bounds[j + 1]]))
+        for j in cells
+    ]
+    return _PowerDiagram(cells, [], rows)
 
 
 def _clip_polygon(poly, a, b):
@@ -604,100 +671,83 @@ def _polyhedron_moments(verts, faces):
 
 
 def cell_box_moments_exact(
-    samples: SampleSet, g: np.ndarray, box: Hyperrectangle
+    samples: SampleSet,
+    g: np.ndarray,
+    box: Hyperrectangle,
+    diagram: _PowerDiagram | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact (volume, integral x, integral ||x||^2) of L_j(g) n box for all j.
 
-    Restricted power diagram, for l <= 3 only. The neighbour pairs come from
-    the lower convex hull of the lifted points (y_j, ||y_j||^2 - g_j): a sort
-    and a monotone chain in 1-D, ``scipy.spatial.ConvexHull`` in 2-D and 3-D;
-    a site that is not a hull vertex has an empty cell. Each cell is then
-    the box clipped by its neighbours' half-spaces only, after dropping
-    those that do not cut the box: an interval in 1-D, a polygon in 2-D and
-    a face-list polyhedron in 3-D. A cell has about 6 neighbours in 2-D and
-    15 in 3-D, so the cost is one O(n log n) hull per call plus O(n) small
-    clips per box.
+    Restricted power diagram, for l <= 3 only. ``diagram`` is
+    ``_power_diagram(samples, g)``, built here when None; a caller with
+    several boxes builds it once per g and passes it to every box. Each
+    cell is the box clipped by its neighbours' half-spaces only, after
+    dropping those that hold the whole box (a half-space that misses the
+    box empties the cell): an interval in 1-D, a polygon in 2-D and a
+    face-list polyhedron in 3-D. A cell has about 6 neighbours in 2-D and
+    15 in 3-D, so the cost is one O(n log n) diagram per g plus O(n) small
+    clips in plain floats per box.
     Returns (vols (n,), firsts (n, l), seconds (n,)). Deterministic.
     """
-    g = np.asarray(g, dtype=float)
-    l = box.dimension
-    if l > 3:
-        raise ValueError("exact cell volumes support dimension <= 3 only")
-    n = samples.n
-    y = samples.points
-    norms = (y**2).sum(-1)
-    vols = np.zeros(n)
-    firsts = np.zeros((n, l))
-    seconds = np.zeros(n)
+    if diagram is None:
+        diagram = _power_diagram(samples, g)
+    n, l = samples.n, box.dimension
+    lo, hi = box.lo.tolist(), box.hi.tolist()
+    vols = [0.0] * n
+    firsts = [(0.0,) * l] * n
+    seconds = [0.0] * n
 
     if l == 1:
-        ys, gs, ns = y[:, 0].tolist(), g.tolist(), norms.tolist()
-        chain = _lower_chain(ys, (norms - g).tolist())
-        # Consecutive chain cells meet where their half-space rows cut.
-        cuts = [
-            (gs[i] - gs[j] + ns[j] - ns[i]) / (2.0 * (ys[j] - ys[i]))
-            for i, j in zip(chain, chain[1:])
-        ]
-        ends = [-math.inf, *cuts, math.inf]
-        box_lo, box_hi = float(box.lo[0]), float(box.hi[0])
-        for pos, j in enumerate(chain):
+        (box_lo,), (box_hi,) = lo, hi
+        ends = diagram.ends
+        for pos, j in enumerate(diagram.cells):
             lo = max(box_lo, ends[pos])
             hi = min(box_hi, ends[pos + 1])
             if hi > lo:
                 vols[j] = hi - lo
-                firsts[j, 0] = (hi**2 - lo**2) / 2.0
+                firsts[j] = ((hi**2 - lo**2) / 2.0,)
                 seconds[j] = (hi**3 - lo**3) / 3.0
-        return vols, firsts, seconds
+        return np.array(vols), np.array(firsts), np.array(seconds)
 
-    alive, src, dst = _power_neighbours(y, norms - g)
-    rows_a = 2.0 * (y[dst] - y[src])
-    rows_b = g[src] - g[dst] + norms[dst] - norms[src]
     # Per row, the centre and half-range of a.x - b over the box: a row whose
     # half-space holds the whole box is redundant in it, and one whose
     # half-space misses the box empties the cell there.
-    centre = (rows_a @ box.midpoint - rows_b).tolist()
-    reach = (np.abs(rows_a) @ (0.5 * box.widths)).tolist()
-    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
-    row_a, row_b = rows_a.tolist(), rows_b.tolist()
-
-    lo, hi = box.lo.tolist(), box.hi.tolist()
+    pad = [0.0] * (3 - l)
+    m0, m1, m2 = [0.5 * (p + q) for p, q in zip(lo, hi)] + pad
+    h0, h1, h2 = [0.5 * (q - p) for p, q in zip(lo, hi)] + pad
     if l == 2:
         base = [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
     else:
         base = _box_polyhedron(lo, hi)
-    for j in np.flatnonzero(alive).tolist():
+    for j, rows in zip(diagram.cells, diagram.rows):
         cutting = []
-        for r in range(bounds[j], bounds[j + 1]):
-            if centre[r] > reach[r]:
+        for a, b in rows:
+            if l == 2:
+                centre = a[0] * m0 + a[1] * m1 - b
+                reach = abs(a[0]) * h0 + abs(a[1]) * h1
+            else:
+                centre = a[0] * m0 + a[1] * m1 + a[2] * m2 - b
+                reach = abs(a[0]) * h0 + abs(a[1]) * h1 + abs(a[2]) * h2
+            if centre > reach:
                 break
-            if centre[r] > -reach[r]:
-                cutting.append(r)
+            if centre > -reach:
+                cutting.append((a, b))
         else:
             if l == 2:
                 poly = base
-                for r in cutting:
-                    poly = _clip_polygon(poly, row_a[r], row_b[r])
+                for a, b in cutting:
+                    poly = _clip_polygon(poly, a, b)
                     if len(poly) < 3:
                         break
                 vols[j], firsts[j], seconds[j] = _polygon_moments(poly)
             else:
                 verts, faces = base
-                for r in cutting:
-                    verts, faces = _clip_polyhedron(verts, faces, row_a[r], row_b[r])
+                for a, b in cutting:
+                    verts, faces = _clip_polyhedron(verts, faces, a, b)
                     if not faces:
                         break
                 vols[j], firsts[j], seconds[j] = _polyhedron_moments(verts, faces)
-    return vols, firsts, seconds
-
-
-def cell_box_volume_exact(
-    samples: SampleSet, g: np.ndarray, j: int, box: Hyperrectangle
-) -> float:
-    """Exact vol(L_j(g) n box) for l <= 3 (clipping test oracle)."""
-    if not 0 <= j < samples.n:
-        raise ValueError(f"cell index {j} out of range")
-    vols, _, _ = cell_box_moments_exact(samples, g, box)
-    return float(vols[j])
+    return np.array(vols), np.array(firsts), np.array(seconds)
 
 
 # ---------------------------------------------------------------------------

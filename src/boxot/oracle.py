@@ -8,6 +8,7 @@ energy. Tests and the ``verify`` command compare the two routes.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,6 +20,11 @@ from scipy.optimize import linprog
 from .geometry import MASS_TOL, BoxDensity, Instance, SampleSet
 
 DISCRETIZE_CELL_CAP = 10_000_000
+
+# Wall-clock limit of one HiGHS solve; a solve that hits it yields no plan.
+_LP_SECONDS = 300.0
+
+_log = logging.getLogger("boxot")
 
 # Rational scaling of the transportation problem: masses are apportioned to
 # integer units out of MASS_UNITS; costs are rounded to an adaptive quantum
@@ -157,7 +163,8 @@ def _arc_lp(costs, src, snk, a_int, b_int, method):
     """HiGHS on the transportation LP restricted to the arcs (src[t], snk[t]).
 
     Returns the vertex (arc flows, equality duals: sources then sinks), or
-    None when the solve does not end optimal (infeasible restrictions too).
+    None when the solve does not end optimal (infeasible restrictions, or
+    ``_LP_SECONDS`` spent).
     """
     m, n = a_int.size, b_int.size
     arcs = np.arange(src.size)
@@ -170,7 +177,8 @@ def _arc_lp(costs, src, snk, a_int, b_int, method):
     )
     b_eq = np.concatenate([a_int, b_int]).astype(float)
     res = linprog(
-        costs.astype(float), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method=method
+        costs.astype(float), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method=method,
+        options={"time_limit": _LP_SECONDS},
     )
     if res.status != 0:
         return None
@@ -178,8 +186,18 @@ def _arc_lp(costs, src, snk, a_int, b_int, method):
 
 
 def _full_plan(C_int, a_int, b_int, methods):
-    """Certified (X, sink duals) from HiGHS on all m*n arcs, or None."""
+    """Certified (X, sink duals) from HiGHS on all m*n arcs, or None.
+
+    Beyond the base case of the banded route this is the fallback, which can
+    take minutes: it is logged, and each HiGHS call stops after
+    ``_LP_SECONDS``.
+    """
     m, n = C_int.shape
+    if m > _FULL_LP_SOURCES:
+        _log.warning(
+            "exact transport: solving the full %d x %d LP (HiGHS limit %g s per try)",
+            m, n, _LP_SECONDS,
+        )
     src, snk = np.divmod(np.arange(m * n), n)
     for method in methods:
         lp = _arc_lp(C_int.ravel(), src, snk, a_int, b_int, method)
@@ -193,13 +211,15 @@ def _full_plan(C_int, a_int, b_int, methods):
 # The banded route: problems of up to _FULL_LP_SOURCES sources go to HiGHS
 # whole (its time grows much faster than linearly in m on these degenerate
 # LPs); larger ones take their sink duals from a subsample one eighth the
-# size and solve a band of at least ceil(m / _BAND_DIVISOR) sources. A failed
-# round retries with a band four times as wide and duals rebalanced by
-# _BALANCE_SWEEPS sweeps, for at most _BAND_ROUNDS rounds.
+# size (drawn with _SUBSAMPLE_SEED) and solve a band of at least
+# ceil(m / _BAND_DIVISOR) sources. A failed round retries with a band four
+# times as wide and duals rebalanced by _BALANCE_SWEEPS sweeps, for at most
+# _BAND_ROUNDS rounds.
 _FULL_LP_SOURCES = 500
 _BAND_DIVISOR = 64
 _BAND_ROUNDS = 3
 _BALANCE_SWEEPS = 4
+_SUBSAMPLE_SEED = 0
 
 
 def _balance_sinks(C_int, a_int, b_int, v):
@@ -222,9 +242,11 @@ def _balance_sinks(C_int, a_int, b_int, v):
 def _banded_plan(C_int, a_int, b_int):
     """Certified (X, sink duals) from small restricted LPs, or None.
 
-    The sink duals v are guessed from a strided subsample of the sources
-    (odd stride, so grid-ordered sources sample as a lattice) with its masses
-    re-apportioned to the same unit total, solved recursively. Under v,
+    The sink duals v are guessed from a stratified subsample of the sources
+    (the positive-mass sources cut in order into equal runs, one drawn from
+    each with a fixed seed: a fixed stride aliases with the rows of a grid
+    whose length it divides) with its masses re-apportioned to the same unit
+    total, solved recursively. Under v,
     source i prefers the sink minimising C_ij - v_j; its gap is the margin to
     the runner-up. The sources with the smallest gaps are free, and so are,
     smallest gap first, as many of a sink's own sources as keep the rest
@@ -241,8 +263,10 @@ def _banded_plan(C_int, a_int, b_int):
     if m <= _FULL_LP_SOURCES:
         return _full_plan(C_int, a_int, b_int, ("highs",))
     positive = np.flatnonzero(a_int)
-    stride = -(-positive.size // max(_FULL_LP_SOURCES, positive.size // 8))
-    sub = positive[:: stride | 1]
+    count = min(positive.size, max(_FULL_LP_SOURCES, positive.size // 8))
+    edges = np.arange(count + 1) * positive.size // count
+    draws = np.random.default_rng(_SUBSAMPLE_SEED).random(count)
+    sub = positive[edges[:-1] + (draws * np.diff(edges)).astype(np.int64)]
     guess = _banded_plan(C_int[sub], _apportion(a_int[sub], MASS_UNITS), b_int)
     if guess is None:
         return None

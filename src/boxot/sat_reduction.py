@@ -21,6 +21,8 @@ from .geometry import BoxDensity, Hyperrectangle, Instance, SampleSet
 
 EPSILON_GADGET = 1.0 / 80.0
 ENUMERATION_GUARD = 20
+# Bytes of the integer temporary of one block of thetas in the decider.
+_BLOCK_BYTES = 4_000_000
 
 Literal = tuple[int, bool]  # (0-based variable index, polarity)
 
@@ -164,14 +166,37 @@ def decide_positive_likelihood(cnf: CnfFormula) -> bool:
     Enumerates the 2^l thetas with coordinates in {-0.5, 0}; any feasible
     shift induces a satisfying assignment whose canonical theta is feasible
     too, so the enumeration decides the problem. Guarded at l <= 20.
+
+    Coordinate d of y_c - theta takes one of two values, so the same test as
+    :func:`likelihood_positive` is made once per value: sample c fits box i
+    under assignment x (bit d of x true where theta_d = -0.5) iff every
+    coordinate fits under one of its values and, where only one does, bit d
+    selects it. The thetas are then tested in blocks, one numpy call per
+    block, whose (thetas x sample-box pairs) int64 temporary stays under
+    ``_BLOCK_BYTES``.
     """
     l = cnf.num_vars
     if l > ENUMERATION_GUARD:
         raise ValueError(f"enumeration guard: l = {l} > {ENUMERATION_GUARD}")
     reduction = reduce_3sat(cnf)
-    for bits in range(2**l):
-        assignment = [bool(bits >> j & 1) for j in range(l)]
-        if likelihood_positive(reduction, assignment_to_theta(assignment)):
+    los, his = reduction._box_bounds
+    fits = []
+    for value in (0.0, -0.5):  # theta_d for bit d false, true
+        shifted = reduction.samples.points[:, None, :] - value
+        fits.append((shifted >= los[None, :, :]) & (shifted <= his[None, :, :]))
+    fit_false, fit_true = fits
+    pair_sample, pair_box = np.nonzero((fit_false | fit_true).all(axis=2))
+    if np.unique(pair_sample).size < cnf.n:
+        return False  # some sample lies in no box whatever theta is
+    weights = 1 << np.arange(l)
+    care = (fit_false ^ fit_true)[pair_sample, pair_box] @ weights
+    want = (fit_true & ~fit_false)[pair_sample, pair_box] @ weights
+    starts = np.searchsorted(pair_sample, np.arange(cnf.n))
+    block = max(1, _BLOCK_BYTES // (8 * pair_sample.size))
+    for start in range(0, 2**l, block):
+        bits = np.arange(start, min(start + block, 2**l))
+        hit = (bits[:, None] & care[None, :]) == want[None, :]
+        if np.logical_or.reduceat(hit, starts, axis=1).all(axis=1).any():
             return True
     return False
 

@@ -1,13 +1,14 @@
 """Command-line interface: subcommands, exit codes, and determinism."""
 
 import json
+import logging
 import shutil
 import subprocess
 
 import numpy as np
 import pytest
 
-from boxot import cli
+from boxot import cli, oracle
 from boxot.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
@@ -251,6 +252,23 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("oracle: transportation solve failed")
         assert err.count("\n") == 1
+
+    def test_oracle_fallback_time_limit(
+        self, instance_files, monkeypatch, capsys, caplog
+    ):
+        """A full-LP fallback is logged, and one out of time is an oracle error."""
+        monkeypatch.setattr(oracle, "_banded_plan", lambda *args: None)
+        monkeypatch.setattr(oracle, "_LP_SECONDS", 1e-6)
+        with caplog.at_level(logging.WARNING, logger="boxot"):
+            code = main(
+                ["verify", instance_files["symmetric-square"],
+                 "--mode", "oracle", "--seed", "0", "--resolution", "30"]
+            )
+        assert code == EXIT_NUMERICAL_ABORT
+        assert capsys.readouterr().err.startswith("oracle: transportation solve failed")
+        records = [r for r in caplog.records if r.name == "boxot"]
+        assert [r.levelno for r in records] == [logging.WARNING]
+        assert "900 x 2" in records[0].getMessage()
 
     def test_sat_modes(self, tmp_path, capsys):
         sat = tmp_path / "sat.cnf"

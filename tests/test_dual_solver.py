@@ -336,6 +336,62 @@ class TestSolveDual:
         assert float(first[1]) == trace.grad_norm[0]
 
 
+def _acceptance_instance(index):
+    rng = np.random.default_rng(20240501)
+    for _ in range(index):
+        fx.random_instance(rng, max_dim=2, max_boxes=2, max_samples=4)
+    return fx.random_instance(rng, max_dim=2, max_boxes=2, max_samples=4)
+
+
+# (instance, M_bar, final g, final energy) recorded with one power diagram per
+# box; building one per iterate must leave every iterate unchanged.
+_PINNED_SOLVES = {
+    "batch-06-l2-k1-n3": (
+        lambda: _acceptance_instance(6), 456,
+        [-2.470100779199615, 2.782886298121607, -0.3127855189219921],
+        3.479155183223448,
+    ),
+    "batch-18-l2-k2-n2": (
+        lambda: _acceptance_instance(18), 1197,
+        [4.027663217522068, -4.027663217522068], 4.783885269133868,
+    ),
+    "batch-22-l1-k1-n3": (
+        lambda: _acceptance_instance(22), 470,
+        [0.6819648499181187, -0.17513764074922847, -0.5068272091688901],
+        0.3368220625491387,
+    ),
+    "thin-box-2": (
+        lambda: fx.thin_box_family(2)[0], 296,
+        [-0.4999572017431223, 0.4999572017431223], 2.1666666648349757,
+    ),
+}
+
+
+class TestPinnedSolves:
+    @pytest.mark.parametrize("name", sorted(_PINNED_SOLVES))
+    def test_descent_is_pinned(self, name):
+        build, m_bar, g_ref, e_ref = _PINNED_SOLVES[name]
+        g, e_final, trace = solve_dual(build(), SolverConfig(epsilon=0.05, eta=0.05))
+        assert trace.M_bar == m_bar
+        assert trace.stop_reason == "threshold"
+        assert np.abs(g - g_ref).max() <= 1e-12
+        assert abs(e_final - e_ref) <= 1e-12 * abs(e_ref)
+
+    def test_traced_energy_shares_the_pass(self):
+        # With trace_energy the exact gradient and energy come from one
+        # geometry pass per iterate; the iterates must not change.
+        instance = _acceptance_instance(18)
+        config = SolverConfig(epsilon=0.05, eta=0.05)
+        g, e_final, trace = solve_dual(instance, config)
+        config = SolverConfig(epsilon=0.05, eta=0.05, trace_energy=True)
+        g_traced, e_traced, traced = solve_dual(instance, config)
+        assert g_traced.tobytes() == g.tobytes()
+        assert e_traced == e_final
+        assert traced.grad_norm == trace.grad_norm
+        assert traced.energy_estimate[0] == energy(instance, np.zeros(2))
+        assert np.isfinite(traced.energy_estimate).all()
+
+
 class TestNecessityFamilies:
     def test_separation_family_ratio_is_linear(self):
         slope = 1.0 / (4.0 * math.sqrt(2.0))

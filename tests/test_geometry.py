@@ -18,7 +18,6 @@ from boxot.geometry import (
     box_moments,
     box_rng,
     cell_box_moments_exact,
-    cell_box_volume_exact,
     cell_box_volumes_mc,
     classify_points,
     instance_stats,
@@ -285,7 +284,7 @@ class TestExactCellMoments2d:
             samples = SampleSet.uniform(rng.uniform(-1.5, 1.5, size=(4, 2)))
             g = rng.uniform(-0.4, 0.4, size=4)
             box = Hyperrectangle([-1.0, -0.5], [0.5, 1.5])
-            vols = [cell_box_volume_exact(samples, g, j, box) for j in range(4)]
+            vols = cell_box_moments_exact(samples, g, box)[0]
             assert abs(sum(vols) - box.volume) <= 1e-9
 
     def test_matches_mc(self):
@@ -293,9 +292,7 @@ class TestExactCellMoments2d:
         samples = SampleSet.uniform(rng.uniform(-1, 1, size=(3, 2)))
         g = np.array([0.1, -0.2, 0.1])
         box = Hyperrectangle([-1.0, -1.0], [1.0, 1.0])
-        exact = np.array(
-            [cell_box_volume_exact(samples, g, j, box) for j in range(3)]
-        )
+        exact = cell_box_moments_exact(samples, g, box)[0]
         mc = cell_box_volumes_mc(samples, g, box, 0.01, 0.01, seed=2)
         assert np.abs(mc - exact).max() <= 0.01 * box.volume
 
@@ -444,8 +441,15 @@ class TestRestrictedPowerDiagram:
     )
     def test_matches_brute_force(self, points, g, boxes):
         samples = SampleSet.uniform(points)
+        diagram = geometry._power_diagram(samples, g)
         for box in boxes:
             vols, firsts, seconds = cell_box_moments_exact(samples, g, box)
+            # One diagram shared by every box gives the same bits.
+            for own, shared in zip(
+                (vols, firsts, seconds),
+                cell_box_moments_exact(samples, g, box, diagram),
+            ):
+                assert own.tobytes() == shared.tobytes()
             ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
             tol = 1e-12 * box.volume
             r = box.max_corner_norm()

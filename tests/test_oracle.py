@@ -234,6 +234,33 @@ class TestBandedRoute:
         greedy = (a_int * C_int[:, 1]).sum() + (taken * saving[order]).sum()
         assert (C_int * banded[0]).sum() == greedy
 
+    def test_grid_rows_do_not_alias(self, monkeypatch):
+        """Two 10^3 grids (2000 sources): a stride of 5 divided their rows.
+
+        With the subsample taken every fifth source the first duals were off
+        by hundreds of source masses, and with four to six sinks these
+        problems took three rounds or the full LP; each must now certify
+        within two rounds. (With fewer sinks both subsamples need one.)
+        """
+        retries = []
+        balance = oracle._balance_sinks
+
+        def counted(*args):
+            retries.append(1)
+            return balance(*args)
+
+        monkeypatch.setattr(oracle, "_balance_sinks", counted)
+        for seed in (120, 121):
+            rng = np.random.default_rng(seed)
+            for n in range(1, 7):
+                problem = _grid_problem(rng, 3, 2, n, 10)
+                assert problem[0].shape == (2000, n)
+                if n < 4:
+                    continue
+                retries.clear()
+                _assert_same_optimum(*problem)
+                assert len(retries) <= 1, (seed, n)
+
     def test_full_lp_fallback(self, monkeypatch):
         """With the banded route failing, HiGHS on the full LP still certifies."""
         rng = np.random.default_rng(113)

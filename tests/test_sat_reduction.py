@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from boxot import sat_reduction
 from boxot.sat_reduction import (
     ENUMERATION_GUARD,
     EPSILON_GADGET,
@@ -166,6 +167,26 @@ class TestDecision:
         assert not decide_positive_likelihood(cnf)
 
     def test_random_agreement(self):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            cnf = _random_formula(rng, max_vars=5, max_clauses=6)
+            assert decide_positive_likelihood(cnf) == brute_force_sat(cnf)
+
+    def test_partial_last_block(self, monkeypatch):
+        # Seven clauses falsify every assignment of 3 variables but the last
+        # (all true). Each sample fits only its own clause's 7 boxes, so
+        # there are 49 (sample, box) pairs, the block is 3 thetas and the
+        # satisfying theta 7 sits in the short last block {6, 7}.
+        patterns = [(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
+        clauses = [(s1 * 1, s2 * 2, s3 * 3) for s1, s2, s3 in patterns[:-1]]
+        monkeypatch.setattr(sat_reduction, "_BLOCK_BYTES", 3 * 8 * 49)
+        cnf = CnfFormula.from_dimacs_clauses(3, clauses)
+        assert decide_positive_likelihood(cnf)
+        cnf = CnfFormula.from_dimacs_clauses(3, clauses + [(-1, -2, -3)])
+        assert not decide_positive_likelihood(cnf)
+
+    def test_small_blocks_agree(self, monkeypatch):
+        monkeypatch.setattr(sat_reduction, "_BLOCK_BYTES", 8 * 7 * 5)
         rng = np.random.default_rng(17)
         for _ in range(30):
             cnf = _random_formula(rng, max_vars=5, max_clauses=6)
