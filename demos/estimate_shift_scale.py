@@ -1,4 +1,4 @@
-"""Recover a planted shift and scale with the dual-descent estimator.
+"""Recover a planted shift and scale with the dual-solve estimator.
 
 The fitted model aligns shifted samples with a scaled source:
 y_j + mu ~ sigma * x. The source here is uniform on [-1, 1]^2, and the

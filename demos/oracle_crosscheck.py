@@ -5,7 +5,7 @@ quantile matching. In any dimension, discretizing the source onto a
 midpoint grid and solving the discrete problem exactly gives a value
 within a provable sandwich of the true cost, and the bound shrinks
 linearly with the grid resolution. Both routes should bracket the dual
-energy the descent solver reports.
+energy the dual solver reports.
 """
 
 import numpy as np

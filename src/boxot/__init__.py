@@ -2,8 +2,9 @@
 
 A source density that is piecewise constant over disjoint hyperrectangles is
 matched to weighted sample points under squared-Euclidean cost. The dual of
-the transport problem is maximized by inexact gradient descent over Laguerre
-cell volumes; the optimal cost then yields closed-form estimates of the
+the transport problem is maximized over Laguerre cell weights (damped Newton
+on the exact backend, fixed-step inexact gradient descent on the Monte Carlo
+one); the optimal cost then yields closed-form estimates of the
 translation mu and scaling sigma relating density and samples. A companion
 3-SAT gadget shows exact likelihood maximization for the same family is
 NP-hard.

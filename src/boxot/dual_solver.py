@@ -1,13 +1,17 @@
-"""Semidiscrete dual energy, gradient, and the inexact gradient-descent solver.
+"""Semidiscrete dual energy, gradient, Hessian, and the dual solver.
 
 The dual energy of an instance is
 
     E(g) = sum_j integral_{L_j(g)} (||x - y_j||^2 - g_j) dalpha + <g, b>,
 
-maximized over the zero-sum subspace G_0. The solver runs fixed-step inexact
-gradient descent on f = -E with the step 1/L, a per-iteration gradient noise
-budget, and a noisy-gradient stopping threshold, all derived from the target
-accuracy; it returns the final iterate, an energy estimate, and a trace.
+maximized over the zero-sum subspace G_0. The stopping threshold on the
+gradient norm and the iteration budget derive from the target accuracy.
+On the exact backend one geometry pass per iterate gives E, its gradient
+and its Hessian (from the cells' facet measures), and the solver takes
+damped Newton steps. On the Monte Carlo backend it runs the paper's
+fixed-step inexact gradient descent on f = -E, with the step 1/L and a
+per-iteration gradient noise budget. It returns the final iterate, an
+energy estimate, and a trace.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,9 +51,13 @@ class SolverConfig:
 
     epsilon is the target accuracy (dimensionless for sigma, scaled by D for
     mu); eta the total failure probability. volume_backend is "exact", "mc",
-    or "auto" (exact when l <= 3, mc above). max_iters_override caps the
-    iteration count below the theoretical budget; using it voids the
-    guarantee flag when the solve stops because of it.
+    or "auto" (exact when l <= 3, mc above); the backend also picks the
+    step, damped Newton on exact and the fixed 1/L step on mc.
+    max_iters_override caps the iteration count below the theoretical
+    budget; using it voids the guarantee flag when the solve stops because
+    of it. trace_energy records an energy estimate per iterate on the mc
+    backend; the exact backend always records the exact energy, which its
+    pass computes anyway.
     """
 
     epsilon: float
@@ -71,7 +80,13 @@ class SolverConfig:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration records plus the derived budgets of one solve."""
+    """Per-iteration records plus the derived budgets of one solve.
+
+    ``step_size[i]`` is the step taken from iterate i: the accepted Newton
+    tau, or 1/L on a fixed or fallback step (0 at the last Newton iterate).
+    ``passes`` counts every geometry pass, rejected Newton trials and the
+    start's included.
+    """
 
     eps_prime: float
     noise_budget: float
@@ -88,6 +103,7 @@ class SolverTrace:
     wallclock_ms: list[float] = field(default_factory=list)
     g_inf_norm: list[float] = field(default_factory=list)
     M_bar: int = 0
+    passes: int = 0
     stop_reason: str = ""
     aborted: bool = False
     guarantee_holds: bool = False
@@ -142,50 +158,60 @@ def _finite_weights(g) -> np.ndarray:
     return g
 
 
-def _exact_moments(instance: Instance, g: np.ndarray) -> list:
-    """(gamma, vols, firsts, seconds) of every box from one power diagram of g."""
-    samples = instance.samples
-    diagram = _power_diagram(samples, g)
-    return [
-        (w, *cell_box_moments_exact(samples, g, box, diagram))
-        for box, w in instance.density.boxes
-    ]
+class _Pass(NamedTuple):
+    """Energy, gradient and cell masses at one g from one geometry pass.
 
-
-def _gradient_from(samples: SampleSet, box_volumes: list) -> np.ndarray:
-    """b - sum over boxes of gamma vol(L_j n H), centred onto G_0.
-
-    ``box_volumes`` holds (gamma, vols) per box.
+    ``grad`` is grad E(g), centred onto G_0; ``mass[j]`` is the source mass
+    of cell j, the sum over boxes of gamma vol(L_j(g) n H); ``hess`` is the
+    Hessian of E when it was asked for, else None. The mc backend's pass
+    has only an energy (nan unless traced) and a gradient.
     """
-    out = samples.demands.copy()
-    for w, vols in box_volumes:
-        out -= w * vols
-    return out - out.sum() / out.size
+
+    energy: float
+    grad: np.ndarray
+    mass: np.ndarray
+    hess: np.ndarray | None
 
 
-def _exact_energy(instance: Instance, g: np.ndarray, moments: list) -> float:
-    """E(g) from the cells' moments: sum_j of the integral of ||x - y_j||^2 - g_j
-    over L_j(g), plus <g, b>."""
+def _evaluate(instance: Instance, g: np.ndarray, hessian: bool = False) -> _Pass:
+    """E(g), grad E(g) and, on request, its Hessian on the exact backend.
+
+    One power diagram of g is shared by every box, and each box's cell
+    moments give its share of the energy (sum_j of the integral of
+    ||x - y_j||^2 - g_j over L_j(g), plus <g, b>) and of the gradient
+    (b_j - sum_boxes gamma vol(L_j n H)). The Hessian's off-diagonal entry
+    is sum_boxes gamma measure(facet_ij n H) / (2 ||y_i - y_j||); its
+    diagonal makes every row sum to zero (Kitagawa, Merigot and Thibert
+    2019, with the factor 2 of the cost ||x - y||^2).
+    """
+    g = _finite_weights(g)
     samples = instance.samples
     y = samples.points
+    n = samples.n
+    diagram = _power_diagram(samples, g)
+    resid = samples.demands.copy()
+    hess = np.zeros((n, n)) if hessian else None
     total = 0.0
-    for w, vols, firsts, seconds in moments:
+    for box, w in instance.density.boxes:
+        out = cell_box_moments_exact(samples, g, box, diagram, facets=hessian)
+        vols, firsts, seconds = out[:3]
+        resid -= w * vols
         total += w * float(
             seconds.sum()
             - 2.0 * (firsts * y).sum()
             + ((samples.squared_norms - g) * vols).sum()
         )
-    return total + float(g @ samples.demands)
-
-
-def _exact_gradient_and_energy(
-    instance: Instance, g: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """:func:`gradient` and :func:`energy` on the exact backend, from one pass."""
-    g = _finite_weights(g)
-    moments = _exact_moments(instance, g)
-    grad = _gradient_from(instance.samples, [(w, v) for w, v, _, _ in moments])
-    return grad, _exact_energy(instance, g, moments)
+        if hessian and out[3]:
+            j, i, measure = np.array(out[3]).T
+            j, i = j.astype(int), i.astype(int)
+            dist = np.sqrt(((y[i] - y[j]) ** 2).sum(axis=1))
+            np.add.at(hess, (j, i), w * measure / (2.0 * dist))
+    if hessian:
+        hess[np.diag_indices(n)] -= hess.sum(axis=1)
+    grad = resid - resid.sum() / n
+    return _Pass(
+        total + float(g @ samples.demands), grad, samples.demands - resid, hess
+    )
 
 
 def energy(
@@ -209,7 +235,7 @@ def energy(
     backend = _resolve_backend(backend, instance.dimension)
 
     if backend == "exact":
-        return _exact_energy(instance, g, _exact_moments(instance, g))
+        return _evaluate(instance, g).energy
 
     if accuracy is None or eta_prime is None:
         raise ValueError("mc energy needs accuracy and eta_prime")
@@ -244,21 +270,19 @@ def gradient(
     """
     g = _finite_weights(g)
     backend = _resolve_backend(backend, instance.dimension)
-    samples = instance.samples
     if backend == "exact":
-        box_volumes = [(w, vols) for w, vols, _, _ in _exact_moments(instance, g)]
-    else:
-        if eps_bar is None or eta_prime is None:
-            raise ValueError("mc gradient needs eps_bar and eta_prime")
-        k = instance.density.k
-        per_cell = eps_bar / math.sqrt(samples.n)
-        box_volumes = [
-            (w, cell_box_volumes_mc(
-                samples, g, box, per_cell, eta_prime / k, seed, box_index=idx
-            ))
-            for idx, (box, w) in enumerate(instance.density.boxes)
-        ]
-    return _gradient_from(samples, box_volumes)
+        return _evaluate(instance, g).grad
+    if eps_bar is None or eta_prime is None:
+        raise ValueError("mc gradient needs eps_bar and eta_prime")
+    samples = instance.samples
+    k = instance.density.k
+    per_cell = eps_bar / math.sqrt(samples.n)
+    out = samples.demands.copy()
+    for idx, (box, w) in enumerate(instance.density.boxes):
+        out -= w * cell_box_volumes_mc(
+            samples, g, box, per_cell, eta_prime / k, seed, box_index=idx
+        )
+    return out - out.sum() / out.size
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +325,49 @@ def iteration_budget(instance: Instance, eps_prime: float) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Step halvings a damped Newton step may try before that iteration takes the
+# paper's 1/L step instead.
+_HALVINGS = 8
+# Rounds of raising the weights of empty cells before the first Newton step.
+_LIFT_ROUNDS = 8
+# Ridge of the Newton system, relative to the mean of -diag(H), when the
+# facet graph is split into components.
+_RIDGE = 0.1
+
+
 def solve_dual(
     instance: Instance, config: SolverConfig
 ) -> tuple[np.ndarray, float, SolverTrace]:
-    """Inexact gradient descent on f = -E from g_1 = 0.
+    """Maximize E on G_0 from g_1 = 0; return (g, E(g), trace).
 
-    Iterates g_{t+1} = g_t - (1/L) grad~f(g_t) with noise budget
-    ||e_t|| <= eps'/(360 n D^2), stopping at the first t with
-    ||grad~f(g_t)|| <= eps'/(45 n D^2) or at t = M, whichever comes first;
-    the returned iterate then satisfies E(g*) - E(g_Mbar) <= eps' with
-    probability >= 1 - eta (per-iteration failure eta/(k M), union-bounded).
-    The final energy estimate gets its own accuracy budget eps'/4 under the
-    mc backend and is exact under the exact backend.
+    Both step policies stop at the first t with ||grad E(g_t)|| <=
+    eps'/(45 n D^2) or at t = M (or the override), whichever comes first.
+
+    On the exact backend (l <= 3) each step is a damped Newton step
+    (Kitagawa, Merigot and Thibert 2019) on the Hessian assembled from the
+    cells' facet measures. Before the first step every empty cell's weight
+    is raised until the cell holds mass; a step tau d is accepted, halving
+    tau from 1, when every cell keeps mass >= eps_0 = min(min mass(g_1),
+    min b) / 2, ||grad E|| falls to <= (1 - tau/2) of its value, and
+    ||g||_inf <= 20 n D^2. After a bounded number of halvings the iteration
+    takes the paper's 1/L step. The final energy is exact.
+
+    On the mc backend it is the paper's inexact gradient descent,
+    g_{t+1} = g_t - (1/L) grad~f(g_t) with noise budget
+    ||e_t|| <= eps'/(360 n D^2); the returned iterate then satisfies
+    E(g*) - E(g_Mbar) <= eps' with probability >= 1 - eta (per-iteration
+    failure eta/(k M), union-bounded). The final energy estimate gets its
+    own accuracy budget eps'/4.
     """
+    backend = _resolve_backend(config.volume_backend, instance.dimension)
+    return _solve(instance, config, newton=backend == "exact")
+
+
+def _solve(
+    instance: Instance, config: SolverConfig, newton: bool
+) -> tuple[np.ndarray, float, SolverTrace]:
+    """:func:`solve_dual` with the step policy given: damped Newton (exact
+    backend only) or the paper's fixed 1/L step, the reference."""
     stats = instance.stats
     n = instance.samples.n
     backend = _resolve_backend(config.volume_backend, instance.dimension)
@@ -321,7 +375,7 @@ def solve_dual(
     if not uniform:
         warnings.warn(
             "non-uniform demands: iterate-boundedness guarantees assume b_j = 1/n",
-            stacklevel=2,
+            stacklevel=3,
         )
 
     eps_p = epsilon_prime(instance, config.epsilon)
@@ -345,36 +399,22 @@ def solve_dual(
         uniform_demands=uniform,
     )
 
-    g = np.zeros(n)
-    step = 1.0 / stats.L
-    start = time.perf_counter()
-    stop_reason = "budget"
-    # With trace_energy on the exact backend, one geometry pass per iterate
-    # feeds both the gradient and the traced energy.
-    fused = config.trace_energy and backend == "exact"
-    for t in range(1, m_eff + 1):
-        if fused:
-            grad_e, e_here = _exact_gradient_and_energy(instance, g)
-        else:
-            grad_e = gradient(
-                instance,
-                g,
-                eps_bar=noise_budget,
-                eta_prime=eta_iter,
-                seed=(config.seed, t),
-                backend=backend,
-            )
-            e_here = math.nan
-        grad_f = -grad_e
-        # np.linalg.norm's formula for a vector, without its dispatch.
-        gnorm = math.sqrt(float(grad_f.dot(grad_f)))
-        if not math.isfinite(gnorm):
-            trace.aborted = True
-            trace.M_bar = t
-            trace.stop_reason = "abort"
-            raise SolverAbort("non-finite gradient", trace)
-        wall = (time.perf_counter() - start) * 1e3
-        if config.trace_energy and not fused:
+    def measure(g: np.ndarray, t: int, hessian: bool = False) -> _Pass:
+        """The pass at iterate t: one exact evaluation, or the mc estimates."""
+        trace.passes += 1
+        if backend == "exact":
+            return _evaluate(instance, g, hessian)
+        grad = gradient(
+            instance,
+            g,
+            eps_bar=noise_budget,
+            eta_prime=eta_iter,
+            seed=(config.seed, t),
+            backend=backend,
+        )
+        e_here = math.nan
+        if config.trace_energy:
+            trace.passes += 1
             e_here = energy(
                 instance,
                 g,
@@ -383,26 +423,60 @@ def solve_dual(
                 seed=(config.seed, t, 1),
                 backend=backend,
             )
-        trace.record(t, gnorm, e_here, step, wall, float(np.abs(g).max()))
+        return _Pass(e_here, grad, None, None)
+
+    step = 1.0 / stats.L
+    start = time.perf_counter()
+    if newton:
+        g, p = _massive_start(instance, lambda h: measure(h, 1, m_eff > 1))
+        floor = 0.5 * min(float(p.mass.min()), float(instance.samples.demands.min()))
+    else:
+        g = np.zeros(n)
+        p = measure(g, 1)
+    stop_reason = "budget"
+    for t in range(1, m_eff + 1):
+        # np.linalg.norm's formula for a vector, without its dispatch.
+        gnorm = math.sqrt(float(p.grad.dot(p.grad)))
+        if not math.isfinite(gnorm):
+            trace.aborted = True
+            trace.M_bar = t
+            trace.stop_reason = "abort"
+            raise SolverAbort("non-finite gradient", trace)
+        wall = (time.perf_counter() - start) * 1e3
+        trace.record(t, gnorm, p.energy, step, wall, float(np.abs(g).max()))
         if gnorm <= grad_threshold:
             stop_reason = "threshold"
             break
         if t == m_eff:
             stop_reason = "budget" if m_eff == big_m else "override"
             break
-        g = center_weights(g - step * grad_f)
+        if newton:
+            trace.step_size[-1], g, p = _newton_step(
+                g, p, gnorm, floor, 20.0 * nd2, step,
+                lambda h: measure(h, t + 1, t + 1 < m_eff),
+            )
+        else:
+            g = center_weights(g + step * p.grad)
+            p = measure(g, t + 1)
+    if newton:
+        # No step leaves the last iterate.
+        trace.step_size[-1] = 0.0
 
     trace.M_bar = trace.t[-1]
     trace.stop_reason = stop_reason
 
-    e_final = energy(
-        instance,
-        g,
-        accuracy=eps_p / 4.0,
-        eta_prime=eta_iter,
-        seed=(config.seed, 0),
-        backend=backend,
-    )
+    if backend == "exact":
+        e_final = p.energy
+    else:
+        trace.passes += 1
+        e_final = energy(
+            instance,
+            g,
+            accuracy=eps_p / 4.0,
+            eta_prime=eta_iter,
+            seed=(config.seed, 0),
+            backend=backend,
+        )
     if not math.isfinite(e_final):
         trace.aborted = True
         raise SolverAbort("non-finite energy", trace)
@@ -411,6 +485,96 @@ def solve_dual(
         uniform and not trace.aborted and stop_reason in ("threshold", "budget")
     )
     return g, e_final, trace
+
+
+def _massive_start(instance: Instance, measure) -> tuple:
+    """From g = 0, raise the weights of empty cells until every cell holds mass.
+
+    An empty cell j gets the weight at which it beats every other cell by
+    2 rho max_i ||y_i - y_j|| at x, the support point nearest y_j. Its lead
+    over the rest is 2 max_i ||y_i - y_j||-Lipschitz, so cell j then holds
+    the ball of radius rho about x. rho starts at a quarter of that box's
+    smallest width and halves each round; a cell that is still, or newly,
+    empty is raised again. Returns the start and its pass.
+    """
+    y = instance.samples.points
+    n = y.shape[0]
+    lo = np.array([box.lo for box, _ in instance.density.boxes])
+    hi = np.array([box.hi for box, _ in instance.density.boxes])
+    g = np.zeros(n)
+    p = measure(g)
+    for r in range(_LIFT_ROUNDS):
+        empty = np.flatnonzero(p.mass <= 0.0)
+        if not empty.size:
+            break
+        g = g.copy()
+        for j in empty:
+            near = np.clip(y[j], lo, hi)
+            b = int(np.argmin(((near - y[j]) ** 2).sum(axis=1)))
+            x = near[b]
+            rho = 0.25 * 0.5**r * float((hi[b] - lo[b]).min())
+            others = np.arange(n) != j
+            reach = float(np.sqrt(((y[others] - y[j]) ** 2).sum(axis=1)).max())
+            rival = float((g[others] - ((x - y[others]) ** 2).sum(axis=1)).max())
+            g[j] = rival + float(((x - y[j]) ** 2).sum()) + 2.0 * rho * reach
+        g = center_weights(g)
+        p = measure(g)
+    return g, p
+
+
+def _connected(hess: np.ndarray) -> bool:
+    """Whether the facet graph, the nonzero pattern of H, is connected.
+
+    Union-find over the upper triangle's entries.
+    """
+    n = hess.shape[0]
+    root = list(range(n))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    parts = n
+    upper = np.nonzero(np.triu(hess, 1))
+    for a, b in zip(upper[0].tolist(), upper[1].tolist()):
+        a, b = find(a), find(b)
+        if a != b:
+            root[a] = b
+            parts -= 1
+    return parts == 1
+
+
+def _newton_step(g, p, gnorm, floor, bound, fallback, measure) -> tuple:
+    """One damped Newton step from g with pass p; returns (tau, g', pass').
+
+    The direction d solves (H - (1/n) 1 1^T) d = -grad E on G_0, with a ridge
+    -lambda I added when the facet graph is split: H is then singular
+    beyond the constant vector. Halving tau from 1, the first trial with
+    every cell's mass >= floor, ||grad|| <= (1 - tau/2) gnorm and
+    ||g||_inf <= bound is accepted; if none is, the step is g + fallback
+    grad E (the paper's 1/L step) and tau reads fallback.
+    """
+    hess = p.hess
+    n = g.size
+    scale = -float(np.trace(hess)) / n
+    if scale > 0.0:
+        system = hess - 1.0 / n
+        if not _connected(hess):
+            system[np.diag_indices(n)] -= _RIDGE * scale
+        d = np.linalg.solve(system, -p.grad)
+        tau = 1.0
+        for _ in range(_HALVINGS):
+            trial = center_weights(g + tau * d)
+            if float(np.abs(trial).max()) <= bound:
+                q = measure(trial)
+                qnorm = math.sqrt(float(q.grad.dot(q.grad)))
+                if qnorm <= (1.0 - tau / 2.0) * gnorm and q.mass.min() >= floor:
+                    return tau, trial, q
+            tau *= 0.5
+    g = center_weights(g + fallback * p.grad)
+    return fallback, g, measure(g)
 
 
 # ---------------------------------------------------------------------------

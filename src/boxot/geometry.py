@@ -10,7 +10,9 @@ and (y_j', ||y_j'||^2 - g_j') are joined by an edge of the lifted points'
 lower convex hull, and a site that is not a vertex of that hull has an empty
 cell. The hull is a sort and a monotone chain in 1-D and one Qhull call in
 2-D and 3-D, built once per iterate (one g) and shared by every box; each
-cell is then the box clipped by its neighbours' half-spaces only.
+cell is then the box clipped by its neighbours' half-spaces only. The
+clippers tag every boundary piece with the half-space that cut it, which
+gives the facet measures that the dual solver's Hessian needs.
 
 All operations are pure functions on immutable inputs. Monte-Carlo sampling
 is deterministic given (seed, box index); see :func:`box_rng` for the
@@ -80,8 +82,8 @@ class Hyperrectangle:
         return float(np.sqrt(np.maximum(self.lo**2, self.hi**2).sum()))
 
 
-def _interiors_overlap(b1: Hyperrectangle, b2: Hyperrectangle) -> bool:
-    return bool(((b1.lo < b2.hi) & (b2.lo < b1.hi)).all())
+# Box pairs compared per numpy call in the overlap check.
+_OVERLAP_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,10 +108,24 @@ class BoxDensity:
                 raise ValueError("box dimension mismatch")
             if not (w > 0 and math.isfinite(w)):
                 raise ValueError("weights must be positive and finite")
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                if _interiors_overlap(boxes[i][0], boxes[j][0]):
-                    raise ValueError(f"boxes {i} and {j} have overlapping interiors")
+        # Interiors overlap when lo_i < hi_j and lo_j < hi_i on every axis.
+        # Rows of boxes i are tested against all j > i a block at a time;
+        # argwhere scans in row-major order, so the first hit is the first
+        # pair (i, j) in loop order.
+        k = len(boxes)
+        los = np.array([box.lo for box, _ in boxes])
+        his = np.array([box.hi for box, _ in boxes])
+        step = max(1, _OVERLAP_BLOCK // (k * self.dimension))
+        for first in range(0, k - 1, step):
+            rows = slice(first, first + step)
+            hit = (los[rows, None] < his) & (los < his[rows, None])
+            hit = hit.all(axis=-1)
+            hit &= np.arange(k) > np.arange(first, first + hit.shape[0])[:, None]
+            if hit.any():
+                i, j = np.argwhere(hit)[0]
+                raise ValueError(
+                    f"boxes {first + i} and {j} have overlapping interiors"
+                )
         mass = self.total_mass
         if abs(mass - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {mass!r} is not 1 within {MASS_TOL}")
@@ -427,13 +443,13 @@ class _PowerDiagram(NamedTuple):
     ``cells`` lists the cells that may be nonempty. In 1-D they are in
     chain order, and cell ``cells[p]`` is the interval
     ``[ends[p], ends[p + 1]]``. In 2-D and 3-D, ``rows[p]`` lists the
-    half-space rows ``(a, b)``, meaning a.x <= b, of cell ``cells[p]``
-    against each of its candidate neighbours. Everything is plain floats.
+    half-space rows ``(a, b, i)``, meaning a.x <= b, of cell ``cells[p]``
+    against each of its candidate neighbours i. Everything is plain floats.
     """
 
     cells: list[int]
     ends: list[float]
-    rows: list[list[tuple[list[float], float]]]
+    rows: list[list[tuple[list[float], float, int]]]
 
 
 def _power_diagram(samples: SampleSet, g: np.ndarray) -> _PowerDiagram:
@@ -470,7 +486,7 @@ def _power_diagram(samples: SampleSet, g: np.ndarray) -> _PowerDiagram:
         rows = [
             [
                 ([2.0 * (q - p) for p, q in zip(ys[i], ys[j])],
-                 gs[i] - gs[j] + ns[j] - ns[i])
+                 gs[i] - gs[j] + ns[j] - ns[i], j)
                 for j in range(n)
                 if j != i
             ]
@@ -480,39 +496,51 @@ def _power_diagram(samples: SampleSet, g: np.ndarray) -> _PowerDiagram:
     alive, src, dst = neighbours
     row_a = (2.0 * (y[dst] - y[src])).tolist()
     row_b = (g[src] - g[dst] + norms[dst] - norms[src]).tolist()
+    row_i = dst.tolist()
     bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
     cells = np.flatnonzero(alive).tolist()
     rows = [
-        list(zip(row_a[bounds[j]:bounds[j + 1]], row_b[bounds[j]:bounds[j + 1]]))
+        list(zip(*(r[bounds[j]:bounds[j + 1]] for r in (row_a, row_b, row_i))))
         for j in cells
     ]
     return _PowerDiagram(cells, [], rows)
 
 
-def _clip_polygon(poly, a, b):
-    """Sutherland-Hodgman clip of a convex polygon against a.x <= b."""
+def _clip_polygon(poly, tags, a, b, tag):
+    """Sutherland-Hodgman clip of a convex polygon against a.x <= b.
+
+    ``tags[i]`` names the row that made the edge from ``poly[i]`` to
+    ``poly[i + 1]`` (-1 for a box edge); the new edge along a.x = b gets
+    ``tag``. Returns the clipped polygon and its tags.
+    """
     vals = [a[0] * p[0] + a[1] * p[1] - b for p in poly]
     if max(vals) <= 0.0:
-        return poly
+        return poly, tags
     out = []
+    out_tags = []
     m = len(poly)
     for i in range(m):
+        i1 = (i + 1) % m
         p = poly[i]
-        q = poly[(i + 1) % m]
+        q = poly[i1]
         fp = vals[i]
-        fq = vals[(i + 1) % m]
+        fq = vals[i1]
         pin = fp <= 0.0
         qin = fq <= 0.0
         if pin and qin:
             out.append(q)
+            out_tags.append(tags[i1])
         elif pin and not qin:
             t = fp / (fp - fq)
             out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+            out_tags.append(tag)
         elif not pin and qin:
             t = fp / (fp - fq)
             out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+            out_tags.append(tags[i])
             out.append(q)
-    return out
+            out_tags.append(tags[i1])
+    return out, out_tags
 
 
 def _polygon_moments(poly):
@@ -553,20 +581,21 @@ def _box_polyhedron(lo, hi):
     return verts, faces
 
 
-def _clip_polyhedron(verts, faces, a, b):
+def _clip_polyhedron(verts, faces, tags, a, b, tag):
     """Clip a convex polyhedron (vertices, face cycles) against a.x <= b.
 
     Each face is clipped by Sutherland-Hodgman. A cut edge's new vertex is
     computed once, from its inside end, and shared by both faces on the edge.
     The new vertices bound the cap face, which is ordered by angle about
-    their centroid in the cutting plane.
+    their centroid in the cutting plane. ``tags[f]`` names the row that made
+    face f (-1 for a box face); the cap gets ``tag``.
     """
     a0, a1, a2 = a
     vals = [a0 * x + a1 * y + a2 * z - b for x, y, z in verts]
     if max(vals) <= 0.0:
-        return verts, faces
+        return verts, faces, tags
     if min(vals) > 0.0:
-        return [], []
+        return [], [], []
     index = [-1] * len(verts)
     kept = []
     for i, f in enumerate(vals):
@@ -589,7 +618,8 @@ def _clip_polyhedron(verts, faces, a, b):
         return cut[key]
 
     clipped = []
-    for face in faces:
+    clipped_tags = []
+    for face, face_tag in zip(faces, tags):
         out = []
         p = face[-1]
         for q in face:
@@ -602,6 +632,7 @@ def _clip_polyhedron(verts, faces, a, b):
             p = q
         if len(out) >= 3:
             clipped.append(out)
+            clipped_tags.append(face_tag)
     cap = list(cut.values())
     if len(cap) >= 3:
         m = len(cap)
@@ -626,7 +657,8 @@ def _clip_polyhedron(verts, faces, a, b):
             )
 
         clipped.append(sorted(cap, key=angle))
-    return kept, clipped
+        clipped_tags.append(tag)
+    return kept, clipped, clipped_tags
 
 
 def _polyhedron_moments(verts, faces):
@@ -670,12 +702,28 @@ def _polyhedron_moments(verts, faces):
     return vol, (fx, fy, fz), second
 
 
+def _face_area(verts, face):
+    """Area of a planar convex polygon in 3-D, given as a vertex index cycle."""
+    x0, y0, z0 = verts[face[0]]
+    sx = sy = sz = 0.0
+    for i in range(1, len(face) - 1):
+        x1, y1, z1 = verts[face[i]]
+        x2, y2, z2 = verts[face[i + 1]]
+        ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
+        vx, vy, vz = x2 - x0, y2 - y0, z2 - z0
+        sx += uy * vz - uz * vy
+        sy += uz * vx - ux * vz
+        sz += ux * vy - uy * vx
+    return 0.5 * math.sqrt(sx * sx + sy * sy + sz * sz)
+
+
 def cell_box_moments_exact(
     samples: SampleSet,
     g: np.ndarray,
     box: Hyperrectangle,
     diagram: _PowerDiagram | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    facets: bool = False,
+) -> tuple:
     """Exact (volume, integral x, integral ||x||^2) of L_j(g) n box for all j.
 
     Restricted power diagram, for l <= 3 only. ``diagram`` is
@@ -688,6 +736,12 @@ def cell_box_moments_exact(
     15 in 3-D, so the cost is one O(n log n) diagram per g plus O(n) small
     clips in plain floats per box.
     Returns (vols (n,), firsts (n, l), seconds (n,)). Deterministic.
+
+    With ``facets`` it also returns a list of (j, i, measure): the measure
+    of the boundary piece that cell j's row against neighbour i cut from
+    the box (a point counts 1 in 1-D, a length in 2-D, an area in 3-D),
+    one entry per piece of each nonempty cell, so every facet appears once
+    from each side.
     """
     if diagram is None:
         diagram = _power_diagram(samples, g)
@@ -696,18 +750,24 @@ def cell_box_moments_exact(
     vols = [0.0] * n
     firsts = [(0.0,) * l] * n
     seconds = [0.0] * n
+    pieces = []
 
     if l == 1:
         (box_lo,), (box_hi,) = lo, hi
         ends = diagram.ends
-        for pos, j in enumerate(diagram.cells):
+        chain = diagram.cells
+        for pos, j in enumerate(chain):
             lo = max(box_lo, ends[pos])
             hi = min(box_hi, ends[pos + 1])
             if hi > lo:
                 vols[j] = hi - lo
                 firsts[j] = ((hi**2 - lo**2) / 2.0,)
                 seconds[j] = (hi**3 - lo**3) / 3.0
-        return np.array(vols), np.array(firsts), np.array(seconds)
+            if facets and box_lo < ends[pos + 1] < box_hi:
+                i = chain[pos + 1]
+                pieces += [(j, i, 1.0), (i, j, 1.0)]
+        moments = np.array(vols), np.array(firsts), np.array(seconds)
+        return (*moments, pieces) if facets else moments
 
     # Per row, the centre and half-range of a.x - b over the box: a row whose
     # half-space holds the whole box is redundant in it, and one whose
@@ -719,9 +779,10 @@ def cell_box_moments_exact(
         base = [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
     else:
         base = _box_polyhedron(lo, hi)
+    box_tags = [-1] * (4 if l == 2 else 6)
     for j, rows in zip(diagram.cells, diagram.rows):
         cutting = []
-        for a, b in rows:
+        for a, b, i in rows:
             if l == 2:
                 centre = a[0] * m0 + a[1] * m1 - b
                 reach = abs(a[0]) * h0 + abs(a[1]) * h1
@@ -731,23 +792,36 @@ def cell_box_moments_exact(
             if centre > reach:
                 break
             if centre > -reach:
-                cutting.append((a, b))
+                cutting.append((a, b, i))
         else:
+            tags = box_tags
             if l == 2:
                 poly = base
-                for a, b in cutting:
-                    poly = _clip_polygon(poly, a, b)
+                for a, b, i in cutting:
+                    poly, tags = _clip_polygon(poly, tags, a, b, i)
                     if len(poly) < 3:
                         break
                 vols[j], firsts[j], seconds[j] = _polygon_moments(poly)
+                if facets and vols[j] > 0.0:
+                    for k, i in enumerate(tags):
+                        if i >= 0:
+                            p, q = poly[k], poly[k - len(poly) + 1]
+                            pieces.append((j, i, math.hypot(q[0] - p[0], q[1] - p[1])))
             else:
                 verts, faces = base
-                for a, b in cutting:
-                    verts, faces = _clip_polyhedron(verts, faces, a, b)
+                for a, b, i in cutting:
+                    verts, faces, tags = _clip_polyhedron(verts, faces, tags, a, b, i)
                     if not faces:
                         break
                 vols[j], firsts[j], seconds[j] = _polyhedron_moments(verts, faces)
-    return np.array(vols), np.array(firsts), np.array(seconds)
+                if facets and vols[j] > 0.0:
+                    pieces += [
+                        (j, i, _face_area(verts, face))
+                        for face, i in zip(faces, tags)
+                        if i >= 0
+                    ]
+    moments = np.array(vols), np.array(firsts), np.array(seconds)
+    return (*moments, pieces) if facets else moments
 
 
 # ---------------------------------------------------------------------------

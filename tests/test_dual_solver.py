@@ -1,4 +1,4 @@
-"""Dual energy, gradient, budgets, the descent loop, and weight transforms."""
+"""Dual energy, gradient, budgets, the Newton and fixed-step loops, transforms."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from boxot import dual_solver as ds
 from boxot import fixtures as fx
 from boxot import geometry
 from boxot.dual_solver import (
@@ -28,6 +29,7 @@ from boxot.geometry import (
     SampleSet,
     classify_points,
 )
+from boxot.oracle import semidiscrete_1d_exact
 
 
 class TestEnergy:
@@ -248,10 +250,11 @@ class TestSolveDual:
         assert abs(e - 7 / 48) <= trace.eps_prime
 
     def test_descent_claim(self, asymmetric_demands):
-        # exact backend: each non-terminal step gains >= (1/3L) ||grad f||^2
+        # fixed step, exact backend: each non-terminal step gains
+        # >= (1/3L) ||grad f||^2
         config = SolverConfig(epsilon=0.05, eta=0.01, trace_energy=True)
         with pytest.warns(UserWarning, match="non-uniform"):
-            _, _, trace = solve_dual(asymmetric_demands, config)
+            _, _, trace = ds._solve(asymmetric_demands, config, newton=False)
         assert trace.M_bar > 5
         L = trace.L
         for i in range(trace.M_bar - 1):
@@ -276,8 +279,15 @@ class TestSolveDual:
     def test_override_voids_guarantee(self, asymmetric_demands):
         config = SolverConfig(epsilon=0.05, eta=0.01, max_iters_override=3)
         with pytest.warns(UserWarning, match="non-uniform"):
-            _, _, trace = solve_dual(asymmetric_demands, config)
+            _, _, trace = ds._solve(asymmetric_demands, config, newton=False)
         assert trace.M_bar == 3
+        assert trace.stop_reason == "override"
+        assert not trace.guarantee_holds
+        # Newton reaches the threshold at t = 2; an override of 1 stops it.
+        config = SolverConfig(epsilon=0.05, eta=0.01, max_iters_override=1)
+        with pytest.warns(UserWarning, match="non-uniform"):
+            _, _, trace = solve_dual(asymmetric_demands, config)
+        assert trace.M_bar == 1
         assert trace.stop_reason == "override"
         assert not trace.guarantee_holds
 
@@ -300,12 +310,13 @@ class TestSolveDual:
         assert e1 == e2
 
     def test_abort_on_non_finite_gradient(self, symmetric_interval, monkeypatch):
-        import boxot.dual_solver as ds
+        evaluate = ds._evaluate
 
-        def broken(instance, g, **kwargs):
-            return np.full(instance.samples.n, np.nan)
+        def broken(instance, g, hessian=False):
+            good = evaluate(instance, g, hessian)
+            return good._replace(grad=np.full(instance.samples.n, np.nan))
 
-        monkeypatch.setattr(ds, "gradient", broken)
+        monkeypatch.setattr(ds, "_evaluate", broken)
         config = SolverConfig(epsilon=0.05, eta=0.01)
         with pytest.raises(SolverAbort) as info:
             ds.solve_dual(symmetric_interval, config)
@@ -343,8 +354,9 @@ def _acceptance_instance(index):
     return fx.random_instance(rng, max_dim=2, max_boxes=2, max_samples=4)
 
 
-# (instance, M_bar, final g, final energy) recorded with one power diagram per
-# box; building one per iterate must leave every iterate unchanged.
+# (instance, M_bar, final g, final energy) of the fixed-step loop on the exact
+# backend, recorded with one power diagram per box; building one per iterate
+# must leave every iterate unchanged.
 _PINNED_SOLVES = {
     "batch-06-l2-k1-n3": (
         lambda: _acceptance_instance(6), 456,
@@ -371,7 +383,8 @@ class TestPinnedSolves:
     @pytest.mark.parametrize("name", sorted(_PINNED_SOLVES))
     def test_descent_is_pinned(self, name):
         build, m_bar, g_ref, e_ref = _PINNED_SOLVES[name]
-        g, e_final, trace = solve_dual(build(), SolverConfig(epsilon=0.05, eta=0.05))
+        config = SolverConfig(epsilon=0.05, eta=0.05)
+        g, e_final, trace = ds._solve(build(), config, newton=False)
         assert trace.M_bar == m_bar
         assert trace.stop_reason == "threshold"
         assert np.abs(g - g_ref).max() <= 1e-12
@@ -390,6 +403,106 @@ class TestPinnedSolves:
         assert traced.grad_norm == trace.grad_norm
         assert traced.energy_estimate[0] == energy(instance, np.zeros(2))
         assert np.isfinite(traced.energy_estimate).all()
+
+
+def _two_boxes_2d(n):
+    """The convergence table's instances: two disjoint boxes in 2-D with
+    n sinks from uniform(-2, 2), drawn in turn for n = 4, 8, 16, 64 from
+    one default_rng(3)."""
+    rng = np.random.default_rng(3)
+    density = BoxDensity(
+        dimension=2,
+        boxes=(
+            (Hyperrectangle([-2.0, -1.0], [-0.5, 1.0]), 1 / 6),
+            (Hyperrectangle([0.5, -1.0], [2.0, 1.0]), 1 / 6),
+        ),
+    )
+    for size in (4, 8, 16, 64):
+        points = rng.uniform(-2.0, 2.0, size=(size, 2))
+        if size == n:
+            return Instance(density, SampleSet.uniform(points))
+    raise ValueError(n)
+
+
+def _two_intervals_1d():
+    density = BoxDensity(
+        dimension=1,
+        boxes=(
+            (Hyperrectangle([-2.0], [-1.0]), 0.4),
+            (Hyperrectangle([1.0], [2.5]), 0.4),
+        ),
+    )
+    return Instance(density, SampleSet.uniform([[-2.5], [-1.2], [0.1], [0.3], [2.2]]))
+
+
+_NEWTON_CASES = {
+    **{f"two-boxes-2d-n{n}": (lambda n=n: _two_boxes_2d(n)) for n in (4, 8, 16, 64)},
+    "two-intervals-1d": _two_intervals_1d,
+    "hidden-thin-box-16": lambda: fx.thin_box_family(16)[0],
+    "hidden-batch-21": lambda: _acceptance_instance(21),
+}
+
+
+class TestNewton:
+    @pytest.mark.parametrize("name", sorted(_NEWTON_CASES))
+    def test_reaches_threshold_quickly(self, name):
+        instance = _NEWTON_CASES[name]()
+        config = SolverConfig(epsilon=0.1, eta=0.1, max_iters_override=1000)
+        g, e_final, trace = solve_dual(instance, config)
+        assert trace.stop_reason == "threshold"
+        assert trace.M_bar <= 30
+        assert trace.guarantee_holds
+        assert trace.passes >= trace.M_bar
+        assert e_final == energy(instance, g)
+        if instance.dimension == 1:
+            p_star = semidiscrete_1d_exact(instance)[0]
+            assert abs(e_final - p_star) <= trace.eps_prime
+
+    def test_hidden_cells_are_raised_before_the_first_step(self):
+        for name in ("hidden-thin-box-16", "hidden-batch-21"):
+            instance = _NEWTON_CASES[name]()
+            mass = ds._evaluate(instance, np.zeros(instance.samples.n)).mass
+            assert (mass == 0.0).any(), name
+            _, start = ds._massive_start(instance, lambda g: ds._evaluate(instance, g))
+            assert (start.mass > 0.0).all(), name
+
+    def test_accepted_steps_shrink_the_gradient(self):
+        # A Newton step tau is accepted only when ||grad|| falls to at most
+        # (1 - tau/2) of its value; a fallback step reads 1/L.
+        rng = np.random.default_rng(20240501)
+        instances = [
+            fx.random_instance(rng, max_dim=2, max_boxes=2, max_samples=4)
+            for _ in range(25)
+        ]
+        instances += [fx.thin_box_family(m)[0] for m in (1, 4, 16)]
+        instances += [_two_boxes_2d(16)]
+        newton_steps = 0
+        for instance in instances:
+            _, _, trace = solve_dual(instance, SolverConfig(epsilon=0.05, eta=0.05))
+            assert trace.stop_reason == "threshold"
+            assert trace.step_size[-1] == 0.0
+            for i, tau in enumerate(trace.step_size[:-1]):
+                if tau == 1.0 / trace.L:
+                    continue
+                assert 0.0 < tau <= 1.0 and math.log2(tau).is_integer()
+                assert trace.grad_norm[i + 1] <= (1.0 - tau / 2.0) * trace.grad_norm[i]
+                newton_steps += 1
+        assert newton_steps >= len(instances) // 2
+
+    def test_fallback_is_the_paper_step(self, asymmetric_demands, monkeypatch):
+        # With no halvings allowed every iteration falls back to the 1/L step,
+        # so Newton retraces the fixed-step loop.
+        monkeypatch.setattr(ds, "_HALVINGS", 0)
+        config = SolverConfig(epsilon=0.05, eta=0.01, max_iters_override=40)
+        with pytest.warns(UserWarning, match="non-uniform"):
+            g, e_final, trace = solve_dual(asymmetric_demands, config)
+            g_ref, e_ref, ref = ds._solve(asymmetric_demands, config, newton=False)
+        assert trace.M_bar == ref.M_bar > 5
+        assert g.tobytes() == g_ref.tobytes()
+        assert e_final == e_ref
+        assert trace.grad_norm == ref.grad_norm
+        assert trace.step_size[:-1] == ref.step_size[:-1]
+        assert trace.passes == ref.passes == trace.M_bar
 
 
 class TestNecessityFamilies:

@@ -10,6 +10,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from boxot import fixtures as fx
 from boxot import geometry
+from boxot.dual_solver import _evaluate
 from boxot.geometry import (
     BoxDensity,
     Hyperrectangle,
@@ -61,6 +62,46 @@ class TestBoxDensity:
         )
         with pytest.raises(ValueError, match="boxes 0 and 1"):
             BoxDensity(dimension=1, boxes=boxes)
+
+    @pytest.mark.parametrize("block", [geometry._OVERLAP_BLOCK, 300])
+    def test_late_overlap_among_many_boxes(self, block, monkeypatch):
+        # 300 unit intervals with gaps; only the last one overlaps box 298.
+        monkeypatch.setattr(geometry, "_OVERLAP_BLOCK", block)
+        boxes = [
+            (Hyperrectangle([2.0 * i], [2.0 * i + 1.0]), 1 / 300) for i in range(300)
+        ]
+        boxes[299] = (Hyperrectangle([596.5], [597.5]), 1 / 300)
+        with pytest.raises(ValueError, match="^boxes 298 and 299 have overlapping"):
+            BoxDensity(dimension=1, boxes=tuple(boxes))
+        # With a second overlap (3, 250), the first pair in loop order wins.
+        boxes[250] = (Hyperrectangle([6.5], [7.0]), 2 / 300)
+        with pytest.raises(ValueError, match="^boxes 3 and 250 have overlapping"):
+            BoxDensity(dimension=1, boxes=tuple(boxes))
+
+    def test_first_overlap_matches_pairwise_loop(self, monkeypatch):
+        # Random 2-D boxes against the pairwise loop the check replaced.
+        monkeypatch.setattr(geometry, "_OVERLAP_BLOCK", 64)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            lo = rng.uniform(0.0, 100.0, size=(40, 2))
+            boxes = [Hyperrectangle(a, a + rng.uniform(0.5, 3.0, size=2)) for a in lo]
+            weight = 1.0 / sum(box.volume for box in boxes)
+            first = next(
+                (
+                    (i, j)
+                    for i in range(40)
+                    for j in range(i + 1, 40)
+                    if ((boxes[i].lo < boxes[j].hi) & (boxes[j].lo < boxes[i].hi)).all()
+                ),
+                None,
+            )
+            pairs = tuple((box, weight) for box in boxes)
+            if first is None:
+                BoxDensity(dimension=2, boxes=pairs)
+            else:
+                message = f"^boxes {first[0]} and {first[1]} have"
+                with pytest.raises(ValueError, match=message):
+                    BoxDensity(dimension=2, boxes=pairs)
 
     def test_touching_faces_are_allowed(self):
         density = BoxDensity(
@@ -521,3 +562,41 @@ class TestBoxMoments:
         assert abs(exact[0] - ref[0]) / abs(ref[0]) <= 1e-6
         assert np.abs(exact[1] - ref[1]).max() <= 1e-6 * max(1.0, np.abs(ref[1]).max())
         assert abs(exact[2] - ref[2]) / abs(ref[2]) <= 1e-4
+
+
+class TestFacetHessian:
+    """The facet-derived Hessian against central differences of the volumes.
+
+    Each case's box carries the density 1/vol(box). Boxes with a face on a
+    cell boundary are left out, since the volume map is not differentiable
+    there: the lattice-aligned box of each lattice case, and in the 1-D
+    lattice also the box [1.5, 2.5], whose face x = 1.5 is the boundary
+    between the lattice cells at 1.25 and 1.75.
+    """
+
+    KINKED = {"l1-lattice": (2, 3), "l2-lattice": (3,), "l3-lattice": (3,)}
+
+    @pytest.mark.parametrize(
+        "case", _POWER_DIAGRAM_CASES, ids=[case[0] for case in _POWER_DIAGRAM_CASES]
+    )
+    def test_matches_finite_differences(self, case):
+        name, points, g, boxes = case
+        samples = SampleSet.uniform(points)
+        n, l = samples.n, samples.dimension
+        step = 1e-6
+        for index, box in enumerate(boxes):
+            if index in self.KINKED.get(name, ()):
+                continue
+            instance = Instance(BoxDensity(l, ((box, 1.0 / box.volume),)), samples)
+            hess = _evaluate(instance, g, hessian=True).hess
+            fd = np.zeros((n, n))
+            for j in range(n):
+                e = np.zeros(n)
+                e[j] = step
+                up = cell_box_moments_exact(samples, g + e, box)[0]
+                down = cell_box_moments_exact(samples, g - e, box)[0]
+                fd[:, j] = -(up - down) / (2.0 * step * box.volume)
+            scale = max(1.0, float(np.abs(hess).max()))
+            assert np.abs(hess - fd).max() <= 1e-6 * scale
+            assert np.abs(hess - hess.T).max() <= 1e-12 * scale
+            assert np.abs(hess.sum(axis=1)).max() <= 1e-12 * scale
