@@ -2,9 +2,10 @@
 
 A source density that is piecewise constant over disjoint hyperrectangles is
 matched to weighted sample points under squared-Euclidean cost. The dual of
-the transport problem is maximized over Laguerre cell weights (damped Newton
-on the exact backend, fixed-step inexact gradient descent on the Monte Carlo
-one); the optimal cost then yields closed-form estimates of the
+the transport problem is maximized over Laguerre cell weights by one loop:
+damped Newton steps where the backend's pass has a Hessian (exact), the
+paper's fixed-step inexact gradient descent where it has none (Monte Carlo).
+The optimal cost then yields closed-form estimates of the
 translation mu and scaling sigma relating density and samples. A companion
 3-SAT gadget shows exact likelihood maximization for the same family is
 NP-hard.

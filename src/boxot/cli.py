@@ -204,7 +204,9 @@ def _verify_instance_invariants(args: argparse.Namespace, seed: int) -> bool:
         print(f"FAIL: epsilon' {ep!r} below floor {floor!r}")
         ok = False
 
-    grad = gradient(instance, np.zeros(n), backend="auto", seed=seed)
+    grad = gradient(
+        instance, np.zeros(n), eps_bar=0.05, eta_prime=0.1, seed=seed, backend="auto"
+    )
     if abs(float(grad.sum())) > 1e-9:
         print("FAIL: gradient does not sum to zero after centering")
         ok = False

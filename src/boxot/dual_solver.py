@@ -6,12 +6,14 @@ The dual energy of an instance is
 
 maximized over the zero-sum subspace G_0. The stopping threshold on the
 gradient norm and the iteration budget derive from the target accuracy.
-On the exact backend one geometry pass per iterate gives E, its gradient
-and its Hessian (from the cells' facet measures), and the solver takes
-damped Newton steps. On the Monte Carlo backend it runs the paper's
-fixed-step inexact gradient descent on f = -E, with the step 1/L and a
-per-iteration gradient noise budget. It returns the final iterate, an
-energy estimate, and a trace.
+The solver has one loop with one step rule: a damped Newton step when the
+iterate's pass carries a Hessian, else the paper's fixed step 1/L. On the
+exact backend one geometry pass per iterate gives E, its gradient and its
+Hessian (from the cells' facet measures), so the steps are Newton steps.
+The Monte Carlo backend's pass estimates the gradient within a
+per-iteration noise budget and has no Hessian, so the solver runs the
+paper's inexact gradient descent on f = -E. It returns the final iterate,
+an energy estimate, and a trace.
 """
 
 from __future__ import annotations
@@ -51,8 +53,9 @@ class SolverConfig:
 
     epsilon is the target accuracy (dimensionless for sigma, scaled by D for
     mu); eta the total failure probability. volume_backend is "exact", "mc",
-    or "auto" (exact when l <= 3, mc above); the backend also picks the
-    step, damped Newton on exact and the fixed 1/L step on mc.
+    or "auto" (exact when l <= 3, mc above). The step follows from the
+    backend's pass: damped Newton on exact, whose pass has a Hessian, and
+    the fixed 1/L step on mc, whose pass has none.
     max_iters_override caps the iteration count below the theoretical
     budget; using it voids the guarantee flag when the solve stops because
     of it. trace_energy records an energy estimate per iterate on the mc
@@ -83,7 +86,7 @@ class SolverTrace:
     """Per-iteration records plus the derived budgets of one solve.
 
     ``step_size[i]`` is the step taken from iterate i: the accepted Newton
-    tau, or 1/L on a fixed or fallback step (0 at the last Newton iterate).
+    tau, or 1/L on a fixed or fallback step, and 0 at the last iterate.
     ``passes`` counts every geometry pass, rejected Newton trials and the
     start's included.
     """
@@ -340,34 +343,26 @@ def solve_dual(
 ) -> tuple[np.ndarray, float, SolverTrace]:
     """Maximize E on G_0 from g_1 = 0; return (g, E(g), trace).
 
-    Both step policies stop at the first t with ||grad E(g_t)|| <=
-    eps'/(45 n D^2) or at t = M (or the override), whichever comes first.
+    The solve stops at the first t with ||grad E(g_t)|| <= eps'/(45 n D^2)
+    or at t = M (or the override), whichever comes first.
 
-    On the exact backend (l <= 3) each step is a damped Newton step
-    (Kitagawa, Merigot and Thibert 2019) on the Hessian assembled from the
-    cells' facet measures. Before the first step every empty cell's weight
-    is raised until the cell holds mass; a step tau d is accepted, halving
-    tau from 1, when every cell keeps mass >= eps_0 = min(min mass(g_1),
-    min b) / 2, ||grad E|| falls to <= (1 - tau/2) of its value, and
-    ||g||_inf <= 20 n D^2. After a bounded number of halvings the iteration
-    takes the paper's 1/L step. The final energy is exact.
+    Every step is a damped Newton step (Kitagawa, Merigot and Thibert 2019)
+    when the pass carries a Hessian, and the paper's step g + (1/L) grad E
+    when it carries none. The exact backend (l <= 3) assembles the Hessian
+    from the cells' facet measures. Before the first step every empty cell's
+    weight is raised until the cell holds mass; a step tau d is accepted,
+    halving tau from 1, when every cell keeps mass >= eps_0 = min(min
+    mass(g_1), min b) / 2, ||grad E|| falls to <= (1 - tau/2) of its value,
+    and ||g||_inf <= 20 n D^2. After a bounded number of halvings the
+    iteration takes the 1/L step. The final energy is exact.
 
-    On the mc backend it is the paper's inexact gradient descent,
-    g_{t+1} = g_t - (1/L) grad~f(g_t) with noise budget
+    The mc backend's pass has no Hessian, so every step is the 1/L step of
+    the paper's inexact gradient descent, with noise budget
     ||e_t|| <= eps'/(360 n D^2); the returned iterate then satisfies
     E(g*) - E(g_Mbar) <= eps' with probability >= 1 - eta (per-iteration
     failure eta/(k M), union-bounded). The final energy estimate gets its
     own accuracy budget eps'/4.
     """
-    backend = _resolve_backend(config.volume_backend, instance.dimension)
-    return _solve(instance, config, newton=backend == "exact")
-
-
-def _solve(
-    instance: Instance, config: SolverConfig, newton: bool
-) -> tuple[np.ndarray, float, SolverTrace]:
-    """:func:`solve_dual` with the step policy given: damped Newton (exact
-    backend only) or the paper's fixed 1/L step, the reference."""
     stats = instance.stats
     n = instance.samples.n
     backend = _resolve_backend(config.volume_backend, instance.dimension)
@@ -375,7 +370,7 @@ def _solve(
     if not uniform:
         warnings.warn(
             "non-uniform demands: iterate-boundedness guarantees assume b_j = 1/n",
-            stacklevel=3,
+            stacklevel=2,
         )
 
     eps_p = epsilon_prime(instance, config.epsilon)
@@ -399,11 +394,12 @@ def _solve(
         uniform_demands=uniform,
     )
 
-    def measure(g: np.ndarray, t: int, hessian: bool = False) -> _Pass:
-        """The pass at iterate t: one exact evaluation, or the mc estimates."""
+    def measure(g: np.ndarray, t: int) -> _Pass:
+        """The pass at iterate t: one exact evaluation, with the Hessian when
+        another step can follow, or the mc estimates."""
         trace.passes += 1
         if backend == "exact":
-            return _evaluate(instance, g, hessian)
+            return _evaluate(instance, g, t < m_eff)
         grad = gradient(
             instance,
             g,
@@ -425,14 +421,11 @@ def _solve(
             )
         return _Pass(e_here, grad, None, None)
 
-    step = 1.0 / stats.L
     start = time.perf_counter()
-    if newton:
-        g, p = _massive_start(instance, lambda h: measure(h, 1, m_eff > 1))
+    g, p = _massive_start(instance, lambda h: measure(h, 1))
+    floor = 0.0
+    if p.mass is not None:
         floor = 0.5 * min(float(p.mass.min()), float(instance.samples.demands.min()))
-    else:
-        g = np.zeros(n)
-        p = measure(g, 1)
     stop_reason = "budget"
     for t in range(1, m_eff + 1):
         # np.linalg.norm's formula for a vector, without its dispatch.
@@ -443,24 +436,18 @@ def _solve(
             trace.stop_reason = "abort"
             raise SolverAbort("non-finite gradient", trace)
         wall = (time.perf_counter() - start) * 1e3
-        trace.record(t, gnorm, p.energy, step, wall, float(np.abs(g).max()))
+        # No step leaves the last iterate; a step overwrites the 0.
+        trace.record(t, gnorm, p.energy, 0.0, wall, float(np.abs(g).max()))
         if gnorm <= grad_threshold:
             stop_reason = "threshold"
             break
         if t == m_eff:
             stop_reason = "budget" if m_eff == big_m else "override"
             break
-        if newton:
-            trace.step_size[-1], g, p = _newton_step(
-                g, p, gnorm, floor, 20.0 * nd2, step,
-                lambda h: measure(h, t + 1, t + 1 < m_eff),
-            )
-        else:
-            g = center_weights(g + step * p.grad)
-            p = measure(g, t + 1)
-    if newton:
-        # No step leaves the last iterate.
-        trace.step_size[-1] = 0.0
+        trace.step_size[-1], g, p = _newton_step(
+            g, p, gnorm, floor, 20.0 * nd2, 1.0 / stats.L,
+            lambda h: measure(h, t + 1),
+        )
 
     trace.M_bar = trace.t[-1]
     trace.stop_reason = stop_reason
@@ -479,6 +466,7 @@ def _solve(
         )
     if not math.isfinite(e_final):
         trace.aborted = True
+        trace.stop_reason = "abort"
         raise SolverAbort("non-finite energy", trace)
     trace.energy_estimate[-1] = e_final
     trace.guarantee_holds = (
@@ -495,14 +483,17 @@ def _massive_start(instance: Instance, measure) -> tuple:
     over the rest is 2 max_i ||y_i - y_j||-Lipschitz, so cell j then holds
     the ball of radius rho about x. rho starts at a quarter of that box's
     smallest width and halves each round; a cell that is still, or newly,
-    empty is raised again. Returns the start and its pass.
+    empty is raised again. A pass without cell masses (the mc backend's) is
+    not lifted. Returns the start and its pass.
     """
     y = instance.samples.points
     n = y.shape[0]
-    lo = np.array([box.lo for box, _ in instance.density.boxes])
-    hi = np.array([box.hi for box, _ in instance.density.boxes])
     g = np.zeros(n)
     p = measure(g)
+    if p.mass is None:
+        return g, p
+    lo = np.array([box.lo for box, _ in instance.density.boxes])
+    hi = np.array([box.hi for box, _ in instance.density.boxes])
     for r in range(_LIFT_ROUNDS):
         empty = np.flatnonzero(p.mass <= 0.0)
         if not empty.size:
@@ -553,12 +544,13 @@ def _newton_step(g, p, gnorm, floor, bound, fallback, measure) -> tuple:
     -lambda I added when the facet graph is split: H is then singular
     beyond the constant vector. Halving tau from 1, the first trial with
     every cell's mass >= floor, ||grad|| <= (1 - tau/2) gnorm and
-    ||g||_inf <= bound is accepted; if none is, the step is g + fallback
-    grad E (the paper's 1/L step) and tau reads fallback.
+    ||g||_inf <= bound is accepted; if none is, or p has no Hessian, the
+    step is g + fallback grad E (the paper's 1/L step) and tau reads
+    fallback.
     """
     hess = p.hess
     n = g.size
-    scale = -float(np.trace(hess)) / n
+    scale = 0.0 if hess is None else -float(np.trace(hess)) / n
     if scale > 0.0:
         system = hess - 1.0 / n
         if not _connected(hess):

@@ -28,8 +28,6 @@ class EstimationResult:
 
     sigma_hat is never clamped: zero and negative values are legitimate
     degenerate outputs and are only flagged (``degenerate_sigma``).
-    ``denominator`` records the (positive) denominator of the sigma closed
-    form.
     """
 
     sigma_hat: float
@@ -39,7 +37,6 @@ class EstimationResult:
     trace: SolverTrace
     guarantee_holds: bool
     degenerate_sigma: bool
-    denominator: float
     epsilon: float
     eta: float
 
@@ -83,7 +80,7 @@ def estimate_parameters(instance: Instance, config: SolverConfig) -> EstimationR
     ``guarantee_holds``.
     """
     moments = box_moments(instance.density)
-    _, first, second = moments
+    second = moments[2]
     b = instance.samples.demands
     y = instance.samples.points
     sum_by = b @ y
@@ -97,8 +94,6 @@ def estimate_parameters(instance: Instance, config: SolverConfig) -> EstimationR
         warnings.warn(
             f"degenerate estimate sigma_hat = {sigma:.6g} <= 0", stacklevel=2
         )
-    n_mass = moments[0]
-    denom = n_mass * second - float(first @ first)
     return EstimationResult(
         sigma_hat=sigma,
         mu_hat=mu,
@@ -107,7 +102,6 @@ def estimate_parameters(instance: Instance, config: SolverConfig) -> EstimationR
         trace=trace,
         guarantee_holds=trace.guarantee_holds,
         degenerate_sigma=bool(degenerate),
-        denominator=float(denom),
         epsilon=config.epsilon,
         eta=config.eta,
     )

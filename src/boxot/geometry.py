@@ -138,11 +138,6 @@ class BoxDensity:
     def total_mass(self) -> float:
         return float(sum(w * box.volume for box, w in self.boxes))
 
-    def support_bounding_box(self) -> Hyperrectangle:
-        lo = np.min([box.lo for box, _ in self.boxes], axis=0)
-        hi = np.max([box.hi for box, _ in self.boxes], axis=0)
-        return Hyperrectangle(lo, hi)
-
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:

@@ -313,7 +313,7 @@ def _banded_plan(C_int, a_int, b_int):
 
 
 def solve_discrete_ot_exact(
-    sources: WeightedPoints, samples: SampleSet, demands: np.ndarray | None = None
+    sources: WeightedPoints, samples: SampleSet
 ) -> DiscretePlan:
     """Exact optimal transport from weighted points to samples.
 
@@ -333,9 +333,7 @@ def solve_discrete_ot_exact(
     """
     pts = np.atleast_2d(np.asarray(sources.points, dtype=float))
     masses = np.asarray(sources.masses, dtype=float)
-    if demands is None:
-        demands = samples.demands
-    demands = np.asarray(demands, dtype=float)
+    demands = samples.demands
     total = masses.sum()
     if abs(total - demands.sum()) > MASS_TOL:
         raise ValueError("source mass and demand totals do not balance")

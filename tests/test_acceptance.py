@@ -207,10 +207,10 @@ def test_criterion_07_transform_invariance():
         g_star, _, _ = solve_dual(
             instance, SolverConfig(epsilon=0.1, eta=0.05, seed=5)
         )
-        bb = instance.density.support_bounding_box()
-        probes = rng.uniform(
-            bb.lo - 0.5, bb.hi + 0.5, size=(10_000, instance.dimension)
-        )
+        boxes = instance.density.boxes
+        lo = np.min([box.lo for box, _ in boxes], axis=0)
+        hi = np.max([box.hi for box, _ in boxes], axis=0)
+        probes = rng.uniform(lo - 0.5, hi + 0.5, size=(10_000, instance.dimension))
         y = samples.points
         scores = (y**2).sum(-1)[None, :] - 2.0 * (probes @ y.T) - g_star[None, :]
         if samples.n > 1:

@@ -30,6 +30,17 @@ UNSAT_TEXT = "p cnf 3 8\n" + "\n".join(
 ) + "\n"
 
 
+def _cube_4d(tmp_path):
+    """Write the uniform density on [-1,1]^4 with sinks (+-1,0,0,0)."""
+    path = tmp_path / "cube-4d.json"
+    path.write_text(json.dumps({
+        "dimension": 4,
+        "boxes": [{"lo": [-1.0] * 4, "hi": [1.0] * 4, "weight": 1 / 16}],
+        "samples": [{"point": [1.0, 0, 0, 0]}, {"point": [-1.0, 0, 0, 0]}],
+    }))
+    return str(path)
+
+
 @pytest.fixture
 def instance_files(tmp_path):
     paths = {}
@@ -146,13 +157,7 @@ class TestEstimate:
     def test_mc_budget_refusal(self, tmp_path, capsys):
         # l = 4 selects the MC backend; at epsilon 0.1 its per-box budget is
         # far above the sample cap, and the refusal is a numerical abort
-        path = tmp_path / "cube-4d.json"
-        path.write_text(json.dumps({
-            "dimension": 4,
-            "boxes": [{"lo": [-1.0] * 4, "hi": [1.0] * 4, "weight": 1 / 16}],
-            "samples": [{"point": [1.0, 0, 0, 0]}, {"point": [-1.0, 0, 0, 0]}],
-        }))
-        code = main(["estimate", str(path), "--epsilon", "0.1"])
+        code = main(["estimate", _cube_4d(tmp_path), "--epsilon", "0.1"])
         assert code == EXIT_NUMERICAL_ABORT
         assert "exceeds cap" in capsys.readouterr().err
 
@@ -315,6 +320,12 @@ class TestVerify:
             ["verify", instance_files["symmetric-square"],
              "--mode", "invariants", "--seed", "0"]
         )
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.strip() == "PASS"
+
+    def test_invariants_instance_4d(self, tmp_path, capsys):
+        # l = 4 has no exact kernel: the gradient check runs on MC.
+        code = main(["verify", _cube_4d(tmp_path), "--mode", "invariants"])
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip() == "PASS"
 

@@ -1,4 +1,4 @@
-"""Dual energy, gradient, budgets, the Newton and fixed-step loops, transforms."""
+"""Dual energy, gradient, budgets, the solve loop and its two steps, transforms."""
 
 import math
 
@@ -254,7 +254,7 @@ class TestSolveDual:
         # >= (1/3L) ||grad f||^2
         config = SolverConfig(epsilon=0.05, eta=0.01, trace_energy=True)
         with pytest.warns(UserWarning, match="non-uniform"):
-            _, _, trace = ds._solve(asymmetric_demands, config, newton=False)
+            _, _, trace = _fixed_step_solve(asymmetric_demands, config)
         assert trace.M_bar > 5
         L = trace.L
         for i in range(trace.M_bar - 1):
@@ -279,7 +279,7 @@ class TestSolveDual:
     def test_override_voids_guarantee(self, asymmetric_demands):
         config = SolverConfig(epsilon=0.05, eta=0.01, max_iters_override=3)
         with pytest.warns(UserWarning, match="non-uniform"):
-            _, _, trace = ds._solve(asymmetric_demands, config, newton=False)
+            _, _, trace = _fixed_step_solve(asymmetric_demands, config)
         assert trace.M_bar == 3
         assert trace.stop_reason == "override"
         assert not trace.guarantee_holds
@@ -301,6 +301,18 @@ class TestSolveDual:
         exact_e = energy(symmetric_interval, g, backend="exact")
         assert abs(e - exact_e) <= trace.eps_prime / 4
         assert trace.guarantee_holds
+        assert trace.step_size == [0.0]
+        # Off the optimum the mc pass has no Hessian, so every step is 1/L.
+        density = BoxDensity(
+            dimension=1, boxes=((Hyperrectangle([-1.0], [1.0]), 0.5),)
+        )
+        instance = Instance(density, SampleSet.uniform([[0.0], [0.9]]))
+        config = SolverConfig(
+            epsilon=0.95, eta=0.5, seed=2, volume_backend="mc", max_iters_override=2
+        )
+        _, _, trace = solve_dual(instance, config)
+        assert trace.stop_reason == "override" and trace.M_bar == 2
+        assert trace.step_size == [1.0 / trace.L, 0.0]
 
     def test_deterministic_under_seed(self, symmetric_square):
         config = SolverConfig(epsilon=0.1, eta=0.05, seed=42)
@@ -319,6 +331,19 @@ class TestSolveDual:
         monkeypatch.setattr(ds, "_evaluate", broken)
         config = SolverConfig(epsilon=0.05, eta=0.01)
         with pytest.raises(SolverAbort) as info:
+            ds.solve_dual(symmetric_interval, config)
+        assert info.value.trace.aborted
+        assert info.value.trace.stop_reason == "abort"
+
+    def test_abort_on_non_finite_energy(self, symmetric_interval, monkeypatch):
+        evaluate = ds._evaluate
+
+        def broken(instance, g, hessian=False):
+            return evaluate(instance, g, hessian)._replace(energy=math.nan)
+
+        monkeypatch.setattr(ds, "_evaluate", broken)
+        config = SolverConfig(epsilon=0.05, eta=0.01)
+        with pytest.raises(SolverAbort, match="non-finite energy") as info:
             ds.solve_dual(symmetric_interval, config)
         assert info.value.trace.aborted
         assert info.value.trace.stop_reason == "abort"
@@ -345,6 +370,15 @@ class TestSolveDual:
         first = lines[1].split(",")
         assert int(first[0]) == 1
         assert float(first[1]) == trace.grad_norm[0]
+
+
+def _fixed_step_solve(instance, config):
+    """solve_dual with the paper's fixed 1/L step: no lift of empty cells
+    and no Newton trial, so every step takes the 1/L fallback."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ds, "_HALVINGS", 0)
+        patch.setattr(ds, "_LIFT_ROUNDS", 0)
+        return solve_dual(instance, config)
 
 
 def _acceptance_instance(index):
@@ -384,7 +418,7 @@ class TestPinnedSolves:
     def test_descent_is_pinned(self, name):
         build, m_bar, g_ref, e_ref = _PINNED_SOLVES[name]
         config = SolverConfig(epsilon=0.05, eta=0.05)
-        g, e_final, trace = ds._solve(build(), config, newton=False)
+        g, e_final, trace = _fixed_step_solve(build(), config)
         assert trace.M_bar == m_bar
         assert trace.stop_reason == "threshold"
         assert np.abs(g - g_ref).max() <= 1e-12
@@ -491,18 +525,26 @@ class TestNewton:
 
     def test_fallback_is_the_paper_step(self, asymmetric_demands, monkeypatch):
         # With no halvings allowed every iteration falls back to the 1/L step,
-        # so Newton retraces the fixed-step loop.
+        # so the solver retraces the paper's loop g <- g + (1/L) grad E.
         monkeypatch.setattr(ds, "_HALVINGS", 0)
         config = SolverConfig(epsilon=0.05, eta=0.01, max_iters_override=40)
         with pytest.warns(UserWarning, match="non-uniform"):
             g, e_final, trace = solve_dual(asymmetric_demands, config)
-            g_ref, e_ref, ref = ds._solve(asymmetric_demands, config, newton=False)
-        assert trace.M_bar == ref.M_bar > 5
+        assert trace.M_bar > 5
+        step = 1.0 / trace.L
+        g_ref = np.zeros(2)
+        ref = ds._evaluate(asymmetric_demands, g_ref)
+        norms = [float(np.linalg.norm(ref.grad))]
+        for _ in range(trace.M_bar - 1):
+            g_ref = g_ref + step * ref.grad
+            g_ref = g_ref - g_ref.mean()
+            ref = ds._evaluate(asymmetric_demands, g_ref)
+            norms.append(float(np.linalg.norm(ref.grad)))
         assert g.tobytes() == g_ref.tobytes()
-        assert e_final == e_ref
-        assert trace.grad_norm == ref.grad_norm
-        assert trace.step_size[:-1] == ref.step_size[:-1]
-        assert trace.passes == ref.passes == trace.M_bar
+        assert e_final == ref.energy
+        assert trace.grad_norm == norms
+        assert trace.step_size == [step] * (trace.M_bar - 1) + [0.0]
+        assert trace.passes == trace.M_bar
 
 
 class TestNecessityFamilies:

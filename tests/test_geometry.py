@@ -118,18 +118,6 @@ class TestBoxDensity:
         with pytest.raises(ValueError):
             BoxDensity(dimension=1, boxes=((Hyperrectangle([0.0], [1.0]), 0.0),))
 
-    def test_support_bounding_box(self):
-        density = BoxDensity(
-            dimension=1,
-            boxes=(
-                (Hyperrectangle([-2.0], [-1.0]), 0.5),
-                (Hyperrectangle([1.0], [2.0]), 0.5),
-            ),
-        )
-        bb = density.support_bounding_box()
-        assert_allclose(bb.lo, [-2.0])
-        assert_allclose(bb.hi, [2.0])
-
 
 class TestSampleSet:
     def test_uniform_demands(self):
