@@ -1,8 +1,12 @@
 """Command-line front end: estimation, 3-SAT reduction, and verification.
 
-Exit codes: 0 success, 1 verification check failed, 2 bad input,
-3 numerical abort. The BOXOT_SEED environment variable supplies the default
-seed when --seed is absent; all commands are deterministic for a fixed seed.
+Exit codes: 0 success, 1 verification check failed, 2 bad input
+(including an unreadable or unwritable file), 3 a run that could not
+finish: a solver abort, an oracle failure, a Monte-Carlo budget refusal or
+a numerical failure. :func:`main` alone maps an exception to its exit code
+and stderr label, through ``_FAILURES``. The BOXOT_SEED environment
+variable supplies the default seed when --seed is absent; all commands are
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -15,12 +19,26 @@ from pathlib import Path
 
 import numpy as np
 
-from .dual_solver import SolverAbort, SolverConfig, epsilon_prime, gradient, solve_dual
+from .dual_solver import (
+    SolverAbort,
+    SolverConfig,
+    energy,
+    epsilon_prime,
+    gradient,
+    solve_dual,
+)
 from .estimator import estimate_parameters
 from .fixtures import random_instance, sample_separation_family, thin_box_family
-from .geometry import cell_box_moments_exact, cell_box_volumes_mc
+from .geometry import (
+    EXACT_MAX_DIMENSION,
+    BudgetRefused,
+    box_moments,
+    cell_box_moments_exact,
+    cell_box_volumes_mc,
+)
 from .instance_io import dumps_instance, load_instance
 from .oracle import (
+    OracleFailure,
     discretization_error_bound,
     discretize_source,
     semidiscrete_1d_exact,
@@ -41,6 +59,18 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_NUMERICAL_ABORT = 3
 
+# (exception type, exit code, stderr label); the first matching row wins.
+# BudgetRefused and LinAlgError subclass ValueError, so they come before it.
+_FAILURES = (
+    (SolverAbort, EXIT_NUMERICAL_ABORT, "solver abort"),
+    (OracleFailure, EXIT_NUMERICAL_ABORT, "oracle"),
+    (BudgetRefused, EXIT_NUMERICAL_ABORT, "refused"),
+    (ArithmeticError, EXIT_NUMERICAL_ABORT, "numerical failure"),
+    (np.linalg.LinAlgError, EXIT_NUMERICAL_ABORT, "numerical failure"),
+    (OSError, EXIT_BAD_INPUT, "error"),
+    (ValueError, EXIT_BAD_INPUT, "error"),
+)
+
 
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
@@ -55,30 +85,16 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    try:
-        instance, _ = load_instance(args.instance)
-        seed = _resolve_seed(args.seed)
-        config = SolverConfig(
-            epsilon=args.epsilon,
-            eta=args.eta,
-            seed=seed,
-            max_iters_override=args.max_iters,
-            volume_backend=args.backend,
-            trace_energy=bool(args.trace),
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    try:
-        result = estimate_parameters(instance, config)
-    except SolverAbort as exc:
-        print(f"solver abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_ABORT
-    except (ValueError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_ABORT
-
+    instance, _ = load_instance(args.instance)
+    config = SolverConfig(
+        epsilon=args.epsilon,
+        eta=args.eta,
+        seed=_resolve_seed(args.seed),
+        max_iters_override=args.max_iters,
+        volume_backend=args.backend,
+        trace_energy=bool(args.trace),
+    )
+    result = estimate_parameters(instance, config)
     payload = json.dumps(result.to_json_dict(), indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(payload)
@@ -90,12 +106,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce_3sat(args: argparse.Namespace) -> int:
-    try:
-        cnf = parse_dimacs(Path(args.dimacs).read_text())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
+    cnf = parse_dimacs(Path(args.dimacs).read_text())
     reduction = reduce_3sat(cnf)
     print(f"gamma = {reduction.gamma!r}")
     print(f"boxes = {reduction.density.k}")
@@ -119,11 +130,7 @@ def _verify_oracle(args: argparse.Namespace, seed: int) -> int:
         disc = 0.0
     else:
         sources = discretize_source(instance.density, args.resolution)
-        try:
-            plan = solve_discrete_ot_exact(sources, instance.samples)
-        except RuntimeError as exc:
-            print(f"oracle: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL_ABORT
+        plan = solve_discrete_ot_exact(sources, instance.samples)
         p_star = plan.cost
         disc = (
             discretization_error_bound(
@@ -131,9 +138,8 @@ def _verify_oracle(args: argparse.Namespace, seed: int) -> int:
             )
             + plan.rounding_cost_bound
         )
-    energy_slop = trace.eps_prime / 4.0 if trace.backend == "mc" else 0.0
     gap = abs(e_final - p_star)
-    tol = trace.eps_prime + energy_slop + disc
+    tol = trace.eps_prime + trace.energy_accuracy + disc
     print(f"E = {e_final!r}")
     print(f"p* = {p_star!r}")
     print(f"|E - p*| = {gap!r} (tolerance {tol!r})")
@@ -173,49 +179,70 @@ def _family_ratio_rows(name: str) -> tuple[list[str], bool]:
     return rows, ok
 
 
-def _verify_instance_invariants(args: argparse.Namespace, seed: int) -> bool:
-    """Per-instance checks: exact partition, MC accuracy, budget floor."""
-    instance, _ = load_instance(args.path)
-    density, samples = instance.density, instance.samples
-    n = samples.n
-    ok = True
+def _instance_failures(instance, seed: int) -> list[str]:
+    """Per-instance invariants; returns one message per failed check.
 
-    if density.dimension <= 3:
-        g = np.zeros(n)
-        exact = [cell_box_moments_exact(samples, g, box)[0] for box, _ in density.boxes]
-        for i, (box, _) in enumerate(density.boxes):
-            total = float(exact[i].sum())
-            if abs(total - box.volume) > 1e-9:
-                print(f"FAIL box {i}: exact cell volumes sum {total!r}, "
-                      f"expected {box.volume!r}")
-                ok = False
-        box, _ = density.boxes[0]
-        mc = cell_box_volumes_mc(
-            samples, g, box, eps_bar=0.05, eta_prime=0.1, seed=seed, box_index=0,
-        )
-        if np.max(np.abs(mc - exact[0])) > 0.05 * box.volume:
-            print("FAIL: MC volumes deviate beyond the additive tolerance")
-            ok = False
+    In every dimension: the eps' floor, and the dual energy at g = 0,
+    E(0) = integral of min_j ||x - y_j||^2 dalpha, bracketed below by
+    sum_i gamma_i vol(H_i) min_j dist(y_j, H_i)^2 and above by the
+    demand-weighted mean of ||x - y_j||^2 integrated against alpha. With the
+    exact kernel (l <= EXACT_MAX_DIMENSION) E(0) is exact, with slack 1e-9
+    times the upper bound, each box's exact cell volumes sum to its volume,
+    and box 0's MC volumes match them within 0.05 vol(box). Above it, E(0)
+    is a Monte-Carlo estimate at accuracy 1 % of the integrand's range
+    4 D^2 (failure probability 0.1), which is also the slack.
+    """
+    density, samples = instance.density, instance.samples
+    g = np.zeros(samples.n)
+    failures = []
 
     eps = 0.05
     ep = epsilon_prime(instance, eps)
     floor = eps * instance.stats.s**2 / 12.0
     if ep < floor - 1e-12:
-        print(f"FAIL: epsilon' {ep!r} below floor {floor!r}")
-        ok = False
+        failures.append(f"epsilon' {ep!r} below floor {floor!r}")
 
-    grad = gradient(
-        instance, np.zeros(n), eps_bar=0.05, eta_prime=0.1, seed=seed, backend="auto"
+    y, b = samples.points, samples.demands
+    n_mass, first, second = box_moments(density)
+    upper = (
+        second
+        - 2.0 * float(first @ (b @ y))
+        + n_mass * float(b @ samples.squared_norms)
     )
-    if abs(float(grad.sum())) > 1e-9:
-        print("FAIL: gradient does not sum to zero after centering")
-        ok = False
-    return ok
+    lower = sum(
+        w * box.volume * float(((np.clip(y, box.lo, box.hi) - y) ** 2).sum(1).min())
+        for box, w in density.boxes
+    )
+    if density.dimension > EXACT_MAX_DIMENSION:
+        slack = 0.01 * 4.0 * instance.stats.D**2
+        e0 = energy(
+            instance, g, accuracy=slack, eta_prime=0.1, seed=seed, backend="mc"
+        )
+    else:
+        e0, slack = energy(instance, g), 1e-9 * upper
+        exact = [cell_box_moments_exact(samples, g, box)[0] for box, _ in density.boxes]
+        for i, (box, _) in enumerate(density.boxes):
+            total = float(exact[i].sum())
+            if abs(total - box.volume) > 1e-9:
+                failures.append(
+                    f"box {i}: exact cell volumes sum {total!r}, "
+                    f"expected {box.volume!r}"
+                )
+        box, _ = density.boxes[0]
+        mc = cell_box_volumes_mc(
+            samples, g, box, eps_bar=0.05, eta_prime=0.1, seed=seed, box_index=0,
+        )
+        if np.max(np.abs(mc - exact[0])) > 0.05 * box.volume:
+            failures.append("MC volumes deviate beyond the additive tolerance")
+    if not lower - slack <= e0 <= upper + slack:
+        failures.append(
+            f"E(0) = {e0!r} outside [{lower!r}, {upper!r}] (slack {slack!r})"
+        )
+    return failures
 
 
 def _verify_invariants(args: argparse.Namespace, seed: int) -> int:
     target = args.path
-    csv_rows = ["family,m,ratio"]
     ok = True
 
     if target in ("separation-family", "thin-box-family", "families"):
@@ -224,6 +251,7 @@ def _verify_invariants(args: argparse.Namespace, seed: int) -> int:
             if target == "families"
             else (target,)
         )
+        csv_rows = ["family,m,ratio"]
         for name in names:
             rows, family_ok = _family_ratio_rows(name)
             csv_rows.extend(rows)
@@ -233,40 +261,28 @@ def _verify_invariants(args: argparse.Namespace, seed: int) -> int:
             Path(args.out).write_text(table)
         else:
             sys.stdout.write(table)
-    elif target == "random":
-        rng = np.random.default_rng(seed)
-        for _ in range(5):
-            instance = random_instance(rng)
-            eps = 0.05
-            ep = epsilon_prime(instance, eps)
-            if ep < eps * instance.stats.s**2 / 12.0 - 1e-12:
-                print("FAIL: epsilon' floor violated")
-                ok = False
-            grad = gradient(instance, np.zeros(instance.samples.n), backend="exact")
-            if abs(float(grad.sum())) > 1e-9:
-                print("FAIL: gradient not centered")
-                ok = False
     else:
-        ok = _verify_instance_invariants(args, seed)
+        if target == "random":
+            rng = np.random.default_rng(seed)
+            named = [(f" random instance {r}", random_instance(rng)) for r in range(5)]
+        else:
+            named = [("", load_instance(target)[0])]
+        for where, instance in named:
+            for message in _instance_failures(instance, seed):
+                print(f"FAIL{where}: {message}")
+                ok = False
 
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        seed = _resolve_seed(args.seed)
-        if args.mode == "oracle":
-            return _verify_oracle(args, seed)
-        if args.mode == "sat":
-            return _verify_sat(args)
-        return _verify_invariants(args, seed)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except SolverAbort as exc:
-        print(f"solver abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_ABORT
+    seed = _resolve_seed(args.seed)
+    if args.mode == "oracle":
+        return _verify_oracle(args, seed)
+    if args.mode == "sat":
+        return _verify_sat(args)
+    return _verify_invariants(args, seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,14 +324,26 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--epsilon", type=float, default=0.1)
     ver.add_argument("--eta", type=float, default=0.05)
-    ver.add_argument("--out", default=None, help="write the ratio table CSV here")
+    ver.add_argument(
+        "--out",
+        default=None,
+        help="write the ratio table CSV here (family tokens only; "
+        "ignored for an instance path or random)",
+    )
     ver.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place that turns an exception into an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(kind for kind, _, _ in _FAILURES) as exc:
+        for kind, code, label in _FAILURES:
+            if isinstance(exc, kind):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
 
 
 if __name__ == "__main__":

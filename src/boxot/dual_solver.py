@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import (
+    EXACT_MAX_DIMENSION,
     Instance,
     SampleSet,
     _power_diagram,
@@ -88,10 +89,12 @@ class SolverTrace:
     ``step_size[i]`` is the step taken from iterate i: the accepted Newton
     tau, or 1/L on a fixed or fallback step, and 0 at the last iterate.
     ``passes`` counts every geometry pass, rejected Newton trials and the
-    start's included.
+    start's included. ``energy_accuracy`` is the additive error budget of
+    every energy estimate: 0 on exact, eps'/4 on mc.
     """
 
     eps_prime: float
+    energy_accuracy: float
     noise_budget: float
     grad_threshold: float
     L: float
@@ -147,10 +150,13 @@ def center_weights(g: np.ndarray) -> np.ndarray:
 
 
 def _resolve_backend(backend: str, dimension: int) -> str:
+    exact_ok = dimension <= EXACT_MAX_DIMENSION
     if backend == "auto":
-        return "exact" if dimension <= 3 else "mc"
-    if backend == "exact" and dimension > 3:
-        raise ValueError("exact backend supports dimension <= 3 only")
+        return "exact" if exact_ok else "mc"
+    if backend == "exact" and not exact_ok:
+        raise ValueError(
+            f"exact backend supports dimension <= {EXACT_MAX_DIMENSION} only"
+        )
     return backend
 
 
@@ -361,7 +367,7 @@ def solve_dual(
     ||e_t|| <= eps'/(360 n D^2); the returned iterate then satisfies
     E(g*) - E(g_Mbar) <= eps' with probability >= 1 - eta (per-iteration
     failure eta/(k M), union-bounded). The final energy estimate gets its
-    own accuracy budget eps'/4.
+    own accuracy budget, ``trace.energy_accuracy`` = eps'/4.
     """
     stats = instance.stats
     n = instance.samples.n
@@ -385,6 +391,7 @@ def solve_dual(
 
     trace = SolverTrace(
         eps_prime=eps_p,
+        energy_accuracy=0.0 if backend == "exact" else eps_p / 4.0,
         noise_budget=noise_budget,
         grad_threshold=grad_threshold,
         L=stats.L,
@@ -414,7 +421,7 @@ def solve_dual(
             e_here = energy(
                 instance,
                 g,
-                accuracy=eps_p / 4.0,
+                accuracy=trace.energy_accuracy,
                 eta_prime=eta_iter,
                 seed=(config.seed, t, 1),
                 backend=backend,
@@ -459,7 +466,7 @@ def solve_dual(
         e_final = energy(
             instance,
             g,
-            accuracy=eps_p / 4.0,
+            accuracy=trace.energy_accuracy,
             eta_prime=eta_iter,
             seed=(config.seed, 0),
             backend=backend,

@@ -36,6 +36,13 @@ MASS_TOL = 1e-9
 MC_SAMPLE_CAP = 50_000_000
 _MC_CHUNK = 2_000_000
 
+# Largest dimension the exact cell kernel handles; above it only Monte Carlo.
+EXACT_MAX_DIMENSION = 3
+
+
+class BudgetRefused(ValueError):
+    """A Monte-Carlo sample budget above ``MC_SAMPLE_CAP``, refused before any draw."""
+
 
 # ---------------------------------------------------------------------------
 # containers
@@ -290,7 +297,7 @@ def _box_draws(
     bounded. A budget above ``MC_SAMPLE_CAP`` is refused before any draw.
     """
     if m > MC_SAMPLE_CAP:
-        raise ValueError(
+        raise BudgetRefused(
             f"MC budget {m} exceeds cap {MC_SAMPLE_CAP}; "
             "loosen the accuracy targets or use the exact backend"
         )
@@ -461,8 +468,10 @@ def _power_diagram(samples: SampleSet, g: np.ndarray) -> _PowerDiagram:
     g = np.asarray(g, dtype=float)
     y = samples.points
     n, l = y.shape
-    if l > 3:
-        raise ValueError("exact cell volumes support dimension <= 3 only")
+    if l > EXACT_MAX_DIMENSION:
+        raise ValueError(
+            f"exact cell volumes support dimension <= {EXACT_MAX_DIMENSION} only"
+        )
     norms = samples.squared_norms
     gs, ns = g.tolist(), norms.tolist()
     if l == 1:

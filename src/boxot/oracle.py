@@ -26,6 +26,11 @@ _LP_SECONDS = 300.0
 
 _log = logging.getLogger("boxot")
 
+
+class OracleFailure(RuntimeError):
+    """The transport solve produced no plan that the certificate proves optimal."""
+
+
 # Rational scaling of the transportation problem: masses are apportioned to
 # integer units out of MASS_UNITS; costs are rounded to an adaptive quantum
 # chosen so the scaled objective stays far inside int64.
@@ -348,7 +353,7 @@ def solve_discrete_ot_exact(
         C_int, a_int, b_int, (first, "highs-ds")
     )
     if plan is None:
-        raise RuntimeError("transportation solve failed to produce a certified plan")
+        raise OracleFailure("transportation solve failed to produce a certified plan")
 
     flows = plan[0] * (total / MASS_UNITS)
     cost = float((flows * C).sum())

@@ -8,7 +8,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from boxot import cli, oracle
+from boxot import cli, dual_solver, oracle
 from boxot.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
@@ -244,7 +244,7 @@ class TestVerify:
         self, instance_files, monkeypatch, capsys
     ):
         def fail(*args, **kwargs):
-            raise RuntimeError(
+            raise oracle.OracleFailure(
                 "transportation solve failed to produce a certified plan"
             )
 
@@ -324,10 +324,26 @@ class TestVerify:
         assert capsys.readouterr().out.strip() == "PASS"
 
     def test_invariants_instance_4d(self, tmp_path, capsys):
-        # l = 4 has no exact kernel: the gradient check runs on MC.
+        # l = 4 has no exact kernel: the E(0) bracket runs on MC.
         code = main(["verify", _cube_4d(tmp_path), "--mode", "invariants"])
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip() == "PASS"
+
+    def test_invariants_random_checks_the_partition(self, monkeypatch, capsys):
+        real = cli.cell_box_moments_exact
+
+        def drop_largest_cell(*args, **kwargs):
+            vols, *rest = real(*args, **kwargs)
+            vols = vols.copy()
+            vols[np.argmax(vols)] = 0.0
+            return (vols, *rest)
+
+        monkeypatch.setattr(cli, "cell_box_moments_exact", drop_largest_cell)
+        code = main(["verify", "random", "--mode", "invariants", "--seed", "3"])
+        assert code == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("FAIL random instance 0: box 0: exact cell volumes")
+        assert out[-1] == "FAIL"
 
     def test_missing_path(self, tmp_path, capsys):
         code = main(["verify", str(tmp_path / "nope.json"), "--mode", "oracle"])
@@ -359,3 +375,120 @@ class TestExitCodeContract:
         assert EXIT_OK == 0
         assert EXIT_CHECK_FAILED == 1
         assert EXIT_BAD_INPUT == 2
+
+
+def _singular(*args, **kwargs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _nan_gradient(real):
+    def evaluate(*args, **kwargs):
+        p = real(*args, **kwargs)
+        return p._replace(grad=np.full_like(p.grad, np.nan))
+
+    return evaluate
+
+
+# Faults injected before a row's command runs.
+FAULTS = {
+    None: lambda mp: None,
+    "singular": lambda mp: mp.setattr(dual_solver, "_evaluate", _singular),
+    "nan-gradient": lambda mp: mp.setattr(
+        dual_solver, "_evaluate", _nan_gradient(dual_solver._evaluate)
+    ),
+    "no-plan": lambda mp: (
+        mp.setattr(oracle, "_banded_plan", lambda *args: None),
+        mp.setattr(oracle, "_full_plan", lambda *args: None),
+    ),
+    "bad-seed": lambda mp: mp.setenv(SEED_ENV_VAR, "not-a-number"),
+}
+
+# (argv, fault, exit code, stderr prefix, stderr substring); {name} is a path
+# from the exit_files fixture.
+EXIT_TABLE = [
+    (["estimate", "{cube}", "--epsilon", "0.1"],
+     None, EXIT_NUMERICAL_ABORT, "refused:", "exceeds cap"),
+    (["verify", "{cube}", "--mode", "oracle", "--epsilon", "0.1"],
+     None, EXIT_NUMERICAL_ABORT, "refused:", "exceeds cap"),
+    (["estimate", "{cube}", "--backend", "exact"],
+     None, EXIT_BAD_INPUT, "error:", "dimension <= 3"),
+    (["estimate", "{interval}", "--out", "{missing}/r.json"],
+     None, EXIT_BAD_INPUT, "error:", "No such file"),
+    (["estimate", "{interval}", "--trace", "{missing}/t.csv"],
+     None, EXIT_BAD_INPUT, "error:", "No such file"),
+    (["reduce-3sat", "{sat}", "--out", "{missing}/i.json"],
+     None, EXIT_BAD_INPUT, "error:", "No such file"),
+    (["estimate", "{square}"],
+     "singular", EXIT_NUMERICAL_ABORT, "numerical failure:", "Singular matrix"),
+    (["verify", "{square}", "--mode", "oracle"],
+     "singular", EXIT_NUMERICAL_ABORT, "numerical failure:", "Singular matrix"),
+    (["estimate", "{square}"],
+     "nan-gradient", EXIT_NUMERICAL_ABORT, "solver abort:", "non-finite gradient"),
+    (["verify", "{square}", "--mode", "oracle"],
+     "nan-gradient", EXIT_NUMERICAL_ABORT, "solver abort:", "non-finite gradient"),
+    (["verify", "{square}", "--mode", "oracle", "--resolution", "10"],
+     "no-plan", EXIT_NUMERICAL_ABORT, "oracle:", "certified plan"),
+    (["estimate", "{missing}/nope.json"],
+     None, EXIT_BAD_INPUT, "error:", "No such file"),
+    (["estimate", "{broken}"], None, EXIT_BAD_INPUT, "error:", "invalid JSON"),
+    (["estimate", "{overlap}"], None, EXIT_BAD_INPUT, "error:", "overlap"),
+    (["estimate", "{interval}", "--epsilon", "0"],
+     None, EXIT_BAD_INPUT, "error:", "epsilon"),
+    (["estimate", "{interval}"], "bad-seed", EXIT_BAD_INPUT, "error:", SEED_ENV_VAR),
+    (["verify", "{interval}", "--mode", "oracle"],
+     "bad-seed", EXIT_BAD_INPUT, "error:", SEED_ENV_VAR),
+    (["reduce-3sat", "{duplicate}"], None, EXIT_BAD_INPUT, "error:", "distinct"),
+    (["reduce-3sat", "{missing}/nope.cnf"],
+     None, EXIT_BAD_INPUT, "error:", "No such file"),
+    (["verify", "{missing}/nope.json", "--mode", "oracle"],
+     None, EXIT_BAD_INPUT, "error:", "No such file"),
+    (["verify", "{missing}/nope.json", "--mode", "invariants"],
+     None, EXIT_BAD_INPUT, "error:", "No such file"),
+    (["verify", "{missing}/nope.cnf", "--mode", "sat"],
+     None, EXIT_BAD_INPUT, "error:", "No such file"),
+]
+
+
+@pytest.fixture
+def exit_files(tmp_path, instance_files):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{broken")
+    overlap = tmp_path / "overlap.json"
+    overlap.write_text(json.dumps({
+        "dimension": 1,
+        "boxes": [
+            {"lo": [-1.0], "hi": [1.0], "weight": 0.25},
+            {"lo": [0.0], "hi": [2.0], "weight": 0.25},
+        ],
+        "samples": [{"point": [0.0]}],
+    }))
+    sat = tmp_path / "sat.cnf"
+    sat.write_text(SAT_TEXT)
+    duplicate = tmp_path / "dup.cnf"
+    duplicate.write_text("p cnf 3 1\n1 1 2 0\n")
+    return {
+        "cube": _cube_4d(tmp_path),
+        "interval": instance_files["symmetric-interval"],
+        "square": instance_files["symmetric-square"],
+        "missing": str(tmp_path / "missing"),
+        "broken": str(broken),
+        "overlap": str(overlap),
+        "sat": str(sat),
+        "duplicate": str(duplicate),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, fault, code, prefix, needle",
+    EXIT_TABLE,
+    ids=[f"{i}-{row[0][0]}-{row[3][:-1].replace(' ', '-')}"
+         for i, row in enumerate(EXIT_TABLE)],
+)
+def test_exit_table(argv, fault, code, prefix, needle, exit_files, monkeypatch, capsys):
+    """Every failure path ends in its exit code and one labelled stderr line."""
+    FAULTS[fault](monkeypatch)
+    assert main([arg.format(**exit_files) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + " ")
+    assert needle in err
+    assert err.count("\n") == 1
