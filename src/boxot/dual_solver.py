@@ -59,9 +59,7 @@ class SolverConfig:
     the fixed 1/L step on mc, whose pass has none.
     max_iters_override caps the iteration count below the theoretical
     budget; using it voids the guarantee flag when the solve stops because
-    of it. trace_energy records an energy estimate per iterate on the mc
-    backend; the exact backend always records the exact energy, which its
-    pass computes anyway.
+    of it.
     """
 
     epsilon: float
@@ -69,7 +67,6 @@ class SolverConfig:
     seed: int = 0
     max_iters_override: int | None = None
     volume_backend: str = "auto"
-    trace_energy: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
@@ -89,8 +86,10 @@ class SolverTrace:
     ``step_size[i]`` is the step taken from iterate i: the accepted Newton
     tau, or 1/L on a fixed or fallback step, and 0 at the last iterate.
     ``passes`` counts every geometry pass, rejected Newton trials and the
-    start's included. ``energy_accuracy`` is the additive error budget of
-    every energy estimate: 0 on exact, eps'/4 on mc.
+    start's included; an mc pass is one gradient draw and one energy draw.
+    ``energy_accuracy`` is the additive error budget of every pass's energy
+    estimate: 0 on exact, eps'/4 on mc. The last row's energy is the one
+    the solve returns.
     """
 
     eps_prime: float
@@ -111,7 +110,6 @@ class SolverTrace:
     M_bar: int = 0
     passes: int = 0
     stop_reason: str = ""
-    aborted: bool = False
     guarantee_holds: bool = False
 
     def record(self, t, grad_norm, energy, step, wall_ms, g_inf) -> None:
@@ -173,7 +171,7 @@ class _Pass(NamedTuple):
     ``grad`` is grad E(g), centred onto G_0; ``mass[j]`` is the source mass
     of cell j, the sum over boxes of gamma vol(L_j(g) n H); ``hess`` is the
     Hessian of E when it was asked for, else None. The mc backend's pass
-    has only an energy (nan unless traced) and a gradient.
+    has only an energy and a gradient, each from its own draw.
     """
 
     energy: float
@@ -366,8 +364,11 @@ def solve_dual(
     the paper's inexact gradient descent, with noise budget
     ||e_t|| <= eps'/(360 n D^2); the returned iterate then satisfies
     E(g*) - E(g_Mbar) <= eps' with probability >= 1 - eta (per-iteration
-    failure eta/(k M), union-bounded). The final energy estimate gets its
-    own accuracy budget, ``trace.energy_accuracy`` = eps'/4.
+    failure eta/(k M), union-bounded). Each mc pass also estimates E at
+    its iterate from an independent draw, to ``trace.energy_accuracy`` =
+    eps'/4 with failure eta/(M + 1). The iterate and the stopping time
+    depend on the gradient draws only, so the last pass's energy, which the
+    solve returns on both backends, carries that bound.
     """
     stats = instance.stats
     n = instance.samples.n
@@ -403,7 +404,7 @@ def solve_dual(
 
     def measure(g: np.ndarray, t: int) -> _Pass:
         """The pass at iterate t: one exact evaluation, with the Hessian when
-        another step can follow, or the mc estimates."""
+        another step can follow, or the mc gradient and energy estimates."""
         trace.passes += 1
         if backend == "exact":
             return _evaluate(instance, g, t < m_eff)
@@ -415,17 +416,14 @@ def solve_dual(
             seed=(config.seed, t),
             backend=backend,
         )
-        e_here = math.nan
-        if config.trace_energy:
-            trace.passes += 1
-            e_here = energy(
-                instance,
-                g,
-                accuracy=trace.energy_accuracy,
-                eta_prime=eta_iter,
-                seed=(config.seed, t, 1),
-                backend=backend,
-            )
+        e_here = energy(
+            instance,
+            g,
+            accuracy=trace.energy_accuracy,
+            eta_prime=eta_iter,
+            seed=(config.seed, t, 1),
+            backend=backend,
+        )
         return _Pass(e_here, grad, None, None)
 
     start = time.perf_counter()
@@ -437,11 +435,11 @@ def solve_dual(
     for t in range(1, m_eff + 1):
         # np.linalg.norm's formula for a vector, without its dispatch.
         gnorm = math.sqrt(float(p.grad.dot(p.grad)))
-        if not math.isfinite(gnorm):
-            trace.aborted = True
+        if not (math.isfinite(gnorm) and math.isfinite(p.energy)):
             trace.M_bar = t
             trace.stop_reason = "abort"
-            raise SolverAbort("non-finite gradient", trace)
+            bad = "gradient" if not math.isfinite(gnorm) else "energy"
+            raise SolverAbort(f"non-finite {bad}", trace)
         wall = (time.perf_counter() - start) * 1e3
         # No step leaves the last iterate; a step overwrites the 0.
         trace.record(t, gnorm, p.energy, 0.0, wall, float(np.abs(g).max()))
@@ -458,28 +456,8 @@ def solve_dual(
 
     trace.M_bar = trace.t[-1]
     trace.stop_reason = stop_reason
-
-    if backend == "exact":
-        e_final = p.energy
-    else:
-        trace.passes += 1
-        e_final = energy(
-            instance,
-            g,
-            accuracy=trace.energy_accuracy,
-            eta_prime=eta_iter,
-            seed=(config.seed, 0),
-            backend=backend,
-        )
-    if not math.isfinite(e_final):
-        trace.aborted = True
-        trace.stop_reason = "abort"
-        raise SolverAbort("non-finite energy", trace)
-    trace.energy_estimate[-1] = e_final
-    trace.guarantee_holds = (
-        uniform and not trace.aborted and stop_reason in ("threshold", "budget")
-    )
-    return g, e_final, trace
+    trace.guarantee_holds = uniform and stop_reason in ("threshold", "budget")
+    return g, p.energy, trace
 
 
 def _massive_start(instance: Instance, measure) -> tuple:

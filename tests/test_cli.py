@@ -94,17 +94,24 @@ class TestEstimate:
         assert lines[1].startswith("1,")
 
     def test_same_seed_is_deterministic(self, instance_files, tmp_path):
+        # The second run also writes the trace, which adds no solver work:
+        # the result must not change, and every mc pass has an energy.
+        trace = tmp_path / "trace.csv"
         outs = []
-        for name in ("a.json", "b.json"):
+        for name, extra in (("a.json", []), ("b.json", ["--trace", str(trace)])):
             out = tmp_path / name
             code = main(
                 ["estimate", instance_files["symmetric-interval"],
                  "--backend", "mc", "--epsilon", "0.9", "--eta", "0.5",
-                 "--seed", "42", "--out", str(out)]
+                 "--seed", "42", "--out", str(out), *extra]
             )
             assert code == EXIT_OK
-            outs.append(out.read_text())
+            outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+        header, *rows = trace.read_text().splitlines()
+        column = header.split(",").index("energy_estimate")
+        assert rows
+        assert all(np.isfinite(float(row.split(",")[column])) for row in rows)
 
     def test_seed_from_environment(self, instance_files, tmp_path, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "42")
@@ -381,6 +388,10 @@ def _singular(*args, **kwargs):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the command must fail before the solve")
+
+
 def _nan_gradient(real):
     def evaluate(*args, **kwargs):
         p = real(*args, **kwargs)
@@ -401,6 +412,7 @@ FAULTS = {
         mp.setattr(oracle, "_full_plan", lambda *args: None),
     ),
     "bad-seed": lambda mp: mp.setenv(SEED_ENV_VAR, "not-a-number"),
+    "no-solve": lambda mp: mp.setattr(cli, "estimate_parameters", _no_solve),
 }
 
 # (argv, fault, exit code, stderr prefix, stderr substring); {name} is a path
@@ -413,9 +425,9 @@ EXIT_TABLE = [
     (["estimate", "{cube}", "--backend", "exact"],
      None, EXIT_BAD_INPUT, "error:", "dimension <= 3"),
     (["estimate", "{interval}", "--out", "{missing}/r.json"],
-     None, EXIT_BAD_INPUT, "error:", "No such file"),
+     "no-solve", EXIT_BAD_INPUT, "error:", "No such file"),
     (["estimate", "{interval}", "--trace", "{missing}/t.csv"],
-     None, EXIT_BAD_INPUT, "error:", "No such file"),
+     "no-solve", EXIT_BAD_INPUT, "error:", "No such file"),
     (["reduce-3sat", "{sat}", "--out", "{missing}/i.json"],
      None, EXIT_BAD_INPUT, "error:", "No such file"),
     (["estimate", "{square}"],

@@ -252,7 +252,7 @@ class TestSolveDual:
     def test_descent_claim(self, asymmetric_demands):
         # fixed step, exact backend: each non-terminal step gains
         # >= (1/3L) ||grad f||^2
-        config = SolverConfig(epsilon=0.05, eta=0.01, trace_energy=True)
+        config = SolverConfig(epsilon=0.05, eta=0.01)
         with pytest.warns(UserWarning, match="non-uniform"):
             _, _, trace = _fixed_step_solve(asymmetric_demands, config)
         assert trace.M_bar > 5
@@ -302,6 +302,11 @@ class TestSolveDual:
         assert abs(e - exact_e) <= trace.eps_prime / 4
         assert trace.guarantee_holds
         assert trace.step_size == [0.0]
+        # Each mc pass draws its gradient and its energy; the last pass's
+        # energy is the returned one, with no extra draw after the loop.
+        assert e == trace.energy_estimate[-1]
+        assert np.isfinite(trace.energy_estimate).all()
+        assert trace.passes == trace.M_bar
         # Off the optimum the mc pass has no Hessian, so every step is 1/L.
         density = BoxDensity(
             dimension=1, boxes=((Hyperrectangle([-1.0], [1.0]), 0.5),)
@@ -310,9 +315,12 @@ class TestSolveDual:
         config = SolverConfig(
             epsilon=0.95, eta=0.5, seed=2, volume_backend="mc", max_iters_override=2
         )
-        _, _, trace = solve_dual(instance, config)
+        _, e, trace = solve_dual(instance, config)
         assert trace.stop_reason == "override" and trace.M_bar == 2
         assert trace.step_size == [1.0 / trace.L, 0.0]
+        assert e == trace.energy_estimate[-1]
+        assert np.isfinite(trace.energy_estimate).all()
+        assert trace.passes == trace.M_bar
 
     def test_deterministic_under_seed(self, symmetric_square):
         config = SolverConfig(epsilon=0.1, eta=0.05, seed=42)
@@ -332,10 +340,9 @@ class TestSolveDual:
         config = SolverConfig(epsilon=0.05, eta=0.01)
         with pytest.raises(SolverAbort) as info:
             ds.solve_dual(symmetric_interval, config)
-        assert info.value.trace.aborted
         assert info.value.trace.stop_reason == "abort"
 
-    def test_abort_on_non_finite_energy(self, symmetric_interval, monkeypatch):
+    def test_abort_on_non_finite_energy(self, asymmetric_demands, monkeypatch):
         evaluate = ds._evaluate
 
         def broken(instance, g, hessian=False):
@@ -343,10 +350,12 @@ class TestSolveDual:
 
         monkeypatch.setattr(ds, "_evaluate", broken)
         config = SolverConfig(epsilon=0.05, eta=0.01)
-        with pytest.raises(SolverAbort, match="non-finite energy") as info:
-            ds.solve_dual(symmetric_interval, config)
-        assert info.value.trace.aborted
+        # Newton would stop at t = 2; the first pass's energy already aborts.
+        with pytest.warns(UserWarning, match="non-uniform"):
+            with pytest.raises(SolverAbort, match="non-finite energy") as info:
+                ds.solve_dual(asymmetric_demands, config)
         assert info.value.trace.stop_reason == "abort"
+        assert info.value.trace.M_bar == 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -359,7 +368,7 @@ class TestSolveDual:
             SolverConfig(epsilon=0.5, eta=0.5, max_iters_override=0)
 
     def test_trace_csv(self, asymmetric_demands, tmp_path):
-        config = SolverConfig(epsilon=0.05, eta=0.01, trace_energy=True)
+        config = SolverConfig(epsilon=0.05, eta=0.01)
         with pytest.warns(UserWarning, match="non-uniform"):
             _, _, trace = solve_dual(asymmetric_demands, config)
         path = tmp_path / "trace.csv"
@@ -417,26 +426,17 @@ class TestPinnedSolves:
     @pytest.mark.parametrize("name", sorted(_PINNED_SOLVES))
     def test_descent_is_pinned(self, name):
         build, m_bar, g_ref, e_ref = _PINNED_SOLVES[name]
+        instance = build()
         config = SolverConfig(epsilon=0.05, eta=0.05)
-        g, e_final, trace = _fixed_step_solve(build(), config)
+        g, e_final, trace = _fixed_step_solve(instance, config)
         assert trace.M_bar == m_bar
         assert trace.stop_reason == "threshold"
         assert np.abs(g - g_ref).max() <= 1e-12
         assert abs(e_final - e_ref) <= 1e-12 * abs(e_ref)
-
-    def test_traced_energy_shares_the_pass(self):
-        # With trace_energy the exact gradient and energy come from one
-        # geometry pass per iterate; the iterates must not change.
-        instance = _acceptance_instance(18)
-        config = SolverConfig(epsilon=0.05, eta=0.05)
-        g, e_final, trace = solve_dual(instance, config)
-        config = SolverConfig(epsilon=0.05, eta=0.05, trace_energy=True)
-        g_traced, e_traced, traced = solve_dual(instance, config)
-        assert g_traced.tobytes() == g.tobytes()
-        assert e_traced == e_final
-        assert traced.grad_norm == trace.grad_norm
-        assert traced.energy_estimate[0] == energy(instance, np.zeros(2))
-        assert np.isfinite(traced.energy_estimate).all()
+        # Every iterate's energy comes from its own geometry pass.
+        assert trace.energy_estimate[0] == energy(instance, np.zeros(len(g)))
+        assert np.isfinite(trace.energy_estimate).all()
+        assert trace.energy_estimate[-1] == e_final
 
 
 def _two_boxes_2d(n):
