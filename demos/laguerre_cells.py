@@ -8,9 +8,8 @@ polygon volumes against Monte Carlo estimates from the seeded substream.
 
 import numpy as np
 
-from boxot import (
-    Hyperrectangle,
-    SampleSet,
+from boxot import Hyperrectangle, SampleSet
+from boxot.geometry import (
     cell_box_moments_exact,
     cell_box_volumes_mc,
     classify_points,

@@ -16,10 +16,12 @@ from boxot import (
     Instance,
     SampleSet,
     SolverConfig,
+    solve_dual,
+)
+from boxot.oracle import (
     discretization_error_bound,
     discretize_source,
     semidiscrete_1d_exact,
-    solve_dual,
     solve_discrete_ot_exact,
 )
 

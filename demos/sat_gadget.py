@@ -8,7 +8,7 @@ clause. The formula is satisfiable iff some shift gives every sample
 positive density.
 """
 
-from boxot import (
+from boxot.sat_reduction import (
     CnfFormula,
     assignment_to_theta,
     brute_force_sat,

@@ -53,7 +53,12 @@ from .sat_reduction import (
 )
 
 SEED_ENV_VAR = "BOXOT_SEED"
-FAMILY_TOKENS = ("separation-family", "thin-box-family", "families", "random")
+# Each family of verify --mode invariants by its token; "families" runs all.
+_FAMILIES = {
+    "separation-family": sample_separation_family,
+    "thin-box-family": thin_box_family,
+}
+FAMILY_TOKENS = (*_FAMILIES, "families", "random")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -176,10 +181,7 @@ def _verify_sat(args: argparse.Namespace) -> int:
 
 
 def _family_ratio_rows(name: str) -> tuple[list[str], bool]:
-    family = {
-        "separation-family": sample_separation_family,
-        "thin-box-family": thin_box_family,
-    }[name]
+    family = _FAMILIES[name]
     rows = []
     ratios = {}
     for m in (1, 2, 4, 8, 16):
@@ -261,12 +263,8 @@ def _verify_invariants(args: argparse.Namespace, seed: int) -> int:
     target = args.path
     ok = True
 
-    if target in ("separation-family", "thin-box-family", "families"):
-        names = (
-            ("separation-family", "thin-box-family")
-            if target == "families"
-            else (target,)
-        )
+    if target in _FAMILIES or target == "families":
+        names = tuple(_FAMILIES) if target == "families" else (target,)
         csv_rows = ["family,m,ratio"]
         for name in names:
             rows, family_ok = _family_ratio_rows(name)

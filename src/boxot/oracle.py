@@ -190,21 +190,23 @@ def _arc_lp(costs, src, snk, a_int, b_int, method):
     return res.x, res.eqlin.marginals
 
 
-def _full_plan(C_int, a_int, b_int, methods):
+def _full_plan(C_int, a_int, b_int):
     """Certified (X, sink duals) from HiGHS on all m*n arcs, or None.
 
-    Beyond the base case of the banded route this is the fallback, which can
-    take minutes: it is logged, and each HiGHS call stops after
-    ``_LP_SECONDS``.
+    HiGHS's default solver goes first on small problems, its interior point
+    method on large ones, then the dual simplex. Beyond the base case of the
+    banded route this is the fallback, which can take minutes: it is
+    logged, and each HiGHS call stops after ``_LP_SECONDS``.
     """
     m, n = C_int.shape
-    if m > _FULL_LP_SOURCES:
+    small = m <= _FULL_LP_SOURCES
+    if not small:
         _log.warning(
             "exact transport: solving the full %d x %d LP (HiGHS limit %g s per try)",
             m, n, _LP_SECONDS,
         )
     src, snk = np.divmod(np.arange(m * n), n)
-    for method in methods:
+    for method in ("highs" if small or m * n <= 50_000 else "highs-ipm", "highs-ds"):
         lp = _arc_lp(C_int.ravel(), src, snk, a_int, b_int, method)
         if lp is not None:
             X = _certify_optimal(C_int, a_int, b_int, *lp)
@@ -266,7 +268,7 @@ def _banded_plan(C_int, a_int, b_int):
     """
     m, n = C_int.shape
     if m <= _FULL_LP_SOURCES:
-        return _full_plan(C_int, a_int, b_int, ("highs",))
+        return _full_plan(C_int, a_int, b_int)
     positive = np.flatnonzero(a_int)
     count = min(positive.size, max(_FULL_LP_SOURCES, positive.size // 8))
     edges = np.arange(count + 1) * positive.size // count
@@ -326,15 +328,16 @@ def solve_discrete_ot_exact(
     integer units, squared-distance costs rounded to an adaptive quantum),
     and a candidate vertex plan with duals is proven optimal for the whole
     m x n problem by an exact integer certificate (:func:`_certify_optimal`).
-    The candidate comes from HiGHS on a small restricted LP: sources far from
-    every Laguerre boundary of subsample-guessed duals are fixed to their
-    sink and only a band near the boundaries is solved (Schmitzer 2016's
-    sparse support, checked by full pricing). If that route fails to
-    certify, HiGHS solves the full LP, with a dual-simplex retry. The LP
-    engine is only a candidate generator, so no iterative tolerance enters
-    the result. Ties between optimal vertices are resolved by the engine's
-    deterministic pivoting; support comparisons in tests use instances with
-    unique optima.
+    Up to ``_FULL_LP_SOURCES`` sources the candidate comes from HiGHS on the
+    full LP. Above that it comes from a small restricted LP: sources far
+    from every Laguerre boundary of subsample-guessed duals are fixed to
+    their sink and only a band near the boundaries is solved (Schmitzer
+    2016's sparse support, checked by full pricing). If that route fails to
+    certify, HiGHS solves the full LP. Each full solve retries with the
+    dual simplex. The LP engine is only a candidate generator, so no
+    iterative tolerance enters the result. Ties between optimal vertices
+    are resolved by the engine's deterministic pivoting; support
+    comparisons in tests use instances with unique optima.
     """
     pts = np.atleast_2d(np.asarray(sources.points, dtype=float))
     masses = np.asarray(sources.masses, dtype=float)
@@ -348,10 +351,9 @@ def solve_discrete_ot_exact(
     a_int = _apportion(masses, MASS_UNITS)
     b_int = _apportion(demands, MASS_UNITS)
 
-    first = "highs" if m * n <= 50_000 else "highs-ipm"
-    plan = _banded_plan(C_int, a_int, b_int) or _full_plan(
-        C_int, a_int, b_int, (first, "highs-ds")
-    )
+    plan = _banded_plan(C_int, a_int, b_int)
+    if plan is None and m > _FULL_LP_SOURCES:
+        plan = _full_plan(C_int, a_int, b_int)
     if plan is None:
         raise OracleFailure("transportation solve failed to produce a certified plan")
 

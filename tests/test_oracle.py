@@ -167,7 +167,7 @@ def _grid_problem(rng, l, k, n, resolution, demands=None):
 
 def _assert_same_optimum(C_int, a_int, b_int):
     banded = _banded_plan(C_int, a_int, b_int)
-    full = _full_plan(C_int, a_int, b_int, ("highs", "highs-ds"))
+    full = _full_plan(C_int, a_int, b_int)
     assert banded is not None and full is not None
     assert (C_int * banded[0]).sum() == (C_int * full[0]).sum()
 
@@ -274,6 +274,30 @@ class TestBandedRoute:
         assert np.abs(fallback.flows.sum(axis=1) - sources.masses).max() <= 1e-9
         assert np.abs(fallback.flows.sum(axis=0) - samples.demands).max() <= 1e-9
         assert_allclose(fallback.cost, banded.cost, rtol=1e-12)
+
+    def test_base_case_is_not_solved_twice(self, monkeypatch):
+        """At most 500 sources HiGHS solves the full LP once per method.
+
+        A candidate that fails the certificate is retried with the dual
+        simplex only, not with the same solve again.
+        """
+        rng = np.random.default_rng(114)
+        sources = WeightedPoints(
+            points=rng.uniform(-1, 1, size=(400, 2)), masses=np.full(400, 1 / 400)
+        )
+        samples = SampleSet.uniform(rng.uniform(-1, 1, size=(3, 2)))
+        methods = []
+        arc_lp = oracle._arc_lp
+
+        def spied(*args):
+            methods.append(args[-1])
+            return arc_lp(*args)
+
+        monkeypatch.setattr(oracle, "_arc_lp", spied)
+        monkeypatch.setattr(oracle, "_certify_optimal", lambda *args: None)
+        with pytest.raises(oracle.OracleFailure):
+            solve_discrete_ot_exact(sources, samples)
+        assert methods == ["highs", "highs-ds"]
 
 
 class TestSemidiscrete1dExact:
