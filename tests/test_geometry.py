@@ -1,6 +1,9 @@
 """Hyperrectangle/Laguerre geometry: types, classification, volumes, moments."""
 
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from boxot.geometry import (
     classify_points,
     instance_stats,
     mc_sample_count,
+    potential_integral_mc,
 )
 
 
@@ -63,10 +67,10 @@ class TestBoxDensity:
         with pytest.raises(ValueError, match="boxes 0 and 1"):
             BoxDensity(dimension=1, boxes=boxes)
 
-    @pytest.mark.parametrize("block", [geometry._OVERLAP_BLOCK, 300])
+    @pytest.mark.parametrize("block", [geometry._PAIR_BLOCK, 300])
     def test_late_overlap_among_many_boxes(self, block, monkeypatch):
         # 300 unit intervals with gaps; only the last one overlaps box 298.
-        monkeypatch.setattr(geometry, "_OVERLAP_BLOCK", block)
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
         boxes = [
             (Hyperrectangle([2.0 * i], [2.0 * i + 1.0]), 1 / 300) for i in range(300)
         ]
@@ -80,7 +84,7 @@ class TestBoxDensity:
 
     def test_first_overlap_matches_pairwise_loop(self, monkeypatch):
         # Random 2-D boxes against the pairwise loop the check replaced.
-        monkeypatch.setattr(geometry, "_OVERLAP_BLOCK", 64)
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", 64)
         rng = np.random.default_rng(5)
         for _ in range(20):
             lo = rng.uniform(0.0, 100.0, size=(40, 2))
@@ -186,6 +190,25 @@ class TestInstanceStats:
         stats = instance_stats(density, samples)
         assert_allclose(stats.s, 0.1)
 
+    @pytest.mark.parametrize("block", [geometry._PAIR_BLOCK, 500])
+    def test_blocked_distance_matches_full_matrix(self, block, monkeypatch):
+        # s, and with it L, against the (n, n, l) formula the blocks replaced.
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(11)
+        for n, l in [(2, 1), (3, 2), (17, 3), (60, 2), (41, 9), (200, 1)]:
+            pts = rng.normal(size=(n, l))
+            # the closest pair among the last rows: the last block sets s
+            pts[-1] = pts[-2] + rng.uniform(1e-7, 1e-6, size=l)
+            samples = SampleSet.uniform(pts)
+            box = Hyperrectangle(np.full(l, -10.0), np.full(l, 10.0))
+            density = BoxDensity(dimension=l, boxes=((box, 1.0 / box.volume),))
+            diffs = pts[:, None, :] - pts[None, :, :]
+            dist = np.sqrt((diffs**2).sum(-1))
+            s = min(20.0, float(dist[np.triu_indices(n, 1)].min()))
+            stats = instance_stats(density, samples)
+            assert stats.s == s
+            assert stats.L == 2.0 * n * l / s**2
+
 
 class TestClassifyPoint:
     def test_nearer_site_wins(self):
@@ -276,6 +299,103 @@ class TestMcVolumes:
         box = Hyperrectangle([-1.0], [1.0])
         with pytest.raises(ValueError, match="exceeds cap"):
             cell_box_volumes_mc(samples, np.zeros(2), box, 1e-4, 0.05, seed=0)
+
+
+class TestMcWorkers:
+    # A point's value depends only on its row of the (seed, box_index)
+    # stream, whatever the block length, sub-chunk length and worker count.
+
+    @pytest.fixture
+    def frequent_switches(self):
+        # Hand the interpreter lock over far more often than by default.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    @pytest.mark.parametrize("l", [1, 2, 4])
+    def test_split_does_not_change_results(
+        self, l, workers, monkeypatch, frequent_switches
+    ):
+        # With 3 workers a 1000-row block splits into ranges of 333, 333 and
+        # 334 rows; 333 = 4 * 83 + 1 would end in a single-row piece. Eight
+        # workers are more threads than the cores of most test machines.
+        monkeypatch.setattr(geometry, "_MC_CHUNK", 1000)
+        monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 83)
+        monkeypatch.setattr(geometry, "_MC_WORKERS", workers)
+        m = 2503
+        monkeypatch.setattr(geometry, "mc_sample_count", lambda n, eps, eta: m)
+        rng = np.random.default_rng(l)
+        samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(5, l)))
+        g = rng.uniform(-0.2, 0.2, size=5)
+        box = Hyperrectangle(np.full(l, -1.0), np.linspace(0.5, 1.5, l))
+        pts = box_rng((4, 2), 3).uniform(box.lo, box.hi, (m, l))
+
+        counts = np.bincount(classify_points(samples, g, pts), minlength=5)
+        v = cell_box_volumes_mc(samples, g, box, 0.1, 0.1, seed=(4, 2), box_index=3)
+        assert v.tolist() == (counts / m * box.volume).tolist()
+
+        def potential(rows, out):
+            # the broadcast form of the scores, which _scores must round alike
+            scores = samples.squared_norms - 2.0 * (rows @ samples.points.T) - g
+            np.add(scores.min(axis=1), (rows**2).sum(-1), out=out)
+
+        serial = []
+        for first in range(0, m, 1000):
+            rows = pts[first : first + 1000]
+            serial.append(np.empty(len(rows)))
+            potential(rows, serial[-1])
+        e = potential_integral_mc(samples, g, box, 0.25, m, (4, 2), box_index=3)
+        acc = sum(float(block.sum()) for block in serial)
+        assert e == 0.25 * box.volume * acc / m
+        # The per-point values themselves, which a sum could round away.
+        swept = geometry._box_draws(samples, box, m, (4, 2), 3, potential, float)
+        for block, expected in zip(swept, serial, strict=True):
+            assert block.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("fail_at", [0, 5, 40])
+    def test_worker_failure_is_raised(self, fail_at, monkeypatch):
+        monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 97)
+        monkeypatch.setattr(geometry, "_MC_WORKERS", 3)
+        scores = geometry._scores
+        calls = itertools.count()
+        failure = RuntimeError("scores failed")
+
+        def failing_scores(samples, g, xs):
+            if next(calls) == fail_at:
+                raise failure
+            return scores(samples, g, xs)
+
+        monkeypatch.setattr(geometry, "_scores", failing_scores)
+        samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
+        box = Hyperrectangle([-1.0], [1.0])
+        baseline = threading.active_count()
+        # 18 445 draws: about 190 sub-chunks over 3 threads
+        with pytest.raises(RuntimeError) as raised:
+            cell_box_volumes_mc(samples, np.zeros(2), box, 0.01, 0.1, seed=0)
+        assert raised.value is failure
+        assert threading.active_count() == baseline
+
+    def test_refusal_starts_no_thread(self, monkeypatch):
+        def no_draws(seed, box_index):
+            raise AssertionError("drew samples past the cap")
+
+        def no_thread(thread):
+            raise AssertionError("started a thread past the cap")
+
+        monkeypatch.setattr(geometry, "box_rng", no_draws)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
+        box = Hyperrectangle([-1.0], [1.0])
+        with pytest.raises(geometry.BudgetRefused, match="exceeds cap"):
+            cell_box_volumes_mc(samples, np.zeros(2), box, 1e-4, 0.05, seed=0)
+        with pytest.raises(geometry.BudgetRefused, match="exceeds cap"):
+            potential_integral_mc(
+                samples, np.zeros(2), box, 0.5, geometry.MC_SAMPLE_CAP + 1, 0
+            )
 
 
 class TestExactCellMoments1d:
