@@ -337,13 +337,14 @@ def _box_draws(
     Yields the values a block of at most ``_MC_CHUNK`` rows at a time, so
     memory stays bounded; each yielded array is reused for the next block.
 
-    A block is split into contiguous row ranges, one per worker thread. A
-    worker copies the stream's state, advances it to its first row and draws
-    its rows a sub-chunk at a time (sized from ``samples``) as
-    ``lo + width * u``, the values ``Generator.uniform`` gives. No piece of a
-    block of two or more rows has a single row: numpy multiplies a lone row
-    with another kernel, which rounds differently. So every value depends
-    only on its row, never on the split.
+    A block is split into contiguous row ranges, one per worker thread (the
+    calling thread takes the first). A worker copies the stream's state,
+    advances it to its first row and draws its rows a sub-chunk at a time
+    (sized from ``samples``) as ``lo + width * u``, the values
+    ``Generator.uniform`` gives. No piece of a block of two or more rows has
+    a single row: numpy multiplies a lone row with another kernel, which
+    rounds differently. So every value depends only on its row, never on
+    the split.
 
     A budget above ``MC_SAMPLE_CAP`` is refused before any draw and before
     any thread starts; a worker's exception is raised once every worker has
@@ -383,12 +384,13 @@ def _box_draws(
             rows = min(_MC_CHUNK, m - start)
             parts = max(1, min(_MC_WORKERS, rows // size))
             cuts = [start + rows * i // parts for i in range(parts + 1)]
-            if parts == 1:
-                fill(start, start, start + rows)
-            else:
-                jobs = [pool.submit(fill, start, a, b) for a, b in zip(cuts, cuts[1:])]
-                for job in jobs:
-                    job.result()
+            # The calling thread fills the first range, so a block too small
+            # to split starts no thread.
+            ranges = zip(cuts[1:], cuts[2:])
+            jobs = [pool.submit(fill, start, a, b) for a, b in ranges]
+            fill(start, cuts[0], cuts[1])
+            for job in jobs:
+                job.result()
             yield block[:rows]
 
 
