@@ -19,7 +19,10 @@ is deterministic given (seed, box index); see :func:`box_rng` for the
 substream rule. Each block of draws is split into row ranges over one thread
 per usable core; a worker jumps its copy of the box's stream to its first
 row, so every point's value depends only on its position in the
-``(seed, box_index)`` stream, never on the worker count.
+``(seed, box_index)`` stream, never on the worker count. A Monte-Carlo point
+is labelled exactly as :func:`classify_points` labels it: the same in-place
+scores, with the sinks' shifts applied along the flat score buffer, and the
+same first-index-on-a-tie rule, one comparison per point when n = 2.
 """
 
 from __future__ import annotations
@@ -283,27 +286,53 @@ def instance_stats(density: BoxDensity, samples: SampleSet) -> InstanceStats:
 # ---------------------------------------------------------------------------
 
 
-def _scores(samples: SampleSet, g: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _score_shifts(
+    samples: SampleSet, g: np.ndarray, rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # ||y_j||^2 and g_j repeated along the flat buffer of `rows` score rows.
+    return np.tile(samples.squared_norms, rows), np.tile(g, rows)
+
+
+def _scores(
+    samples: SampleSet, shifts: tuple[np.ndarray, np.ndarray], xs: np.ndarray
+) -> np.ndarray:
     # ||x - y_j||^2 - g_j minus the j-independent ||x||^2 term, for each row
-    # x of xs: shape (m, l) -> (m, n). Computed in place as
+    # x of xs: shape (m, l) -> (m, n), for at most as many rows as `shifts`
+    # (from _score_shifts) covers. Computed in place as
     # (-2 x.y_j + ||y_j||^2) - g_j: negating the exact doubling and adding
-    # rounds exactly as ||y_j||^2 - 2 x.y_j does, and without temporaries it
-    # ran 3-5x faster at n >= 8 on a 2-core guest.
+    # rounds exactly as ||y_j||^2 - 2 x.y_j does. Each shift is one
+    # contiguous op along the flat buffer: broadcast over rows of n = 2 they
+    # made the whole call 2-3x slower. They stay two ops, in this order,
+    # since a folded ||y_j||^2 - g_j, or g_j first, would round differently.
+    norms, weights = shifts
     scores = xs @ samples.points.T
-    scores *= -2.0
-    scores += samples.squared_norms
-    scores -= g
+    flat = scores.reshape(-1)
+    flat *= -2.0
+    flat += norms[: flat.size]
+    flat -= weights[: flat.size]
     return scores
+
+
+def _labels(scores: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # np.argmin(scores, axis=1) into out: the first index of each row's
+    # minimum, so index 0 on a tie. For n = 2 that rule is one comparison,
+    # where argmin loops row by row and took about 12x longer.
+    if scores.shape[1] == 2:
+        return np.less(scores[:, 1], scores[:, 0], out=out)
+    return np.argmin(scores, axis=1, out=out)
 
 
 def classify_points(samples: SampleSet, g: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Laguerre cell index of each row of xs, shape (m, l) -> (m,).
 
-    Ties go to the smallest index.
+    Ties go to the smallest index, as with ``np.argmin``; with n = 2 sinks
+    the index is the one comparison ``score_1 < score_0``. Every Monte Carlo
+    point is labelled with the same scores and the same rule.
     """
     g = np.asarray(g, dtype=float)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    return np.argmin(_scores(samples, g, xs), axis=1)
+    shifts = _score_shifts(samples, g, len(xs))
+    return _labels(_scores(samples, shifts, xs), np.empty(len(xs), np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +353,18 @@ def box_rng(seed: int, box_index: int) -> np.random.Generator:
 
 def _box_draws(
     samples: SampleSet,
+    g: np.ndarray,
     box: Hyperrectangle,
     m: int,
     seed,
     box_index: int,
-    per_point: Callable[[np.ndarray, np.ndarray], None],
+    per_point: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
     dtype,
 ) -> Iterator[np.ndarray]:
     """``per_point`` of m uniform points of the box, drawn from ``box_rng``.
 
-    ``per_point(pts, out)`` writes one value per row of ``pts`` into ``out``.
+    ``per_point(pts, scores, out)`` writes one value per row of ``pts`` into
+    ``out``; ``scores`` holds the rows' ``_scores`` under the weights g.
     Yields the values a block of at most ``_MC_CHUNK`` rows at a time, so
     memory stays bounded; each yielded array is reused for the next block.
 
@@ -359,6 +390,12 @@ def _box_draws(
     l = box.dimension
     size = max(2, min(_MC_SUBCHUNK, _MC_SUBCHUNK_WORK // (samples.n * l)))
     block = np.empty(min(m, _MC_CHUNK), dtype=dtype)
+    # lo and width repeated along the flat buffer, like the score shifts:
+    # one contiguous multiply and add, where broadcasting over rows of
+    # l = 2-4 was 4-13x slower. Built once, for the longest sub-chunk.
+    longest = min(m, size + 1)
+    flat_lo, flat_width = np.tile(box.lo, longest), np.tile(box.widths, longest)
+    shifts = _score_shifts(samples, g, longest)
 
     def fill(start: int, first: int, stop: int) -> None:
         # Rows [first, stop) of the stream into block[first - start:stop - start].
@@ -366,9 +403,6 @@ def _box_draws(
         bitgen.state = state
         rng = np.random.Generator(bitgen.advance(first * l))
         buf = np.empty((min(stop - first, size + 1), l))
-        # lo and width repeated along the flat buffer: one contiguous multiply
-        # and add, where broadcasting over rows of l = 2-4 was 4-13x slower.
-        flat_lo, flat_width = np.tile(box.lo, len(buf)), np.tile(box.widths, len(buf))
         while first < stop:
             end = stop if stop - first <= size + 1 else first + size
             pts = buf[: end - first]
@@ -376,7 +410,8 @@ def _box_draws(
             flat = pts.reshape(-1)
             flat *= flat_width[: flat.size]
             flat += flat_lo[: flat.size]
-            per_point(pts, block[first - start : end - start])
+            scores = _scores(samples, shifts, pts)
+            per_point(pts, scores, block[first - start : end - start])
             first = end
 
     with ThreadPoolExecutor(_MC_WORKERS) as pool:
@@ -430,11 +465,11 @@ def cell_box_volumes_mc(
         raise ValueError("dual weights must be finite")
     m = mc_sample_count(samples.n, eps_bar, eta_prime)
 
-    def label(pts: np.ndarray, out: np.ndarray) -> None:
-        np.argmin(_scores(samples, g, pts), axis=1, out=out)
+    def label(pts: np.ndarray, scores: np.ndarray, out: np.ndarray) -> None:
+        _labels(scores, out)
 
     counts = np.zeros(samples.n, dtype=np.int64)
-    for labels in _box_draws(samples, box, m, seed, box_index, label, np.intp):
+    for labels in _box_draws(samples, g, box, m, seed, box_index, label, np.intp):
         counts += np.bincount(labels, minlength=samples.n)
     return counts / m * box.volume
 
@@ -454,11 +489,11 @@ def potential_integral_mc(
     :func:`cell_box_volumes_mc`; the caller picks m for its accuracy target.
     """
 
-    def potential(pts: np.ndarray, out: np.ndarray) -> None:
-        np.add(_scores(samples, g, pts).min(axis=1), (pts**2).sum(-1), out=out)
+    def potential(pts: np.ndarray, scores: np.ndarray, out: np.ndarray) -> None:
+        np.add(scores.min(axis=1), (pts**2).sum(-1), out=out)
 
     acc = 0.0
-    for values in _box_draws(samples, box, m, seed, box_index, potential, float):
+    for values in _box_draws(samples, g, box, m, seed, box_index, potential, float):
         acc += float(values.sum())
     return weight * box.volume * acc / m
 

@@ -237,6 +237,23 @@ class TestClassifyPoint:
         ]
         assert classify_points(samples, g, xs).tolist() == scalar
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_labels_follow_argmin(self, n):
+        # The labelling rule is argmin's, including the first index on a tie:
+        # random finite scores, small integers (many exact ties) and all-equal
+        # rows.
+        rng = np.random.default_rng(n)
+        cases = [
+            rng.uniform(-1.0, 1.0, size=(1000, n)) * 10.0 ** rng.integers(-3, 4),
+            rng.integers(-2, 2, size=(1000, n)).astype(float),
+            np.full((7, n), 0.25),
+        ]
+        for scores in cases:
+            out = np.empty(len(scores), dtype=np.intp)
+            assert geometry._labels(scores, out) is out
+            assert out.tolist() == np.argmin(scores, axis=1).tolist()
+        assert out.tolist() == [0] * 7
+
 
 class TestMcVolumes:
     def test_symmetric_split(self):
@@ -301,6 +318,10 @@ class TestMcVolumes:
             cell_box_volumes_mc(samples, np.zeros(2), box, 1e-4, 0.05, seed=0)
 
 
+# (l, workers, n): n = 2 takes the one-comparison labelling, n = 5 argmin.
+_SPLIT_CASES = [(l, w, n) for n in (5, 2) for l in (1, 2, 4) for w in (1, 3, 8)]
+
+
 class TestMcWorkers:
     # A point's value depends only on its row of the (seed, box_index)
     # stream, whatever the block length, sub-chunk length and worker count.
@@ -315,10 +336,13 @@ class TestMcWorkers:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("workers", [1, 3, 8])
-    @pytest.mark.parametrize("l", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "l, workers, n",
+        _SPLIT_CASES,
+        ids=[f"{l}-{w}" + ("" if n == 5 else f"-n{n}") for l, w, n in _SPLIT_CASES],
+    )
     def test_split_does_not_change_results(
-        self, l, workers, monkeypatch, frequent_switches
+        self, l, workers, n, monkeypatch, frequent_switches
     ):
         # With 3 workers a 1000-row block splits into ranges of 333, 333 and
         # 334 rows; 333 = 4 * 83 + 1 would end in a single-row piece. Eight
@@ -329,30 +353,34 @@ class TestMcWorkers:
         m = 2503
         monkeypatch.setattr(geometry, "mc_sample_count", lambda n, eps, eta: m)
         rng = np.random.default_rng(l)
-        samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(5, l)))
-        g = rng.uniform(-0.2, 0.2, size=5)
+        samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(n, l)))
+        g = rng.uniform(-0.2, 0.2, size=n)
         box = Hyperrectangle(np.full(l, -1.0), np.linspace(0.5, 1.5, l))
         pts = box_rng((4, 2), 3).uniform(box.lo, box.hi, (m, l))
 
-        counts = np.bincount(classify_points(samples, g, pts), minlength=5)
+        def broadcast_scores(rows):
+            # the broadcast form of the scores, which _scores must round alike
+            return samples.squared_norms - 2.0 * (rows @ samples.points.T) - g
+
+        labels = np.argmin(broadcast_scores(pts), axis=1)
+        counts = np.bincount(labels, minlength=n)
         v = cell_box_volumes_mc(samples, g, box, 0.1, 0.1, seed=(4, 2), box_index=3)
         assert v.tolist() == (counts / m * box.volume).tolist()
-
-        def potential(rows, out):
-            # the broadcast form of the scores, which _scores must round alike
-            scores = samples.squared_norms - 2.0 * (rows @ samples.points.T) - g
-            np.add(scores.min(axis=1), (rows**2).sum(-1), out=out)
 
         serial = []
         for first in range(0, m, 1000):
             rows = pts[first : first + 1000]
-            serial.append(np.empty(len(rows)))
-            potential(rows, serial[-1])
+            serial.append(broadcast_scores(rows).min(axis=1) + (rows**2).sum(-1))
         e = potential_integral_mc(samples, g, box, 0.25, m, (4, 2), box_index=3)
         acc = sum(float(block.sum()) for block in serial)
         assert e == 0.25 * box.volume * acc / m
-        # The per-point values themselves, which a sum could round away.
-        swept = geometry._box_draws(samples, box, m, (4, 2), 3, potential, float)
+
+        # The per-point values themselves, which a sum could round away:
+        # each point's draw and its swept scores.
+        def potential(rows, scores, out):
+            np.add(scores.min(axis=1), (rows**2).sum(-1), out=out)
+
+        swept = geometry._box_draws(samples, g, box, m, (4, 2), 3, potential, float)
         for block, expected in zip(swept, serial, strict=True):
             assert block.tolist() == expected.tolist()
 
@@ -364,10 +392,10 @@ class TestMcWorkers:
         calls = itertools.count()
         failure = RuntimeError("scores failed")
 
-        def failing_scores(samples, g, xs):
+        def failing_scores(samples, shifts, xs):
             if next(calls) == fail_at:
                 raise failure
-            return scores(samples, g, xs)
+            return scores(samples, shifts, xs)
 
         monkeypatch.setattr(geometry, "_scores", failing_scores)
         samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
