@@ -7,6 +7,13 @@ a numerical failure. :func:`main` alone maps an exception to its exit code
 and stderr label, through ``_FAILURES``. The BOXOT_SEED environment
 variable supplies the default seed when --seed is absent; all commands are
 deterministic for a fixed seed.
+
+The argument parser is built on the first :func:`main` call and reused by
+every later call in the process; each call still parses into a fresh
+namespace. The parser binds each subcommand's ``cmd_*`` function when it is
+built, so replacing ``cli.cmd_*`` afterwards (say, with ``monkeypatch``) is
+not seen by it; names the commands look up when they run, such as
+``load_instance`` or ``solve_dual``, can be replaced at any time.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import errno
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -295,7 +303,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _verify_invariants(args, seed)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``boxot`` parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="boxot",
         description="Shift/scale estimation for box densities via "
@@ -345,7 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; the only place that turns an exception into an exit code."""
+    """Run one command; the only place that turns an exception into an exit code.
+
+    The parser is built on the first call and reused after that: building it
+    costs more than a small exact solve.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

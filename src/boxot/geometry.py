@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -219,8 +220,9 @@ class SampleSet:
         """||y_j||^2 of every sink."""
         return (self.points**2).sum(-1)
 
-    @property
+    @cached_property
     def uniform_demands(self) -> bool:
+        """Whether every demand is 1/n, within MASS_TOL."""
         return bool(np.allclose(self.demands, 1.0 / self.n, atol=MASS_TOL, rtol=0.0))
 
 
@@ -456,21 +458,27 @@ def cell_box_volumes_mc(
 
     One pass serves every cell: the gradient consumes all j for a fixed box.
     The points are the first m rows of the ``box_rng(seed, box_index)``
-    stream, classified on one thread per usable core; each point's cell
-    depends only on its row, so the result is the same, bit for bit, for
-    any worker count.
+    stream, classified and counted on one thread per usable core; each
+    point's cell depends only on its row, so the result is the same, bit for
+    bit, for any worker count.
     """
     g = np.asarray(g, dtype=float)
     if not np.isfinite(g).all():
         raise ValueError("dual weights must be finite")
     m = mc_sample_count(samples.n, eps_bar, eta_prime)
+    # Each worker counts its own sub-chunk's labels, so no worker waits on a
+    # count of the whole block; integer counts add up to the same total in
+    # any order.
+    counts = np.zeros(samples.n, dtype=np.int64)
+    lock = threading.Lock()
 
     def label(pts: np.ndarray, scores: np.ndarray, out: np.ndarray) -> None:
-        _labels(scores, out)
+        part = np.bincount(_labels(scores, out), minlength=samples.n)
+        with lock:
+            np.add(counts, part, out=counts)
 
-    counts = np.zeros(samples.n, dtype=np.int64)
-    for labels in _box_draws(samples, g, box, m, seed, box_index, label, np.intp):
-        counts += np.bincount(labels, minlength=samples.n)
+    for _ in _box_draws(samples, g, box, m, seed, box_index, label, np.intp):
+        pass
     return counts / m * box.volume
 
 

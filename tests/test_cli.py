@@ -2,8 +2,11 @@
 
 import json
 import logging
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,6 +378,46 @@ class TestConsoleScript:
         assert proc.returncode == EXIT_OK
         payload = json.loads(proc.stdout)
         assert abs(payload["sigma_hat"] - 1.5) <= 0.05
+
+
+class TestParserReuse:
+    # The parser is built once per process; no call may see another's options.
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_stay_independent(self, instance_files, tmp_path, capsys):
+        first = instance_files["symmetric-interval"]
+        second = instance_files["symmetric-square"]
+        out = tmp_path / "first.json"
+        assert main(["estimate", first, "--seed", "3", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+
+        # --out and --seed of the call before do not carry over.
+        assert main(["estimate", second]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["guarantee_holds"]
+
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", first, "--backend", "bogus"])
+        assert exc.value.code == EXIT_BAD_INPUT
+        assert "invalid choice" in capsys.readouterr().err
+
+        assert main(["estimate", first, "--seed", "3"]) == EXIT_OK
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import boxot.cli; print(boxot.cli.build_parser.cache_info().currsize)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 class TestExitCodeContract:
