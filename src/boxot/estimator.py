@@ -50,6 +50,9 @@ class EstimationResult:
             "eta": self.eta,
             "guarantee_holds": self.guarantee_holds,
             "iterations": self.trace.M_bar,
+            "passes": self.trace.passes,
+            "stop_reason": self.trace.stop_reason,
+            "backend": self.trace.backend,
         }
 
 

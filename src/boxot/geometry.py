@@ -12,7 +12,10 @@ cell. The hull is a sort and a monotone chain in 1-D and one Qhull call in
 2-D and 3-D, built once per iterate (one g) and shared by every box; each
 cell is then the box clipped by its neighbours' half-spaces only. The
 clippers tag every boundary piece with the half-space that cut it, which
-gives the facet measures that the dual solver's Hessian needs.
+gives the facet measures that the dual solver's Hessian needs. The Qhull
+call is the module's only use of scipy, so ``scipy.spatial`` is imported
+inside :func:`_power_neighbours`: a process loads it at its first 2-D or
+3-D diagram with at least l + 2 sinks, never at import.
 
 All operations are pure functions on immutable inputs. Monte-Carlo sampling
 is deterministic given (seed, box index); see :func:`box_rng` for the
@@ -36,7 +39,6 @@ from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 MASS_TOL = 1e-9
 
@@ -555,6 +557,9 @@ def _power_neighbours(
     harmless (their half-spaces are redundant), so every doubtful case errs
     towards more pairs: near-vertical facets count as lower.
     """
+    # Imported on first use: scipy.spatial takes about 0.5 s to load.
+    from scipy.spatial import ConvexHull, QhullError
+
     n, l = y.shape
     try:
         # "Qc" reports the points Qhull finds coplanar with a facet.

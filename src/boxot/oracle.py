@@ -4,6 +4,10 @@ Everything here is deliberately implemented by routes the production solver
 never takes: midpoint discretization plus an exactly-certified transportation
 solve, closed-form 1D monotone matching, and finite differences of the
 energy. Tests and the ``verify`` command compare the two routes.
+
+The transport LPs are the module's only use of scipy, so ``scipy.sparse``
+and ``scipy.optimize`` are imported inside :func:`_arc_lp`: importing this
+module (the CLI does) loads neither.
 """
 
 from __future__ import annotations
@@ -14,8 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .geometry import MASS_TOL, BoxDensity, Instance, SampleSet
 
@@ -171,6 +173,10 @@ def _arc_lp(costs, src, snk, a_int, b_int, method):
     None when the solve does not end optimal (infeasible restrictions, or
     ``_LP_SECONDS`` spent).
     """
+    # Imported on first use, so that importing the CLI loads no scipy module.
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     m, n = a_int.size, b_int.size
     arcs = np.arange(src.size)
     A_eq = sp.csr_matrix(

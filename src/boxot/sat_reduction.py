@@ -21,7 +21,8 @@ from .geometry import BoxDensity, Hyperrectangle, Instance, SampleSet
 
 EPSILON_GADGET = 1.0 / 80.0
 ENUMERATION_GUARD = 20
-# Bytes of the integer temporary of one block of thetas in the decider.
+# Bytes of the integer temporary of one block of thetas in the decider, and
+# of one block of assignments in brute_force_sat.
 _BLOCK_BYTES = 4_000_000
 
 Literal = tuple[int, bool]  # (0-based variable index, polarity)
@@ -202,17 +203,25 @@ def decide_positive_likelihood(cnf: CnfFormula) -> bool:
 
 
 def brute_force_sat(cnf: CnfFormula) -> bool:
-    """Truth-table satisfiability (independent of the reduction machinery)."""
+    """Truth-table satisfiability (independent of the reduction machinery).
+
+    Assignment x sets variable v true iff bit v of x is set. The 2^l
+    assignments are tested in blocks, one numpy pass per literal position
+    and block, whose (assignments x clauses) int64 temporary stays under
+    ``_BLOCK_BYTES``.
+    """
     l = cnf.num_vars
     if l > ENUMERATION_GUARD:
         raise ValueError(f"enumeration guard: l = {l} > {ENUMERATION_GUARD}")
-    for bits in range(2**l):
-        ok = True
-        for clause in cnf.clauses:
-            if not any(bool(bits >> v & 1) == pol for v, pol in clause):
-                ok = False
-                break
-        if ok:
+    var = np.array([[v for v, _ in clause] for clause in cnf.clauses])
+    pol = np.array([[p for _, p in clause] for clause in cnf.clauses])
+    block = max(1, _BLOCK_BYTES // (8 * cnf.n))
+    for start in range(0, 2**l, block):
+        bits = np.arange(start, min(start + block, 2**l))[:, None]
+        satisfied = np.zeros((bits.size, cnf.n), dtype=bool)
+        for k in range(3):
+            satisfied |= (bits >> var[:, k] & 1) == pol[:, k]
+        if satisfied.all(axis=1).any():
             return True
     return False
 

@@ -79,7 +79,11 @@ class TestEstimate:
         assert set(payload) == {
             "sigma_hat", "mu_hat", "rho", "dual_energy",
             "epsilon", "eta", "guarantee_holds", "iterations",
+            "passes", "stop_reason", "backend",
         }
+        assert payload["backend"] == "exact"
+        assert payload["stop_reason"] in ("threshold", "budget")
+        assert payload["passes"] >= payload["iterations"]
 
     def test_trace_csv(self, instance_files, tmp_path):
         out = tmp_path / "r.json"

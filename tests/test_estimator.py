@@ -143,6 +143,12 @@ class TestEstimateParameters:
             "eta",
             "guarantee_holds",
             "iterations",
+            "passes",
+            "stop_reason",
+            "backend",
         }
         assert doc["iterations"] == result.trace.M_bar
+        assert doc["passes"] == result.trace.passes
+        assert doc["stop_reason"] == result.trace.stop_reason
+        assert doc["backend"] == result.trace.backend
         assert isinstance(doc["mu_hat"], list)

@@ -18,11 +18,11 @@ from boxot.sat_reduction import (
 )
 
 
-def _random_formula(rng, max_vars=6, max_clauses=8):
+def _random_formula(rng, max_vars=6, max_clauses=8, min_vars=3, min_clauses=1):
     """Random 3-CNF whose variables all occur somewhere."""
     while True:
-        l = int(rng.integers(3, max_vars + 1))
-        n = int(rng.integers(1, max_clauses + 1))
+        l = int(rng.integers(min_vars, max_vars + 1))
+        n = int(rng.integers(min_clauses, max_clauses + 1))
         clauses = []
         for _ in range(n):
             vs = rng.choice(l, size=3, replace=False)
@@ -149,6 +149,17 @@ class TestLikelihood:
                     assert likelihood_positive(red, assignment_to_theta(assignment))
 
 
+def _brute_force_reference(cnf):
+    """Satisfiability by a plain loop over assignments and clauses."""
+    for bits in range(2**cnf.num_vars):
+        if all(
+            any(bool(bits >> v & 1) == pol for v, pol in clause)
+            for clause in cnf.clauses
+        ):
+            return True
+    return False
+
+
 class TestDecision:
     def test_satisfiable_formula(self):
         cnf = CnfFormula.from_dimacs_clauses(3, [(1, -2, 3), (-1, 2, -3)])
@@ -191,6 +202,25 @@ class TestDecision:
         for _ in range(30):
             cnf = _random_formula(rng, max_vars=5, max_clauses=6)
             assert decide_positive_likelihood(cnf) == brute_force_sat(cnf)
+
+    @pytest.mark.parametrize("l", range(3, 13))
+    @pytest.mark.parametrize("block_bytes", [sat_reduction._BLOCK_BYTES, 8 * 100])
+    def test_brute_force_matches_the_loop(self, l, block_bytes, monkeypatch):
+        # Few clauses per variable leave most formulas satisfiable, many
+        # leave most unsatisfiable; small blocks split the 2^l assignments.
+        monkeypatch.setattr(sat_reduction, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(l)
+        answers = set()
+        for ratio in (1, 3, 5, 8):
+            for _ in range(3):
+                n = ratio * l
+                cnf = _random_formula(
+                    rng, min_vars=l, max_vars=l, min_clauses=n, max_clauses=n
+                )
+                answer = brute_force_sat(cnf)
+                assert answer == _brute_force_reference(cnf)
+                answers.add(answer)
+        assert answers == {True, False}
 
     def test_enumeration_guard(self):
         l = ENUMERATION_GUARD + 1
