@@ -24,8 +24,10 @@ per usable core; a worker jumps its copy of the box's stream to its first
 row, so every point's value depends only on its position in the
 ``(seed, box_index)`` stream, never on the worker count. A Monte-Carlo point
 is labelled exactly as :func:`classify_points` labels it: the same in-place
-scores, with the sinks' shifts applied along the flat score buffer, and the
-same first-index-on-a-tie rule, one comparison per point when n = 2.
+scores, a product with one C-contiguous copy of the sinks followed by their
+shifts along the flat score buffer, and the same first-index-on-a-tie rule,
+one comparison per point when n = 2. At n = 2 a worker counts those bool
+labels with ``np.count_nonzero``; for more sinks, with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ _MC_CHUNK = 2_000_000
 # Rows a worker draws and scores per numpy call: at most _MC_SUBCHUNK, and
 # at most _MC_SUBCHUNK_WORK / (n l), so that the (rows, l) @ (l, n) product
 # stays in the cache and OpenBLAS does not thread it inside a worker (on a
-# 2-core guest, 16 384 rows ran 2.3x slower than 8 192 at n = 16, l = 2).
+# 2-core guest, two workers counted at n = 16, l = 2 in 78-89 ns a point
+# with 16 384 rows, 65-70 ns with 8 192).
 _MC_SUBCHUNK = 16_384
 _MC_SUBCHUNK_WORK = 1 << 18
 # Threads that share each block: one per core this process may run on.
@@ -223,6 +226,12 @@ class SampleSet:
         return (self.points**2).sum(-1)
 
     @cached_property
+    def _points_t(self) -> np.ndarray:
+        # points.T as its own C-contiguous (l, n) array, the operand of
+        # every score product (see _scores).
+        return np.ascontiguousarray(self.points.T)
+
+    @cached_property
     def uniform_demands(self) -> bool:
         """Whether every demand is 1/n, within MASS_TOL."""
         return bool(np.allclose(self.demands, 1.0 / self.n, atol=MASS_TOL, rtol=0.0))
@@ -308,8 +317,12 @@ def _scores(
     # contiguous op along the flat buffer: broadcast over rows of n = 2 they
     # made the whole call 2-3x slower. They stay two ops, in this order,
     # since a folded ||y_j||^2 - g_j, or g_j first, would round differently.
+    # The product takes the sinks as one C-contiguous (l, n) array: on one
+    # thread, (l, n) = (2, 2), (2, 16), (3, 5) and (4, 8) cost 1.9-5.5 ns a
+    # row with it, 5.8-10 ns with the strided view points.T. Both operands
+    # give the same bits for two or more rows, not always for one.
     norms, weights = shifts
-    scores = xs @ samples.points.T
+    scores = xs @ samples._points_t
     flat = scores.reshape(-1)
     flat *= -2.0
     flat += norms[: flat.size]
@@ -320,7 +333,8 @@ def _scores(
 def _labels(scores: np.ndarray, out: np.ndarray) -> np.ndarray:
     # np.argmin(scores, axis=1) into out: the first index of each row's
     # minimum, so index 0 on a tie. For n = 2 that rule is one comparison,
-    # where argmin loops row by row and took about 12x longer.
+    # where argmin loops row by row and took about 12x longer; out may then
+    # be a bool buffer.
     if scores.shape[1] == 2:
         return np.less(scores[:, 1], scores[:, 0], out=out)
     return np.argmin(scores, axis=1, out=out)
@@ -467,20 +481,30 @@ def cell_box_volumes_mc(
     g = np.asarray(g, dtype=float)
     if not np.isfinite(g).all():
         raise ValueError("dual weights must be finite")
-    m = mc_sample_count(samples.n, eps_bar, eta_prime)
+    n = samples.n
+    m = mc_sample_count(n, eps_bar, eta_prime)
     # Each worker counts its own sub-chunk's labels, so no worker waits on a
     # count of the whole block; integer counts add up to the same total in
-    # any order.
-    counts = np.zeros(samples.n, dtype=np.int64)
+    # any order. With n = 2 a label is a bool: counting the points of cell 1
+    # took 0.14 ns a point, bincount of intp labels 2.6 ns.
+    counts = np.zeros(n, dtype=np.int64)
     lock = threading.Lock()
 
     def label(pts: np.ndarray, scores: np.ndarray, out: np.ndarray) -> None:
-        part = np.bincount(_labels(scores, out), minlength=samples.n)
+        labels = _labels(scores, out)
+        if n == 2:
+            ones = np.count_nonzero(labels)
+            part = (labels.size - ones, ones)
+        else:
+            part = np.bincount(labels, minlength=n)
         with lock:
             np.add(counts, part, out=counts)
 
-    for _ in _box_draws(samples, g, box, m, seed, box_index, label, np.intp):
+    dtype = bool if n == 2 else np.intp
+    for _ in _box_draws(samples, g, box, m, seed, box_index, label, dtype):
         pass
+    if counts.sum() != m:
+        raise RuntimeError(f"Monte Carlo counts sum to {counts.sum()}, not to m = {m}")
     return counts / m * box.volume
 
 

@@ -254,6 +254,35 @@ class TestClassifyPoint:
             assert out.tolist() == np.argmin(scores, axis=1).tolist()
         assert out.tolist() == [0] * 7
 
+    def test_scores_round_like_the_broadcast_form(self):
+        # Every row count from 2 to 130 and the sub-chunk lengths _box_draws
+        # uses, multiplied by a C-contiguous sink operand: a product of one
+        # row takes another kernel, which rounds differently.
+        operands = []
+
+        class Rows(np.ndarray):
+            def __matmul__(self, other):
+                operands.append(other)
+                return np.asarray(self) @ other
+
+        rng = np.random.default_rng(16)
+        for l in range(1, 6):
+            for n in range(1, 41):
+                samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(n, l)))
+                g = rng.uniform(-0.2, 0.2, size=n)
+                size = max(
+                    2, min(geometry._MC_SUBCHUNK, geometry._MC_SUBCHUNK_WORK // (n * l))
+                )
+                counts = [*range(2, 131), size, size + 1]
+                shifts = geometry._score_shifts(samples, g, max(counts))
+                for rows in counts:
+                    xs = rng.uniform(-1.5, 1.5, size=(rows, l))
+                    expected = samples.squared_norms - 2.0 * (xs @ samples.points.T) - g
+                    scores = geometry._scores(samples, shifts, xs)
+                    assert (scores == expected).all(), (l, n, rows)
+                geometry._scores(samples, shifts, xs.view(Rows))
+                assert operands.pop().flags.c_contiguous
+
 
 class TestMcVolumes:
     def test_symmetric_split(self):
@@ -406,6 +435,53 @@ class TestMcWorkers:
             cell_box_volumes_mc(samples, np.zeros(2), box, 0.01, 0.1, seed=0)
         assert raised.value is failure
         assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_full_block_counts(self, workers, n, monkeypatch):
+        # One full _MC_CHUNK block plus a remainder, at the real sub-chunk
+        # length.
+        monkeypatch.setattr(geometry, "_MC_WORKERS", workers)
+        m = geometry._MC_CHUNK + 3
+        monkeypatch.setattr(geometry, "mc_sample_count", lambda n, eps, eta: m)
+        rng = np.random.default_rng(n)
+        samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(n, 2)))
+        g = rng.uniform(-0.2, 0.2, size=n)
+        box = Hyperrectangle([-1.0, -0.5], [1.0, 1.5])
+        pts = box_rng(11, 2).uniform(box.lo, box.hi, (m, 2))
+        counts = np.zeros(n, dtype=np.int64)
+        # 2 000 003 = 20 * 100 000 + 3: no piece of a single row
+        for first in range(0, m, 100_000):
+            rows = pts[first : first + 100_000]
+            scores = samples.squared_norms - 2.0 * (rows @ samples.points.T) - g
+            counts += np.bincount(np.argmin(scores, axis=1), minlength=n)
+        v = cell_box_volumes_mc(samples, g, box, 0.1, 0.1, seed=11, box_index=2)
+        assert v.tolist() == (counts / m * box.volume).tolist()
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_ties_count_in_the_first_cell(self, n, monkeypatch):
+        def equal_scores(samples, shifts, xs):
+            return np.zeros((len(xs), samples.n))
+
+        monkeypatch.setattr(geometry, "_scores", equal_scores)
+        samples = SampleSet.uniform(np.arange(n, dtype=float)[:, None])
+        box = Hyperrectangle([-1.0], [1.0])
+        v = cell_box_volumes_mc(samples, np.zeros(n), box, 0.05, 0.1, seed=3)
+        assert v.tolist() == [box.volume] + [0.0] * (n - 1)
+        xs = np.linspace(-1.0, 1.0, 9)[:, None]
+        assert classify_points(samples, np.zeros(n), xs).tolist() == [0] * 9
+
+    def test_lost_labels_are_raised(self, monkeypatch):
+        # a label callback that drops each sub-chunk's first point
+        labels = geometry._labels
+        monkeypatch.setattr(
+            geometry, "_labels", lambda scores, out: labels(scores, out)[1:]
+        )
+        samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
+        box = Hyperrectangle([-1.0], [1.0])
+        m = mc_sample_count(2, 0.05, 0.1)
+        with pytest.raises(RuntimeError, match=f"not to m = {m}"):
+            cell_box_volumes_mc(samples, np.zeros(2), box, 0.05, 0.1, seed=0)
 
     def test_refusal_starts_no_thread(self, monkeypatch):
         def no_draws(seed, box_index):
