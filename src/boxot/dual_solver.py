@@ -195,10 +195,13 @@ def _evaluate(instance: Instance, g: np.ndarray, hessian: bool = False) -> _Pass
     samples = instance.samples
     y = samples.points
     n = samples.n
-    diagram = _power_diagram(samples, g)
+    diagram = _power_diagram(samples, g, instance.density.hull)
     resid = samples.demands.copy()
     hess = np.zeros((n, n)) if hessian else None
+    shifted = samples.squared_norms - g
     total = 0.0
+    # Every box's facet pieces (j, i, w measure), for one add into H.
+    rows, cols, values = [], [], []
     for box, w in instance.density.boxes:
         out = cell_box_moments_exact(samples, g, box, diagram, facets=hessian)
         vols, firsts, seconds = out[:3]
@@ -206,15 +209,19 @@ def _evaluate(instance: Instance, g: np.ndarray, hessian: bool = False) -> _Pass
         total += w * float(
             seconds.sum()
             - 2.0 * (firsts * y).sum()
-            + ((samples.squared_norms - g) * vols).sum()
+            + (shifted * vols).sum()
         )
         if hessian and out[3]:
-            j, i, measure = np.array(out[3]).T
-            j, i = j.astype(int), i.astype(int)
-            dist = np.sqrt(((y[i] - y[j]) ** 2).sum(axis=1))
-            np.add.at(hess, (j, i), w * measure / (2.0 * dist))
+            j, i, measure = zip(*out[3])
+            rows += j
+            cols += i
+            values += [w * m for m in measure]
     if hessian:
-        hess[np.diag_indices(n)] -= hess.sum(axis=1)
+        if rows:
+            j, i = np.array(rows), np.array(cols)
+            dist = np.sqrt(((y[i] - y[j]) ** 2).sum(axis=1))
+            np.add.at(hess, (j, i), np.array(values) / (2.0 * dist))
+        hess.flat[:: n + 1] -= hess.sum(axis=1)
     grad = resid - resid.sum() / n
     return _Pass(
         total + float(g @ samples.demands), grad, samples.demands - resid, hess

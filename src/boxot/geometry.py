@@ -9,8 +9,10 @@ and j' can share a facet only if the lifted points (y_j, ||y_j||^2 - g_j)
 and (y_j', ||y_j'||^2 - g_j') are joined by an edge of the lifted points'
 lower convex hull, and a site that is not a vertex of that hull has an empty
 cell. The hull is a sort and a monotone chain in 1-D and one Qhull call in
-2-D and 3-D, built once per iterate (one g) and shared by every box; each
-cell is then the box clipped by its neighbours' half-spaces only. The
+2-D and 3-D, built once per iterate (one g) and shared by every box. In 2-D
+and 3-D each cell is clipped once per iterate, by its neighbours'
+half-spaces only, into a box that holds every box of the density; each box
+then cuts only the cells that straddle it, by its own faces. The
 clippers tag every boundary piece with the half-space that cut it, which
 gives the facet measures that the dual solver's Hessian needs. The Qhull
 call is the module's only use of scipy, so ``scipy.spatial`` is imported
@@ -33,12 +35,13 @@ labels with ``np.count_nonzero``; for more sinks, with ``np.bincount``.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -175,6 +178,16 @@ class BoxDensity:
     def total_mass(self) -> float:
         return float(sum(w * box.volume for box, w in self.boxes))
 
+    @cached_property
+    def hull(self) -> Hyperrectangle:
+        """The smallest box that holds every box of the density."""
+        if self.k == 1:
+            return self.boxes[0][0]
+        return Hyperrectangle(
+            np.min([box.lo for box, _ in self.boxes], axis=0),
+            np.max([box.hi for box, _ in self.boxes], axis=0),
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
@@ -279,15 +292,28 @@ def instance_stats(density: BoxDensity, samples: SampleSet) -> InstanceStats:
     big_d = max(d_samples, d_corners)
 
     s = min(float(box.widths.min()) for box, _ in density.boxes)
-    # Distances of pairs i < j, a block of rows i at a time against every
-    # j > first row of the block; pairs with j <= i are masked out.
-    pts = samples.points
+    # Squared distances of pairs i < j, a block of rows i at a time against
+    # every j > first row of the block; pairs with j <= i are masked out.
+    # The squares are added axis by axis, in turn: that is the order in which
+    # numpy sums fewer than 8 terms along the last axis of the (rows, n, l)
+    # differences (from 8 terms on it keeps eight running sums, so there the
+    # squares are stacked and summed by numpy). sqrt is monotone, so s has
+    # the bits of the minimum over sqrt((diffs**2).sum(-1)).
+    cols = samples.points.T
     step = max(1, _PAIR_BLOCK // (n * l))
     for first in range(0, n - 1, step):
-        diffs = pts[first : first + step, None, :] - pts[None, first + 1 :, :]
-        dist = np.sqrt((diffs**2).sum(-1))
-        later = np.arange(dist.shape[1]) >= np.arange(dist.shape[0])[:, None]
-        s = min(s, float(dist[later].min()))
+        rows = slice(first, first + step)
+        squares = [
+            (axis[rows, None] - axis[None, first + 1 :]) ** 2 for axis in cols
+        ]
+        sq = squares[0]
+        if l < 8:
+            for square in squares[1:]:
+                sq = sq + square
+        else:
+            sq = np.stack(squares, axis=-1).sum(-1)
+        later = np.arange(sq.shape[1]) >= np.arange(sq.shape[0])[:, None]
+        s = min(s, math.sqrt(sq.min(where=later, initial=math.inf)))
     if not s > 0:
         raise ValueError("degenerate instance: s = 0")
     smooth = 2.0 * n * l * k / s**2
@@ -302,7 +328,9 @@ def instance_stats(density: BoxDensity, samples: SampleSet) -> InstanceStats:
 def _score_shifts(
     samples: SampleSet, g: np.ndarray, rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    # ||y_j||^2 and g_j repeated along the flat buffer of `rows` score rows.
+    # ||y_j||^2 and g_j repeated along the flat buffer of `rows` score rows,
+    # and of at least two, since _scores takes a lone row as two.
+    rows = max(rows, 2)
     return np.tile(samples.squared_norms, rows), np.tile(g, rows)
 
 
@@ -320,7 +348,12 @@ def _scores(
     # The product takes the sinks as one C-contiguous (l, n) array: on one
     # thread, (l, n) = (2, 2), (2, 16), (3, 5) and (4, 8) cost 1.9-5.5 ns a
     # row with it, 5.8-10 ns with the strided view points.T. Both operands
-    # give the same bits for two or more rows, not always for one.
+    # give the same bits for two or more rows, but numpy multiplies a lone
+    # row with another kernel, which rounds differently: a lone row is
+    # scored as two copies of itself, so it gets the bits it gets in any
+    # larger call.
+    if len(xs) == 1:
+        return _scores(samples, shifts, np.concatenate([xs, xs]))[:1]
     norms, weights = shifts
     scores = xs @ samples._points_t
     flat = scores.reshape(-1)
@@ -345,7 +378,8 @@ def classify_points(samples: SampleSet, g: np.ndarray, xs: np.ndarray) -> np.nda
 
     Ties go to the smallest index, as with ``np.argmin``; with n = 2 sinks
     the index is the one comparison ``score_1 < score_0``. Every Monte Carlo
-    point is labelled with the same scores and the same rule.
+    point is labelled with the same scores and the same rule, and a point
+    gets the same label alone as in any batch.
     """
     g = np.asarray(g, dtype=float)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -391,9 +425,9 @@ def _box_draws(
     advances it to its first row and draws its rows a sub-chunk at a time
     (sized from ``samples``) as ``lo + width * u``, the values
     ``Generator.uniform`` gives. No piece of a block of two or more rows has
-    a single row: numpy multiplies a lone row with another kernel, which
-    rounds differently. So every value depends only on its row, never on
-    the split.
+    a single row, and ``_scores`` takes a lone row as two (numpy multiplies
+    a lone row with another kernel, which rounds differently). So every
+    value depends only on its row, never on the split or on m.
 
     A budget above ``MC_SAMPLE_CAP`` is refused before any draw and before
     any thread starts; a worker's exception is raised once every worker has
@@ -608,22 +642,41 @@ def _power_neighbours(
     return alive, src[keep], dst[keep]
 
 
-class _PowerDiagram(NamedTuple):
-    """The Laguerre cells of one (samples, g), shared by every box.
+@dataclass(eq=False)
+class _PowerDiagram:
+    """The Laguerre cells of one (samples, g), clipped into one box.
 
-    ``cells`` lists the cells that may be nonempty. In 1-D they are in
-    chain order, and cell ``cells[p]`` is the interval
-    ``[ends[p], ends[p + 1]]``. In 2-D and 3-D, ``rows[p]`` lists the
-    half-space rows ``(a, b, i)``, meaning a.x <= b, of cell ``cells[p]``
-    against each of its candidate neighbours i. Everything is plain floats.
+    The box, the hull, runs from corner ``lo`` to corner ``hi`` and holds
+    every box the diagram serves; the dual solver passes the density's
+    :attr:`BoxDensity.hull`. In 1-D, ``cells``
+    lists the lower chain's cells in order, cell ``cells[p]`` is the
+    interval ``[ends[p], ends[p + 1]]`` and ``shapes`` is empty. In 2-D and
+    3-D, ``cells`` lists the cells that are nonempty in the hull, and
+    ``shapes[p]`` is cell ``cells[p]`` clipped into the hull: a polygon and
+    its edge tags ``(poly, tags)``, or a polyhedron ``(verts, faces, tags)``.
+    A tag names the neighbour whose half-space row made the edge or face, -1
+    a side of the hull. Everything is plain floats.
     """
 
+    lo: list[float]
+    hi: list[float]
     cells: list[int]
     ends: list[float]
-    rows: list[list[tuple[list[float], float, int]]]
+    shapes: list[tuple]
+
+    @cached_property
+    def extents(self) -> list[tuple[list[float], list[float]]]:
+        """Per shape, the lower and upper corner of its vertices' bounding box."""
+        out = []
+        for shape in self.shapes:
+            axes = list(zip(*shape[0]))
+            out.append(([min(x) for x in axes], [max(x) for x in axes]))
+        return out
 
 
-def _power_diagram(samples: SampleSet, g: np.ndarray) -> _PowerDiagram:
+def _power_diagram(
+    samples: SampleSet, g: np.ndarray, hull: Hyperrectangle
+) -> _PowerDiagram:
     """The restricted power diagram of the sinks under weights g (l <= 3).
 
     Cell j is {x : ||x - y_j||^2 - g_j <= ||x - y_j'||^2 - g_j' for all j'},
@@ -631,8 +684,12 @@ def _power_diagram(samples: SampleSet, g: np.ndarray) -> _PowerDiagram:
     b = g_j - g_j' + ||y_j'||^2 - ||y_j||^2. The neighbours come from the
     lower convex hull of the lifted points (y_j, ||y_j||^2 - g_j): a
     monotone chain in 1-D, :func:`_power_neighbours` in 2-D and 3-D. When
-    n <= l + 1 or Qhull rejects the points every pair is used, and those
-    rows are built with plain loops.
+    n <= l + 1 or Qhull rejects the points every pair is used.
+
+    In 2-D and 3-D each cell is then clipped into ``hull``, once, by its
+    rows in neighbour order. A row whose half-space holds the whole hull is
+    skipped, and one whose half-space misses the hull empties the cell; both
+    tests compare the row's centre and reach over the hull, in plain floats.
     """
     g = np.asarray(g, dtype=float)
     y = samples.points
@@ -643,6 +700,7 @@ def _power_diagram(samples: SampleSet, g: np.ndarray) -> _PowerDiagram:
         )
     norms = samples.squared_norms
     gs, ns = g.tolist(), norms.tolist()
+    lo, hi = hull.lo.tolist(), hull.hi.tolist()
     if l == 1:
         ys = y[:, 0].tolist()
         chain = _lower_chain(ys, [nj - gj for nj, gj in zip(ns, gs)])
@@ -651,11 +709,12 @@ def _power_diagram(samples: SampleSet, g: np.ndarray) -> _PowerDiagram:
             (gs[i] - gs[j] + ns[j] - ns[i]) / (2.0 * (ys[j] - ys[i]))
             for i, j in zip(chain, chain[1:])
         ]
-        return _PowerDiagram(chain, [-math.inf, *cuts, math.inf], [])
+        return _PowerDiagram(lo, hi, chain, [-math.inf, *cuts, math.inf], [])
 
     neighbours = _power_neighbours(y, norms - g) if n > l + 1 else None
     if neighbours is None:
         ys = y.tolist()
+        cells = list(range(n))
         rows = [
             [
                 ([2.0 * (q - p) for p, q in zip(ys[i], ys[j])],
@@ -665,18 +724,46 @@ def _power_diagram(samples: SampleSet, g: np.ndarray) -> _PowerDiagram:
             ]
             for i in range(n)
         ]
-        return _PowerDiagram(list(range(n)), [], rows)
-    alive, src, dst = neighbours
-    row_a = (2.0 * (y[dst] - y[src])).tolist()
-    row_b = (g[src] - g[dst] + norms[dst] - norms[src]).tolist()
-    row_i = dst.tolist()
-    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
-    cells = np.flatnonzero(alive).tolist()
-    rows = [
-        list(zip(*(r[bounds[j]:bounds[j + 1]] for r in (row_a, row_b, row_i))))
-        for j in cells
-    ]
-    return _PowerDiagram(cells, [], rows)
+    else:
+        alive, src, dst = neighbours
+        row_a = (2.0 * (y[dst] - y[src])).tolist()
+        row_b = (g[src] - g[dst] + norms[dst] - norms[src]).tolist()
+        row_i = dst.tolist()
+        bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+        cells = np.flatnonzero(alive).tolist()
+        rows = [
+            list(zip(*(r[bounds[j]:bounds[j + 1]] for r in (row_a, row_b, row_i))))
+            for j in cells
+        ]
+
+    # Per row, the centre and half-range of a.x - b over the hull: a row whose
+    # half-space holds the whole hull is redundant in it, and one whose
+    # half-space misses the hull empties the cell.
+    pad = [0.0] * (3 - l)
+    m0, m1, m2 = [0.5 * (p + q) for p, q in zip(lo, hi)] + pad
+    h0, h1, h2 = [0.5 * (q - p) for p, q in zip(lo, hi)] + pad
+    clip = _clip_polygon if l == 2 else _clip_polyhedron
+    base = _box_shape(lo, hi)
+    live, shapes = [], []
+    for j, cell_rows in zip(cells, rows):
+        shape = base
+        for a, b, i in cell_rows:
+            if l == 2:
+                centre = a[0] * m0 + a[1] * m1 - b
+                reach = abs(a[0]) * h0 + abs(a[1]) * h1
+            else:
+                centre = a[0] * m0 + a[1] * m1 + a[2] * m2 - b
+                reach = abs(a[0]) * h0 + abs(a[1]) * h1 + abs(a[2]) * h2
+            if centre > reach:
+                break
+            if centre > -reach:
+                shape = clip(*shape, a, b, i)
+                if len(shape[0]) < 3:
+                    break
+        else:
+            live.append(j)
+            shapes.append(shape)
+    return _PowerDiagram(lo, hi, live, [], shapes)
 
 
 def _clip_polygon(poly, tags, a, b, tag):
@@ -684,35 +771,30 @@ def _clip_polygon(poly, tags, a, b, tag):
 
     ``tags[i]`` names the row that made the edge from ``poly[i]`` to
     ``poly[i + 1]`` (-1 for a box edge); the new edge along a.x = b gets
-    ``tag``. Returns the clipped polygon and its tags.
+    ``tag``. Walks the edges p -> q from the last vertex's edge on, so the
+    result starts at ``poly[0]`` or at the point where that edge enters.
+    Returns the clipped polygon and its tags.
     """
-    vals = [a[0] * p[0] + a[1] * p[1] - b for p in poly]
+    a0, a1 = a
+    vals = [a0 * x + a1 * y - b for x, y in poly]
     if max(vals) <= 0.0:
         return poly, tags
     out = []
     out_tags = []
-    m = len(poly)
-    for i in range(m):
-        i1 = (i + 1) % m
-        p = poly[i]
-        q = poly[i1]
-        fp = vals[i]
-        fq = vals[i1]
-        pin = fp <= 0.0
-        qin = fq <= 0.0
-        if pin and qin:
+    p, fp, tp = poly[-1], vals[-1], tags[-1]
+    for q, fq, tq in zip(poly, vals, tags):
+        if fq <= 0.0:
+            if fp > 0.0:
+                t = fp / (fp - fq)
+                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+                out_tags.append(tp)
             out.append(q)
-            out_tags.append(tags[i1])
-        elif pin and not qin:
+            out_tags.append(tq)
+        elif fp <= 0.0:
             t = fp / (fp - fq)
             out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
             out_tags.append(tag)
-        elif not pin and qin:
-            t = fp / (fp - fq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-            out_tags.append(tags[i])
-            out.append(q)
-            out_tags.append(tags[i1])
+        p, fp, tp = q, fq, tq
     return out, out_tags
 
 
@@ -738,8 +820,17 @@ def _polygon_moments(poly):
     return area, (fx, fy), second
 
 
-def _box_polyhedron(lo, hi):
-    """Vertex list and face index lists (each face a cycle) of a 3-D box."""
+def _box_shape(lo, hi):
+    """A 2-D or 3-D box as the clippers take it, every side tagged -1.
+
+    In 2-D, ``(poly, tags)`` with the corners counterclockwise. In 3-D,
+    ``(verts, faces, tags)``: each face is a cycle of vertex indices that
+    runs counterclockwise seen from outside the box, and clipping keeps that
+    orientation.
+    """
+    if len(lo) == 2:
+        corners = [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
+        return corners, [-1] * 4
     verts = [
         (x, y, z)
         for z in (lo[2], hi[2])
@@ -751,17 +842,55 @@ def _box_polyhedron(lo, hi):
         [0, 1, 5, 4], [2, 6, 7, 3],  # y = lo, y = hi
         [0, 4, 6, 2], [1, 3, 7, 5],  # x = lo, x = hi
     ]
-    return verts, faces
+    return verts, faces, [-1] * 6
+
+
+def _cap_by_angle(verts, cap, a):
+    """The cap's vertices ordered by angle about their centroid.
+
+    (u, v) spans the cutting plane with normal a: u = e x a for the axis e
+    least aligned with a, v = a x u. The angle rises counterclockwise seen
+    from the side a points to, outside the clipped polyhedron.
+    """
+    a0, a1, a2 = a
+    m = len(cap)
+    cx = sum(verts[i][0] for i in cap) / m
+    cy = sum(verts[i][1] for i in cap) / m
+    cz = sum(verts[i][2] for i in cap) / m
+    ax = min(range(3), key=lambda d: abs(a[d]))
+    if ax == 0:
+        u = (0.0, -a2, a1)
+    elif ax == 1:
+        u = (a2, 0.0, -a0)
+    else:
+        u = (-a1, a0, 0.0)
+    v = (a1 * u[2] - a2 * u[1], a2 * u[0] - a0 * u[2], a0 * u[1] - a1 * u[0])
+
+    def angle(i):
+        dx, dy, dz = verts[i][0] - cx, verts[i][1] - cy, verts[i][2] - cz
+        return math.atan2(
+            dx * v[0] + dy * v[1] + dz * v[2], dx * u[0] + dy * u[1] + dz * u[2]
+        )
+
+    return sorted(cap, key=angle)
 
 
 def _clip_polyhedron(verts, faces, tags, a, b, tag):
     """Clip a convex polyhedron (vertices, face cycles) against a.x <= b.
 
     Each face is clipped by Sutherland-Hodgman. A cut edge's new vertex is
-    computed once, from its inside end, and shared by both faces on the edge.
-    The new vertices bound the cap face, which is ordered by angle about
-    their centroid in the cutting plane. ``tags[f]`` names the row that made
-    face f (-1 for a box face); the cap gets ``tag``.
+    computed once, from its inside end, and shared by both faces on the
+    edge. A cut face leaves the half-space at an exit vertex and comes back
+    at an entry vertex, and its new edge runs from the exit to the entry;
+    the cap face runs every such edge the other way, so it is the cycle
+    that links each entry to its face's exit. The faces run
+    counterclockwise seen from outside, and so does the cap. A plane through
+    existing vertices keeps them and adds new vertices on top of them, which
+    the walk handles like any other. Where the links do not close one cycle
+    through every new vertex, as on a surface that is not closed (an earlier
+    cut that made fewer than three new vertices added no cap), the cap falls
+    back to :func:`_cap_by_angle`. ``tags[f]`` names the row that made face
+    f (-1 for a box face); the cap gets ``tag``.
     """
     a0, a1, a2 = a
     vals = [a0 * x + a1 * y + a2 * z - b for x, y, z in verts]
@@ -792,44 +921,41 @@ def _clip_polyhedron(verts, faces, tags, a, b, tag):
 
     clipped = []
     clipped_tags = []
+    link = {}  # entry vertex -> the exit vertex before it on its face
     for face, face_tag in zip(faces, tags):
         out = []
+        first_entry = exit_ = None
         p = face[-1]
         for q in face:
             if vals[q] <= 0.0:
                 if vals[p] > 0.0:
-                    out.append(cut_vertex(q, p))
+                    entry = cut_vertex(q, p)
+                    out.append(entry)
+                    if exit_ is None:
+                        first_entry = entry
+                    else:
+                        link[entry] = exit_
                 out.append(index[q])
             elif vals[p] <= 0.0:
-                out.append(cut_vertex(p, q))
+                exit_ = cut_vertex(p, q)
+                out.append(exit_)
             p = q
+        if first_entry is not None:
+            link[first_entry] = exit_
         if len(out) >= 3:
             clipped.append(out)
             clipped_tags.append(face_tag)
-    cap = list(cut.values())
-    if len(cap) >= 3:
-        m = len(cap)
-        cx = sum(kept[i][0] for i in cap) / m
-        cy = sum(kept[i][1] for i in cap) / m
-        cz = sum(kept[i][2] for i in cap) / m
-        # (u, v) spans the cutting plane: u = e x a for the axis e least
-        # aligned with a, v = a x u.
-        ax = min(range(3), key=lambda d: abs(a[d]))
-        if ax == 0:
-            u = (0.0, -a2, a1)
-        elif ax == 1:
-            u = (a2, 0.0, -a0)
-        else:
-            u = (-a1, a0, 0.0)
-        v = (a1 * u[2] - a2 * u[1], a2 * u[0] - a0 * u[2], a0 * u[1] - a1 * u[0])
-
-        def angle(i):
-            dx, dy, dz = kept[i][0] - cx, kept[i][1] - cy, kept[i][2] - cz
-            return math.atan2(
-                dx * v[0] + dy * v[1] + dz * v[2], dx * u[0] + dy * u[1] + dz * u[2]
-            )
-
-        clipped.append(sorted(cap, key=angle))
+    m = len(cut)
+    if m >= 3:
+        start = len(kept) - m
+        cap = [start]
+        nxt = link.get(start)
+        while nxt != start and nxt is not None and len(cap) < m:
+            cap.append(nxt)
+            nxt = link.get(nxt)
+        if nxt != start or len(cap) != m:
+            cap = _cap_by_angle(kept, list(cut.values()), a)
+        clipped.append(cap)
         clipped_tags.append(tag)
     return kept, clipped, clipped_tags
 
@@ -890,6 +1016,41 @@ def _face_area(verts, face):
     return 0.5 * math.sqrt(sx * sx + sy * sy + sz * sz)
 
 
+def _cells_in_box(diagram: _PowerDiagram, lo: list[float], hi: list[float]):
+    """(cells, shapes) of the diagram's cells cut to a box inside its hull.
+
+    A cell whose bounding box misses the box is dropped, one inside it is
+    kept as it is, and one that straddles it is clipped by the box's
+    faces that cross its bounding box (tag -1). A cell that no neighbour
+    cut is the whole hull, so its part of the box is the box itself,
+    corners and all, as the box's own diagram has it.
+    """
+    l = len(lo)
+    clip = _clip_polygon if l == 2 else _clip_polyhedron
+    cells, shapes = [], []
+    for j, shape, (low, high) in zip(diagram.cells, diagram.shapes, diagram.extents):
+        if any(map(operator.ge, low, hi)) or any(map(operator.le, high, lo)):
+            continue
+        if max(shape[-1]) < 0:
+            cells.append(j)
+            shapes.append(_box_shape(lo, hi))
+            continue
+        # The rows -x_d <= -lo_d and x_d <= hi_d, where they cross the cell.
+        for d in range(l):
+            if low[d] < lo[d] and len(shape[0]) >= 3:
+                a = [0.0] * l
+                a[d] = -1.0
+                shape = clip(*shape, a, -lo[d], -1)
+            if high[d] > hi[d] and len(shape[0]) >= 3:
+                a = [0.0] * l
+                a[d] = 1.0
+                shape = clip(*shape, a, hi[d], -1)
+        if len(shape[0]) >= 3:
+            cells.append(j)
+            shapes.append(shape)
+    return cells, shapes
+
+
 def cell_box_moments_exact(
     samples: SampleSet,
     g: np.ndarray,
@@ -900,14 +1061,17 @@ def cell_box_moments_exact(
     """Exact (volume, integral x, integral ||x||^2) of L_j(g) n box for all j.
 
     Restricted power diagram, for l <= 3 only. ``diagram`` is
-    ``_power_diagram(samples, g)``, built here when None; a caller with
-    several boxes builds it once per g and passes it to every box. Each
-    cell is the box clipped by its neighbours' half-spaces only, after
-    dropping those that hold the whole box (a half-space that misses the
-    box empties the cell): an interval in 1-D, a polygon in 2-D and a
-    face-list polyhedron in 3-D. A cell has about 6 neighbours in 2-D and
-    15 in 3-D, so the cost is one O(n log n) diagram per g plus O(n) small
-    clips in plain floats per box.
+    ``_power_diagram(samples, g, hull)`` for a hull that holds the box,
+    built here with the box as its hull when None; a caller with several
+    boxes builds it once per g, with a hull that holds them all, and passes
+    it to every box. The diagram clips each cell into its hull once, by its
+    neighbours' half-spaces only: an interval in 1-D, a polygon in 2-D and
+    a face-list polyhedron in 3-D. A box equal to the hull takes those
+    cells as they are; any other box drops the cells whose bounding box
+    misses it and clips the ones that straddle it by its own faces. A cell
+    has about 6 neighbours in 2-D and 15 in 3-D, so the cost is one
+    O(n log n) diagram and O(n) small clips in plain floats per g, plus a
+    clip by at most 2l axis planes per straddling cell and box.
     Returns (vols (n,), firsts (n, l), seconds (n,)). Deterministic.
 
     With ``facets`` it also returns a list of (j, i, measure): the measure
@@ -917,7 +1081,7 @@ def cell_box_moments_exact(
     from each side.
     """
     if diagram is None:
-        diagram = _power_diagram(samples, g)
+        diagram = _power_diagram(samples, g, box)
     n, l = samples.n, box.dimension
     lo, hi = box.lo.tolist(), box.hi.tolist()
     vols = [0.0] * n
@@ -942,57 +1106,29 @@ def cell_box_moments_exact(
         moments = np.array(vols), np.array(firsts), np.array(seconds)
         return (*moments, pieces) if facets else moments
 
-    # Per row, the centre and half-range of a.x - b over the box: a row whose
-    # half-space holds the whole box is redundant in it, and one whose
-    # half-space misses the box empties the cell there.
-    pad = [0.0] * (3 - l)
-    m0, m1, m2 = [0.5 * (p + q) for p, q in zip(lo, hi)] + pad
-    h0, h1, h2 = [0.5 * (q - p) for p, q in zip(lo, hi)] + pad
+    cells, shapes = diagram.cells, diagram.shapes
+    if lo != diagram.lo or hi != diagram.hi:
+        inside = all(map(operator.ge, lo, diagram.lo))
+        if not (inside and all(map(operator.le, hi, diagram.hi))):
+            raise ValueError("the box reaches outside the diagram's hull")
+        cells, shapes = _cells_in_box(diagram, lo, hi)
     if l == 2:
-        base = [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
+        for j, (poly, tags) in zip(cells, shapes):
+            vols[j], firsts[j], seconds[j] = _polygon_moments(poly)
+            if facets and vols[j] > 0.0:
+                for k, i in enumerate(tags):
+                    if i >= 0:
+                        p, q = poly[k], poly[k - len(poly) + 1]
+                        pieces.append((j, i, math.hypot(q[0] - p[0], q[1] - p[1])))
     else:
-        base = _box_polyhedron(lo, hi)
-    box_tags = [-1] * (4 if l == 2 else 6)
-    for j, rows in zip(diagram.cells, diagram.rows):
-        cutting = []
-        for a, b, i in rows:
-            if l == 2:
-                centre = a[0] * m0 + a[1] * m1 - b
-                reach = abs(a[0]) * h0 + abs(a[1]) * h1
-            else:
-                centre = a[0] * m0 + a[1] * m1 + a[2] * m2 - b
-                reach = abs(a[0]) * h0 + abs(a[1]) * h1 + abs(a[2]) * h2
-            if centre > reach:
-                break
-            if centre > -reach:
-                cutting.append((a, b, i))
-        else:
-            tags = box_tags
-            if l == 2:
-                poly = base
-                for a, b, i in cutting:
-                    poly, tags = _clip_polygon(poly, tags, a, b, i)
-                    if len(poly) < 3:
-                        break
-                vols[j], firsts[j], seconds[j] = _polygon_moments(poly)
-                if facets and vols[j] > 0.0:
-                    for k, i in enumerate(tags):
-                        if i >= 0:
-                            p, q = poly[k], poly[k - len(poly) + 1]
-                            pieces.append((j, i, math.hypot(q[0] - p[0], q[1] - p[1])))
-            else:
-                verts, faces = base
-                for a, b, i in cutting:
-                    verts, faces, tags = _clip_polyhedron(verts, faces, tags, a, b, i)
-                    if not faces:
-                        break
-                vols[j], firsts[j], seconds[j] = _polyhedron_moments(verts, faces)
-                if facets and vols[j] > 0.0:
-                    pieces += [
-                        (j, i, _face_area(verts, face))
-                        for face, i in zip(faces, tags)
-                        if i >= 0
-                    ]
+        for j, (verts, faces, tags) in zip(cells, shapes):
+            vols[j], firsts[j], seconds[j] = _polyhedron_moments(verts, faces)
+            if facets and vols[j] > 0.0:
+                pieces += [
+                    (j, i, _face_area(verts, face))
+                    for face, i in zip(faces, tags)
+                    if i >= 0
+                ]
     moments = np.array(vols), np.array(firsts), np.array(seconds)
     return (*moments, pieces) if facets else moments
 

@@ -190,6 +190,27 @@ class TestInstanceStats:
         stats = instance_stats(density, samples)
         assert_allclose(stats.s, 0.1)
 
+    @pytest.mark.parametrize("block", [geometry._PAIR_BLOCK, 300])
+    def test_s_has_the_bits_of_the_summed_squares(self, block, monkeypatch):
+        # s against the minimum over sqrt((diffs**2).sum(-1)) of all pairs,
+        # bit for bit, on 300 random sets of sinks (some with a near pair).
+        monkeypatch.setattr(geometry, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(300)
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            l = int(rng.choice([1, 2, 3, 4, 5, 7, 8, 9, 12, 130]))
+            pts = rng.normal(size=(n, l)) * 10.0 ** rng.integers(-5, -1)
+            if rng.random() < 0.5:
+                pts[-1] = pts[0] + rng.uniform(-1e-8, 1e-8, size=l)
+            samples = SampleSet.uniform(pts)
+            box = Hyperrectangle(np.full(l, -1.0), np.full(l, 1.0))
+            density = BoxDensity(dimension=l, boxes=((box, 1.0 / box.volume),))
+            diffs = pts[:, None, :] - pts[None, :, :]
+            dist = np.sqrt((diffs**2).sum(-1))
+            s = float(dist[np.triu_indices(n, 1)].min())
+            assert s < 2.0
+            assert instance_stats(density, samples).s == s
+
     @pytest.mark.parametrize("block", [geometry._PAIR_BLOCK, 500])
     def test_blocked_distance_matches_full_matrix(self, block, monkeypatch):
         # s, and with it L, against the (n, n, l) formula the blocks replaced.
@@ -253,6 +274,23 @@ class TestClassifyPoint:
             assert geometry._labels(scores, out) is out
             assert out.tolist() == np.argmin(scores, axis=1).tolist()
         assert out.tolist() == [0] * 7
+
+    def test_one_point_gets_its_batch_label(self):
+        # A lone row is scored as it is inside a batch, bit for bit, so
+        # classifying a point alone gives the label the batch gives it.
+        rng = np.random.default_rng(41)
+        for l in range(1, 6):
+            for n in range(1, 41):
+                samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(n, l)))
+                g = rng.uniform(-0.2, 0.2, size=n)
+                xs = rng.uniform(-1.5, 1.5, size=(9, l))
+                shifts = geometry._score_shifts(samples, g, len(xs))
+                batch = geometry._scores(samples, shifts, xs)
+                labels = classify_points(samples, g, xs)
+                for i in range(len(xs)):
+                    alone = geometry._scores(samples, shifts, xs[i : i + 1])
+                    assert alone.tobytes() == batch[i : i + 1].tobytes(), (l, n, i)
+                    assert classify_points(samples, g, xs[i]).tolist() == [labels[i]]
 
     def test_scores_round_like_the_broadcast_form(self):
         # Every row count from 2 to 130 and the sub-chunk lengths _box_draws
@@ -694,10 +732,12 @@ class TestRestrictedPowerDiagram:
     )
     def test_matches_brute_force(self, points, g, boxes):
         samples = SampleSet.uniform(points)
-        diagram = geometry._power_diagram(samples, g)
         for box in boxes:
             vols, firsts, seconds = cell_box_moments_exact(samples, g, box)
-            # One diagram shared by every box gives the same bits.
+            # A one-box density's diagram, whose hull is the box, gives the
+            # same bits as the call that builds its own.
+            density = BoxDensity(box.dimension, ((box, 1.0 / box.volume),))
+            diagram = geometry._power_diagram(samples, g, density.hull)
             for own, shared in zip(
                 (vols, firsts, seconds),
                 cell_box_moments_exact(samples, g, box, diagram),
@@ -710,6 +750,193 @@ class TestRestrictedPowerDiagram:
             assert np.abs(vols - ref_vols).max() <= tol
             assert np.abs(firsts - ref_firsts).max() <= tol * r
             assert np.abs(seconds - ref_seconds).max() <= tol * r**2
+
+    @pytest.mark.parametrize(
+        "case", _POWER_DIAGRAM_CASES, ids=[case[0] for case in _POWER_DIAGRAM_CASES]
+    )
+    def test_shared_hull_matches_per_box_calls(self, case):
+        # One diagram clipped into the hull of all the case's boxes serves
+        # each box, cut by its own faces, as well as the box's own diagram.
+        # Where a facet lies on a face of the box (the kinked boxes of
+        # TestFacetHessian), the box's own call counts it as the box's side
+        # and the shared hull as the cell's, so there only the moments agree.
+        name, points, g, boxes = case
+        samples = SampleSet.uniform(points)
+        n, l = samples.n, samples.dimension
+        hull = Hyperrectangle(
+            np.min([box.lo for box in boxes], axis=0),
+            np.max([box.hi for box in boxes], axis=0),
+        )
+        diagram = geometry._power_diagram(samples, g, hull)
+        for index, box in enumerate(boxes):
+            own = cell_box_moments_exact(samples, g, box, facets=True)
+            shared = cell_box_moments_exact(samples, g, box, diagram, facets=True)
+            tol = 1e-12 * box.volume
+            r = box.max_corner_norm()
+            assert abs(shared[0].sum() - box.volume) <= tol
+            assert np.abs(shared[0] - own[0]).max() <= tol
+            assert np.abs(shared[1] - own[1]).max() <= tol * r
+            assert np.abs(shared[2] - own[2]).max() <= tol * r**2
+            if n == 1:
+                # The lone cell is the whole hull; its part of the box is the
+                # box itself, with the box's own corners.
+                for exact, cut in zip(own[:3], shared[:3]):
+                    assert exact.tobytes() == cut.tobytes()
+            if index in TestFacetHessian.KINKED.get(name, ()):
+                continue
+            facet_sums = []
+            for pieces in (own[3], shared[3]):
+                total = np.zeros((n, n))
+                for j, i, measure in pieces:
+                    total[j, i] += measure
+                facet_sums.append(total)
+            scale = float(box.widths.max()) ** (l - 1)
+            assert np.abs(facet_sums[0] - facet_sums[1]).max() <= 1e-12 * scale
+
+    def test_box_outside_the_hull_is_refused(self):
+        samples = SampleSet.uniform([[0.2, 0.1], [0.6, 0.9], [-0.4, 0.3]])
+        g = np.zeros(3)
+        diagram = geometry._power_diagram(
+            samples, g, Hyperrectangle([0.0, 0.0], [1.0, 1.0])
+        )
+        with pytest.raises(ValueError, match="outside the diagram's hull"):
+            cell_box_moments_exact(
+                samples, g, Hyperrectangle([0.5, 0.5], [1.5, 1.0]), diagram
+            )
+
+
+def _signed_volume(verts, faces):
+    """Volume by the divergence theorem: fans of the faces from the origin.
+
+    Positive when every face runs counterclockwise seen from outside.
+    """
+    vol = 0.0
+    for face in faces:
+        p = np.array(verts[face[0]])
+        for q, r in zip(face[1:], face[2:]):
+            vol += p @ np.cross(verts[q], verts[r]) / 6.0
+    return vol
+
+
+def _tie_cases():
+    """(id, points, g, boxes) whose cutting planes pass through vertices."""
+    lattice = next(case for case in _POWER_DIAGRAM_CASES if case[0] == "l3-lattice")
+    cube = Hyperrectangle([-1.0] * 3, [1.0] * 3)
+    halves = (
+        Hyperrectangle([-1.0] * 3, [0.0, 1.0, 1.0]),
+        Hyperrectangle([0.0, -1.0, -1.0], [1.0] * 3),
+    )
+    # The bisector x + y + z = 3 of 0 and (2, 2, 2) runs through three
+    # corners of [-3, 3]^3, and the row 4 (x + y + z) <= 12 is exact there.
+    corner = Hyperrectangle([-3.0] * 3, [3.0] * 3)
+    return [
+        lattice,
+        ("cube-two-sinks", np.array([[1.0, 0, 0], [-1.0, 0, 0]]), np.zeros(2),
+         (cube, *halves)),
+        ("plane-through-corners", np.array([[0.0, 0, 0], [2.0, 2, 2]]), np.zeros(2),
+         (corner, Hyperrectangle([-3.0] * 3, [3.0, 3.0, 0.0]))),
+    ]
+
+
+_TIE_CASES = _tie_cases()
+
+
+class TestCapWalk:
+    """The 3-D cap as the cycle of cut-edge links, where planes meet vertices."""
+
+    @pytest.fixture
+    def audit(self, monkeypatch):
+        # Checks every cap _clip_polyhedron makes and counts the caps that
+        # took the angle order.
+        counts = {"caps": 0, "fallbacks": 0}
+        clip, by_angle = geometry._clip_polyhedron, geometry._cap_by_angle
+
+        def counted_by_angle(*args):
+            counts["fallbacks"] += 1
+            return by_angle(*args)
+
+        def checked_clip(verts, faces, tags, a, b, tag):
+            fallbacks = counts["fallbacks"]
+            out = clip(verts, faces, tags, a, b, tag)
+            vals = [a[0] * x + a[1] * y + a[2] * z - b for x, y, z in verts]
+            inside = sum(f <= 0.0 for f in vals)
+            new = list(range(inside, len(out[0])))
+            if 0 < inside < len(verts) and len(new) >= 3:
+                counts["caps"] += 1
+                cap, cap_tag = out[1][-1], out[2][-1]
+                # Every cut vertex once, in one face with the row's tag.
+                assert cap_tag == tag
+                assert sorted(cap) == new
+                if counts["fallbacks"] == fallbacks:
+                    # A walked cap runs each of its edges against a face.
+                    edges = {
+                        (p, q)
+                        for face in out[1][:-1]
+                        for p, q in zip(face, face[1:] + face[:1])
+                    }
+                    for p, q in zip(cap, cap[1:] + cap[:1]):
+                        assert (q, p) in edges
+            return out
+
+        monkeypatch.setattr(geometry, "_clip_polyhedron", checked_clip)
+        monkeypatch.setattr(geometry, "_cap_by_angle", counted_by_angle)
+        return counts
+
+    @pytest.mark.parametrize("case", _TIE_CASES, ids=[case[0] for case in _TIE_CASES])
+    def test_ties_walk_every_cut_vertex_once(self, case, audit):
+        name, points, g, boxes = case
+        samples = SampleSet.uniform(points)
+        hull = Hyperrectangle(
+            np.min([box.lo for box in boxes], axis=0),
+            np.max([box.hi for box in boxes], axis=0),
+        )
+        shared = geometry._power_diagram(samples, g, hull)
+        for box in boxes:
+            lo, hi = box.lo.tolist(), box.hi.tolist()
+            own = geometry._power_diagram(samples, g, box)
+            for _, shapes in (
+                (own.cells, own.shapes), geometry._cells_in_box(shared, lo, hi)
+            ):
+                for verts, faces, _ in shapes:
+                    vol = geometry._polyhedron_moments(verts, faces)[0]
+                    signed = _signed_volume(verts, faces)
+                    assert abs(signed - vol) <= 1e-12 * box.volume
+        assert audit["caps"] > 0
+        assert audit["fallbacks"] == 0
+
+    def test_planes_through_box_corners(self, audit):
+        # Clip the unit cube in turn by planes through existing vertices: the
+        # first through three corners, the third through two cube edges,
+        # the last through the edge x = y = 0 and the corner (1, 1, 0).
+        # Each cut leaves new vertices on old ones for the next.
+        shape = geometry._box_shape([0.0] * 3, [1.0] * 3)
+        rows = [
+            ((1.0, 1.0, -1.0), 1.0),
+            ((1.0, 0.0, 1.0), 1.5),
+            ((0.0, 1.0, 1.0), 1.0),
+            ((1.0, -1.0, 0.0), 0.0),
+        ]
+        for tag, (a, b) in enumerate(rows):
+            shape = geometry._clip_polyhedron(*shape, a, b, tag)
+            verts, faces, _ = shape
+            vol = geometry._polyhedron_moments(verts, faces)[0]
+            assert vol > 0.0
+            assert abs(_signed_volume(verts, faces) - vol) <= 1e-15
+        assert audit["caps"] == len(rows)
+        assert audit["fallbacks"] == 0
+
+    def test_broken_links_take_the_angle_order(self, audit):
+        # Without its face y = 0 the box is no closed surface, so the links
+        # of a cut across that face stop short; the cap takes the angle
+        # order, which also runs counterclockwise seen from outside.
+        verts, faces, tags = geometry._box_shape([0.0] * 3, [1.0] * 3)
+        open_box = verts, faces[:2] + faces[3:], tags[1:]
+        verts, faces, _ = geometry._clip_polyhedron(*open_box, (0.0, 0.0, 1.0), 0.5, 7)
+        assert audit == {"caps": 1, "fallbacks": 1}
+        top = [verts[i] for i in faces[-1]]
+        assert all(v[2] == 0.5 for v in top)
+        normal = np.cross(np.subtract(top[1], top[0]), np.subtract(top[2], top[0]))
+        assert normal[2] > 0.0
 
 
 def _midpoint_moments(density, cells_per_box=10_000):
