@@ -7,7 +7,8 @@ energy. Tests and the ``verify`` command compare the two routes.
 
 The transport LPs are the module's only use of scipy, so ``scipy.sparse``
 and ``scipy.optimize`` are imported inside :func:`_arc_lp`: importing this
-module (the CLI does) loads neither.
+module (the CLI does) loads neither, and a one- or two-sink transport
+solve, which needs no LP, never loads them.
 """
 
 from __future__ import annotations
@@ -235,6 +236,15 @@ _BALANCE_SWEEPS = 4
 _SUBSAMPLE_SEED = 0
 
 
+def _fill(threshold, a_int, demand):
+    """Sources by increasing threshold, their running mass, and the place
+    where it first reaches demand: a sink whose dual is the threshold there
+    is just filled by the sources up to it."""
+    order = np.argsort(threshold, kind="stable")
+    carried = np.cumsum(a_int[order])
+    return order, carried, int(np.searchsorted(carried, demand))
+
+
 def _balance_sinks(C_int, a_int, b_int, v):
     """Coordinate ascent on the discrete dual, one sink at a time.
 
@@ -244,17 +254,45 @@ def _balance_sinks(C_int, a_int, b_int, v):
     v = v.copy()
     for _ in range(_BALANCE_SWEEPS):
         for j in range(v.size - 1):
-            rival = np.delete(C_int - v, j, axis=1).min(axis=1)
-            threshold = C_int[:, j] - rival
-            order = np.argsort(threshold, kind="stable")
-            reached = np.searchsorted(np.cumsum(a_int[order]), b_int[j])
+            threshold = C_int[:, j] - np.delete(C_int - v, j, axis=1).min(axis=1)
+            order, _, reached = _fill(threshold, a_int, b_int[j])
             v[j] = threshold[order[reached]]
     return v
 
 
-def _banded_plan(C_int, a_int, b_int):
-    """Certified (X, sink duals) from small restricted LPs, or None.
+def _sorted_plan(C_int, a_int, b_int):
+    """Certified (X, sink duals) of a one- or two-sink problem, or None.
 
+    With one sink every source goes to it (v = 0). With two the problem is
+    a fractional knapsack (Dantzig 1957): sink 0 takes the sources by
+    increasing C_i0 - C_i1 until it holds b_0, and the source s that crosses
+    b_0 splits its mass. The duals v = (C_s0 - C_s1, 0) and
+    u_i = min_j (C_ij - v_j) leave zero reduced cost on every used arc,
+    and :func:`_certify_optimal` checks the plan as it checks an LP's.
+    """
+    m, n = C_int.shape
+    X = np.zeros((m, n), dtype=np.int64)
+    v = np.zeros(n, dtype=np.int64)
+    if n == 1:
+        X[:, 0] = a_int
+    else:
+        threshold = C_int[:, 0] - C_int[:, 1]
+        order, carried, reached = _fill(threshold, a_int, b_int[0])
+        s = order[reached]
+        X[order[:reached], 0] = a_int[order[:reached]]
+        X[s, 0] = b_int[0] - (carried[reached] - a_int[s])
+        X[:, 1] = a_int - X[:, 0]
+        v[0] = threshold[s]
+    u = (C_int - v).min(axis=1)
+    X = _certify_optimal(C_int, a_int, b_int, X, np.concatenate([u, v]))
+    return None if X is None else (X, v)
+
+
+def _banded_plan(C_int, a_int, b_int):
+    """Certified (X, sink duals) from a sort or small restricted LPs, or None.
+
+    One- and two-sink problems go to :func:`_sorted_plan` first, which
+    needs no LP; if its plan fails the certificate, the LP route below runs.
     The sink duals v are guessed from a stratified subsample of the sources
     (the positive-mass sources cut in order into equal runs, one drawn from
     each with a fixed seed: a fixed stride aliases with the rows of a grid
@@ -273,6 +311,8 @@ def _banded_plan(C_int, a_int, b_int):
     :func:`_balance_sinks`.
     """
     m, n = C_int.shape
+    if n <= 2 and (plan := _sorted_plan(C_int, a_int, b_int)) is not None:
+        return plan
     if m <= _FULL_LP_SOURCES:
         return _full_plan(C_int, a_int, b_int)
     positive = np.flatnonzero(a_int)
@@ -334,16 +374,18 @@ def solve_discrete_ot_exact(
     integer units, squared-distance costs rounded to an adaptive quantum),
     and a candidate vertex plan with duals is proven optimal for the whole
     m x n problem by an exact integer certificate (:func:`_certify_optimal`).
-    Up to ``_FULL_LP_SOURCES`` sources the candidate comes from HiGHS on the
-    full LP. Above that it comes from a small restricted LP: sources far
-    from every Laguerre boundary of subsample-guessed duals are fixed to
-    their sink and only a band near the boundaries is solved (Schmitzer
-    2016's sparse support, checked by full pricing). If that route fails to
-    certify, HiGHS solves the full LP. Each full solve retries with the
+    With one or two sinks the candidate comes from a sort (a fractional
+    knapsack, :func:`_sorted_plan`) and no LP is solved. Otherwise, up to
+    ``_FULL_LP_SOURCES`` sources it comes from HiGHS on the full LP, and
+    above that from a small restricted LP: sources far from every Laguerre
+    boundary of subsample-guessed duals are fixed to their sink and only a
+    band near the boundaries is solved (Schmitzer 2016's sparse support,
+    checked by full pricing). If that route fails to certify, HiGHS solves
+    the full LP. Each full solve retries with the
     dual simplex. The LP engine is only a candidate generator, so no
     iterative tolerance enters the result. Ties between optimal vertices
-    are resolved by the engine's deterministic pivoting; support
-    comparisons in tests use instances with unique optima.
+    are resolved by the stable sort or the engine's deterministic pivoting;
+    support comparisons in tests use instances with unique optima.
     """
     pts = np.atleast_2d(np.asarray(sources.points, dtype=float))
     masses = np.asarray(sources.masses, dtype=float)

@@ -300,6 +300,112 @@ class TestBandedRoute:
         assert methods == ["highs", "highs-ds"]
 
 
+def _assert_sorted_optimum(C_int, a_int, b_int):
+    sorted_plan = oracle._sorted_plan(C_int, a_int, b_int)
+    full = _full_plan(C_int, a_int, b_int)
+    assert sorted_plan is not None and full is not None
+    assert (C_int * sorted_plan[0]).sum() == (C_int * full[0]).sum()
+
+
+class TestSortedRoute:
+    """With one or two sinks the sort must certify HiGHS's integer optimum."""
+
+    RESOLUTION = TestBandedRoute.RESOLUTION
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_matches_full_lp(self, l):
+        rng = np.random.default_rng(200 + l)
+        for n, k in itertools.product((1, 2), (1, 2)):
+            _assert_sorted_optimum(*_grid_problem(rng, l, k, n, self.RESOLUTION[l, k]))
+
+    @pytest.mark.parametrize("empty", [0, 1])
+    def test_zero_demand_sink(self, empty):
+        rng = np.random.default_rng(210 + empty)
+        demands = np.ones(2)
+        demands[empty] = 0.0
+        for l in (1, 2, 3):
+            problem = _grid_problem(rng, l, 2, 2, self.RESOLUTION[l, 2], demands)
+            assert problem[2][empty] == 0
+            _assert_sorted_optimum(*problem)
+
+    def test_zero_mass_source(self):
+        """A source without mass first, at the split, or last in the sort."""
+        rng = np.random.default_rng(212)
+        for l in (1, 2, 3):
+            C_int, a_int, b_int = _grid_problem(rng, l, 2, 2, self.RESOLUTION[l, 2])
+            order = np.argsort(C_int[:, 0] - C_int[:, 1], kind="stable")
+            split = np.searchsorted(np.cumsum(a_int[order]), b_int[0])
+            for i in order[[0, split, -1]]:
+                a_zero = a_int.copy()
+                a_zero[order[1] if i == order[0] else order[0]] += a_zero[i]
+                a_zero[i] = 0
+                _assert_sorted_optimum(C_int, a_zero, b_int)
+
+    def test_single_source(self):
+        rng = np.random.default_rng(213)
+        for n in (1, 2):
+            C_int, a_int, b_int = _grid_problem(rng, 2, 1, n, 1)
+            assert C_int.shape == (1, n)
+            _assert_sorted_optimum(C_int, a_int, b_int)
+
+    def test_non_uniform_masses(self):
+        rng = np.random.default_rng(214)
+        for l, n in itertools.product((1, 2, 3), (1, 2)):
+            C_int, _, b_int = _grid_problem(rng, l, 1, n, self.RESOLUTION[l, 1])
+            a_int = _apportion(rng.uniform(0.01, 1.0, size=C_int.shape[0]), MASS_UNITS)
+            _assert_sorted_optimum(C_int, a_int, b_int)
+
+    def test_exact_ties(self):
+        """Two sinks mirrored over a symmetric grid: whole columns tie."""
+        square = Hyperrectangle([-1.0, -1.0], [1.0, 1.0])
+        density = BoxDensity(dimension=2, boxes=((square, 0.25),))
+        sinks = np.array([[-1.0, 0.0], [1.0, 0.0]])
+        sources = discretize_source(density, 25)
+        _, C_int, _ = _scaled_costs(sources.points, sinks)
+        a_int = _apportion(sources.masses, MASS_UNITS)
+        _assert_sorted_optimum(C_int, a_int, _apportion(np.full(2, 0.5), MASS_UNITS))
+
+    @pytest.mark.parametrize("m", [400, 600])
+    def test_highs_only_for_three_sinks(self, monkeypatch, m):
+        """Below and above the full-LP size, n <= 2 never reaches HiGHS."""
+        rng = np.random.default_rng(215)
+        sources = WeightedPoints(
+            points=rng.uniform(-1, 1, size=(m, 2)), masses=np.full(m, 1 / m)
+        )
+        calls = []
+        arc_lp = oracle._arc_lp
+
+        def spied(*args):
+            calls.append(1)
+            return arc_lp(*args)
+
+        monkeypatch.setattr(oracle, "_arc_lp", spied)
+        for n in (1, 2, 3):
+            calls.clear()
+            solve_discrete_ot_exact(sources, SampleSet.uniform(rng.uniform(-1, 1, (n, 2))))
+            assert bool(calls) == (n == 3), n
+
+    def test_certificate_decides(self, monkeypatch):
+        """A sorted plan that fails the certificate is not returned; HiGHS runs."""
+        rng = np.random.default_rng(216)
+        sources = WeightedPoints(
+            points=rng.uniform(-1, 1, size=(50, 2)), masses=np.full(50, 1 / 50)
+        )
+        samples = SampleSet.uniform(rng.uniform(-1, 1, size=(2, 2)))
+        methods = []
+        arc_lp = oracle._arc_lp
+
+        def spied(*args):
+            methods.append(args[-1])
+            return arc_lp(*args)
+
+        monkeypatch.setattr(oracle, "_arc_lp", spied)
+        monkeypatch.setattr(oracle, "_certify_optimal", lambda *args: None)
+        with pytest.raises(oracle.OracleFailure):
+            solve_discrete_ot_exact(sources, samples)
+        assert methods == ["highs", "highs-ds"]
+
+
 class TestSemidiscrete1dExact:
     def test_symmetric_interval(self, symmetric_interval):
         p, cross, bp = semidiscrete_1d_exact(symmetric_interval)

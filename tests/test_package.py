@@ -121,6 +121,25 @@ def test_qhull_diagram_loads_only_scipy_spatial(tmp_path):
     assert "scipy.optimize" not in scipy
 
 
+def test_two_sink_oracle_leaves_scipy_unloaded(tmp_path):
+    # Two sinks: the transport plan is a certified sort, with no HiGHS LP.
+    square = _square_with_sinks(tmp_path / "square.json", [[-0.5, 0.0], [0.5, 0.0]])
+    codes, scipy = _scipy_after(["verify", square, "--mode", "oracle"])
+    assert codes == [0]
+    assert scipy == []
+
+
+def test_three_sink_oracle_loads_scipy_optimize(tmp_path):
+    square = _square_with_sinks(
+        tmp_path / "square.json", [[-0.5, -0.5], [0.5, -0.5], [0.0, 0.5]]
+    )
+    codes, scipy = _scipy_after(
+        ["verify", square, "--mode", "oracle", "--resolution", "20"]
+    )
+    assert codes == [0]
+    assert "scipy.optimize" in scipy
+
+
 def test_readme_quickstart_runs():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library quickstart", 1)[1]
