@@ -24,12 +24,18 @@ is deterministic given (seed, box index); see :func:`box_rng` for the
 substream rule. Each block of draws is split into row ranges over one thread
 per usable core; a worker jumps its copy of the box's stream to its first
 row, so every point's value depends only on its position in the
-``(seed, box_index)`` stream, never on the worker count. A Monte-Carlo point
-is labelled exactly as :func:`classify_points` labels it: the same in-place
-scores, a product with one C-contiguous copy of the sinks followed by their
-shifts along the flat score buffer, and the same first-index-on-a-tie rule,
-one comparison per point when n = 2. At n = 2 a worker counts those bool
-labels with ``np.count_nonzero``; for more sinks, with ``np.bincount``.
+``(seed, box_index)`` stream, never on the worker count. The volume count
+labels a point from its unit draw u, the stream's row, not from its point
+x = lo + w u of the box: the box is folded into the sinks once per call, so
+the scores are one product ``u @ W`` and one add of a constant per sink,
+and with n = 2 sinks the label is one projection ``u . v < c'``. These
+rounding steps differ from those of :func:`classify_points`, the rule in
+x-space, so a count label can differ from ``classify_points(lo + w u)``
+only for a point within rounding of a cell boundary. Ties still go to the
+first index. At n = 2 a worker counts the bool labels with
+``np.count_nonzero``; for more sinks, with ``np.bincount``. The potential
+integral maps each u to its x and scores it as :func:`classify_points`
+does.
 """
 
 from __future__ import annotations
@@ -366,8 +372,7 @@ def _scores(
 def _labels(scores: np.ndarray, out: np.ndarray) -> np.ndarray:
     # np.argmin(scores, axis=1) into out: the first index of each row's
     # minimum, so index 0 on a tie. For n = 2 that rule is one comparison,
-    # where argmin loops row by row and took about 12x longer; out may then
-    # be a bool buffer.
+    # where argmin loops row by row and took about 12x longer.
     if scores.shape[1] == 2:
         return np.less(scores[:, 1], scores[:, 0], out=out)
     return np.argmin(scores, axis=1, out=out)
@@ -377,9 +382,11 @@ def classify_points(samples: SampleSet, g: np.ndarray, xs: np.ndarray) -> np.nda
     """Laguerre cell index of each row of xs, shape (m, l) -> (m,).
 
     Ties go to the smallest index, as with ``np.argmin``; with n = 2 sinks
-    the index is the one comparison ``score_1 < score_0``. Every Monte Carlo
-    point is labelled with the same scores and the same rule, and a point
-    gets the same label alone as in any batch.
+    the index is the one comparison ``score_1 < score_0``. A point gets the
+    same label alone as in any batch. This is the rule in x-space: the
+    Monte Carlo volume count scores its points from their unit draws (see
+    :func:`cell_box_volumes_mc`), and its labels can differ from these only
+    for a point within rounding of a cell boundary.
     """
     g = np.asarray(g, dtype=float)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -396,36 +403,93 @@ def box_rng(seed: int, box_index: int) -> np.random.Generator:
     """Deterministic per-box substream: default_rng(SeedSequence(seed, spawn_key=(i,))).
 
     Part of the sampling contract: serial and parallel sweeps over boxes see
-    identical, non-overlapping streams. Point r of a box is the r-th row of
-    ``box_rng(seed, i).uniform(lo, hi, (m, l))`` however the draws are split
-    into blocks, sub-chunks and worker threads.
+    identical, non-overlapping streams. Unit draw r of a box is the r-th row
+    of ``box_rng(seed, i).random((m, l))``, and its point the r-th row of
+    ``box_rng(seed, i).uniform(lo, hi, (m, l))``, however the draws are
+    split into blocks, sub-chunks and worker threads.
     """
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(box_index,)))
 
 
+def _subchunk_rows(samples: SampleSet, l: int) -> int:
+    # Rows a worker draws per numpy call (see _MC_SUBCHUNK); a piece of a
+    # block has at most one more.
+    return max(2, min(_MC_SUBCHUNK, _MC_SUBCHUNK_WORK // (samples.n * l)))
+
+
+def _unit_fold(
+    samples: SampleSet, g: np.ndarray, box: Hyperrectangle, rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # The box folded into the sinks, for unit draws u of the box. With
+    # x = lo + w u, ||x - y_j||^2 - g_j less the j-independent ||x||^2 is
+    # u . W_j + c_j, where W_j = -2 w y_j and c_j = ||y_j||^2 - g_j - 2 lo.y_j.
+    # Returns (W, c): W as one C-contiguous (l, n) array, and c repeated
+    # along the flat buffer of `rows` score rows (and of at least two, since
+    # _unit_scores takes a lone row as two), like the shifts of _scores.
+    # With n = 2, cell 1 wins iff u . v < c', for v = 2 w (y_0 - y_1) and
+    # c' = (||y_0||^2 - g_0) - (||y_1||^2 - g_1) - 2 lo.(y_0 - y_1):
+    # returns (v, c') with v of shape (l,) and c' a scalar.
+    y, lo, w = samples.points, box.lo, box.widths
+    norms = samples.squared_norms
+    if samples.n == 2:
+        d = y[0] - y[1]
+        cut = (norms[0] - g[0]) - (norms[1] - g[1]) - 2.0 * float(lo @ d)
+        return 2.0 * w * d, cut
+    weights = np.ascontiguousarray(-2.0 * (w[:, None] * y.T))
+    return weights, np.tile(norms - g - 2.0 * (y @ lo), max(rows, 2))
+
+
+def _unit_scores(fold: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
+    # The scores of unit draws u under a _unit_fold: u @ W + c, shape
+    # (rows, n), or for n = 2 the projections u @ v, shape (rows,), which
+    # the label compares with c'. numpy multiplies a lone row with another
+    # kernel, which rounds differently, so a lone row is scored as two
+    # copies of itself and gets the bits it gets in any larger call.
+    if len(u) == 1:
+        return _unit_scores(fold, np.concatenate([u, u]))[:1]
+    operand, shift = fold
+    scores = u @ operand
+    if operand.ndim == 2:
+        flat = scores.reshape(-1)
+        flat += shift[: flat.size]
+    return scores
+
+
+def _unit_labels(
+    fold: tuple[np.ndarray, np.ndarray], u: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    # The cell of each unit draw u into out: the first index of its least
+    # score, or with n = 2 the bool u . v < c' (a tie stays in cell 0).
+    scores = _unit_scores(fold, u)
+    if scores.ndim == 1:
+        return np.less(scores, fold[1], out=out)
+    return np.argmin(scores, axis=1, out=out)
+
+
 def _box_draws(
     samples: SampleSet,
-    g: np.ndarray,
     box: Hyperrectangle,
     m: int,
     seed,
     box_index: int,
-    per_point: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
+    per_point: Callable[[np.ndarray, np.ndarray], None],
     dtype,
 ) -> Iterator[np.ndarray]:
-    """``per_point`` of m uniform points of the box, drawn from ``box_rng``.
+    """``per_point`` of the first m unit draws of the box's ``box_rng`` stream.
 
-    ``per_point(pts, scores, out)`` writes one value per row of ``pts`` into
-    ``out``; ``scores`` holds the rows' ``_scores`` under the weights g.
-    Yields the values a block of at most ``_MC_CHUNK`` rows at a time, so
-    memory stays bounded; each yielded array is reused for the next block.
+    ``per_point(u, out)`` writes one value per row of ``u`` into ``out``.
+    Each row of ``u`` is a unit draw of ``Generator.random``; the box's
+    point for it is ``lo + width * u``, the value ``Generator.uniform``
+    gives. Each callback does its own arithmetic on ``u`` and may overwrite
+    it. Yields the values a block of at most ``_MC_CHUNK`` rows at a time,
+    so memory stays bounded; each yielded array is reused for the next
+    block.
 
     A block is split into contiguous row ranges, one per worker thread (the
     calling thread takes the first). A worker copies the stream's state,
     advances it to its first row and draws its rows a sub-chunk at a time
-    (sized from ``samples``) as ``lo + width * u``, the values
-    ``Generator.uniform`` gives. No piece of a block of two or more rows has
-    a single row, and ``_scores`` takes a lone row as two (numpy multiplies
+    (:func:`_subchunk_rows`). No piece of a block of two or more rows has a
+    single row, and the callbacks take a lone row as two (numpy multiplies
     a lone row with another kernel, which rounds differently). So every
     value depends only on its row, never on the split or on m.
 
@@ -440,14 +504,8 @@ def _box_draws(
         )
     state = box_rng(seed, box_index).bit_generator.state
     l = box.dimension
-    size = max(2, min(_MC_SUBCHUNK, _MC_SUBCHUNK_WORK // (samples.n * l)))
+    size = _subchunk_rows(samples, l)
     block = np.empty(min(m, _MC_CHUNK), dtype=dtype)
-    # lo and width repeated along the flat buffer, like the score shifts:
-    # one contiguous multiply and add, where broadcasting over rows of
-    # l = 2-4 was 4-13x slower. Built once, for the longest sub-chunk.
-    longest = min(m, size + 1)
-    flat_lo, flat_width = np.tile(box.lo, longest), np.tile(box.widths, longest)
-    shifts = _score_shifts(samples, g, longest)
 
     def fill(start: int, first: int, stop: int) -> None:
         # Rows [first, stop) of the stream into block[first - start:stop - start].
@@ -457,13 +515,9 @@ def _box_draws(
         buf = np.empty((min(stop - first, size + 1), l))
         while first < stop:
             end = stop if stop - first <= size + 1 else first + size
-            pts = buf[: end - first]
-            rng.random(out=pts)
-            flat = pts.reshape(-1)
-            flat *= flat_width[: flat.size]
-            flat += flat_lo[: flat.size]
-            scores = _scores(samples, shifts, pts)
-            per_point(pts, scores, block[first - start : end - start])
+            u = buf[: end - first]
+            rng.random(out=u)
+            per_point(u, block[first - start : end - start])
             first = end
 
     with ThreadPoolExecutor(_MC_WORKERS) as pool:
@@ -507,16 +561,22 @@ def cell_box_volumes_mc(
     eps_bar * vol(box) (Hoeffding plus a union bound over the n cells).
 
     One pass serves every cell: the gradient consumes all j for a fixed box.
-    The points are the first m rows of the ``box_rng(seed, box_index)``
-    stream, classified and counted on one thread per usable core; each
-    point's cell depends only on its row, so the result is the same, bit for
-    bit, for any worker count.
+    The points are the first m rows u of the ``box_rng(seed, box_index)``
+    stream, labelled and counted on one thread per usable core. Each is
+    labelled from u itself, with the box folded into the sinks: the first
+    index of the least ``u @ W + c``, or with n = 2 whether ``u . v < c'``
+    (see the module docstring). A label can differ from
+    ``classify_points(lo + w u)`` only for a point within rounding of a cell
+    boundary. Each point's cell depends only on its row, so the result is
+    the same, bit for bit, for any worker count.
     """
     g = np.asarray(g, dtype=float)
     if not np.isfinite(g).all():
         raise ValueError("dual weights must be finite")
     n = samples.n
     m = mc_sample_count(n, eps_bar, eta_prime)
+    rows = min(m, _subchunk_rows(samples, box.dimension) + 1)
+    fold = _unit_fold(samples, g, box, rows)
     # Each worker counts its own sub-chunk's labels, so no worker waits on a
     # count of the whole block; integer counts add up to the same total in
     # any order. With n = 2 a label is a bool: counting the points of cell 1
@@ -524,8 +584,8 @@ def cell_box_volumes_mc(
     counts = np.zeros(n, dtype=np.int64)
     lock = threading.Lock()
 
-    def label(pts: np.ndarray, scores: np.ndarray, out: np.ndarray) -> None:
-        labels = _labels(scores, out)
+    def label(u: np.ndarray, out: np.ndarray) -> None:
+        labels = _unit_labels(fold, u, out)
         if n == 2:
             ones = np.count_nonzero(labels)
             part = (labels.size - ones, ones)
@@ -535,7 +595,7 @@ def cell_box_volumes_mc(
             np.add(counts, part, out=counts)
 
     dtype = bool if n == 2 else np.intp
-    for _ in _box_draws(samples, g, box, m, seed, box_index, label, dtype):
+    for _ in _box_draws(samples, box, m, seed, box_index, label, dtype):
         pass
     if counts.sum() != m:
         raise RuntimeError(f"Monte Carlo counts sum to {counts.sum()}, not to m = {m}")
@@ -553,15 +613,26 @@ def potential_integral_mc(
 ) -> float:
     """Estimate weight * integral over the box of min_j(||x - y_j||^2 - g_j).
 
-    Averages the potential over m uniform points of the box, drawn as in
-    :func:`cell_box_volumes_mc`; the caller picks m for its accuracy target.
+    Averages the potential over m uniform points of the box, the first m
+    rows of the stream :func:`cell_box_volumes_mc` draws; the caller picks
+    m for its accuracy target. Each unit draw u is mapped in place to its
+    point x = lo + w u and scored as :func:`classify_points` scores it.
     """
+    # lo and width repeated along the flat buffer, like the score shifts:
+    # one contiguous multiply and add, where broadcasting over rows of
+    # l = 2-4 was 4-13x slower. Built once, for the longest sub-chunk.
+    rows = min(m, _subchunk_rows(samples, box.dimension) + 1)
+    flat_lo, flat_width = np.tile(box.lo, rows), np.tile(box.widths, rows)
+    shifts = _score_shifts(samples, g, rows)
 
-    def potential(pts: np.ndarray, scores: np.ndarray, out: np.ndarray) -> None:
-        np.add(scores.min(axis=1), (pts**2).sum(-1), out=out)
+    def potential(u: np.ndarray, out: np.ndarray) -> None:
+        flat = u.reshape(-1)
+        flat *= flat_width[: flat.size]
+        flat += flat_lo[: flat.size]
+        np.add(_scores(samples, shifts, u).min(axis=1), (u**2).sum(-1), out=out)
 
     acc = 0.0
-    for values in _box_draws(samples, g, box, m, seed, box_index, potential, float):
+    for values in _box_draws(samples, box, m, seed, box_index, potential, float):
         acc += float(values.sum())
     return weight * box.volume * acc / m
 

@@ -187,7 +187,11 @@ def decide_positive_likelihood(cnf: CnfFormula) -> bool:
         fits.append((shifted >= los[None, :, :]) & (shifted <= his[None, :, :]))
     fit_false, fit_true = fits
     pair_sample, pair_box = np.nonzero((fit_false | fit_true).all(axis=2))
-    if np.unique(pair_sample).size < cnf.n:
+    # np.nonzero lists the pairs sample by sample, so pair_sample is sorted
+    # and counts one sample per change of value (np.unique would load
+    # numpy.ma on its first call).
+    samples_hit = pair_sample.size and 1 + np.count_nonzero(np.diff(pair_sample))
+    if samples_hit < cnf.n:
         return False  # some sample lies in no box whatever theta is
     weights = 1 << np.arange(l)
     care = (fit_false ^ fit_true)[pair_sample, pair_box] @ weights

@@ -321,6 +321,31 @@ class TestClassifyPoint:
                 geometry._scores(samples, shifts, xs.view(Rows))
                 assert operands.pop().flags.c_contiguous
 
+    def test_unit_scores_have_the_bits_of_every_row_count(self):
+        # The Monte Carlo count scores unit draws with the box folded into the
+        # sinks: each row's scores (the projection when n = 2) have the bits
+        # of the broadcast form over all rows, at every row count from 2 to
+        # 130, at the sub-chunk lengths, and for a lone row.
+        rng = np.random.default_rng(19)
+        for l in range(1, 6):
+            for n in range(1, 41):
+                samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(n, l)))
+                g = rng.uniform(-0.2, 0.2, size=n)
+                lo = rng.uniform(-1.5, 0.0, size=l)
+                box = Hyperrectangle(lo, lo + rng.uniform(0.5, 2.0, size=l))
+                size = geometry._subchunk_rows(samples, l)
+                counts = [*range(2, 131), size, size + 1]
+                u = rng.random((max(counts), l))
+                fold = geometry._unit_fold(samples, g, box, max(counts))
+                assert fold[0].flags.c_contiguous
+                expected = _unit_broadcast_scores(samples, g, box, u)[0]
+                for rows in counts:
+                    scores = geometry._unit_scores(fold, u[:rows])
+                    assert scores.tobytes() == expected[:rows].tobytes(), (l, n, rows)
+                for i in (0, 1, 63):
+                    alone = geometry._unit_scores(fold, u[i : i + 1])
+                    assert alone.tobytes() == expected[i : i + 1].tobytes(), (l, n, i)
+
 
 class TestMcVolumes:
     def test_symmetric_split(self):
@@ -385,6 +410,28 @@ class TestMcVolumes:
             cell_box_volumes_mc(samples, np.zeros(2), box, 1e-4, 0.05, seed=0)
 
 
+def _unit_broadcast_scores(samples, g, box, u):
+    # The broadcast form of the unit-draw scores: u @ W + c for the box folded
+    # into the sinks, or with n = 2 the projections u @ v and their cut c'.
+    y, lo, w = samples.points, box.lo, box.widths
+    norms = samples.squared_norms
+    if samples.n == 2:
+        d = y[0] - y[1]
+        cut = (norms[0] - g[0]) - (norms[1] - g[1]) - 2.0 * float(lo @ d)
+        return u @ (2.0 * w * d), cut
+    return u @ (-2.0 * w[:, None] * y.T) + (norms - g - 2.0 * (y @ lo)), None
+
+
+def _unit_rule_counts(samples, g, box, u):
+    # Cell counts of unit draws u under the unit-draw rule: the first least
+    # score, or with n = 2 cell 1 where u . v < c' (a tie stays in cell 0).
+    scores, cut = _unit_broadcast_scores(samples, g, box, u)
+    if cut is None:
+        return np.bincount(np.argmin(scores, axis=1), minlength=samples.n)
+    ones = np.count_nonzero(scores < cut)
+    return np.array([len(u) - ones, ones])
+
+
 # (l, workers, n): n = 2 takes the one-comparison labelling, n = 5 argmin.
 _SPLIT_CASES = [(l, w, n) for n in (5, 2) for l in (1, 2, 4) for w in (1, 3, 8)]
 
@@ -423,14 +470,14 @@ class TestMcWorkers:
         samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(n, l)))
         g = rng.uniform(-0.2, 0.2, size=n)
         box = Hyperrectangle(np.full(l, -1.0), np.linspace(0.5, 1.5, l))
+        units = box_rng((4, 2), 3).random((m, l))
         pts = box_rng((4, 2), 3).uniform(box.lo, box.hi, (m, l))
 
         def broadcast_scores(rows):
             # the broadcast form of the scores, which _scores must round alike
             return samples.squared_norms - 2.0 * (rows @ samples.points.T) - g
 
-        labels = np.argmin(broadcast_scores(pts), axis=1)
-        counts = np.bincount(labels, minlength=n)
+        counts = _unit_rule_counts(samples, g, box, units)
         v = cell_box_volumes_mc(samples, g, box, 0.1, 0.1, seed=(4, 2), box_index=3)
         assert v.tolist() == (counts / m * box.volume).tolist()
 
@@ -444,10 +491,11 @@ class TestMcWorkers:
 
         # The per-point values themselves, which a sum could round away:
         # each point's draw and its swept scores.
-        def potential(rows, scores, out):
-            np.add(scores.min(axis=1), (rows**2).sum(-1), out=out)
+        def potential(u, out):
+            rows = box.lo + box.widths * u
+            np.add(broadcast_scores(rows).min(axis=1), (rows**2).sum(-1), out=out)
 
-        swept = geometry._box_draws(samples, g, box, m, (4, 2), 3, potential, float)
+        swept = geometry._box_draws(samples, box, m, (4, 2), 3, potential, float)
         for block, expected in zip(swept, serial, strict=True):
             assert block.tolist() == expected.tolist()
 
@@ -455,16 +503,16 @@ class TestMcWorkers:
     def test_worker_failure_is_raised(self, fail_at, monkeypatch):
         monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 97)
         monkeypatch.setattr(geometry, "_MC_WORKERS", 3)
-        scores = geometry._scores
+        labels = geometry._unit_labels
         calls = itertools.count()
-        failure = RuntimeError("scores failed")
+        failure = RuntimeError("labels failed")
 
-        def failing_scores(samples, shifts, xs):
+        def failing_labels(fold, u, out):
             if next(calls) == fail_at:
                 raise failure
-            return scores(samples, shifts, xs)
+            return labels(fold, u, out)
 
-        monkeypatch.setattr(geometry, "_scores", failing_scores)
+        monkeypatch.setattr(geometry, "_unit_labels", failing_labels)
         samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
         box = Hyperrectangle([-1.0], [1.0])
         baseline = threading.active_count()
@@ -486,13 +534,11 @@ class TestMcWorkers:
         samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(n, 2)))
         g = rng.uniform(-0.2, 0.2, size=n)
         box = Hyperrectangle([-1.0, -0.5], [1.0, 1.5])
-        pts = box_rng(11, 2).uniform(box.lo, box.hi, (m, 2))
+        units = box_rng(11, 2).random((m, 2))
         counts = np.zeros(n, dtype=np.int64)
         # 2 000 003 = 20 * 100 000 + 3: no piece of a single row
         for first in range(0, m, 100_000):
-            rows = pts[first : first + 100_000]
-            scores = samples.squared_norms - 2.0 * (rows @ samples.points.T) - g
-            counts += np.bincount(np.argmin(scores, axis=1), minlength=n)
+            counts += _unit_rule_counts(samples, g, box, units[first : first + 100_000])
         v = cell_box_volumes_mc(samples, g, box, 0.1, 0.1, seed=11, box_index=2)
         assert v.tolist() == (counts / m * box.volume).tolist()
 
@@ -501,7 +547,14 @@ class TestMcWorkers:
         def equal_scores(samples, shifts, xs):
             return np.zeros((len(xs), samples.n))
 
+        fold = geometry._unit_fold
+
+        def equal_fold(*args):
+            # every unit-draw score (or n = 2 projection and its cut) zero
+            return tuple(np.zeros_like(part) for part in fold(*args))
+
         monkeypatch.setattr(geometry, "_scores", equal_scores)
+        monkeypatch.setattr(geometry, "_unit_fold", equal_fold)
         samples = SampleSet.uniform(np.arange(n, dtype=float)[:, None])
         box = Hyperrectangle([-1.0], [1.0])
         v = cell_box_volumes_mc(samples, np.zeros(n), box, 0.05, 0.1, seed=3)
@@ -511,15 +564,39 @@ class TestMcWorkers:
 
     def test_lost_labels_are_raised(self, monkeypatch):
         # a label callback that drops each sub-chunk's first point
-        labels = geometry._labels
+        labels = geometry._unit_labels
         monkeypatch.setattr(
-            geometry, "_labels", lambda scores, out: labels(scores, out)[1:]
+            geometry, "_unit_labels", lambda fold, u, out: labels(fold, u, out)[1:]
         )
         samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
         box = Hyperrectangle([-1.0], [1.0])
         m = mc_sample_count(2, 0.05, 0.1)
         with pytest.raises(RuntimeError, match=f"not to m = {m}"):
             cell_box_volumes_mc(samples, np.zeros(2), box, 0.05, 0.1, seed=0)
+
+    @pytest.mark.parametrize("l, n", [(1, 2), (2, 2), (3, 2), (2, 5), (4, 8), (3, 16)])
+    def test_labels_match_classify_points_off_the_boundaries(self, l, n):
+        # A unit-draw label differs from the x-space rule only within
+        # rounding of a cell boundary: wherever the two least x-space scores
+        # are more than 1e-9 apart, the labels agree.
+        rng = np.random.default_rng(100 + 10 * l + n)
+        samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(n, l)))
+        g = rng.uniform(-0.3, 0.3, size=n)
+        box = Hyperrectangle(np.full(l, -1.2), np.linspace(0.8, 1.4, l))
+        m = 20_000
+        u = box_rng(5, 1).random((m, l))
+        fold = geometry._unit_fold(samples, g, box, m)
+        labels = geometry._unit_labels(
+            fold, u, np.empty(m, bool if n == 2 else np.intp)
+        ).astype(np.intp)
+        xs = box.lo + box.widths * u
+        scores = ((xs[:, None, :] - samples.points) ** 2).sum(-1) - g
+        margin = np.diff(np.sort(scores, axis=1)[:, :2], axis=1)[:, 0]
+        clear = margin > 1e-9
+        assert clear.mean() > 0.99
+        expected = classify_points(samples, g, xs)
+        assert len(set(expected.tolist())) > 1
+        assert (labels[clear] == expected[clear]).all()
 
     def test_refusal_starts_no_thread(self, monkeypatch):
         def no_draws(seed, box_index):
@@ -586,6 +663,27 @@ class TestExactCellMoments2d:
         exact = cell_box_moments_exact(samples, g, box)[0]
         mc = cell_box_volumes_mc(samples, g, box, 0.01, 0.01, seed=2)
         assert np.abs(mc - exact).max() <= 0.01 * box.volume
+
+
+class TestTwoSinkMc:
+    # The n = 2 count labels each point by one projection; its volumes agree
+    # with the exact cells within the Hoeffding tolerance eps_bar vol(box).
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_matches_exact_at_random_weights(self, l):
+        rng = np.random.default_rng(30 + l)
+        eps_bar = 0.01
+        for trial in range(6):
+            samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(2, l)))
+            lo = rng.uniform(-1.0, 0.0, size=l)
+            box = Hyperrectangle(lo, lo + rng.uniform(0.5, 1.5, size=l))
+            # random weights whose boundary passes a random point of the box
+            p = box.lo + box.widths * rng.uniform(0.2, 0.8, size=l)
+            to_sink = ((p - samples.points) ** 2).sum(-1)
+            g = rng.uniform(-0.5, 0.5) + to_sink - to_sink[0]
+            exact = cell_box_moments_exact(samples, g, box)[0]
+            assert exact.min() > 0.0
+            mc = cell_box_volumes_mc(samples, g, box, eps_bar, 1e-3, seed=trial)
+            assert np.abs(mc - exact).max() <= eps_bar * box.volume, (l, trial)
 
 
 class TestExactCellMoments3d:

@@ -140,6 +140,21 @@ def test_three_sink_oracle_loads_scipy_optimize(tmp_path):
     assert "scipy.optimize" in scipy
 
 
+def test_sat_verify_leaves_numpy_ma_unloaded(tmp_path):
+    # The 3-SAT decider counts its samples without np.unique, whose first
+    # call imports numpy.ma.
+    cnf = tmp_path / "formula.cnf"
+    cnf.write_text("p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n")
+    proc = _run_python(
+        "import sys\n"
+        "from boxot.cli import main\n"
+        f"code = main(['verify', {str(cnf)!r}, '--mode', 'sat'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_readme_quickstart_runs():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library quickstart", 1)[1]
