@@ -34,6 +34,7 @@ from .geometry import (
     box_moments,
     cell_box_moments_exact,
     cell_box_volumes_mc,
+    mc_sample_count,
     potential_integral_mc,
 )
 
@@ -89,7 +90,9 @@ class SolverTrace:
     start's included; an mc pass is one gradient draw and one energy draw.
     ``energy_accuracy`` is the additive error budget of every pass's energy
     estimate: 0 on exact, eps'/4 on mc. The last row's energy is the one
-    the solve returns.
+    the solve returns. ``mc_points_gradient`` and ``mc_points_energy``
+    count the Monte Carlo points the solve drew for its gradients and its
+    energies, summed over boxes and passes; both are 0 on exact.
     """
 
     eps_prime: float
@@ -109,6 +112,8 @@ class SolverTrace:
     g_inf_norm: list[float] = field(default_factory=list)
     M_bar: int = 0
     passes: int = 0
+    mc_points_gradient: int = 0
+    mc_points_energy: int = 0
     stop_reason: str = ""
     guarantee_holds: bool = False
 
@@ -235,6 +240,7 @@ def energy(
     eta_prime: float | None = None,
     seed=0,
     backend: str = "exact",
+    drawn: list[int] | None = None,
 ) -> float:
     """Dual energy E(g).
 
@@ -242,7 +248,8 @@ def energy(
     box. MC backend: per-box uniform sampling of the potential
     min_j(||x - y_j||^2 - g_j) with Hoeffding counts for additive error
     ``accuracy`` at failure probability eta_prime; the integrand range is
-    bounded by 4 D^2 + 2 ||g||_inf.
+    bounded by 4 D^2 + 2 ||g||_inf. ``drawn``, when given, gets the number
+    of points drawn in each box appended.
     """
     g = _finite_weights(g)
     samples = instance.samples
@@ -262,6 +269,8 @@ def energy(
     total = 0.0
     for idx, (box, w) in enumerate(instance.density.boxes):
         total += potential_integral_mc(samples, g, box, w, m, seed, box_index=idx)
+        if drawn is not None:
+            drawn.append(m)
     return total + float(g @ samples.demands)
 
 
@@ -272,6 +281,8 @@ def gradient(
     eta_prime: float | None = None,
     seed=0,
     backend: str = "exact",
+    threshold: float | None = None,
+    drawn: list[int] | None = None,
 ) -> np.ndarray:
     """Gradient of E at g, mean-centered onto G_0.
 
@@ -281,6 +292,20 @@ def gradient(
     ||returned - grad E|| <= eps_bar with probability >= 1 - eta_prime.
     Projection onto G_0 is a contraction (grad E lies in G_0), so it never
     increases the error.
+
+    With a ``threshold`` (the solver's stop on ||grad||) and a single box,
+    the MC draw ends at the first block whose prefix estimate g_k, from the
+    first k of the m points, satisfies ||g_k|| + (1 + m/k) eps_bar <=
+    threshold, and returns g_k. Hoeffding's maximal inequality puts every
+    prefix within (m/k) eps_bar of grad E on the full draw's own event, of
+    probability >= 1 - eta_prime (see :func:`cell_box_volumes_mc`). There
+    ||g_m|| <= ||grad E|| + eps_bar <= ||g_k|| + (1 + m/k) eps_bar <=
+    threshold: the full draw would pass the threshold too, so a solver
+    that stops on it stops at the same iterate. A prefix that never
+    certifies runs to m and returns the full draw's bits. With k >= 2 boxes
+    the draw is always full, since a prefix shared by the boxes needs their
+    draws in lockstep; that is left for later. ``drawn``, when given, gets
+    the number of points drawn in each box appended.
     """
     g = _finite_weights(g)
     backend = _resolve_backend(backend, instance.dimension)
@@ -289,13 +314,33 @@ def gradient(
     if eps_bar is None or eta_prime is None:
         raise ValueError("mc gradient needs eps_bar and eta_prime")
     samples = instance.samples
-    k = instance.density.k
+    boxes = instance.density.boxes
+    k = len(boxes)
     per_cell = eps_bar / math.sqrt(samples.n)
+    m = mc_sample_count(samples.n, per_cell, eta_prime / k)
+    rows = m
+    stop = None
+    if threshold is not None and k == 1:
+        weight = boxes[0][1]
+
+        def stop(volumes: np.ndarray, prefix_rows: int) -> bool:
+            # The solver's gradient norm of the prefix, to the same bits.
+            prefix = samples.demands - weight * volumes
+            prefix -= prefix.sum() / prefix.size
+            norm = math.sqrt(float(prefix.dot(prefix)))
+            if norm + (1.0 + m / prefix_rows) * eps_bar > threshold:
+                return False
+            nonlocal rows
+            rows = prefix_rows
+            return True
+
     out = samples.demands.copy()
-    for idx, (box, w) in enumerate(instance.density.boxes):
+    for idx, (box, w) in enumerate(boxes):
         out -= w * cell_box_volumes_mc(
-            samples, g, box, per_cell, eta_prime / k, seed, box_index=idx
+            samples, g, box, per_cell, eta_prime / k, seed, box_index=idx, stop=stop
         )
+        if drawn is not None:
+            drawn.append(rows)
     return out - out.sum() / out.size
 
 
@@ -376,6 +421,15 @@ def solve_dual(
     eps'/4 with failure eta/(M + 1). The iterate and the stopping time
     depend on the gradient draws only, so the last pass's energy, which the
     solve returns on both backends, carries that bound.
+
+    On a single-box density each mc gradient draw is given the threshold
+    and ends at the first block of k of its m points whose prefix estimate
+    g_k has ||g_k|| + (1 + m/k) eps_bar <= eps'/(45 n D^2) (see
+    :func:`gradient`). By Hoeffding's maximal inequality this happens, on
+    the full draw's own event, only where the full draw's norm is below the
+    threshold too: the solve stops at the same t with the same iterate and
+    the same energy, and only the last row's ``grad_norm`` is the prefix's.
+    A draw whose prefix never certifies is the full draw, bit for bit.
     """
     stats = instance.stats
     n = instance.samples.n
@@ -415,6 +469,7 @@ def solve_dual(
         trace.passes += 1
         if backend == "exact":
             return _evaluate(instance, g, t < m_eff)
+        grad_drawn, energy_drawn = [], []
         grad = gradient(
             instance,
             g,
@@ -422,6 +477,8 @@ def solve_dual(
             eta_prime=eta_iter,
             seed=(config.seed, t),
             backend=backend,
+            threshold=grad_threshold,
+            drawn=grad_drawn,
         )
         e_here = energy(
             instance,
@@ -430,7 +487,10 @@ def solve_dual(
             eta_prime=eta_iter,
             seed=(config.seed, t, 1),
             backend=backend,
+            drawn=energy_drawn,
         )
+        trace.mc_points_gradient += sum(grad_drawn)
+        trace.mc_points_energy += sum(energy_drawn)
         return _Pass(e_here, grad, None, None)
 
     start = time.perf_counter()

@@ -33,13 +33,16 @@ rounding steps differ from those of :func:`classify_points`, the rule in
 x-space, so a count label can differ from ``classify_points(lo + w u)``
 only for a point within rounding of a cell boundary. Ties still go to the
 first index. At n = 2 a worker counts the bool labels with
-``np.count_nonzero``; for more sinks, with ``np.bincount``. The potential
-integral maps each u to its x and scores it as :func:`classify_points`
-does.
+``np.count_nonzero``; for more sinks, with ``np.bincount``. A caller may
+end the volume count after any block, at a prefix whose estimate Hoeffding's
+maximal inequality bounds on the full count's own event (see
+:func:`cell_box_volumes_mc`). The potential integral maps each u to its x
+and scores it as :func:`classify_points` does.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import os
@@ -552,6 +555,8 @@ def cell_box_volumes_mc(
     eta_prime: float,
     seed: int,
     box_index: int = 0,
+    *,
+    stop: Callable[[np.ndarray, int], bool] | None = None,
 ) -> np.ndarray:
     """Estimate vol(L_j(g) n box) for all j at once by rejection sampling.
 
@@ -559,6 +564,16 @@ def cell_box_volumes_mc(
     classifies each, and returns fraction_j * vol(box). With probability at
     least 1 - eta' every cell satisfies |v_j - vol(L_j n box)| <=
     eps_bar * vol(box) (Hoeffding plus a union bound over the n cells).
+
+    Hoeffding's bound holds for the largest deviation over all prefixes of
+    the count, not only for the last (Hoeffding 1963, section 2.6). So on
+    the same event of probability at least 1 - eta', the estimate from the
+    first k draws, counts_j / k * vol(box), is within (m/k) eps_bar vol(box)
+    of every cell's volume, for every k <= m at once. When ``stop`` is
+    given, it is called after each block of draws short of m with that
+    prefix estimate and k; once it returns True, the draw ends there and
+    the prefix estimate is returned. Otherwise all m points are drawn, and
+    the result has the bits it has without ``stop``.
 
     One pass serves every cell: the gradient consumes all j for a fixed box.
     The points are the first m rows u of the ``box_rng(seed, box_index)``
@@ -594,12 +609,27 @@ def cell_box_volumes_mc(
         with lock:
             np.add(counts, part, out=counts)
 
+    def volumes(rows: int) -> np.ndarray:
+        if counts.sum() != rows:
+            drawn = f"m = {m}" if rows == m else f"the {rows} rows drawn"
+            raise RuntimeError(
+                f"Monte Carlo counts sum to {counts.sum()}, not to {drawn}"
+            )
+        return counts / rows * box.volume
+
     dtype = bool if n == 2 else np.intp
-    for _ in _box_draws(samples, box, m, seed, box_index, label, dtype):
-        pass
-    if counts.sum() != m:
-        raise RuntimeError(f"Monte Carlo counts sum to {counts.sum()}, not to m = {m}")
-    return counts / m * box.volume
+    rows = 0
+    # Closing the draws on an early stop shuts their worker pool down.
+    with contextlib.closing(
+        _box_draws(samples, box, m, seed, box_index, label, dtype)
+    ) as draws:
+        for block in draws:
+            rows += len(block)
+            if stop is not None and rows < m:
+                prefix = volumes(rows)
+                if stop(prefix, rows):
+                    return prefix
+    return volumes(m)
 
 
 def potential_integral_mc(

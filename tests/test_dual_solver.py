@@ -224,6 +224,133 @@ class TestMcDraws:
             gradient(symmetric_square, g, eps_bar=1e-4, eta_prime=0.1, backend="mc")
 
 
+def _cube_4d():
+    """Uniform density on [-1,1]^4 with sinks (+-1,0,0,0)."""
+    box = Hyperrectangle([-1.0] * 4, [1.0] * 4)
+    density = BoxDensity(dimension=4, boxes=((box, 1.0 / 16.0),))
+    return Instance(density, SampleSet.uniform([[1.0, 0, 0, 0], [-1.0, 0, 0, 0]]))
+
+
+def _off_centre_1d():
+    """Sinks 0 and 0.9 over uniform [-1,1]: g = 0 is far from the threshold,
+    so the mc solve takes 1/L steps before it stops."""
+    density = BoxDensity(dimension=1, boxes=((Hyperrectangle([-1.0], [1.0]), 0.5),))
+    return Instance(density, SampleSet.uniform([[0.0], [0.9]]))
+
+
+def _split_square():
+    """The symmetric square as two boxes, its halves x < 0 and x > 0."""
+    density = BoxDensity(
+        dimension=2,
+        boxes=(
+            (Hyperrectangle([-1.0, -1.0], [0.0, 1.0]), 0.25),
+            (Hyperrectangle([0.0, -1.0], [1.0, 1.0]), 0.25),
+        ),
+    )
+    return Instance(density, SampleSet.uniform([[-1.0, 0.0], [1.0, 0.0]]))
+
+
+def _full_draw(*args, threshold=None, **kwargs):
+    # gradient without the prefix stop: every draw runs to m
+    return gradient(*args, **kwargs)
+
+
+_PREFIX_CASES = {
+    "symmetric-square": (fx.symmetric_square, 0.9),
+    "symmetric-interval": (fx.symmetric_interval, 0.95),
+    "cube-4d": (_cube_4d, 0.95),
+    "off-centre-1d": (_off_centre_1d, 0.95),
+    "split-square": (_split_square, 0.9),
+}
+
+
+def _sample_count(instance, trace, eta):
+    # the m of each box's gradient draw in the solve of trace
+    n, k = instance.samples.n, instance.density.k
+    per_cell = trace.noise_budget / math.sqrt(n)
+    return geometry.mc_sample_count(n, per_cell, eta / (trace.M + 1.0) / k)
+
+
+class TestPrefixStop:
+    # The mc gradient draw ends at the first block whose prefix certifies the
+    # threshold stop; on the maximal inequality's event the solve is the one
+    # the full draws give.
+
+    @pytest.mark.parametrize("name", sorted(_PREFIX_CASES))
+    def test_solve_matches_the_full_draw(self, name, monkeypatch):
+        # eps' is scaled up 30x, which makes m about 2e4 per box, and the
+        # blocks 2 000 rows, so 20 seeds of both solves take well under a
+        # second; the stop rule is the same at any scale.
+        prime = ds.epsilon_prime
+        monkeypatch.setattr(ds, "epsilon_prime", lambda i, e: 30.0 * prime(i, e))
+        monkeypatch.setattr(geometry, "_MC_CHUNK", 2000)
+        build, epsilon = _PREFIX_CASES[name]
+        instance = build()
+        saved = 0
+        for seed in range(20):
+            config = SolverConfig(
+                epsilon=epsilon, eta=0.05, seed=seed, volume_backend="mc"
+            )
+            g, e, trace = solve_dual(instance, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(ds, "gradient", _full_draw)
+                g_full, e_full, full = solve_dual(instance, config)
+            assert g.tolist() == g_full.tolist()
+            assert e == e_full
+            assert trace.M_bar == full.M_bar
+            assert trace.stop_reason == full.stop_reason == "threshold"
+            assert trace.energy_estimate == full.energy_estimate
+            assert trace.mc_points_energy == full.mc_points_energy > 0
+            m = _sample_count(instance, trace, config.eta)
+            draws = trace.passes * instance.density.k * m
+            assert full.mc_points_gradient == draws
+            # only the last pass can stop early
+            assert trace.mc_points_gradient > draws - m
+            saved += full.mc_points_gradient - trace.mc_points_gradient
+        if instance.density.k > 1 or name == "off-centre-1d":
+            # Two boxes always draw in full; the 1/L descent reaches the
+            # threshold too narrowly for a prefix to certify it.
+            assert saved == 0
+        else:
+            assert saved > 0
+
+    def test_full_gradient_passes_where_the_prefix_stops(self, monkeypatch):
+        # At the solver's ratio threshold = 8 eps_bar, around the symmetric
+        # square's optimum: wherever a prefix stops, the full draw with the
+        # same seed has a norm within the threshold.
+        monkeypatch.setattr(geometry, "_MC_CHUNK", 10_000)
+        instance = fx.symmetric_square()
+        eps_bar, eta_prime = 0.01, 1e-6
+        threshold = 8.0 * eps_bar
+        m = geometry.mc_sample_count(2, eps_bar / math.sqrt(2), eta_prime)
+        rng = np.random.default_rng(11)
+        stops = 0
+        for seed in range(40):
+            shift = rng.uniform(0.0, 0.3)
+            g = np.array([shift, -shift])
+            args = (instance, g, eps_bar, eta_prime, (seed, 1), "mc")
+            drawn = []
+            grad = gradient(*args, threshold=threshold, drawn=drawn)
+            full = gradient(*args)
+            norm = math.sqrt(float(grad @ grad))
+            if drawn[0] < m:
+                stops += 1
+                assert norm + (1.0 + m / drawn[0]) * eps_bar <= threshold
+                assert math.sqrt(float(full @ full)) <= threshold
+            else:
+                assert drawn == [m]
+                assert grad.tolist() == full.tolist()
+        assert 5 <= stops <= 35
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_symmetric_square_draws_a_quarter(self, seed, symmetric_square):
+        config = SolverConfig(epsilon=0.9, eta=0.05, seed=seed, volume_backend="mc")
+        _, _, trace = solve_dual(symmetric_square, config)
+        assert trace.stop_reason == "threshold"
+        m = _sample_count(symmetric_square, trace, config.eta)
+        assert 0 < trace.mc_points_gradient <= trace.passes * m / 4
+
+
 class TestSolveDual:
     def test_symmetric_interval_stops_immediately(self, symmetric_interval):
         config = SolverConfig(epsilon=0.05, eta=0.01, seed=0)

@@ -574,6 +574,60 @@ class TestMcWorkers:
         with pytest.raises(RuntimeError, match=f"not to m = {m}"):
             cell_box_volumes_mc(samples, np.zeros(2), box, 0.05, 0.1, seed=0)
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_stop_returns_the_prefix_estimate(self, workers, n, monkeypatch):
+        # Blocks of 1000 rows: the check sees each block's prefix short of
+        # m, and a stop after the third returns the first 3000 rows' counts.
+        monkeypatch.setattr(geometry, "_MC_CHUNK", 1000)
+        monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 83)
+        monkeypatch.setattr(geometry, "_MC_WORKERS", workers)
+        m = 5003
+        monkeypatch.setattr(geometry, "mc_sample_count", lambda n, eps, eta: m)
+        rng = np.random.default_rng(n)
+        samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(n, 2)))
+        g = rng.uniform(-0.2, 0.2, size=n)
+        box = Hyperrectangle([-1.0, -0.5], [1.0, 1.5])
+        units = box_rng(11, 2).random((m, 2))
+        args = (samples, g, box, 0.1, 0.1, 11, 2)
+        seen = []
+
+        def stop_at(rows):
+            def stop(volumes, k):
+                expected = _unit_rule_counts(samples, g, box, units[:k])
+                assert volumes.tolist() == (expected / k * box.volume).tolist()
+                seen.append(k)
+                return k == rows
+
+            return stop
+
+        baseline = threading.active_count()
+        v = cell_box_volumes_mc(*args, stop=stop_at(3000))
+        assert seen == [1000, 2000, 3000]
+        counts = _unit_rule_counts(samples, g, box, units[:3000])
+        assert v.tolist() == (counts / 3000 * box.volume).tolist()
+        assert threading.active_count() == baseline
+        # A stop that never returns True leaves the full draw's bits.
+        seen.clear()
+        v = cell_box_volumes_mc(*args, stop=stop_at(None))
+        assert seen == [1000, 2000, 3000, 4000, 5000]
+        assert v.tolist() == cell_box_volumes_mc(*args).tolist()
+
+    def test_stop_checks_the_prefix_counts(self, monkeypatch):
+        # a label callback that drops each sub-chunk's first point, on a
+        # draw of m = 4 611 rows in blocks of 1000
+        monkeypatch.setattr(geometry, "_MC_CHUNK", 1000)
+        labels = geometry._unit_labels
+        monkeypatch.setattr(
+            geometry, "_unit_labels", lambda fold, u, out: labels(fold, u, out)[1:]
+        )
+        samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
+        box = Hyperrectangle([-1.0], [1.0])
+        with pytest.raises(RuntimeError, match="not to the 1000 rows drawn"):
+            cell_box_volumes_mc(
+                samples, np.zeros(2), box, 0.02, 0.1, seed=0, stop=lambda v, k: True
+            )
+
     @pytest.mark.parametrize("l, n", [(1, 2), (2, 2), (3, 2), (2, 5), (4, 8), (3, 16)])
     def test_labels_match_classify_points_off_the_boundaries(self, l, n):
         # A unit-draw label differs from the x-space rule only within

@@ -1,5 +1,7 @@
 """The top level is the estimation pipeline, and scipy loads only where it is used."""
 
+import ast
+import importlib
 import json
 import os
 import re
@@ -162,3 +164,50 @@ def test_readme_quickstart_runs():
     proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def _tracer_targets() -> tuple:
+    # TARGETS of bench/tracer.py, read from its source: nothing under bench/
+    # is imported, run or written.
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/tracer.py defines no TARGETS")
+
+
+def test_tracer_targets_resolve():
+    # The traced bench run rebinds each (module, name) pair in place, so
+    # every pair must name a global that the module really looks up.
+    targets = _tracer_targets()
+    assert targets
+    for module_name, attr, span in targets:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), (module_name, attr)
+        assert span.rsplit(".", 1)[1] == attr, span
+
+
+def test_mc_gradient_calls_the_volume_count_as_the_tracer_reads_it(monkeypatch):
+    # The tracer wraps dual_solver.cell_box_volumes_mc and reads its first
+    # five positional arguments: (samples, g, box, eps_bar, eta_prime).
+    from boxot import dual_solver
+
+    calls = []
+    count = dual_solver.cell_box_volumes_mc
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return count(*args, **kwargs)
+
+    monkeypatch.setattr(dual_solver, "cell_box_volumes_mc", recording)
+    instance = symmetric_interval()
+    g = np.array([0.1, -0.1])
+    dual_solver.gradient(
+        instance, g, eps_bar=0.05, eta_prime=0.1, seed=3, backend="mc", threshold=0.4
+    )
+    (args,) = calls
+    samples, weights, box, eps_bar, eta_prime = args[:5]
+    assert samples is instance.samples
+    assert weights.tolist() == g.tolist()
+    assert box is instance.density.boxes[0][0]
+    assert eps_bar == 0.05 / np.sqrt(2) and eta_prime == 0.1
