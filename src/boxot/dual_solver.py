@@ -206,7 +206,7 @@ def _evaluate(instance: Instance, g: np.ndarray, hessian: bool = False) -> _Pass
     shifted = samples.squared_norms - g
     total = 0.0
     # Every box's facet pieces (j, i, w measure), for one add into H.
-    rows, cols, values = [], [], []
+    pieces = []
     for box, w in instance.density.boxes:
         out = cell_box_moments_exact(samples, g, box, diagram, facets=hessian)
         vols, firsts, seconds = out[:3]
@@ -216,16 +216,13 @@ def _evaluate(instance: Instance, g: np.ndarray, hessian: bool = False) -> _Pass
             - 2.0 * (firsts * y).sum()
             + (shifted * vols).sum()
         )
-        if hessian and out[3]:
-            j, i, measure = zip(*out[3])
-            rows += j
-            cols += i
-            values += [w * m for m in measure]
+        if hessian and len(out[3][0]):
+            pieces.append((out[3][0], out[3][1], w * out[3][2]))
     if hessian:
-        if rows:
-            j, i = np.array(rows), np.array(cols)
+        if pieces:
+            j, i, measure = map(np.concatenate, zip(*pieces))
             dist = np.sqrt(((y[i] - y[j]) ** 2).sum(axis=1))
-            np.add.at(hess, (j, i), np.array(values) / (2.0 * dist))
+            np.add.at(hess, (j, i), measure / (2.0 * dist))
         hess.flat[:: n + 1] -= hess.sum(axis=1)
     grad = resid - resid.sum() / n
     return _Pass(

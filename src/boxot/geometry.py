@@ -4,20 +4,24 @@ Data containers for box-supported densities and sample sets, point
 classification into Laguerre (power) cells, Monte-Carlo and exact cell
 volumes, and closed-form moments of the density.
 
-Exact cell moments (l <= 3) come from a restricted power diagram. Cells j
-and j' can share a facet only if the lifted points (y_j, ||y_j||^2 - g_j)
-and (y_j', ||y_j'||^2 - g_j') are joined by an edge of the lifted points'
-lower convex hull, and a site that is not a vertex of that hull has an empty
-cell. The hull is a sort and a monotone chain in 1-D and one Qhull call in
-2-D and 3-D, built once per iterate (one g) and shared by every box. In 2-D
-and 3-D each cell is clipped once per iterate, by its neighbours'
-half-spaces only, into a box that holds every box of the density; each box
-then cuts only the cells that straddle it, by its own faces. The
-clippers tag every boundary piece with the half-space that cut it, which
-gives the facet measures that the dual solver's Hessian needs. The Qhull
-call is the module's only use of scipy, so ``scipy.spatial`` is imported
-inside :func:`_power_neighbours`: a process loads it at its first 2-D or
-3-D diagram with at least l + 2 sinks, never at import.
+Exact cell moments (l <= 3) come from a restricted power diagram, read off
+the lower convex hull of the lifted points (y_j, ||y_j||^2 - g_j): each
+lower facet is a vertex of the diagram, each lower edge a facet between two
+cells, and a site that is not a vertex of that hull has an empty cell
+(Aurenhammer 1987). The hull is a sort and a monotone chain in 1-D and one
+Qhull call in 2-D and 3-D, built once per iterate (one g) and shared by
+every box. In 2-D and 3-D, 2l ghost sites far from the sinks bound every
+cell without entering the boxes; a closed-form solve per lower facet gives
+the vertices, one sort orders every cell's corners, and every cell is cut
+into a box that holds every box of the density at once, in numpy, by the
+faces of that box that it crosses. Each box then cuts only the cells that
+straddle it, by its own faces. Every side of a cell carries the neighbour
+across it, which gives the facet measures that the dual solver's Hessian
+needs. Where Qhull does not run (n <= l + 1) or cannot be trusted, each cell
+is clipped in plain floats by the half-spaces of all the other sinks. The
+Qhull call is the module's only use of scipy, so ``scipy.spatial`` is
+imported inside :func:`_power_neighbours`: a process loads it at its first
+2-D or 3-D diagram with at least l + 2 sinks, never at import.
 
 All operations are pure functions on immutable inputs. Monte-Carlo sampling
 is deterministic given (seed, box index); see :func:`box_rng` for the
@@ -50,7 +54,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -671,14 +675,19 @@ def potential_integral_mc(
 # exact cell volumes and moments (l <= 3): restricted power diagram
 # ---------------------------------------------------------------------------
 
-# A lifted-hull facet counts as lower when the last component of its unit
-# outward normal is below this. The slack admits near-vertical facets of
-# either tilt: their edges can only add neighbours, never drop one.
-_VERTICAL_TOL = 1e-8
+# A lower facet of the lifted hull counts as flat when |det(d_1, ..., d_l)|,
+# for its edges d_i from its first sink, is at most this share of the product
+# of the ||d_i||. Qhull triangulates a facet it merged (sinks on one sphere
+# under the weights) and may leave flat pieces, whose vertex no l x l solve
+# gives.
+_FLAT_TOL = 1e-8
 
-# (first, second) vertex positions of the edges of a simplex with l + 1
-# vertices, for the lifted hull's facets in dimension l = 2, 3.
-_SIMPLEX_EDGES = {l: np.triu_indices(l + 1, 1) for l in (2, 3)}
+# Per lower facet (a simplex of four sinks) in 3-D, the positions (p, q, a, b)
+# of every ordered pair p != q of its sinks followed by the other two.
+_FACE_PAIRS = np.array(
+    [(p, q, *(r for r in range(4) if r not in (p, q)))
+     for p in range(4) for q in range(4) if p != q]
+)
 
 
 def _lower_chain(xs: list[float], zs: list[float]) -> list[int]:
@@ -701,78 +710,232 @@ def _lower_chain(xs: list[float], zs: list[float]) -> list[int]:
     return chain
 
 
-def _power_neighbours(
-    y: np.ndarray, lift: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Candidate Laguerre neighbours of every cell (l >= 2, n > l + 1), from Qhull.
+def _power_neighbours(y: np.ndarray, lift: np.ndarray) -> np.ndarray | None:
+    """The facets of the lower convex hull of the lifted points, from Qhull.
 
-    Cells j and j' share a facet only if (y_j, lift_j) and (y_j', lift_j')
-    are joined by an edge of the lower convex hull of the lifted points, and
-    cell j is nonempty only if its lifted point is a vertex of that hull
-    (Aurenhammer 1987). Returns ``(alive, src, dst)``: a mask of the cells
-    that may be nonempty, and directed pairs sorted by ``src`` that contain
-    every neighbour pair; or None when Qhull rejects the input (too flat for
-    a full-dimensional hull), and every pair must be used. Extra pairs are
-    harmless (their half-spaces are redundant), so every doubtful case errs
-    towards more pairs: near-vertical facets count as lower.
+    In dimension l = 2, 3, each lower facet of the hull of the points
+    (y_j, lift_j), lift_j = ||y_j||^2 - g_j, joins l + 1 sinks. It is dual to
+    the power vertex where those sinks' cells meet, each of its edges to the
+    facet between two neighbouring cells, and a sink that is not a vertex of
+    the lower hull has an empty cell (Aurenhammer 1987). Returns the
+    (m, l + 1) sink indices of the lower facets, as Qhull triangulates them;
+    or None when Qhull rejects the points, or reports one as coplanar with a
+    facet, since such a sink may own a sliver cell that no facet names.
     """
     # Imported on first use: scipy.spatial takes about 0.5 s to load.
     from scipy.spatial import ConvexHull, QhullError
 
-    n, l = y.shape
     try:
         # "Qc" reports the points Qhull finds coplanar with a facet.
         hull = ConvexHull(np.column_stack([y, lift]), qhull_options="Qc")
     except QhullError:
         return None
-    alive = np.zeros(n, dtype=bool)
-    lower = hull.simplices[hull.equations[:, l] < _VERTICAL_TOL]
-    first = lower[:, _SIMPLEX_EDGES[l][0]].ravel()
-    second = lower[:, _SIMPLEX_EDGES[l][1]].ravel()
-    alive[lower.ravel()] = True
-    # Points Qhull kept as coplanar with a facet rather than as vertices may
-    # own a sliver cell: make them everyone's neighbour.
     if hull.coplanar.size:
-        near = np.unique(hull.coplanar[:, 0])
-        alive[near] = True
-        first = np.concatenate([first, np.repeat(near, n)])
-        second = np.concatenate([second, np.tile(np.arange(n), near.size)])
-    pairs = np.unique(np.concatenate([first * n + second, second * n + first]))
-    src, dst = np.divmod(pairs, n)
-    keep = src != dst
-    return alive, src[keep], dst[keep]
+        return None
+    # A facet is lower when its outward normal, before the offset, points down.
+    return hull.simplices[hull.equations[:, -2] < 0.0]
+
+
+def _ghosts(
+    y: np.ndarray, g: np.ndarray, lo: list[float], hi: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """2l ghost sinks that bound every cell and own no point of the box.
+
+    The ghosts sit at c +- R e_d, for the box's centre c and R twice the
+    larger of max_j ||y_j - c||_1 and the box's l1 width, so every sink lies
+    strictly inside their cross-polytope: no direction leads out of its
+    cell, which is bounded. Each ghost's weight puts its power at least
+    R^2 / 16 above sink 0's at every corner of the box. The difference of
+    two powers is affine in x, so the ghost loses to sink 0 on the whole
+    box and its cell misses the box. No ghost cell is empty: far enough
+    along its own axis a ghost beats every other sink. Returns the ghosts
+    (2l, l) and their weights (2l,).
+    """
+    l = y.shape[1]
+    lo, hi = np.array(lo), np.array(hi)
+    centre = 0.5 * (lo + hi)
+    reach = 2.0 * max(np.abs(y - centre).sum(axis=1).max(), (hi - lo).sum())
+    ghosts = centre + reach * np.concatenate([np.eye(l), -np.eye(l)])
+    # ||x - G||^2 - ||x - y_0||^2 = ||G||^2 - ||y_0||^2 + c . x with
+    # c = 2 (y_0 - G), whose least value over the box takes lo_d or hi_d
+    # axis by axis.
+    c = 2.0 * (y[0] - ghosts)
+    least = (ghosts**2).sum(1) - y[0] @ y[0] + np.minimum(c * lo, c * hi).sum(1)
+    return ghosts, least + g[0] - reach**2 / 16.0
+
+
+def _dual_vertices(
+    y: np.ndarray, w: np.ndarray, facets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The power vertex of every facet and its sinks' determinant, or None.
+
+    Facet (s_0, ..., s_l)'s vertex v is where its sinks' powers
+    ||v - y_i||^2 - w_i tie. With v = y_0 + x and d_i = y_i - y_0 that is
+    d_i . x = (||d_i||^2 - w_i + w_0) / 2 for i = 1..l, solved by Cramer's
+    rule: x = sum_i r_i c_i / det(d_1, ..., d_l), with the cofactor vectors
+    c_i (c_i . d_k = det when i = k, else 0). Returns (vertices, det), or None
+    when a facet is flat (see _FLAT_TOL).
+    """
+    d = y[facets[:, 1:]] - y[facets[:, :1]]
+    r = 0.5 * ((d**2).sum(-1) - w[facets[:, 1:]] + w[facets[:, :1]])
+    if d.shape[-1] == 2:
+        cof = d[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    else:
+        cof = _cross(d[:, [1, 2, 0]], d[:, [2, 0, 1]])
+    det = (d[:, 0] * cof[:, 0]).sum(-1)
+    if (np.abs(det) <= _FLAT_TOL * np.sqrt((d**2).sum(-1)).prod(-1)).any():
+        return None
+    return y[facets[:, 0]] + (r[..., None] * cof).sum(1) / det[:, None], det
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Runs of equal keys in a row: the start of each run, and the run of
+    # each key.
+    change = keys[1:] != keys[:-1]
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    return starts, np.concatenate(([0], np.cumsum(change)))
+
+
+def _cycle_next(faces: np.ndarray) -> np.ndarray:
+    # Per row, the next row of its face's cycle: the rows of a face are a run.
+    last = np.flatnonzero(faces[1:] != faces[:-1])
+    nxt = np.arange(1, len(faces) + 1)
+    nxt[np.append(last, len(faces) - 1)] = np.concatenate(([0], last + 1))
+    return nxt
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Row-wise cross products of (m, 3) arrays, without np.cross's set-up
+    # (about half the time on a few thousand rows).
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
+def _angle_order(groups: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The order of rows by group, then by the angle between s and t.
+
+    Per row, the angle is that of the sum of the unit vectors along the
+    2-vectors s and t, a direction strictly between them when they span less
+    than pi. Sorting by angle and then, stably, by group took a third of the
+    time of ``np.lexsort`` on the two keys.
+    """
+    s = s / np.hypot(s[:, 0], s[:, 1])[:, None]
+    t = t / np.hypot(t[:, 0], t[:, 1])[:, None]
+    order = np.argsort(np.arctan2(s[:, 1] + t[:, 1], s[:, 0] + t[:, 0]))
+    return order[np.argsort(groups[order], kind="stable")]
+
+
+def _polygon_rows(y, n, facets, det):
+    """The corners of the 2-D cells of the sinks j < n, one row per corner.
+
+    The lower facets around sink j are the triangles of the regular
+    triangulation at y_j. Their sectors tile the turn about y_j, and their
+    dual vertices run around cell j in the same order. So the rows are
+    sorted by each sector's bisector, not by the vertices' own angles: with
+    weights y_j may lie outside its own cell, and a vertex that more than
+    three cells share comes once per triangle. With each triangle (j, a, b)
+    counterclockwise, the edge from its vertex to the next is dual to the
+    side (j, b). Returns the cell, the facet and that edge's neighbour b
+    of each row, sorted by cell and then counterclockwise.
+    """
+    tri = np.where((det > 0.0)[:, None], facets, facets[:, [0, 2, 1]])
+    cell, a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel()
+    f = np.repeat(np.arange(len(tri)), 3)
+    keep = cell < n
+    cell, a, b, f = cell[keep], a[keep], b[keep], f[keep]
+    order = _angle_order(cell, y[a] - y[cell], y[b] - y[cell])
+    return cell[order], f[order], b[order]
+
+
+def _face_rows(y, n, facets):
+    """The corners of the 3-D cells' faces for the sinks j < n, one row each.
+
+    Face (j, k) is dual to the edge jk of the regular tetrahedralization. Its
+    corners are the vertices of the lower facets around that edge, whose
+    wedges tile the turn about the axis y_k - y_j, cell j's outward normal
+    on the face. The rows of a face are sorted by each wedge's bisector, so
+    the face runs counterclockwise seen from outside cell j, even where
+    several of its corners coincide. Returns the cell, the neighbour k and
+    the facet of each row, sorted by cell, neighbour and angle.
+    """
+    quad = facets[:, _FACE_PAIRS].reshape(-1, 4)
+    keep = quad[:, 0] < n
+    quad = quad[keep]
+    f = np.repeat(np.arange(len(facets)), len(_FACE_PAIRS))[keep]
+    # The axis y_k - y_j and the edges to the wedge's other two sinks.
+    corners = y[quad]
+    rel = corners[:, 1:] - corners[:, :1]
+    axis = rel[:, 0]
+    # (u, v) spans the plane normal to the axis, with u x v along the axis.
+    u = _cross(np.eye(3)[np.abs(axis).argmin(1)], axis)
+    flat = rel[:, 1:] @ np.stack([u, _cross(axis, u)], 2)
+    cell, k = quad[:, 0], quad[:, 1]
+    order = _angle_order(cell * len(y) + k, flat[:, 0], flat[:, 1])
+    return cell[order], k[order], f[order]
+
+
+class _Rows(NamedTuple):
+    """Convex cells as rows, one per corner of each face.
+
+    A face's rows are a run, in counterclockwise order seen from outside
+    its cell; a 2-D cell is one face. ``owner`` is the cell's position,
+    ``face`` the face's id and ``points`` the corner. ``tags`` names the
+    neighbour across the edge from the corner to the next (2-D) or across
+    the face (3-D), or -1 for a side on a box.
+    """
+
+    owner: np.ndarray
+    face: np.ndarray
+    points: np.ndarray
+    tags: np.ndarray
+
+
+def _lifted_cells(y, w, n, facets):
+    """The cells of the sinks j < n read off the lower facets, or None.
+
+    ``y`` and ``w`` hold the n sinks and then the ghosts, which bound every
+    cell. Returns (cells, low, high, rows): the nonempty cells in order of
+    index, their vertex bounding boxes, and the cells as :class:`_Rows`,
+    their sides tagged by neighbour. None when a facet is flat.
+    """
+    dual = _dual_vertices(y, w, facets)
+    if dual is None:
+        return None
+    verts, det = dual
+    if y.shape[1] == 2:
+        cell, f, tags = _polygon_rows(y, n, facets, det)
+        face = cell
+    else:
+        cell, tags, f = _face_rows(y, n, facets)
+        face = _runs(cell * len(y) + tags)[1]
+    starts, owner = _runs(cell)
+    points = verts[f]
+    low, high = np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)
+    return cell[starts], low, high, _Rows(owner, face, points, tags)
 
 
 @dataclass(eq=False)
 class _PowerDiagram:
-    """The Laguerre cells of one (samples, g), clipped into one box.
+    """The Laguerre cells of one (samples, g), for the boxes in one hull.
 
-    The box, the hull, runs from corner ``lo`` to corner ``hi`` and holds
-    every box the diagram serves; the dual solver passes the density's
-    :attr:`BoxDensity.hull`. In 1-D, ``cells``
-    lists the lower chain's cells in order, cell ``cells[p]`` is the
-    interval ``[ends[p], ends[p + 1]]`` and ``shapes`` is empty. In 2-D and
-    3-D, ``cells`` lists the cells that are nonempty in the hull, and
-    ``shapes[p]`` is cell ``cells[p]`` clipped into the hull: a polygon and
-    its edge tags ``(poly, tags)``, or a polyhedron ``(verts, faces, tags)``.
-    A tag names the neighbour whose half-space row made the edge or face, -1
-    a side of the hull. Everything is plain floats.
+    The hull runs from corner ``lo`` to corner ``hi`` and holds every box
+    the diagram serves; the dual solver passes the density's
+    :attr:`BoxDensity.hull`. In 1-D, ``cells`` lists the lower chain's cells
+    in order, and cell ``cells[p]`` is the interval
+    ``[ends[p], ends[p + 1]]``. In 2-D and 3-D, when the cells were read off
+    the lifted hull, ``rows`` holds them cut into the hull: ``cells[p]`` is
+    the sink of cell position p, and the box from ``low[p]`` to ``high[p]``
+    holds its part of the hull (its bounding box before the cut, clamped
+    into the hull). Otherwise ``rows`` is None and each box clips its own
+    cells by all pairs of sinks (:func:`_all_pairs_cells`).
     """
 
     lo: list[float]
     hi: list[float]
-    cells: list[int]
-    ends: list[float]
-    shapes: list[tuple]
-
-    @cached_property
-    def extents(self) -> list[tuple[list[float], list[float]]]:
-        """Per shape, the lower and upper corner of its vertices' bounding box."""
-        out = []
-        for shape in self.shapes:
-            axes = list(zip(*shape[0]))
-            out.append(([min(x) for x in axes], [max(x) for x in axes]))
-        return out
+    cells: Sequence[int]
+    ends: Sequence[float] = ()
+    rows: _Rows | None = None
+    low: np.ndarray | None = None
+    high: np.ndarray | None = None
 
 
 def _power_diagram(
@@ -780,17 +943,19 @@ def _power_diagram(
 ) -> _PowerDiagram:
     """The restricted power diagram of the sinks under weights g (l <= 3).
 
-    Cell j is {x : ||x - y_j||^2 - g_j <= ||x - y_j'||^2 - g_j' for all j'},
-    so its row against neighbour j' is a = 2 (y_j' - y_j),
-    b = g_j - g_j' + ||y_j'||^2 - ||y_j||^2. The neighbours come from the
-    lower convex hull of the lifted points (y_j, ||y_j||^2 - g_j): a
-    monotone chain in 1-D, :func:`_power_neighbours` in 2-D and 3-D. When
-    n <= l + 1 or Qhull rejects the points every pair is used.
-
-    In 2-D and 3-D each cell is then clipped into ``hull``, once, by its
-    rows in neighbour order. A row whose half-space holds the whole hull is
-    skipped, and one whose half-space misses the hull empties the cell; both
-    tests compare the row's centre and reach over the hull, in plain floats.
+    Cell j is {x : ||x - y_j||^2 - g_j <= ||x - y_j'||^2 - g_j' for all j'}.
+    In 1-D the cells are read off the lower chain of the lifted points
+    (y_j, ||y_j||^2 - g_j). In 2-D and 3-D with n > l + 1 sinks they are
+    read off the lower facets of one Qhull hull of the lifted sinks and of
+    2l ghosts, which bound every cell and own no point of the hull
+    (:func:`_power_neighbours`, :func:`_ghosts`): one closed-form solve per
+    facet gives its vertex, one sort orders the corners of every cell
+    (:func:`_polygon_rows`, :func:`_face_rows`), and every cell is cut into
+    the hull by the hull's faces that its bounding box crosses
+    (:func:`_clip_cells`), all in numpy. Where Qhull does not run
+    (n <= l + 1) or cannot be trusted (it rejects the points, reports one
+    as coplanar, or leaves a flat facet), the diagram holds no cells, and
+    each box clips its own by all pairs of sinks.
     """
     g = np.asarray(g, dtype=float)
     y = samples.points
@@ -799,10 +964,9 @@ def _power_diagram(
         raise ValueError(
             f"exact cell volumes support dimension <= {EXACT_MAX_DIMENSION} only"
         )
-    norms = samples.squared_norms
-    gs, ns = g.tolist(), norms.tolist()
     lo, hi = hull.lo.tolist(), hull.hi.tolist()
     if l == 1:
+        gs, ns = g.tolist(), samples.squared_norms.tolist()
         ys = y[:, 0].tolist()
         chain = _lower_chain(ys, [nj - gj for nj, gj in zip(ns, gs)])
         # Consecutive chain cells meet where their half-space rows cut.
@@ -810,45 +974,53 @@ def _power_diagram(
             (gs[i] - gs[j] + ns[j] - ns[i]) / (2.0 * (ys[j] - ys[i]))
             for i, j in zip(chain, chain[1:])
         ]
-        return _PowerDiagram(lo, hi, chain, [-math.inf, *cuts, math.inf], [])
+        return _PowerDiagram(lo, hi, chain, [-math.inf, *cuts, math.inf])
 
-    neighbours = _power_neighbours(y, norms - g) if n > l + 1 else None
-    if neighbours is None:
-        ys = y.tolist()
-        cells = list(range(n))
-        rows = [
-            [
-                ([2.0 * (q - p) for p, q in zip(ys[i], ys[j])],
-                 gs[i] - gs[j] + ns[j] - ns[i], j)
-                for j in range(n)
-                if j != i
-            ]
-            for i in range(n)
-        ]
-    else:
-        alive, src, dst = neighbours
-        row_a = (2.0 * (y[dst] - y[src])).tolist()
-        row_b = (g[src] - g[dst] + norms[dst] - norms[src]).tolist()
-        row_i = dst.tolist()
-        bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
-        cells = np.flatnonzero(alive).tolist()
-        rows = [
-            list(zip(*(r[bounds[j]:bounds[j + 1]] for r in (row_a, row_b, row_i))))
-            for j in cells
-        ]
+    if n > l + 1:
+        ghosts, weights = _ghosts(y, g, lo, hi)
+        ys, ws = np.concatenate([y, ghosts]), np.concatenate([g, weights])
+        facets = _power_neighbours(ys, (ys**2).sum(-1) - ws)
+        lifted = None if facets is None else _lifted_cells(ys, ws, n, facets)
+        if lifted is not None:
+            # Every cell is cut into the hull once. The cut points lie on the
+            # hull's faces, so the bounding boxes are clamped into the hull.
+            cells, low, high, rows = lifted
+            rows = _clip_cells(rows, low, high, lo, hi)
+            low, high = np.maximum(low, lo), np.minimum(high, hi)
+            return _PowerDiagram(lo, hi, cells, rows=rows, low=low, high=high)
+    return _PowerDiagram(lo, hi, [])
 
-    # Per row, the centre and half-range of a.x - b over the hull: a row whose
-    # half-space holds the whole hull is redundant in it, and one whose
-    # half-space misses the hull empties the cell.
+
+def _all_pairs_cells(
+    samples: SampleSet, g: np.ndarray, lo: list[float], hi: list[float]
+):
+    """(cells, shapes) of the cells clipped into a box by all other sinks' rows.
+
+    Cell j starts as the box and is clipped, in plain floats, by its row
+    against every other sink, a = 2 (y_j' - y_j),
+    b = g_j - g_j' + ||y_j'||^2 - ||y_j||^2, in index order. A row whose
+    half-space holds the whole box is skipped, and one whose half-space
+    misses the box empties the cell; both tests compare the row's centre and
+    reach over the box. Returns the nonempty cells and their shapes: a
+    polygon and its edge tags ``(poly, tags)``, or a polyhedron ``(verts,
+    faces, tags)``, where a tag names the neighbour whose row made the side
+    and -1 a side of the box.
+    """
+    ys, gs, ns = samples.points.tolist(), g.tolist(), samples.squared_norms.tolist()
+    n, l = len(ys), len(lo)
     pad = [0.0] * (3 - l)
     m0, m1, m2 = [0.5 * (p + q) for p, q in zip(lo, hi)] + pad
     h0, h1, h2 = [0.5 * (q - p) for p, q in zip(lo, hi)] + pad
     clip = _clip_polygon if l == 2 else _clip_polyhedron
     base = _box_shape(lo, hi)
     live, shapes = [], []
-    for j, cell_rows in zip(cells, rows):
+    for j in range(n):
         shape = base
-        for a, b, i in cell_rows:
+        for i in range(n):
+            if i == j:
+                continue
+            a = [2.0 * (q - p) for p, q in zip(ys[j], ys[i])]
+            b = gs[j] - gs[i] + ns[i] - ns[j]
             if l == 2:
                 centre = a[0] * m0 + a[1] * m1 - b
                 reach = abs(a[0]) * h0 + abs(a[1]) * h1
@@ -864,7 +1036,7 @@ def _power_diagram(
         else:
             live.append(j)
             shapes.append(shape)
-    return _PowerDiagram(lo, hi, live, [], shapes)
+    return live, shapes
 
 
 def _clip_polygon(poly, tags, a, b, tag):
@@ -1117,39 +1289,140 @@ def _face_area(verts, face):
     return 0.5 * math.sqrt(sx * sx + sy * sy + sz * sz)
 
 
-def _cells_in_box(diagram: _PowerDiagram, lo: list[float], hi: list[float]):
-    """(cells, shapes) of the diagram's cells cut to a box inside its hull.
+def _clip_cells(rows: _Rows, low, high, lo, hi) -> _Rows:
+    """The cells as rows cut to the box [lo, hi], by bounding box first.
 
-    A cell whose bounding box misses the box is dropped, one inside it is
-    kept as it is, and one that straddles it is clipped by the box's
-    faces that cross its bounding box (tag -1). A cell that no neighbour
-    cut is the whole hull, so its part of the box is the box itself,
-    corners and all, as the box's own diagram has it.
+    ``low`` and ``high`` are the corners of each cell's bounding box. The
+    rows of a cell whose bounding box misses the box are dropped; a cell
+    whose bounding box reaches past a face of the box is clipped by that
+    face (:func:`_clip_rows`), in the order -x_d <= -lo_d, x_d <= hi_d for
+    d = 1..l.
     """
-    l = len(lo)
-    clip = _clip_polygon if l == 2 else _clip_polyhedron
-    cells, shapes = [], []
-    for j, shape, (low, high) in zip(diagram.cells, diagram.shapes, diagram.extents):
-        if any(map(operator.ge, low, hi)) or any(map(operator.le, high, lo)):
-            continue
-        if max(shape[-1]) < 0:
-            cells.append(j)
-            shapes.append(_box_shape(lo, hi))
-            continue
-        # The rows -x_d <= -lo_d and x_d <= hi_d, where they cross the cell.
-        for d in range(l):
-            if low[d] < lo[d] and len(shape[0]) >= 3:
-                a = [0.0] * l
-                a[d] = -1.0
-                shape = clip(*shape, a, -lo[d], -1)
-            if high[d] > hi[d] and len(shape[0]) >= 3:
-                a = [0.0] * l
-                a[d] = 1.0
-                shape = clip(*shape, a, hi[d], -1)
-        if len(shape[0]) >= 3:
-            cells.append(j)
-            shapes.append(shape)
-    return cells, shapes
+    meets = (low < hi).all(1) & (high > lo).all(1)
+    keep = meets[rows.owner]
+    if not keep.all():
+        rows = _Rows(*(x[keep] for x in rows))
+    for d in range(len(lo)):
+        for bound, sign, crossing in (
+            (lo[d], -1.0, low[:, d] < lo[d]), (hi[d], 1.0, high[:, d] > hi[d])
+        ):
+            crossing &= meets
+            if crossing.any():
+                rows = _clip_rows(rows, d, bound, sign, crossing)
+    return rows
+
+
+def _clip_rows(rows: _Rows, d: int, bound: float, sign: float, crossing) -> _Rows:
+    """The cells marked in ``crossing`` clipped by sign (x_d - bound) <= 0.
+
+    Sutherland-Hodgman on every face at once, in numpy: a corner is kept
+    when it is inside (value <= 0), and an edge whose ends lie on either
+    side adds the point where it crosses, p + t (q - p) with t = f_p /
+    (f_p - f_q), whose coordinate d is set to the bound. In 2-D the edge
+    from where a cell leaves the half-plane to where it comes back gets tag
+    -1. In 3-D each face that leaves the half-space does so across one edge
+    of its cell, so the leaving points are the corners of the cap, one per
+    cut edge; a cell with three or more gets the cap as a new face, tag -1,
+    its corners ordered by angle about their mean in the plane,
+    counterclockwise seen from outside.
+    """
+    owner, face, p, tags = rows
+    nxt = _cycle_next(face)
+    f = sign * (p[:, d] - bound)
+    f[~crossing[owner]] = -1.0
+    keep = f <= 0.0
+    cut = keep != keep[nxt]
+    to, pc, fc = nxt[cut], p[cut], f[cut]
+    hits = pc + (fc / (fc - f[to]))[:, None] * (p[to] - pc)
+    hits[:, d] = bound
+    # Each row gives its corner if it is kept, then its edge's crossing: the
+    # row is repeated that often, and its last copy becomes the crossing.
+    count = keep.astype(np.intp) + cut
+    out = _Rows(*(np.repeat(x, count, axis=0) for x in rows))
+    slots = np.cumsum(count)[cut] - 1
+    out.points[slots] = hits
+    leave = keep[cut]
+    if p.shape[1] == 2:
+        out.tags[slots[leave]] = -1
+        return out
+    cap_owner, cap = owner[cut][leave], hits[leave]
+    corners = np.bincount(cap_owner, minlength=len(crossing))
+    big = corners[cap_owner] >= 3
+    if not big.all():
+        cap_owner, cap = cap_owner[big], cap[big]
+    # Axes (u, v) of the plane with u x v = sign e_d, the cap's outward normal.
+    u, v = ((d + 1) % 3, (d + 2) % 3)[:: int(sign)]
+    size = np.maximum(corners, 1)
+    mid_u = np.bincount(cap_owner, cap[:, u], len(crossing)) / size
+    mid_v = np.bincount(cap_owner, cap[:, v], len(crossing)) / size
+    angle = np.arctan2(cap[:, v] - mid_v[cap_owner], cap[:, u] - mid_u[cap_owner])
+    order = np.lexsort((angle, cap_owner))
+    cap_owner = cap_owner[order]
+    return _Rows(
+        np.concatenate([out.owner, cap_owner]),
+        np.concatenate([out.face, face.max() + 1 + cap_owner]),
+        np.concatenate([out.points, cap[order]]),
+        np.concatenate([out.tags, np.full(len(cap_owner), -1)]),
+    )
+
+
+def _row_moments(rows: _Rows, count: int, facets: bool):
+    """(vol, integral x, integral ||x||^2, pieces) of ``count`` cells as rows.
+
+    Sums the triangles (2-D) or tetrahedra (3-D) that join each side's fan
+    to the mean of the cell's corner rows, which lies in the cell. With
+    ``facets``, the pieces are (cell position, tag, measure) for every side
+    with a tag >= 0: an edge's length in 2-D, a face's area in 3-D; else
+    None.
+    """
+    owner, face, p, tags = rows
+    l = p.shape[1]
+    nxt = _cycle_next(face)
+    # Flat (cell, axis) bins, for sums of l-vectors per cell in one call.
+    bins = (owner[:, None] * l + np.arange(l)).ravel()
+    sizes = np.maximum(np.bincount(owner, minlength=count), 1)
+    centre = np.bincount(bins, p.ravel(), count * l).reshape(count, l)
+    centre /= sizes[:, None]
+    pieces = None
+    if l == 2:
+        a = p - centre[owner]
+        b = a[nxt]
+        t = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+        vol = np.bincount(owner, t, count)
+        s = (a + b) * (t / 3.0)[:, None]
+        sq = t / 6.0 * (a * a + a * b + b * b).sum(1)
+        by = owner
+        if facets:
+            sides = tags >= 0
+            step = p[nxt[sides]] - p[sides]
+            pieces = owner[sides], tags[sides], np.hypot(step[:, 0], step[:, 1])
+    else:
+        # Fan each face from its first corner: every row but a face's first
+        # and last starts a triangle, which the centre makes a tetrahedron.
+        starts, run = _runs(face)
+        head = starts[run]
+        tri = np.flatnonzero((head != np.arange(len(face))) & (head != nxt))
+        by, bins = owner[tri], bins.reshape(-1, 3)[tri].ravel()
+        c = centre[by]
+        a, b, e = p[head[tri]] - c, p[tri] - c, p[nxt[tri]] - c
+        t = (a * _cross(b, e)).sum(1) / 6.0
+        vol = np.bincount(by, t, count)
+        s = a + b + e
+        sq = t / 20.0 * (a * a + b * b + e * e + s * s).sum(1)
+        s *= (t / 4.0)[:, None]
+        if facets:
+            normal = _cross(b - a, e - a)
+            normal = np.stack(
+                [np.bincount(run[tri], x, len(starts)) for x in normal.T], 1
+            )
+            sides = tags[starts] >= 0
+            area = 0.5 * np.sqrt((normal[sides] ** 2).sum(1))
+            pieces = owner[starts][sides], tags[starts][sides], area
+    first = np.bincount(bins, s.ravel(), count * l).reshape(count, l)
+    second = np.bincount(by, sq, count)
+    firsts = first + vol[:, None] * centre
+    seconds = second + 2.0 * (centre * first).sum(1) + vol * (centre**2).sum(1)
+    return vol, firsts, seconds, pieces
 
 
 def cell_box_moments_exact(
@@ -1165,31 +1438,49 @@ def cell_box_moments_exact(
     ``_power_diagram(samples, g, hull)`` for a hull that holds the box,
     built here with the box as its hull when None; a caller with several
     boxes builds it once per g, with a hull that holds them all, and passes
-    it to every box. The diagram clips each cell into its hull once, by its
-    neighbours' half-spaces only: an interval in 1-D, a polygon in 2-D and
-    a face-list polyhedron in 3-D. A box equal to the hull takes those
-    cells as they are; any other box drops the cells whose bounding box
-    misses it and clips the ones that straddle it by its own faces. A cell
-    has about 6 neighbours in 2-D and 15 in 3-D, so the cost is one
-    O(n log n) diagram and O(n) small clips in plain floats per g, plus a
-    clip by at most 2l axis planes per straddling cell and box.
-    Returns (vols (n,), firsts (n, l), seconds (n,)). Deterministic.
+    it to every box. In 2-D and 3-D the diagram's cells, read off the
+    lifted hull, are numpy rows: those whose bounding box misses the box
+    are dropped, those that straddle it are clipped by the box's faces that
+    their bounding boxes cross, and all are measured at once
+    (:func:`_clip_cells`, :func:`_row_moments`), a few numpy calls per box
+    face. Where the diagram holds no cells, the box is clipped, in plain
+    floats, once per cell by the rows of all the other sinks
+    (:func:`_all_pairs_cells`), as only a few sinks or inputs that Qhull
+    cannot handle take that route. Returns
+    (vols (n,), firsts (n, l), seconds (n,)). Deterministic.
 
-    With ``facets`` it also returns a list of (j, i, measure): the measure
-    of the boundary piece that cell j's row against neighbour i cut from
-    the box (a point counts 1 in 1-D, a length in 2-D, an area in 3-D),
-    one entry per piece of each nonempty cell, so every facet appears once
-    from each side.
+    With ``facets`` it also returns the boundary pieces as three parallel
+    arrays (j, i, measure): the measure of the piece of cell j's boundary
+    against neighbour i in the box (a point counts 1 in 1-D, a length in
+    2-D, an area in 3-D), one entry per piece of each nonempty cell, so
+    every facet appears once from each side.
     """
     if diagram is None:
         diagram = _power_diagram(samples, g, box)
     n, l = samples.n, box.dimension
     lo, hi = box.lo.tolist(), box.hi.tolist()
+    if l > 1 and (lo != diagram.lo or hi != diagram.hi):
+        inside = all(map(operator.ge, lo, diagram.lo))
+        if not (inside and all(map(operator.le, hi, diagram.hi))):
+            raise ValueError("the box reaches outside the diagram's hull")
+
+    if diagram.rows is not None:
+        rows = diagram.rows
+        if lo != diagram.lo or hi != diagram.hi:
+            rows = _clip_cells(rows, diagram.low, diagram.high, lo, hi)
+        count = len(diagram.cells)
+        vol, first, second, pieces = _row_moments(rows, count, facets)
+        vols, firsts, seconds = np.zeros(n), np.zeros((n, l)), np.zeros(n)
+        vols[diagram.cells], firsts[diagram.cells] = vol, first
+        seconds[diagram.cells] = second
+        if not facets:
+            return vols, firsts, seconds
+        return vols, firsts, seconds, (diagram.cells[pieces[0]], *pieces[1:])
+
     vols = [0.0] * n
     firsts = [(0.0,) * l] * n
     seconds = [0.0] * n
     pieces = []
-
     if l == 1:
         (box_lo,), (box_hi,) = lo, hi
         ends = diagram.ends
@@ -1204,34 +1495,31 @@ def cell_box_moments_exact(
             if facets and box_lo < ends[pos + 1] < box_hi:
                 i = chain[pos + 1]
                 pieces += [(j, i, 1.0), (i, j, 1.0)]
-        moments = np.array(vols), np.array(firsts), np.array(seconds)
-        return (*moments, pieces) if facets else moments
-
-    cells, shapes = diagram.cells, diagram.shapes
-    if lo != diagram.lo or hi != diagram.hi:
-        inside = all(map(operator.ge, lo, diagram.lo))
-        if not (inside and all(map(operator.le, hi, diagram.hi))):
-            raise ValueError("the box reaches outside the diagram's hull")
-        cells, shapes = _cells_in_box(diagram, lo, hi)
-    if l == 2:
-        for j, (poly, tags) in zip(cells, shapes):
-            vols[j], firsts[j], seconds[j] = _polygon_moments(poly)
-            if facets and vols[j] > 0.0:
-                for k, i in enumerate(tags):
-                    if i >= 0:
-                        p, q = poly[k], poly[k - len(poly) + 1]
-                        pieces.append((j, i, math.hypot(q[0] - p[0], q[1] - p[1])))
     else:
-        for j, (verts, faces, tags) in zip(cells, shapes):
-            vols[j], firsts[j], seconds[j] = _polyhedron_moments(verts, faces)
-            if facets and vols[j] > 0.0:
-                pieces += [
-                    (j, i, _face_area(verts, face))
-                    for face, i in zip(faces, tags)
-                    if i >= 0
-                ]
+        for j, shape in zip(*_all_pairs_cells(samples, g, lo, hi)):
+            if l == 2:
+                poly, tags = shape
+                vols[j], firsts[j], seconds[j] = _polygon_moments(poly)
+                if facets and vols[j] > 0.0:
+                    for k, i in enumerate(tags):
+                        if i >= 0:
+                            p, q = poly[k], poly[k - len(poly) + 1]
+                            pieces.append((j, i, math.hypot(q[0] - p[0], q[1] - p[1])))
+            else:
+                verts, faces, tags = shape
+                vols[j], firsts[j], seconds[j] = _polyhedron_moments(verts, faces)
+                if facets and vols[j] > 0.0:
+                    pieces += [
+                        (j, i, _face_area(verts, face))
+                        for face, i in zip(faces, tags)
+                        if i >= 0
+                    ]
     moments = np.array(vols), np.array(firsts), np.array(seconds)
-    return (*moments, pieces) if facets else moments
+    if not facets:
+        return moments
+    j, i, measure = zip(*pieces) if pieces else ((), (), ())
+    pieces = np.array(j, np.intp), np.array(i, np.intp), np.array(measure, float)
+    return (*moments, pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -860,7 +860,8 @@ def _power_diagram_cases():
         pts = _lattice(l, {1: 8, 2: 5, 3: 3}[l], 0.5)
         aligned = Hyperrectangle([-0.75] * l, [0.25] * l)
         cases.append((f"l{l}-lattice", pts, np.zeros(len(pts)), boxes[l] + (aligned,)))
-    # Flat lifted point sets: Qhull raises and every pair is used.
+    # Sinks on a line or in a plane: the lifted sinks alone are flat, and
+    # only the ghosts make the hull full-dimensional.
     t = rng.uniform(-1.0, 1.0, size=8)
     line2 = np.column_stack([t, 0.3 * t + 0.1])
     cases.append(("l2-collinear", line2, rng.normal(scale=0.3, size=8), boxes[2]))
@@ -868,6 +869,35 @@ def _power_diagram_cases():
     cases.append(("l3-coplanar", plane3, rng.normal(scale=0.3, size=10), boxes[3]))
     line3 = np.outer(rng.uniform(-1.0, 1.0, size=6), [0.5, -0.2, 0.8])
     cases.append(("l3-collinear", line3, rng.normal(scale=0.3, size=6), boxes[3]))
+    for l in (2, 3):
+        # Every sink outside the hull of the boxes, on a sphere about them:
+        # every cell is unbounded, toward the boxes.
+        out = rng.normal(size=(12, l))
+        out *= 4.0 / np.linalg.norm(out, axis=1)[:, None]
+        cases.append((f"l{l}-outside", out, rng.normal(scale=0.3, size=12), boxes[l]))
+        # l + 1 sinks about a corner of the corner box and l + 1 about a point
+        # of the wide box's face x_0 = -1.2, all at g = 0: two dual vertices
+        # lie on the box boundary, up to the rounding of the sinks.
+        simplex = {
+            2: np.array([[0.0, 1.0], [-0.75**0.5, -0.5], [0.75**0.5, -0.5]]),
+            3: np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / 3**0.5,
+        }[l]
+        face = np.array([-1.2] + [0.3] * (l - 1))
+        turn = np.eye(l)
+        turn[:2, :2] = [[0.8, -0.6], [0.6, 0.8]]  # no bisector along an axis
+        pts = np.vstack([0.7 + 0.5 * simplex, face - 0.6 * simplex @ turn])
+        cases.append((f"l{l}-vertex-on-box", pts, np.zeros(len(pts)), boxes[l]))
+        # l + 2 sinks in convex position whose powers tie at v = (0.1, -0.2,
+        # ...) under weights g_j = ||v - y_j||^2, so that v is a vertex of all
+        # l + 2 cells, among sinks at g = 0, whose powers at v exceed 0.
+        v = np.array([0.1, -0.2, 0.15][:l])
+        spokes = np.vstack([simplex, -simplex[:1]]) if l == 3 else np.array(
+            [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]
+        )
+        tied = v + spokes * rng.uniform(0.3, 0.8, size=(l + 2, 1))
+        pts = np.vstack([tied, rng.uniform(-1.0, 1.0, size=(10, l))])
+        g = np.concatenate([((tied - v) ** 2).sum(1), np.zeros(10)])
+        cases.append((f"l{l}-weighted-cospherical", pts, g, boxes[l]))
     return cases
 
 
@@ -937,10 +967,9 @@ class TestRestrictedPowerDiagram:
             if index in TestFacetHessian.KINKED.get(name, ()):
                 continue
             facet_sums = []
-            for pieces in (own[3], shared[3]):
+            for j, i, measure in (own[3], shared[3]):
                 total = np.zeros((n, n))
-                for j, i, measure in pieces:
-                    total[j, i] += measure
+                np.add.at(total, (j, i), measure)
                 facet_sums.append(total)
             scale = float(box.widths.max()) ** (l - 1)
             assert np.abs(facet_sums[0] - facet_sums[1]).max() <= 1e-12 * scale
@@ -955,6 +984,129 @@ class TestRestrictedPowerDiagram:
             cell_box_moments_exact(
                 samples, g, Hyperrectangle([0.5, 0.5], [1.5, 1.0]), diagram
             )
+
+
+def _ladder(rng, l, n, k=4):
+    """k slabs along axis 0 of [-1, 1]^l and n sinks on a jittered grid.
+
+    The shape of the benchmark's ladder rungs: each sink sits in its own
+    cell of a regular grid over [-1, 1]^l, moved by at most 0.3 of a cell.
+    """
+    edges = np.linspace(-1.0, 1.0, k + 1)
+    boxes = tuple(
+        Hyperrectangle([edges[i]] + [-1.0] * (l - 1), [edges[i + 1]] + [1.0] * (l - 1))
+        for i in range(k)
+    )
+    per_axis = math.ceil(round(n ** (1.0 / l), 9))
+    grid = np.indices((per_axis,) * l).reshape(l, -1).T
+    cells = grid[rng.choice(len(grid), size=n, replace=False)]
+    jitter = rng.uniform(-0.3, 0.3, size=(n, l))
+    return boxes, -1.0 + (cells + 0.5 + jitter) * (2.0 / per_axis)
+
+
+def _coplanar_case():
+    """Sinks of which one lifts onto the plane of three others, as Qhull sees it.
+
+    The lifted point of sink 3 lies on the plane through the lifted sinks 0-2,
+    so Qhull keeps it as a point coplanar with that facet; its cell is the
+    one point where the three others meet.
+    """
+    points = np.array(
+        [[-0.8, -0.6], [0.9, -0.5], [0.1, 0.9], [0.05, -0.05], [2.0, 2.0]]
+    )
+    g = np.array([0.1, -0.2, 0.05, 0.0, 0.0])
+    lift = (points**2).sum(1) - g
+    plane = np.linalg.solve(np.column_stack([points[:3], np.ones(3)]), lift[:3])
+    g[3] = points[3] @ points[3] - (plane[:2] @ points[3] + plane[2])
+    return points, g
+
+
+class TestLiftedCells:
+    """The cells read off the lifted hull, and where the all-pairs clip stays."""
+
+    @pytest.mark.parametrize("hide", [False, True], ids=["g0", "hidden"])
+    @pytest.mark.parametrize("l, n", [(2, 200), (3, 32)])
+    def test_ladder_matches_all_pairs(self, l, n, hide, monkeypatch):
+        # The benchmark's ladder shape at g = 0, and at a random g that
+        # empties some cells, against the all-pairs clip forced by a Qhull
+        # step that gives no facets.
+        rng = np.random.default_rng(7 + l)
+        boxes, points = _ladder(rng, l, n)
+        samples = SampleSet.uniform(points)
+        g = np.zeros(n)
+        if hide:
+            # About the squared grid spacing below the rest empties cells.
+            g = rng.normal(scale=0.01, size=n)
+            g[::5] -= 4.0 / n ** (2.0 / l)
+        density = BoxDensity(l, tuple((box, 1.0 / (4 * box.volume)) for box in boxes))
+        instance = Instance(density, samples)
+
+        def run():
+            diagram = geometry._power_diagram(samples, g, density.hull)
+            moments = [
+                cell_box_moments_exact(samples, g, box, diagram, facets=True)
+                for box in boxes
+            ]
+            return diagram, moments, _evaluate(instance, g, hessian=True).hess
+
+        lifted, moments, hess = run()
+        monkeypatch.setattr(geometry, "_power_neighbours", lambda y, lift: None)
+        clipped, reference, ref_hess = run()
+        assert lifted.rows is not None and clipped.rows is None
+        vols = np.array([out[0] for out in moments])
+        assert (vols.sum(0) == 0.0).any() == hide
+        for box, out, ref in zip(boxes, moments, reference):
+            tol = 1e-12 * box.volume
+            r = box.max_corner_norm()
+            assert np.abs(out[0] - ref[0]).max() <= tol
+            assert np.abs(out[1] - ref[1]).max() <= tol * r
+            assert np.abs(out[2] - ref[2]).max() <= tol * r**2
+            sums = []
+            for j, i, measure in (out[3], ref[3]):
+                total = np.zeros((n, n))
+                np.add.at(total, (j, i), measure)
+                sums.append(total)
+            scale = float(box.widths.max()) ** (l - 1)
+            assert np.abs(sums[0] - sums[1]).max() <= 1e-12 * scale
+        assert np.abs(hess - ref_hess).max() <= 1e-12 * max(1.0, np.abs(ref_hess).max())
+
+    @pytest.mark.parametrize(
+        "trigger", ["few-sinks", "qhull-error", "coplanar", "flat"]
+    )
+    def test_fallbacks_clip_all_pairs(self, trigger, monkeypatch):
+        # Each input that Qhull does not see or cannot be trusted on takes the
+        # all-pairs clip, and its cells match the brute force.
+        rng = np.random.default_rng(11)
+        l, g = 2, None
+        if trigger == "few-sinks":
+            points = rng.uniform(-1.0, 1.0, size=(3, 2))
+        elif trigger == "qhull-error":
+            import scipy.spatial
+
+            def reject(*args, **kwargs):
+                raise scipy.spatial.QhullError("rejected")
+
+            monkeypatch.setattr(scipy.spatial, "ConvexHull", reject)
+            points = rng.uniform(-1.0, 1.0, size=(9, 2))
+        elif trigger == "coplanar":
+            points, g = _coplanar_case()
+        else:
+            # Cospherical lattice sinks: Qhull merges their facets and
+            # triangulates the merged cubes with flat pieces.
+            l, points = 3, _lattice(3, 3, 0.5)
+        if g is None:
+            g = rng.normal(scale=0.1, size=len(points)) * (l == 2)
+        samples = SampleSet.uniform(points)
+        box = Hyperrectangle([-1.2] * l, [1.2] * l)
+        diagram = geometry._power_diagram(samples, g, box)
+        assert diagram.rows is None
+        vols, firsts, seconds = cell_box_moments_exact(samples, g, box, diagram)
+        ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
+        tol = 1e-12 * box.volume
+        r = box.max_corner_norm()
+        assert np.abs(vols - ref_vols).max() <= tol
+        assert np.abs(firsts - ref_firsts).max() <= tol * r
+        assert np.abs(seconds - ref_seconds).max() <= tol * r**2
 
 
 def _signed_volume(verts, faces):
@@ -1042,17 +1194,12 @@ class TestCapWalk:
             np.min([box.lo for box in boxes], axis=0),
             np.max([box.hi for box in boxes], axis=0),
         )
-        shared = geometry._power_diagram(samples, g, hull)
-        for box in boxes:
+        for box in (hull, *boxes):
             lo, hi = box.lo.tolist(), box.hi.tolist()
-            own = geometry._power_diagram(samples, g, box)
-            for _, shapes in (
-                (own.cells, own.shapes), geometry._cells_in_box(shared, lo, hi)
-            ):
-                for verts, faces, _ in shapes:
-                    vol = geometry._polyhedron_moments(verts, faces)[0]
-                    signed = _signed_volume(verts, faces)
-                    assert abs(signed - vol) <= 1e-12 * box.volume
+            for verts, faces, _ in geometry._all_pairs_cells(samples, g, lo, hi)[1]:
+                vol = geometry._polyhedron_moments(verts, faces)[0]
+                signed = _signed_volume(verts, faces)
+                assert abs(signed - vol) <= 1e-12 * box.volume
         assert audit["caps"] > 0
         assert audit["fallbacks"] == 0
 
@@ -1162,10 +1309,15 @@ class TestFacetHessian:
     cell boundary are left out, since the volume map is not differentiable
     there: the lattice-aligned box of each lattice case, and in the 1-D
     lattice also the box [1.5, 2.5], whose face x = 1.5 is the boundary
-    between the lattice cells at 1.25 and 1.75.
+    between the lattice cells at 1.25 and 1.75. So is the corner box of
+    each vertex-on-box case: a dual vertex sits on its corner, where the
+    facet measures in the box, the Hessian's entries, have a kink in g, and
+    central differences of the volumes miss them by O(step) (1.2e-6 in 2-D
+    and 9e-6 in 3-D of the Hessian's scale).
     """
 
     KINKED = {"l1-lattice": (2, 3), "l2-lattice": (3,), "l3-lattice": (3,)}
+    CORNERED = {"l2-vertex-on-box": (1,), "l3-vertex-on-box": (1,)}
 
     @pytest.mark.parametrize(
         "case", _POWER_DIAGRAM_CASES, ids=[case[0] for case in _POWER_DIAGRAM_CASES]
@@ -1176,7 +1328,7 @@ class TestFacetHessian:
         n, l = samples.n, samples.dimension
         step = 1e-6
         for index, box in enumerate(boxes):
-            if index in self.KINKED.get(name, ()):
+            if index in self.KINKED.get(name, ()) + self.CORNERED.get(name, ()):
                 continue
             instance = Instance(BoxDensity(l, ((box, 1.0 / box.volume),)), samples)
             hess = _evaluate(instance, g, hessian=True).hess
