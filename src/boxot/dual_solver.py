@@ -188,26 +188,31 @@ class _Pass(NamedTuple):
 def _evaluate(instance: Instance, g: np.ndarray, hessian: bool = False) -> _Pass:
     """E(g), grad E(g) and, on request, its Hessian on the exact backend.
 
-    One power diagram of g is shared by every box, and each box's cell
-    moments give its share of the energy (sum_j of the integral of
-    ||x - y_j||^2 - g_j over L_j(g), plus <g, b>) and of the gradient
-    (b_j - sum_boxes gamma vol(L_j n H)). The Hessian's off-diagonal entry
-    is sum_boxes gamma measure(facet_ij n H) / (2 ||y_i - y_j||); its
-    diagonal makes every row sum to zero (Kitagawa, Merigot and Thibert
-    2019, with the factor 2 of the cost ||x - y||^2).
+    One power diagram of g is shared by every box; on the lifted route it
+    measures all the boxes in one batch, which ``cell_box_moments_exact``
+    then hands out box by box. Each box's cell moments give its share of
+    the energy (sum_j of the integral of ||x - y_j||^2 - g_j over L_j(g),
+    plus <g, b>) and of the gradient (b_j - sum_boxes gamma vol(L_j n H)).
+    The Hessian's off-diagonal entry is
+    sum_boxes gamma measure(facet_ij n H) / (2 ||y_i - y_j||); its diagonal
+    makes every row sum to zero (Kitagawa, Merigot and Thibert 2019, with
+    the factor 2 of the cost ||x - y||^2).
     """
     g = _finite_weights(g)
     samples = instance.samples
     y = samples.points
     n = samples.n
-    diagram = _power_diagram(samples, g, instance.density.hull)
+    density = instance.density
+    diagram = _power_diagram(
+        samples, g, density.hull, [box for box, _ in density.boxes], hessian
+    )
     resid = samples.demands.copy()
     hess = np.zeros((n, n)) if hessian else None
     shifted = samples.squared_norms - g
     total = 0.0
     # Every box's facet pieces (j, i, w measure), for one add into H.
     pieces = []
-    for box, w in instance.density.boxes:
+    for box, w in density.boxes:
         out = cell_box_moments_exact(samples, g, box, diagram, facets=hessian)
         vols, firsts, seconds = out[:3]
         resid -= w * vols
@@ -562,28 +567,39 @@ def _massive_start(instance: Instance, measure) -> tuple:
     return g, p
 
 
+def _roots(parent: np.ndarray) -> np.ndarray:
+    # Pointer jumping: each node's parent becomes its grandparent until every
+    # node points at its tree's root, in O(log depth) steps.
+    while True:
+        up = parent[parent]
+        if not np.count_nonzero(up != parent):
+            return parent
+        parent = up
+
+
 def _connected(hess: np.ndarray) -> bool:
     """Whether the facet graph, the nonzero pattern of H, is connected.
 
-    Union-find over the upper triangle's entries.
+    The edges are the upper triangle's entries. Every node starts as its own
+    root; each round hooks every root to the least root across its trees'
+    edges, then jumps pointers until each node points at its root. Roots
+    only decrease, so no cycle forms, and the rounds end when every edge
+    lies in one tree; the graph is connected when node 0 roots them all.
     """
     n = hess.shape[0]
-    root = list(range(n))
-
-    def find(a: int) -> int:
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
-    parts = n
-    upper = np.nonzero(np.triu(hess, 1))
-    for a, b in zip(upper[0].tolist(), upper[1].tolist()):
-        a, b = find(a), find(b)
-        if a != b:
-            root[a] = b
-            parts -= 1
-    return parts == 1
+    # A flat nonzero of a bool mask is several times faster than np.nonzero
+    # of the 2-D float array; np.count_nonzero is cheaper than .all() or
+    # .any() on the few-node graphs of small solves.
+    a, b = np.divmod(np.flatnonzero(hess != 0.0), n)
+    upper = a < b
+    a, b = np.concatenate([a[upper], b[upper]]), np.concatenate([b[upper], a[upper]])
+    root = np.arange(n)
+    while True:
+        ends, others = root[a], root[b]
+        if not np.count_nonzero(ends != others):
+            return not np.count_nonzero(root)
+        np.minimum.at(root, ends, others)
+        root = _roots(root)
 
 
 def _newton_step(g, p, gnorm, floor, bound, fallback, measure) -> tuple:

@@ -12,16 +12,17 @@ cells, and a site that is not a vertex of that hull has an empty cell
 Qhull call in 2-D and 3-D, built once per iterate (one g) and shared by
 every box. In 2-D and 3-D, 2l ghost sites far from the sinks bound every
 cell without entering the boxes; a closed-form solve per lower facet gives
-the vertices, one sort orders every cell's corners, and every cell is cut
-into a box that holds every box of the density at once, in numpy, by the
-faces of that box that it crosses. Each box then cuts only the cells that
-straddle it, by its own faces. Every side of a cell carries the neighbour
-across it, which gives the facet measures that the dual solver's Hessian
-needs. Where Qhull does not run (n <= l + 1) or cannot be trusted, each cell
-is clipped in plain floats by the half-spaces of all the other sinks. The
-Qhull call is the module's only use of scipy, so ``scipy.spatial`` is
-imported inside :func:`_power_neighbours`: a process loads it at its first
-2-D or 3-D diagram with at least l + 2 sinks, never at import.
+the vertices, and one sort orders every cell's corners. Each cell is then
+cut straight into every box of the pass that its bounding box meets, all
+boxes at once, in numpy: one cut step per face that a cell crosses, at
+most 2l per pass, and one moment sum for all boxes. Every side of a cell
+carries the neighbour across it, which gives the facet measures that the
+dual solver's Hessian needs. Where Qhull does not run (n <= l + 1) or
+cannot be trusted, each cell is clipped in plain floats by the half-spaces
+of all the other sinks. The Qhull call is the module's only use of scipy,
+so ``scipy.spatial`` is imported inside :func:`_power_neighbours`: a
+process loads it at its first 2-D or 3-D diagram with at least l + 2
+sinks, never at import.
 
 All operations are pure functions on immutable inputs. Monte-Carlo sampling
 is deterministic given (seed, box index); see :func:`box_rng` for the
@@ -52,7 +53,7 @@ import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -690,6 +691,10 @@ _FACE_PAIRS = np.array(
 )
 
 
+# The sign of box face 2d + s, s = 0 for -x_d <= -lo_d and 1 for x_d <= hi_d.
+_FACE_SIGN = np.array([-1.0, 1.0] * EXACT_MAX_DIMENSION)
+
+
 def _lower_chain(xs: list[float], zs: list[float]) -> list[int]:
     """Indices of the lower convex hull of the points (xs, zs), left to right.
 
@@ -913,6 +918,21 @@ def _lifted_cells(y, w, n, facets):
     return cell[starts], low, high, _Rows(owner, face, points, tags)
 
 
+class _Batch(NamedTuple):
+    """Every box's cell moments from one cut of the cells into all boxes.
+
+    Box b's are ``vols[b]`` (n,), ``firsts[b]`` (n, l) and ``seconds[b]``
+    (n,). ``pieces`` is None, or (j, i, measure) box-major: box b's facet
+    pieces are the run ``bounds[b]:bounds[b + 1]``.
+    """
+
+    vols: np.ndarray
+    firsts: np.ndarray
+    seconds: np.ndarray
+    pieces: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    bounds: np.ndarray | None
+
+
 @dataclass(eq=False)
 class _PowerDiagram:
     """The Laguerre cells of one (samples, g), for the boxes in one hull.
@@ -922,11 +942,14 @@ class _PowerDiagram:
     :attr:`BoxDensity.hull`. In 1-D, ``cells`` lists the lower chain's cells
     in order, and cell ``cells[p]`` is the interval
     ``[ends[p], ends[p + 1]]``. In 2-D and 3-D, when the cells were read off
-    the lifted hull, ``rows`` holds them cut into the hull: ``cells[p]`` is
-    the sink of cell position p, and the box from ``low[p]`` to ``high[p]``
-    holds its part of the hull (its bounding box before the cut, clamped
-    into the hull). Otherwise ``rows`` is None and each box clips its own
-    cells by all pairs of sinks (:func:`_all_pairs_cells`).
+    the lifted hull, ``rows`` holds them whole, bounded by the ghosts:
+    ``cells[p]`` is the sink of cell position p, and ``low[p]`` and
+    ``high[p]`` are the corners of its vertices' bounding box, which may
+    reach past the hull. ``boxes`` maps each box the diagram was built for,
+    as the tuple of its corners, to its index in ``batch``, which holds
+    those boxes' moments (:func:`_box_batch`). Otherwise ``rows`` is None
+    and each box clips its own cells by all pairs of sinks
+    (:func:`_all_pairs_cells`).
     """
 
     lo: list[float]
@@ -936,10 +959,16 @@ class _PowerDiagram:
     rows: _Rows | None = None
     low: np.ndarray | None = None
     high: np.ndarray | None = None
+    boxes: dict = field(default_factory=dict)
+    batch: _Batch | None = None
 
 
 def _power_diagram(
-    samples: SampleSet, g: np.ndarray, hull: Hyperrectangle
+    samples: SampleSet,
+    g: np.ndarray,
+    hull: Hyperrectangle,
+    boxes: Sequence[Hyperrectangle] = (),
+    facets: bool = False,
 ) -> _PowerDiagram:
     """The restricted power diagram of the sinks under weights g (l <= 3).
 
@@ -949,13 +978,14 @@ def _power_diagram(
     read off the lower facets of one Qhull hull of the lifted sinks and of
     2l ghosts, which bound every cell and own no point of the hull
     (:func:`_power_neighbours`, :func:`_ghosts`): one closed-form solve per
-    facet gives its vertex, one sort orders the corners of every cell
-    (:func:`_polygon_rows`, :func:`_face_rows`), and every cell is cut into
-    the hull by the hull's faces that its bounding box crosses
-    (:func:`_clip_cells`), all in numpy. Where Qhull does not run
-    (n <= l + 1) or cannot be trusted (it rejects the points, reports one
-    as coplanar, or leaves a flat facet), the diagram holds no cells, and
-    each box clips its own by all pairs of sinks.
+    facet gives its vertex, and one sort orders the corners of every cell
+    (:func:`_polygon_rows`, :func:`_face_rows`), all in numpy. The
+    ``boxes``, each inside the hull, are then measured in one batch
+    (:func:`_box_batch`, with facet pieces when ``facets``), which
+    :func:`cell_box_moments_exact` hands out box by box. Where Qhull does
+    not run (n <= l + 1) or cannot be trusted (it rejects the points,
+    reports one as coplanar, or leaves a flat facet), the diagram holds no
+    cells, and each box clips its own by all pairs of sinks.
     """
     g = np.asarray(g, dtype=float)
     y = samples.points
@@ -979,15 +1009,20 @@ def _power_diagram(
     if n > l + 1:
         ghosts, weights = _ghosts(y, g, lo, hi)
         ys, ws = np.concatenate([y, ghosts]), np.concatenate([g, weights])
-        facets = _power_neighbours(ys, (ys**2).sum(-1) - ws)
-        lifted = None if facets is None else _lifted_cells(ys, ws, n, facets)
+        lower = _power_neighbours(ys, (ys**2).sum(-1) - ws)
+        lifted = None if lower is None else _lifted_cells(ys, ws, n, lower)
         if lifted is not None:
-            # Every cell is cut into the hull once. The cut points lie on the
-            # hull's faces, so the bounding boxes are clamped into the hull.
             cells, low, high, rows = lifted
-            rows = _clip_cells(rows, low, high, lo, hi)
-            low, high = np.maximum(low, lo), np.minimum(high, hi)
-            return _PowerDiagram(lo, hi, cells, rows=rows, low=low, high=high)
+            diagram = _PowerDiagram(lo, hi, cells, rows=rows, low=low, high=high)
+            if boxes:
+                los = np.array([box.lo for box in boxes])
+                his = np.array([box.hi for box in boxes])
+                diagram.boxes = {
+                    (*a, *b): index
+                    for index, (a, b) in enumerate(zip(los.tolist(), his.tolist()))
+                }
+                diagram.batch = _box_batch(diagram, n, los, his, facets)
+            return diagram
     return _PowerDiagram(lo, hi, [])
 
 
@@ -1289,52 +1324,70 @@ def _face_area(verts, face):
     return 0.5 * math.sqrt(sx * sx + sy * sy + sz * sz)
 
 
-def _clip_cells(rows: _Rows, low, high, lo, hi) -> _Rows:
-    """The cells as rows cut to the box [lo, hi], by bounding box first.
+def _clip_cells(rows: _Rows, low, high, los, his):
+    """Every cell as rows cut into each box that its bounding box meets.
 
-    ``low`` and ``high`` are the corners of each cell's bounding box. The
-    rows of a cell whose bounding box misses the box are dropped; a cell
-    whose bounding box reaches past a face of the box is clipped by that
-    face (:func:`_clip_rows`), in the order -x_d <= -lo_d, x_d <= hi_d for
-    d = 1..l.
+    ``low`` and ``high`` (m, l) are the corners of the cells' bounding
+    boxes and ``los`` and ``his`` (k, l) those of the boxes. Each (box,
+    cell) pair whose bounding boxes overlap gets a copy of its cell's rows,
+    owned by the pair and with face ids of its own; the pairs run
+    box-major. A pair is clipped by each face of its box that its cell's
+    bounding box crosses, in the order -x_1 <= -lo_1, x_1 <= hi_1, ...,
+    x_l <= hi_l (:func:`_clip_rows`). One call cuts every pair by its next
+    face, so a pass makes as many calls as one pair crosses faces, at most
+    2l, whatever the number of boxes. Returns (box, cell, rows): each pair's
+    box and cell position, and the cut rows.
     """
-    meets = (low < hi).all(1) & (high > lo).all(1)
-    keep = meets[rows.owner]
-    if not keep.all():
-        rows = _Rows(*(x[keep] for x in rows))
-    for d in range(len(lo)):
-        for bound, sign, crossing in (
-            (lo[d], -1.0, low[:, d] < lo[d]), (hi[d], 1.0, high[:, d] > hi[d])
-        ):
-            crossing &= meets
-            if crossing.any():
-                rows = _clip_rows(rows, d, bound, sign, crossing)
-    return rows
+    meets = (low < his[:, None]).all(2) & (high > los[:, None]).all(2)
+    box, cell = np.nonzero(meets)
+    # Each cell's run of rows, once per pair: pair p's r-th row is its
+    # cell's r-th.
+    pairs = np.arange(len(cell))
+    size = np.bincount(rows.owner, minlength=len(low))
+    run = size[cell]
+    owner = np.repeat(pairs, run)
+    at = np.arange(len(owner)) + np.repeat(np.cumsum(size)[cell] - np.cumsum(run), run)
+    face = rows.face[at] + owner * len(rows.face)
+    rows = _Rows(owner, face, rows.points[at], rows.tags[at])
+    # Column 2d + s of each pair is face s (0: lower, 1: upper) of axis d.
+    lo, hi = los[box], his[box]
+    crosses = np.stack([low[cell] < lo, high[cell] > hi], 2).reshape(len(cell), -1)
+    planes = np.stack([lo, hi], 2).reshape(len(cell), -1)
+    for _ in range(crosses.sum(1).max(initial=0)):
+        side = crosses.argmax(1)
+        crossing = crosses[pairs, side]
+        bound, sign = planes[pairs, side], _FACE_SIGN[side]
+        rows = _clip_rows(rows, side >> 1, bound, sign, crossing)
+        crosses[pairs, side] = False
+    return box, cell, rows
 
 
-def _clip_rows(rows: _Rows, d: int, bound: float, sign: float, crossing) -> _Rows:
+def _clip_rows(rows: _Rows, d, bound, sign, crossing) -> _Rows:
     """The cells marked in ``crossing`` clipped by sign (x_d - bound) <= 0.
 
-    Sutherland-Hodgman on every face at once, in numpy: a corner is kept
-    when it is inside (value <= 0), and an edge whose ends lie on either
-    side adds the point where it crosses, p + t (q - p) with t = f_p /
-    (f_p - f_q), whose coordinate d is set to the bound. In 2-D the edge
-    from where a cell leaves the half-plane to where it comes back gets tag
-    -1. In 3-D each face that leaves the half-space does so across one edge
-    of its cell, so the leaving points are the corners of the cap, one per
-    cut edge; a cell with three or more gets the cap as a new face, tag -1,
-    its corners ordered by angle about their mean in the plane,
-    counterclockwise seen from outside.
+    ``d``, ``bound``, ``sign`` and ``crossing`` hold one entry per owner, so
+    one call cuts every cell by a face of its own box. Sutherland-Hodgman
+    on every face at once, in numpy: a corner is kept when it is inside
+    (value <= 0), and an edge whose ends lie on either side adds the point
+    where it crosses, p + t (q - p) with t = f_p / (f_p - f_q), whose
+    coordinate d is set to the bound. In 2-D the edge from where a cell
+    leaves the half-plane to where it comes back gets tag -1. In 3-D each
+    face that leaves the half-space does so across one edge of its cell, so
+    the leaving points are the corners of the cap, one per cut edge; a cell
+    with three or more gets the cap as a new face, tag -1, its corners
+    ordered by angle about their mean in the plane, counterclockwise seen
+    from outside.
     """
     owner, face, p, tags = rows
     nxt = _cycle_next(face)
-    f = sign * (p[:, d] - bound)
+    along = d[owner]
+    f = sign[owner] * (p[np.arange(len(p)), along] - bound[owner])
     f[~crossing[owner]] = -1.0
     keep = f <= 0.0
     cut = keep != keep[nxt]
-    to, pc, fc = nxt[cut], p[cut], f[cut]
+    to, pc, fc, cut_owner = nxt[cut], p[cut], f[cut], owner[cut]
     hits = pc + (fc / (fc - f[to]))[:, None] * (p[to] - pc)
-    hits[:, d] = bound
+    hits[np.arange(len(hits)), along[cut]] = bound[cut_owner]
     # Each row gives its corner if it is kept, then its edge's crossing: the
     # row is repeated that often, and its last copy becomes the crossing.
     count = keep.astype(np.intp) + cut
@@ -1345,17 +1398,21 @@ def _clip_rows(rows: _Rows, d: int, bound: float, sign: float, crossing) -> _Row
     if p.shape[1] == 2:
         out.tags[slots[leave]] = -1
         return out
-    cap_owner, cap = owner[cut][leave], hits[leave]
+    cap_owner, cap = cut_owner[leave], hits[leave]
     corners = np.bincount(cap_owner, minlength=len(crossing))
     big = corners[cap_owner] >= 3
     if not big.all():
         cap_owner, cap = cap_owner[big], cap[big]
-    # Axes (u, v) of the plane with u x v = sign e_d, the cap's outward normal.
-    u, v = ((d + 1) % 3, (d + 2) % 3)[:: int(sign)]
+    # Axes (u, v) of the plane with u x v = sign e_d, the cap's outward
+    # normal: (d + 1, d + 2) mod 3, swapped where the sign is negative.
+    flip = (sign < 0.0)[cap_owner]
+    ends = np.arange(len(cap))
+    u = cap[ends, (d[cap_owner] + 1 + flip) % 3]
+    v = cap[ends, (d[cap_owner] + 2 - flip) % 3]
     size = np.maximum(corners, 1)
-    mid_u = np.bincount(cap_owner, cap[:, u], len(crossing)) / size
-    mid_v = np.bincount(cap_owner, cap[:, v], len(crossing)) / size
-    angle = np.arctan2(cap[:, v] - mid_v[cap_owner], cap[:, u] - mid_u[cap_owner])
+    mid_u = np.bincount(cap_owner, u, len(crossing)) / size
+    mid_v = np.bincount(cap_owner, v, len(crossing)) / size
+    angle = np.arctan2(v - mid_v[cap_owner], u - mid_u[cap_owner])
     order = np.lexsort((angle, cap_owner))
     cap_owner = cap_owner[order]
     return _Rows(
@@ -1425,6 +1482,28 @@ def _row_moments(rows: _Rows, count: int, facets: bool):
     return vol, firsts, seconds, pieces
 
 
+def _box_batch(diagram: _PowerDiagram, n: int, los, his, facets: bool) -> _Batch:
+    """The cell moments of the diagram's rows in every box [los[b], his[b]].
+
+    One cut of every (box, cell) pair (:func:`_clip_cells`) and one moment
+    sum over all pairs (:func:`_row_moments`), scattered to (k, n) arrays.
+    """
+    box, cell, rows = _clip_cells(diagram.rows, diagram.low, diagram.high, los, his)
+    vol, first, second, pieces = _row_moments(rows, len(cell), facets)
+    k, l = los.shape
+    j = diagram.cells[cell]
+    vols, firsts, seconds = np.zeros((k, n)), np.zeros((k, n, l)), np.zeros((k, n))
+    vols[box, j], firsts[box, j], seconds[box, j] = vol, first, second
+    bounds = None
+    if facets:
+        # The sides come in row order, which is box-major; caps have no
+        # neighbour.
+        pair, i, measure = pieces
+        bounds = np.searchsorted(box[pair], np.arange(k + 1))
+        pieces = j[pair], i, measure
+    return _Batch(vols, firsts, seconds, pieces, bounds)
+
+
 def cell_box_moments_exact(
     samples: SampleSet,
     g: np.ndarray,
@@ -1439,15 +1518,15 @@ def cell_box_moments_exact(
     built here with the box as its hull when None; a caller with several
     boxes builds it once per g, with a hull that holds them all, and passes
     it to every box. In 2-D and 3-D the diagram's cells, read off the
-    lifted hull, are numpy rows: those whose bounding box misses the box
-    are dropped, those that straddle it are clipped by the box's faces that
-    their bounding boxes cross, and all are measured at once
-    (:func:`_clip_cells`, :func:`_row_moments`), a few numpy calls per box
-    face. Where the diagram holds no cells, the box is clipped, in plain
-    floats, once per cell by the rows of all the other sinks
-    (:func:`_all_pairs_cells`), as only a few sinks or inputs that Qhull
-    cannot handle take that route. Returns
-    (vols (n,), firsts (n, l), seconds (n,)). Deterministic.
+    lifted hull, are numpy rows. A box the diagram was built for (its
+    ``boxes``, with facet pieces when ``facets`` asks for them) gets its
+    slice of the batch that measured all those boxes at once, as views
+    into it; any other box is measured here as a batch of one
+    (:func:`_box_batch`). Where the diagram holds no cells, the box is
+    clipped, in plain floats, once per cell by the rows of all the other
+    sinks (:func:`_all_pairs_cells`), as only a few sinks or inputs that
+    Qhull cannot handle take that route. Returns (vols (n,), firsts (n, l),
+    seconds (n,)). Deterministic.
 
     With ``facets`` it also returns the boundary pieces as three parallel
     arrays (j, i, measure): the measure of the piece of cell j's boundary
@@ -1465,17 +1544,14 @@ def cell_box_moments_exact(
             raise ValueError("the box reaches outside the diagram's hull")
 
     if diagram.rows is not None:
-        rows = diagram.rows
-        if lo != diagram.lo or hi != diagram.hi:
-            rows = _clip_cells(rows, diagram.low, diagram.high, lo, hi)
-        count = len(diagram.cells)
-        vol, first, second, pieces = _row_moments(rows, count, facets)
-        vols, firsts, seconds = np.zeros(n), np.zeros((n, l)), np.zeros(n)
-        vols[diagram.cells], firsts[diagram.cells] = vol, first
-        seconds[diagram.cells] = second
+        batch, index = diagram.batch, diagram.boxes.get((*lo, *hi))
+        if index is None or (facets and batch.pieces is None):
+            batch, index = _box_batch(diagram, n, box.lo[None], box.hi[None], facets), 0
+        moments = batch.vols[index], batch.firsts[index], batch.seconds[index]
         if not facets:
-            return vols, firsts, seconds
-        return vols, firsts, seconds, (diagram.cells[pieces[0]], *pieces[1:])
+            return moments
+        start, stop = batch.bounds[index], batch.bounds[index + 1]
+        return (*moments, tuple(x[start:stop] for x in batch.pieces))
 
     vols = [0.0] * n
     firsts = [(0.0,) * l] * n

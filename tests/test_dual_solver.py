@@ -674,6 +674,82 @@ class TestNewton:
         assert trace.passes == trace.M_bar
 
 
+
+def _union_find_connected(hess):
+    """The facet graph's connectivity by a Python union-find over the upper
+    triangle's nonzero entries: the reference for the numpy version."""
+    n = hess.shape[0]
+    root = list(range(n))
+
+    def find(a):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    parts = n
+    for a, b in zip(*np.nonzero(np.triu(hess, 1))):
+        a, b = find(int(a)), find(int(b))
+        if a != b:
+            root[a] = b
+            parts -= 1
+    return parts == 1
+
+
+def _graph(n, edges, rng, shuffle=True):
+    """A symmetric H with random weights on the edges, its nodes relabelled
+    at random when ``shuffle``."""
+    label = rng.permutation(n) if shuffle else np.arange(n)
+    hess = np.zeros((n, n))
+    for a, b in edges:
+        hess[label[a], label[b]] = hess[label[b], label[a]] = rng.uniform(0.1, 1.0)
+    hess.flat[:: n + 1] = -hess.sum(axis=1)
+    return hess
+
+
+class TestConnected:
+    """The facet graph's connectivity by hooking and pointer jumping."""
+
+    def test_matches_union_find(self):
+        rng = np.random.default_rng(20261020)
+        graphs = []
+        for n in (1, 2, 3, 5, 17, 64):
+            path = [(i, i + 1) for i in range(n - 1)]
+            star = [(0, i) for i in range(1, n)]
+            graphs += [_graph(n, path, rng), _graph(n, star, rng)]
+            for p in (0.02, 0.1, 0.3):
+                upper = np.argwhere(np.triu(rng.random((n, n)) < p, 1))
+                graphs.append(_graph(n, upper, rng))
+            # Two or three parts: each a path, and one edge of the first part
+            # dropped.
+            for parts in (2, 3):
+                if n >= parts:
+                    cut = np.sort(rng.choice(np.arange(1, n), parts - 1, replace=False))
+                    split = [(i, i + 1) for i in range(n - 1) if i + 1 not in cut]
+                    graphs.append(_graph(n, split, rng))
+        # An edge in the lower triangle alone does not count, as in the
+        # reference.
+        lower = np.array([[0.0, 0.0], [1.0, 0.0]])
+        graphs.append(lower)
+        answers = [ds._connected(hess) for hess in graphs]
+        assert answers == [_union_find_connected(hess) for hess in graphs]
+        assert True in answers and False in answers
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["ordered", "shuffled"])
+    def test_path_takes_log_rounds(self, shuffled, monkeypatch):
+        # Label propagation would need 255 rounds on a 256-node path; each
+        # round here ends in one pointer-jumping call.
+        n = 256
+        path = [(i, i + 1) for i in range(n - 1)]
+        hess = _graph(n, path, np.random.default_rng(1), shuffled)
+        rounds = []
+        real = ds._roots
+        monkeypatch.setattr(
+            ds, "_roots", lambda parent: rounds.append(1) or real(parent)
+        )
+        assert ds._connected(hess)
+        assert len(rounds) <= 2 * math.log2(n)
+
 class TestNecessityFamilies:
     def test_separation_family_ratio_is_linear(self):
         slope = 1.0 / (4.0 * math.sqrt(2.0))

@@ -13,6 +13,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from boxot import fixtures as fx
 from boxot import geometry
+from boxot import dual_solver as ds_module
 from boxot.dual_solver import _evaluate
 from boxot.geometry import (
     BoxDensity,
@@ -1108,6 +1109,191 @@ class TestLiftedCells:
         assert np.abs(firsts - ref_firsts).max() <= tol * r
         assert np.abs(seconds - ref_seconds).max() <= tol * r**2
 
+
+
+def _facet_sums(n, pieces):
+    total = np.zeros((n, n))
+    np.add.at(total, pieces[:2], pieces[2])
+    return total
+
+
+def _hull_route(diagram, n, box, facets):
+    """One box measured as before the batch: the cells cut into it, in place.
+
+    The cells whose bounding box meets the box keep their own positions as
+    owners and are clipped by each face that their bounding box crosses, in
+    the order -x_d <= -lo_d, x_d <= hi_d for d = 1..l; one moment sum follows.
+    """
+    rows, low, high = diagram.rows, diagram.low, diagram.high
+    lo, hi = box.lo.tolist(), box.hi.tolist()
+    meets = (low < hi).all(1) & (high > lo).all(1)
+    keep = meets[rows.owner]
+    rows = geometry._Rows(*(x[keep] for x in rows))
+    count = len(diagram.cells)
+    for d in range(len(lo)):
+        for bound, sign, crossing in (
+            (lo[d], -1.0, low[:, d] < lo[d]), (hi[d], 1.0, high[:, d] > hi[d])
+        ):
+            crossing &= meets
+            if crossing.any():
+                rows = geometry._clip_rows(
+                    rows, *(np.full(count, x) for x in (d, bound, sign)), crossing
+                )
+    vol, first, second, pieces = geometry._row_moments(rows, count, facets)
+    vols, firsts, seconds = np.zeros(n), np.zeros((n, len(lo))), np.zeros(n)
+    cells = diagram.cells
+    vols[cells], firsts[cells], seconds[cells] = vol, first, second
+    if not facets:
+        return vols, firsts, seconds
+    return vols, firsts, seconds, (cells[pieces[0]], *pieces[1:])
+
+
+# The cases whose cells may come off the lifted hull: 2-D and 3-D, n > l + 1.
+_LIFTED_CASES = [
+    case for case in _POWER_DIAGRAM_CASES if len(case[1]) > case[1].shape[1] + 1 > 2
+]
+
+
+class TestBatchedPass:
+    """All of a pass's boxes cut and measured at once, handed out box by box."""
+
+    @staticmethod
+    def check_slices(samples, g, boxes, skip=()):
+        # Each box's slice of a diagram told about every box against the
+        # box's own one-box call.
+        n, l = samples.n, samples.dimension
+        hull = Hyperrectangle(
+            np.min([box.lo for box in boxes], axis=0),
+            np.max([box.hi for box in boxes], axis=0),
+        )
+        diagram = geometry._power_diagram(samples, g, hull, boxes, facets=True)
+        assert (diagram.batch is None) == (diagram.rows is None)
+        for index, box in enumerate(boxes):
+            shared = cell_box_moments_exact(samples, g, box, diagram, facets=True)
+            own = cell_box_moments_exact(samples, g, box, facets=True)
+            tol = 1e-12 * box.volume
+            r = box.max_corner_norm()
+            assert abs(shared[0].sum() - box.volume) <= tol
+            assert np.abs(shared[0] - own[0]).max() <= tol
+            assert np.abs(shared[1] - own[1]).max() <= tol * r
+            assert np.abs(shared[2] - own[2]).max() <= tol * r**2
+            if index in skip:
+                continue
+            scale = float(box.widths.max()) ** (l - 1)
+            difference = _facet_sums(n, shared[3]) - _facet_sums(n, own[3])
+            assert np.abs(difference).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "case", _POWER_DIAGRAM_CASES, ids=[case[0] for case in _POWER_DIAGRAM_CASES]
+    )
+    def test_slices_match_one_box_calls(self, case):
+        # Where a facet lies on a face of a box (the kinked boxes of
+        # TestFacetHessian), rounding decides whether it counts as the box's
+        # side or the cell's, so there only the moments are compared.
+        name, points, g, boxes = case
+        self.check_slices(
+            SampleSet.uniform(points), g, boxes, TestFacetHessian.KINKED.get(name, ())
+        )
+
+    @pytest.mark.parametrize("hide", [False, True], ids=["g0", "hidden"])
+    @pytest.mark.parametrize("l, n", [(2, 200), (3, 32)])
+    def test_ladder_slices_match_one_box_calls(self, l, n, hide):
+        rng = np.random.default_rng(5 + l)
+        boxes, points = _ladder(rng, l, n)
+        g = np.zeros(n)
+        if hide:
+            g = rng.normal(scale=0.01, size=n)
+            g[::5] -= 4.0 / n ** (2.0 / l)
+        self.check_slices(SampleSet.uniform(points), g, boxes)
+
+    @pytest.mark.parametrize(
+        "case", _LIFTED_CASES, ids=[case[0] for case in _LIFTED_CASES]
+    )
+    def test_one_box_keeps_the_hull_route_bits(self, case):
+        # A batch of one box, the diagram's hull, cuts the same faces in the
+        # same order as cutting each cell into the hull in place.
+        _, points, g, boxes = case
+        samples = SampleSet.uniform(points)
+        for box in boxes:
+            diagram = geometry._power_diagram(samples, g, box, [box], facets=True)
+            if diagram.rows is None:
+                continue
+            batched = cell_box_moments_exact(samples, g, box, diagram, facets=True)
+            reference = _hull_route(diagram, samples.n, box, facets=True)
+            for got, want in zip(
+                batched[:3] + batched[3], reference[:3] + reference[3]
+            ):
+                assert got.tobytes() == want.tobytes()
+
+    def test_box_that_meets_no_cell(self):
+        # A box beyond every cell's bounding box gets zeros and no pieces;
+        # the boxes around it in the batch keep their slices.
+        rng = np.random.default_rng(3)
+        samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(12, 2)))
+        g = rng.normal(scale=0.1, size=12)
+        inside = Hyperrectangle([-1.0, -1.0], [1.0, 1.0])
+        far = Hyperrectangle([1e6, 1e6], [1e6 + 1.0, 1e6 + 1.0])
+        diagram = geometry._power_diagram(
+            samples, g, inside, [far, inside, far], facets=True
+        )
+        batch = diagram.batch
+        for index in (0, 2):
+            assert not batch.vols[index].any() and not batch.seconds[index].any()
+            assert not batch.firsts[index].any()
+            assert batch.bounds[index] == batch.bounds[index + 1]
+        assert batch.bounds[-1] == len(batch.pieces[0])
+        own = cell_box_moments_exact(samples, g, inside, facets=True)
+        shared = cell_box_moments_exact(samples, g, inside, diagram, facets=True)
+        for got, want in zip(shared[:3] + shared[3], own[:3] + own[3]):
+            assert got.tobytes() == want.tobytes()
+
+    def test_box_not_in_the_batch_is_measured(self):
+        # A box the diagram was not built for, or a request for facet pieces
+        # that its batch did not make, is measured as a batch of one.
+        rng = np.random.default_rng(4)
+        boxes, points = _ladder(rng, 3, 32)
+        samples = SampleSet.uniform(points)
+        g = np.zeros(32)
+        hull = Hyperrectangle([-1.0] * 3, [1.0] * 3)
+        diagram = geometry._power_diagram(samples, g, hull, boxes[:1])
+        inner = Hyperrectangle([-0.4, -0.5, -0.6], [0.3, 0.2, 0.1])
+        for box in (boxes[0], boxes[2], inner):
+            shared = cell_box_moments_exact(samples, g, box, diagram, facets=True)
+            own = cell_box_moments_exact(samples, g, box, facets=True)
+            tol = 1e-12 * box.volume
+            assert abs(shared[0].sum() - box.volume) <= tol
+            assert np.abs(shared[0] - own[0]).max() <= tol
+            assert np.abs(shared[1] - own[1]).max() <= tol
+            assert np.abs(shared[2] - own[2]).max() <= tol * 3
+            difference = _facet_sums(32, shared[3]) - _facet_sums(32, own[3])
+            assert np.abs(difference).max() <= 1e-12 * float(box.widths.max()) ** 2
+
+    def test_pass_clips_once_per_face_direction(self, monkeypatch):
+        # One exact pass on a k = 4 ladder: at most 2l clip calls and one
+        # moment sum for all boxes, and still one measured call per box.
+        rng = np.random.default_rng(7)
+        l, n = 3, 32
+        boxes, points = _ladder(rng, l, n)
+        density = BoxDensity(l, tuple((box, 1.0 / (4 * box.volume)) for box in boxes))
+        instance = Instance(density, SampleSet.uniform(points))
+        calls = {"_clip_rows": 0, "_row_moments": 0, "cell_box_moments_exact": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(geometry, "_clip_rows")
+        counted(geometry, "_row_moments")
+        counted(ds_module, "cell_box_moments_exact")
+        _evaluate(instance, np.zeros(n), hessian=True)
+        assert 0 < calls["_clip_rows"] <= 2 * l
+        assert calls["_row_moments"] == 1
+        assert calls["cell_box_moments_exact"] == 4
 
 def _signed_volume(verts, faces):
     """Volume by the divergence theorem: fans of the faces from the origin.

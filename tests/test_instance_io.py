@@ -75,6 +75,53 @@ class TestParseInstance:
         with pytest.raises(ValueError, match="only numbers"):
             parse_instance(doc)
 
+    @pytest.mark.parametrize(
+        "bad", [True, "1.0", [1.0]], ids=["bool", "string", "nested"]
+    )
+    def test_non_numbers_name_the_first_bad_entry(self, bad):
+        doc = _minimal_doc()
+        doc["samples"].append({"point": [0.5]})
+        doc["samples"][1]["point"] = [bad]
+        doc["samples"][2]["point"] = ["b"]
+        message = "^sample 1 point must contain only numbers$"
+        with pytest.raises(ValueError, match=message):
+            parse_instance(doc)
+        doc = _minimal_doc()
+        doc["boxes"][0]["hi"] = [bad]
+        with pytest.raises(ValueError, match="^box 0 hi must contain only numbers$"):
+            parse_instance(doc)
+        doc = _minimal_doc()
+        doc["boxes"][0]["weight"] = bad
+        with pytest.raises(ValueError, match="^box 0 weight must be a number$"):
+            parse_instance(doc)
+        doc = _minimal_doc()
+        for sample in doc["samples"]:
+            sample["demand"] = 0.5
+        doc["samples"][1]["demand"] = bad
+        with pytest.raises(ValueError, match="^sample 1 demand must be a number$"):
+            parse_instance(doc)
+
+    def test_entries_not_objects_are_named(self):
+        doc = _minimal_doc()
+        doc["samples"][1] = [1.0]
+        with pytest.raises(ValueError, match="^sample 1 must be an object$"):
+            parse_instance(doc)
+        doc = _minimal_doc()
+        del doc["boxes"][0]["weight"]
+        with pytest.raises(ValueError, match="missing key 'weight'"):
+            parse_instance(doc)
+
+    def test_number_subclasses_take_the_walk(self):
+        # The one-pass check takes int and float by exact type; a float
+        # subclass such as np.float64 is checked entry by entry, as before.
+        doc = _minimal_doc()
+        plain, _ = parse_instance(doc)
+        doc["samples"][0]["point"] = [np.float64(-1.0)]
+        doc["boxes"][0]["weight"] = np.float64(0.5)
+        walked, _ = parse_instance(doc)
+        assert walked.samples.points.tobytes() == plain.samples.points.tobytes()
+        assert walked.density.boxes[0][1] == plain.density.boxes[0][1]
+
     def test_partial_demands_rejected(self):
         doc = _minimal_doc()
         doc["samples"][0]["demand"] = 0.5
