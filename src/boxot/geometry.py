@@ -29,20 +29,17 @@ is deterministic given (seed, box index); see :func:`box_rng` for the
 substream rule. Each block of draws is split into row ranges over one thread
 per usable core; a worker jumps its copy of the box's stream to its first
 row, so every point's value depends only on its position in the
-``(seed, box_index)`` stream, never on the worker count. The volume count
-labels a point from its unit draw u, the stream's row, not from its point
-x = lo + w u of the box: the box is folded into the sinks once per call, so
-the scores are one product ``u @ W`` and one add of a constant per sink,
-and with n = 2 sinks the label is one projection ``u . v < c'``. These
-rounding steps differ from those of :func:`classify_points`, the rule in
-x-space, so a count label can differ from ``classify_points(lo + w u)``
-only for a point within rounding of a cell boundary. Ties still go to the
-first index. At n = 2 a worker counts the bool labels with
-``np.count_nonzero``; for more sinks, with ``np.bincount``. A caller may
-end the volume count after any block, at a prefix whose estimate Hoeffding's
-maximal inequality bounds on the full count's own event (see
-:func:`cell_box_volumes_mc`). The potential integral maps each u to its x
-and scores it as :func:`classify_points` does.
+``(seed, box_index)`` stream, never on the worker count. One kernel scores
+every point from its unit draw u, not from its point x = lo + w u: with the
+box folded into the sinks, ||x - y_j||^2 - g_j - ||x||^2 is u . W_j + c_j.
+The volume count labels a point by the first index of its least score, or
+with n = 2 sinks by one projection ``u . v < c'``; ties go to the first
+index. :func:`classify_points` is that rule on the unit cube [0, 1]^l, so a
+count label can differ from ``classify_points(lo + w u)`` only within
+rounding of a cell boundary. The potential integral adds ||x||^2 to the
+least score. A caller may end the volume count after any block, at a prefix
+whose estimate Hoeffding's maximal inequality bounds on the full count's own
+event (see :func:`cell_box_volumes_mc`).
 """
 
 from __future__ import annotations
@@ -253,12 +250,6 @@ class SampleSet:
         return (self.points**2).sum(-1)
 
     @cached_property
-    def _points_t(self) -> np.ndarray:
-        # points.T as its own C-contiguous (l, n) array, the operand of
-        # every score product (see _scores).
-        return np.ascontiguousarray(self.points.T)
-
-    @cached_property
     def uniform_demands(self) -> bool:
         """Whether every demand is 1/n, within MASS_TOL."""
         return bool(np.allclose(self.demands, 1.0 / self.n, atol=MASS_TOL, rtol=0.0))
@@ -335,71 +326,84 @@ def instance_stats(density: BoxDensity, samples: SampleSet) -> InstanceStats:
 
 
 # ---------------------------------------------------------------------------
-# classification
+# scores and classification
 # ---------------------------------------------------------------------------
 
 
-def _score_shifts(
-    samples: SampleSet, g: np.ndarray, rows: int
+def _unit_fold(
+    samples: SampleSet,
+    g: np.ndarray,
+    box: Hyperrectangle,
+    rows: int,
+    project: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    # ||y_j||^2 and g_j repeated along the flat buffer of `rows` score rows,
-    # and of at least two, since _scores takes a lone row as two.
-    rows = max(rows, 2)
-    return np.tile(samples.squared_norms, rows), np.tile(g, rows)
+    # The box folded into the sinks for its unit draws u, the one score rule
+    # of every consumer: with x = lo + w u, ||x - y_j||^2 - g_j less the
+    # j-independent ||x||^2 is u . W_j + c_j, for W_j = -2 w y_j and
+    # c_j = ||y_j||^2 - g_j - 2 lo.y_j. Returns (W, c): W as one C-contiguous
+    # (l, n) array (1.9-5.5 ns a row on one thread, 5.8-10 ns strided), and
+    # c repeated along the flat buffer of `rows` score rows and of at least
+    # two (see _unit_scores): one contiguous add, 2-3x faster than a
+    # broadcast over rows of n = 2. With n = 2 and `project`, returns the
+    # labels' projection (v, c'): cell 1 wins iff u . v < c', for
+    # v = 2 w (y_0 - y_1) and c' = (||y_0||^2 - g_0) - (||y_1||^2 - g_1)
+    # - 2 lo.(y_0 - y_1).
+    g = np.asarray(g, dtype=float)
+    if g.shape != (samples.n,):
+        raise ValueError(f"dual weights must have shape ({samples.n},), not {g.shape}")
+    if not np.isfinite(g).all():
+        raise ValueError("dual weights must be finite")
+    y, lo, w = samples.points, box.lo, box.widths
+    norms = samples.squared_norms
+    if project and samples.n == 2:
+        d = y[0] - y[1]
+        cut = (norms[0] - g[0]) - (norms[1] - g[1]) - 2.0 * float(lo @ d)
+        return 2.0 * w * d, cut
+    weights = np.ascontiguousarray(-2.0 * (w[:, None] * y.T))
+    return weights, np.tile(norms - g - 2.0 * (y @ lo), max(rows, 2))
 
 
-def _scores(
-    samples: SampleSet, shifts: tuple[np.ndarray, np.ndarray], xs: np.ndarray
-) -> np.ndarray:
-    # ||x - y_j||^2 - g_j minus the j-independent ||x||^2 term, for each row
-    # x of xs: shape (m, l) -> (m, n), for at most as many rows as `shifts`
-    # (from _score_shifts) covers. Computed in place as
-    # (-2 x.y_j + ||y_j||^2) - g_j: negating the exact doubling and adding
-    # rounds exactly as ||y_j||^2 - 2 x.y_j does. Each shift is one
-    # contiguous op along the flat buffer: broadcast over rows of n = 2 they
-    # made the whole call 2-3x slower. They stay two ops, in this order,
-    # since a folded ||y_j||^2 - g_j, or g_j first, would round differently.
-    # The product takes the sinks as one C-contiguous (l, n) array: on one
-    # thread, (l, n) = (2, 2), (2, 16), (3, 5) and (4, 8) cost 1.9-5.5 ns a
-    # row with it, 5.8-10 ns with the strided view points.T. Both operands
-    # give the same bits for two or more rows, but numpy multiplies a lone
-    # row with another kernel, which rounds differently: a lone row is
-    # scored as two copies of itself, so it gets the bits it gets in any
-    # larger call.
-    if len(xs) == 1:
-        return _scores(samples, shifts, np.concatenate([xs, xs]))[:1]
-    norms, weights = shifts
-    scores = xs @ samples._points_t
-    flat = scores.reshape(-1)
-    flat *= -2.0
-    flat += norms[: flat.size]
-    flat -= weights[: flat.size]
+def _unit_scores(fold: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
+    # The scores of unit draws u under a _unit_fold: u @ W + c, shape
+    # (rows, n), or for the n = 2 projection u @ v, shape (rows,), which
+    # the label compares with c'. numpy multiplies a lone row with another
+    # kernel, which rounds differently, so a lone row is scored as two
+    # copies of itself and gets the bits it gets in any larger call.
+    if len(u) == 1:
+        return _unit_scores(fold, np.concatenate([u, u]))[:1]
+    operand, shift = fold
+    scores = u @ operand
+    if operand.ndim == 2:
+        flat = scores.reshape(-1)
+        flat += shift[: flat.size]
     return scores
 
 
-def _labels(scores: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # np.argmin(scores, axis=1) into out: the first index of each row's
-    # minimum, so index 0 on a tie. For n = 2 that rule is one comparison,
-    # where argmin loops row by row and took about 12x longer.
-    if scores.shape[1] == 2:
-        return np.less(scores[:, 1], scores[:, 0], out=out)
+def _unit_labels(
+    fold: tuple[np.ndarray, np.ndarray], u: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    # The cell of each unit draw u into out: the first index of its least
+    # score, or with the n = 2 projection the bool u . v < c' (a tie stays
+    # in cell 0), where argmin loops row by row and took about 12x longer.
+    scores = _unit_scores(fold, u)
+    if scores.ndim == 1:
+        return np.less(scores, fold[1], out=out)
     return np.argmin(scores, axis=1, out=out)
 
 
 def classify_points(samples: SampleSet, g: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Laguerre cell index of each row of xs, shape (m, l) -> (m,).
 
-    Ties go to the smallest index, as with ``np.argmin``; with n = 2 sinks
-    the index is the one comparison ``score_1 < score_0``. A point gets the
-    same label alone as in any batch. This is the rule in x-space: the
-    Monte Carlo volume count scores its points from their unit draws (see
-    :func:`cell_box_volumes_mc`), and its labels can differ from these only
-    for a point within rounding of a cell boundary.
+    The volume count's labels (see the module docstring) with the unit cube
+    [0, 1]^l as the box, so each row is its own unit draw: the first index
+    of the least score, as with ``np.argmin``, or with n = 2 sinks the one
+    comparison ``x . v < c'``. A point gets the same label alone as in any
+    batch. Raises ValueError unless g holds n finite weights.
     """
-    g = np.asarray(g, dtype=float)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    shifts = _score_shifts(samples, g, len(xs))
-    return _labels(_scores(samples, shifts, xs), np.empty(len(xs), np.intp))
+    l = samples.dimension
+    fold = _unit_fold(samples, g, Hyperrectangle(np.zeros(l), np.ones(l)), len(xs))
+    return _unit_labels(fold, xs, np.empty(len(xs), np.intp))
 
 
 # ---------------------------------------------------------------------------
@@ -425,55 +429,6 @@ def _subchunk_rows(samples: SampleSet, l: int) -> int:
     return max(2, min(_MC_SUBCHUNK, _MC_SUBCHUNK_WORK // (samples.n * l)))
 
 
-def _unit_fold(
-    samples: SampleSet, g: np.ndarray, box: Hyperrectangle, rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    # The box folded into the sinks, for unit draws u of the box. With
-    # x = lo + w u, ||x - y_j||^2 - g_j less the j-independent ||x||^2 is
-    # u . W_j + c_j, where W_j = -2 w y_j and c_j = ||y_j||^2 - g_j - 2 lo.y_j.
-    # Returns (W, c): W as one C-contiguous (l, n) array, and c repeated
-    # along the flat buffer of `rows` score rows (and of at least two, since
-    # _unit_scores takes a lone row as two), like the shifts of _scores.
-    # With n = 2, cell 1 wins iff u . v < c', for v = 2 w (y_0 - y_1) and
-    # c' = (||y_0||^2 - g_0) - (||y_1||^2 - g_1) - 2 lo.(y_0 - y_1):
-    # returns (v, c') with v of shape (l,) and c' a scalar.
-    y, lo, w = samples.points, box.lo, box.widths
-    norms = samples.squared_norms
-    if samples.n == 2:
-        d = y[0] - y[1]
-        cut = (norms[0] - g[0]) - (norms[1] - g[1]) - 2.0 * float(lo @ d)
-        return 2.0 * w * d, cut
-    weights = np.ascontiguousarray(-2.0 * (w[:, None] * y.T))
-    return weights, np.tile(norms - g - 2.0 * (y @ lo), max(rows, 2))
-
-
-def _unit_scores(fold: tuple[np.ndarray, np.ndarray], u: np.ndarray) -> np.ndarray:
-    # The scores of unit draws u under a _unit_fold: u @ W + c, shape
-    # (rows, n), or for n = 2 the projections u @ v, shape (rows,), which
-    # the label compares with c'. numpy multiplies a lone row with another
-    # kernel, which rounds differently, so a lone row is scored as two
-    # copies of itself and gets the bits it gets in any larger call.
-    if len(u) == 1:
-        return _unit_scores(fold, np.concatenate([u, u]))[:1]
-    operand, shift = fold
-    scores = u @ operand
-    if operand.ndim == 2:
-        flat = scores.reshape(-1)
-        flat += shift[: flat.size]
-    return scores
-
-
-def _unit_labels(
-    fold: tuple[np.ndarray, np.ndarray], u: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    # The cell of each unit draw u into out: the first index of its least
-    # score, or with n = 2 the bool u . v < c' (a tie stays in cell 0).
-    scores = _unit_scores(fold, u)
-    if scores.ndim == 1:
-        return np.less(scores, fold[1], out=out)
-    return np.argmin(scores, axis=1, out=out)
-
-
 def _box_draws(
     samples: SampleSet,
     box: Hyperrectangle,
@@ -488,16 +443,16 @@ def _box_draws(
     ``per_point(u, out)`` writes one value per row of ``u`` into ``out``.
     Each row of ``u`` is a unit draw of ``Generator.random``; the box's
     point for it is ``lo + width * u``, the value ``Generator.uniform``
-    gives. Each callback does its own arithmetic on ``u`` and may overwrite
-    it. Yields the values a block of at most ``_MC_CHUNK`` rows at a time,
-    so memory stays bounded; each yielded array is reused for the next
-    block.
+    gives. Each callback scores ``u`` with :func:`_unit_scores` and may then
+    overwrite it. Yields the values a block of at most ``_MC_CHUNK`` rows
+    at a time, so memory stays bounded; each yielded array is reused for
+    the next block.
 
     A block is split into contiguous row ranges, one per worker thread (the
     calling thread takes the first). A worker copies the stream's state,
     advances it to its first row and draws its rows a sub-chunk at a time
     (:func:`_subchunk_rows`). No piece of a block of two or more rows has a
-    single row, and the callbacks take a lone row as two (numpy multiplies
+    single row, and the kernel scores a lone row as two (numpy multiplies
     a lone row with another kernel, which rounds differently). So every
     value depends only on its row, never on the split or on m.
 
@@ -585,14 +540,10 @@ def cell_box_volumes_mc(
     stream, labelled and counted on one thread per usable core. Each is
     labelled from u itself, with the box folded into the sinks: the first
     index of the least ``u @ W + c``, or with n = 2 whether ``u . v < c'``
-    (see the module docstring). A label can differ from
-    ``classify_points(lo + w u)`` only for a point within rounding of a cell
-    boundary. Each point's cell depends only on its row, so the result is
-    the same, bit for bit, for any worker count.
+    (see the module docstring). Each point's cell depends only on its row,
+    so the result is the same, bit for bit, for any worker count. Raises
+    ValueError unless g holds n finite weights.
     """
-    g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all():
-        raise ValueError("dual weights must be finite")
     n = samples.n
     m = mc_sample_count(n, eps_bar, eta_prime)
     rows = min(m, _subchunk_rows(samples, box.dimension) + 1)
@@ -648,23 +599,28 @@ def potential_integral_mc(
 ) -> float:
     """Estimate weight * integral over the box of min_j(||x - y_j||^2 - g_j).
 
-    Averages the potential over m uniform points of the box, the first m
-    rows of the stream :func:`cell_box_volumes_mc` draws; the caller picks
-    m for its accuracy target. Each unit draw u is mapped in place to its
-    point x = lo + w u and scored as :func:`classify_points` scores it.
+    Averages the potential over m >= 1 uniform points of the box, the first
+    m rows of the stream :func:`cell_box_volumes_mc` draws; the caller picks
+    m for its accuracy target. A point's value is ||x||^2 plus the least of
+    the volume count's scores of its unit draw u (at n = 2 both scores, not
+    the projection), for x = lo + w u. Raises ValueError unless g holds n
+    finite weights and m >= 1.
     """
-    # lo and width repeated along the flat buffer, like the score shifts:
-    # one contiguous multiply and add, where broadcasting over rows of
-    # l = 2-4 was 4-13x slower. Built once, for the longest sub-chunk.
+    if m < 1:
+        raise ValueError(f"the potential needs m >= 1 draws, not {m}")
     rows = min(m, _subchunk_rows(samples, box.dimension) + 1)
+    fold = _unit_fold(samples, g, box, rows, project=False)
+    # lo and width repeated along the flat buffer, like the fold's c: one
+    # contiguous multiply and add, where broadcasting over rows of l = 2-4
+    # was 4-13x slower. Built once, for the longest sub-chunk.
     flat_lo, flat_width = np.tile(box.lo, rows), np.tile(box.widths, rows)
-    shifts = _score_shifts(samples, g, rows)
 
     def potential(u: np.ndarray, out: np.ndarray) -> None:
+        least = _unit_scores(fold, u).min(axis=1)
         flat = u.reshape(-1)
         flat *= flat_width[: flat.size]
         flat += flat_lo[: flat.size]
-        np.add(_scores(samples, shifts, u).min(axis=1), (u**2).sum(-1), out=out)
+        np.add(least, (u**2).sum(-1), out=out)
 
     acc = 0.0
     for values in _box_draws(samples, box, m, seed, box_index, potential, float):

@@ -263,7 +263,9 @@ class TestClassifyPoint:
     def test_labels_follow_argmin(self, n):
         # The labelling rule is argmin's, including the first index on a tie:
         # random finite scores, small integers (many exact ties) and all-equal
-        # rows.
+        # rows. A fold with W = I and c = 0 hands _unit_labels the scores
+        # themselves; with n = 2, the projection v = (-1, 1) against c' = 0
+        # compares score_1 - score_0 with 0, whose sign is exact.
         rng = np.random.default_rng(n)
         cases = [
             rng.uniform(-1.0, 1.0, size=(1000, n)) * 10.0 ** rng.integers(-3, 4),
@@ -271,9 +273,13 @@ class TestClassifyPoint:
             np.full((7, n), 0.25),
         ]
         for scores in cases:
-            out = np.empty(len(scores), dtype=np.intp)
-            assert geometry._labels(scores, out) is out
-            assert out.tolist() == np.argmin(scores, axis=1).tolist()
+            folds = [(np.eye(n), np.zeros(scores.size))]
+            if n == 2:
+                folds.append((np.array([-1.0, 1.0]), 0.0))
+            for fold in folds:
+                out = np.empty(len(scores), dtype=np.intp)
+                assert geometry._unit_labels(fold, scores, out) is out
+                assert out.tolist() == np.argmin(scores, axis=1).tolist()
         assert out.tolist() == [0] * 7
 
     def test_one_point_gets_its_batch_label(self):
@@ -285,48 +291,15 @@ class TestClassifyPoint:
                 samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(n, l)))
                 g = rng.uniform(-0.2, 0.2, size=n)
                 xs = rng.uniform(-1.5, 1.5, size=(9, l))
-                shifts = geometry._score_shifts(samples, g, len(xs))
-                batch = geometry._scores(samples, shifts, xs)
                 labels = classify_points(samples, g, xs)
                 for i in range(len(xs)):
-                    alone = geometry._scores(samples, shifts, xs[i : i + 1])
-                    assert alone.tobytes() == batch[i : i + 1].tobytes(), (l, n, i)
                     assert classify_points(samples, g, xs[i]).tolist() == [labels[i]]
 
-    def test_scores_round_like_the_broadcast_form(self):
-        # Every row count from 2 to 130 and the sub-chunk lengths _box_draws
-        # uses, multiplied by a C-contiguous sink operand: a product of one
-        # row takes another kernel, which rounds differently.
-        operands = []
-
-        class Rows(np.ndarray):
-            def __matmul__(self, other):
-                operands.append(other)
-                return np.asarray(self) @ other
-
-        rng = np.random.default_rng(16)
-        for l in range(1, 6):
-            for n in range(1, 41):
-                samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(n, l)))
-                g = rng.uniform(-0.2, 0.2, size=n)
-                size = max(
-                    2, min(geometry._MC_SUBCHUNK, geometry._MC_SUBCHUNK_WORK // (n * l))
-                )
-                counts = [*range(2, 131), size, size + 1]
-                shifts = geometry._score_shifts(samples, g, max(counts))
-                for rows in counts:
-                    xs = rng.uniform(-1.5, 1.5, size=(rows, l))
-                    expected = samples.squared_norms - 2.0 * (xs @ samples.points.T) - g
-                    scores = geometry._scores(samples, shifts, xs)
-                    assert (scores == expected).all(), (l, n, rows)
-                geometry._scores(samples, shifts, xs.view(Rows))
-                assert operands.pop().flags.c_contiguous
-
     def test_unit_scores_have_the_bits_of_every_row_count(self):
-        # The Monte Carlo count scores unit draws with the box folded into the
-        # sinks: each row's scores (the projection when n = 2) have the bits
-        # of the broadcast form over all rows, at every row count from 2 to
-        # 130, at the sub-chunk lengths, and for a lone row.
+        # The Monte Carlo kernel scores unit draws with the box folded into
+        # the sinks: each row's scores (and, when n = 2, the projection) have
+        # the bits of the broadcast form over all rows, at every row count
+        # from 2 to 130, at the sub-chunk lengths, and for a lone row.
         rng = np.random.default_rng(19)
         for l in range(1, 6):
             for n in range(1, 41):
@@ -337,15 +310,20 @@ class TestClassifyPoint:
                 size = geometry._subchunk_rows(samples, l)
                 counts = [*range(2, 131), size, size + 1]
                 u = rng.random((max(counts), l))
-                fold = geometry._unit_fold(samples, g, box, max(counts))
-                assert fold[0].flags.c_contiguous
-                expected = _unit_broadcast_scores(samples, g, box, u)[0]
-                for rows in counts:
-                    scores = geometry._unit_scores(fold, u[:rows])
-                    assert scores.tobytes() == expected[:rows].tobytes(), (l, n, rows)
-                for i in (0, 1, 63):
-                    alone = geometry._unit_scores(fold, u[i : i + 1])
-                    assert alone.tobytes() == expected[i : i + 1].tobytes(), (l, n, i)
+                for project in (True, False):
+                    fold = geometry._unit_fold(samples, g, box, max(counts), project)
+                    assert fold[0].flags.c_contiguous
+                    expected = _unit_broadcast_scores(samples, g, box, u, project)[0]
+                    for rows in counts:
+                        scores = geometry._unit_scores(fold, u[:rows])
+                        assert scores.tobytes() == expected[:rows].tobytes(), (
+                            l, n, rows, project
+                        )
+                    for i in (0, 1, 63):
+                        alone = geometry._unit_scores(fold, u[i : i + 1])
+                        assert alone.tobytes() == expected[i : i + 1].tobytes(), (
+                            l, n, i, project
+                        )
 
 
 class TestMcVolumes:
@@ -400,6 +378,27 @@ class TestMcVolumes:
         with pytest.raises(ValueError):
             cell_box_volumes_mc(samples, np.array([np.nan, 0.0]), box, 0.05, 0.1, 0)
 
+    @pytest.mark.parametrize(
+        "g",
+        [[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0, 0.0], [0.0], [[0.0, 0.0]]],
+        ids=["nan", "inf", "three", "one", "row"],
+    )
+    @pytest.mark.parametrize("consumer", ["volumes", "potential", "classify"])
+    def test_every_consumer_checks_the_weights(self, consumer, g):
+        # Each consumer folds g into the sinks, and the fold takes only n
+        # finite weights: a length-3 g against two sinks would misalign the
+        # tiled constants, and a NaN would give a NaN potential or a label.
+        samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
+        box = Hyperrectangle([-1.0], [1.0])
+        g = np.array(g)
+        calls = {
+            "volumes": lambda: cell_box_volumes_mc(samples, g, box, 0.05, 0.1, 0),
+            "potential": lambda: potential_integral_mc(samples, g, box, 0.5, 100, 0),
+            "classify": lambda: classify_points(samples, g, np.array([[0.3]])),
+        }
+        with pytest.raises(ValueError, match="dual weights must"):
+            calls[consumer]()
+
     def test_budget_above_cap_is_refused_before_drawing(self, monkeypatch):
         def no_draws(seed, box_index):
             raise AssertionError("drew samples past the cap")
@@ -411,12 +410,13 @@ class TestMcVolumes:
             cell_box_volumes_mc(samples, np.zeros(2), box, 1e-4, 0.05, seed=0)
 
 
-def _unit_broadcast_scores(samples, g, box, u):
+def _unit_broadcast_scores(samples, g, box, u, project=True):
     # The broadcast form of the unit-draw scores: u @ W + c for the box folded
-    # into the sinks, or with n = 2 the projections u @ v and their cut c'.
+    # into the sinks, or with n = 2 and `project` the projections u @ v and
+    # their cut c'.
     y, lo, w = samples.points, box.lo, box.widths
     norms = samples.squared_norms
-    if samples.n == 2:
+    if project and samples.n == 2:
         d = y[0] - y[1]
         cut = (norms[0] - g[0]) - (norms[1] - g[1]) - 2.0 * float(lo @ d)
         return u @ (2.0 * w * d), cut
@@ -474,9 +474,10 @@ class TestMcWorkers:
         units = box_rng((4, 2), 3).random((m, l))
         pts = box_rng((4, 2), 3).uniform(box.lo, box.hi, (m, l))
 
-        def broadcast_scores(rows):
-            # the broadcast form of the scores, which _scores must round alike
-            return samples.squared_norms - 2.0 * (rows @ samples.points.T) - g
+        def broadcast_scores(u):
+            # the broadcast form of the scores, which the kernel must round
+            # alike: both scores at n = 2, as the potential takes them
+            return _unit_broadcast_scores(samples, g, box, u, project=False)[0]
 
         counts = _unit_rule_counts(samples, g, box, units)
         v = cell_box_volumes_mc(samples, g, box, 0.1, 0.1, seed=(4, 2), box_index=3)
@@ -484,8 +485,8 @@ class TestMcWorkers:
 
         serial = []
         for first in range(0, m, 1000):
-            rows = pts[first : first + 1000]
-            serial.append(broadcast_scores(rows).min(axis=1) + (rows**2).sum(-1))
+            least = broadcast_scores(units[first : first + 1000]).min(axis=1)
+            serial.append(least + (pts[first : first + 1000] ** 2).sum(-1))
         e = potential_integral_mc(samples, g, box, 0.25, m, (4, 2), box_index=3)
         acc = sum(float(block.sum()) for block in serial)
         assert e == 0.25 * box.volume * acc / m
@@ -493,8 +494,8 @@ class TestMcWorkers:
         # The per-point values themselves, which a sum could round away:
         # each point's draw and its swept scores.
         def potential(u, out):
-            rows = box.lo + box.widths * u
-            np.add(broadcast_scores(rows).min(axis=1), (rows**2).sum(-1), out=out)
+            xs = box.lo + box.widths * u
+            np.add(broadcast_scores(u).min(axis=1), (xs**2).sum(-1), out=out)
 
         swept = geometry._box_draws(samples, box, m, (4, 2), 3, potential, float)
         for block, expected in zip(swept, serial, strict=True):
@@ -545,16 +546,13 @@ class TestMcWorkers:
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_ties_count_in_the_first_cell(self, n, monkeypatch):
-        def equal_scores(samples, shifts, xs):
-            return np.zeros((len(xs), samples.n))
-
         fold = geometry._unit_fold
 
         def equal_fold(*args):
-            # every unit-draw score (or n = 2 projection and its cut) zero
+            # every score (or n = 2 projection and its cut) zero, for the
+            # count and for classify_points alike
             return tuple(np.zeros_like(part) for part in fold(*args))
 
-        monkeypatch.setattr(geometry, "_scores", equal_scores)
         monkeypatch.setattr(geometry, "_unit_fold", equal_fold)
         samples = SampleSet.uniform(np.arange(n, dtype=float)[:, None])
         box = Hyperrectangle([-1.0], [1.0])
@@ -631,9 +629,10 @@ class TestMcWorkers:
 
     @pytest.mark.parametrize("l, n", [(1, 2), (2, 2), (3, 2), (2, 5), (4, 8), (3, 16)])
     def test_labels_match_classify_points_off_the_boundaries(self, l, n):
-        # A unit-draw label differs from the x-space rule only within
-        # rounding of a cell boundary: wherever the two least x-space scores
-        # are more than 1e-9 apart, the labels agree.
+        # A box's label for a unit draw u differs from classify_points of its
+        # point lo + w u (the rule with the unit cube as the box) only within
+        # rounding of a cell boundary: wherever the two least scores
+        # ||x - y_j||^2 - g_j are more than 1e-9 apart, the labels agree.
         rng = np.random.default_rng(100 + 10 * l + n)
         samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(n, l)))
         g = rng.uniform(-0.3, 0.3, size=n)
@@ -670,6 +669,47 @@ class TestMcWorkers:
             potential_integral_mc(
                 samples, np.zeros(2), box, 0.5, geometry.MC_SAMPLE_CAP + 1, 0
             )
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_potential_needs_a_draw(self, m):
+        samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
+        box = Hyperrectangle([-1.0], [1.0])
+        with pytest.raises(ValueError, match="m >= 1"):
+            potential_integral_mc(samples, np.zeros(2), box, 0.5, m, 0)
+
+    @pytest.mark.parametrize("l, n", [(1, 2), (3, 2), (2, 5), (4, 8)])
+    def test_one_rule_for_every_consumer(self, l, n, monkeypatch):
+        # classify_points is the volume count with the unit cube as the box:
+        # on the rows u the count draws in [0, 1]^l it gives the count's own
+        # labels, bit for bit. The potential's least score (of both scores
+        # at n = 2) sits at that label wherever the two least scores differ.
+        rng = np.random.default_rng(200 + 10 * l + n)
+        samples = SampleSet.uniform(rng.uniform(-0.5, 1.5, size=(n, l)))
+        g = rng.uniform(-0.3, 0.3, size=n)
+        unit = Hyperrectangle(np.zeros(l), np.ones(l))
+        drawn, counted = [], []
+        labels = geometry._unit_labels
+
+        def recorded(fold, u, out):
+            drawn.append(u.copy())
+            counted.append(labels(fold, u, out).astype(np.intp))
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(geometry, "_MC_WORKERS", 1)
+            patch.setattr(geometry, "_unit_labels", recorded)
+            cell_box_volumes_mc(samples, g, unit, 0.01, 0.1, seed=6)
+        u, counted = np.concatenate(drawn), np.concatenate(counted)
+        assert u.tolist() == box_rng(6, 0).random(u.shape).tolist()
+        assert len(set(counted.tolist())) > 1
+        assert classify_points(samples, g, u).tolist() == counted.tolist()
+
+        fold = geometry._unit_fold(samples, g, unit, len(u), project=False)
+        scores = geometry._unit_scores(fold, u)
+        least = np.sort(scores, axis=1)[:, :2]
+        differ = least[:, 0] < least[:, 1]
+        assert differ.mean() > 0.99
+        assert (np.argmin(scores, axis=1)[differ] == counted[differ]).all()
 
 
 class TestExactCellMoments1d:
