@@ -30,6 +30,7 @@ from .geometry import (
     EXACT_MAX_DIMENSION,
     Instance,
     SampleSet,
+    _finite_weights,
     _power_diagram,
     box_moments,
     cell_box_moments_exact,
@@ -163,13 +164,6 @@ def _resolve_backend(backend: str, dimension: int) -> str:
     return backend
 
 
-def _finite_weights(g) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all():
-        raise ValueError("dual weights must be finite")
-    return g
-
-
 class _Pass(NamedTuple):
     """Energy, gradient and cell masses at one g from one geometry pass.
 
@@ -198,7 +192,7 @@ def _evaluate(instance: Instance, g: np.ndarray, hessian: bool = False) -> _Pass
     makes every row sum to zero (Kitagawa, Merigot and Thibert 2019, with
     the factor 2 of the cost ||x - y||^2).
     """
-    g = _finite_weights(g)
+    g = _finite_weights(g, instance.samples.n)
     samples = instance.samples
     y = samples.points
     n = samples.n
@@ -253,7 +247,7 @@ def energy(
     bounded by 4 D^2 + 2 ||g||_inf. ``drawn``, when given, gets the number
     of points drawn in each box appended.
     """
-    g = _finite_weights(g)
+    g = _finite_weights(g, instance.samples.n)
     samples = instance.samples
     backend = _resolve_backend(backend, instance.dimension)
 
@@ -309,7 +303,7 @@ def gradient(
     draws in lockstep; that is left for later. ``drawn``, when given, gets
     the number of points drawn in each box appended.
     """
-    g = _finite_weights(g)
+    g = _finite_weights(g, instance.samples.n)
     backend = _resolve_backend(backend, instance.dimension)
     if backend == "exact":
         return _evaluate(instance, g).grad

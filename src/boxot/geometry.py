@@ -11,18 +11,18 @@ cells, and a site that is not a vertex of that hull has an empty cell
 (Aurenhammer 1987). The hull is a sort and a monotone chain in 1-D and one
 Qhull call in 2-D and 3-D, built once per iterate (one g) and shared by
 every box. In 2-D and 3-D, 2l ghost sites far from the sinks bound every
-cell without entering the boxes; a closed-form solve per lower facet gives
-the vertices, and one sort orders every cell's corners. Each cell is then
-cut straight into every box of the pass that its bounding box meets, all
-boxes at once, in numpy: one cut step per face that a cell crosses, at
-most 2l per pass, and one moment sum for all boxes. Every side of a cell
-carries the neighbour across it, which gives the facet measures that the
-dual solver's Hessian needs. Where Qhull does not run (n <= l + 1) or
-cannot be trusted, each cell is clipped in plain floats by the half-spaces
-of all the other sinks. The Qhull call is the module's only use of scipy,
-so ``scipy.spatial`` is imported inside :func:`_power_neighbours`: a
-process loads it at its first 2-D or 3-D diagram with at least l + 2
-sinks, never at import.
+cell without entering the boxes; each lower facet's plane gives its vertex,
+and one sort orders every cell's corners. Each cell is then cut straight
+into every box of the pass that its bounding box meets, all boxes at once,
+in numpy: one cut step per face that a cell crosses, at most 2l per pass,
+and one moment sum for all boxes. Every side of a cell carries the neighbour
+across it, which gives the facet measures that the dual solver's Hessian
+needs. Where Qhull does not run (n <= l + 1), or rejects the sinks or drops
+one as coplanar, each cell is clipped in plain floats by the half-spaces of
+all the other sinks. The Qhull call is the module's only use of scipy, so
+``scipy.spatial`` is imported inside :func:`_power_neighbours`: a process
+loads it at its first 2-D or 3-D diagram with at least l + 2 sinks, never at
+import.
 
 All operations are pure functions on immutable inputs. Monte-Carlo sampling
 is deterministic given (seed, box index); see :func:`box_rng` for the
@@ -330,6 +330,17 @@ def instance_stats(density: BoxDensity, samples: SampleSet) -> InstanceStats:
 # ---------------------------------------------------------------------------
 
 
+def _finite_weights(g, n: int) -> np.ndarray:
+    # g as the n finite dual weights of n sinks; a ValueError names the
+    # check that fails.
+    g = np.asarray(g, dtype=float)
+    if g.shape != (n,):
+        raise ValueError(f"dual weights must have shape ({n},), not {g.shape}")
+    if not np.isfinite(g).all():
+        raise ValueError("dual weights must be finite")
+    return g
+
+
 def _unit_fold(
     samples: SampleSet,
     g: np.ndarray,
@@ -348,11 +359,7 @@ def _unit_fold(
     # labels' projection (v, c'): cell 1 wins iff u . v < c', for
     # v = 2 w (y_0 - y_1) and c' = (||y_0||^2 - g_0) - (||y_1||^2 - g_1)
     # - 2 lo.(y_0 - y_1).
-    g = np.asarray(g, dtype=float)
-    if g.shape != (samples.n,):
-        raise ValueError(f"dual weights must have shape ({samples.n},), not {g.shape}")
-    if not np.isfinite(g).all():
-        raise ValueError("dual weights must be finite")
+    g = _finite_weights(g, samples.n)
     y, lo, w = samples.points, box.lo, box.widths
     norms = samples.squared_norms
     if project and samples.n == 2:
@@ -632,13 +639,6 @@ def potential_integral_mc(
 # exact cell volumes and moments (l <= 3): restricted power diagram
 # ---------------------------------------------------------------------------
 
-# A lower facet of the lifted hull counts as flat when |det(d_1, ..., d_l)|,
-# for its edges d_i from its first sink, is at most this share of the product
-# of the ||d_i||. Qhull triangulates a facet it merged (sinks on one sphere
-# under the weights) and may leave flat pieces, whose vertex no l x l solve
-# gives.
-_FLAT_TOL = 1e-8
-
 # Per lower facet (a simplex of four sinks) in 3-D, the positions (p, q, a, b)
 # of every ordered pair p != q of its sinks followed by the other two.
 _FACE_PAIRS = np.array(
@@ -671,17 +671,25 @@ def _lower_chain(xs: list[float], zs: list[float]) -> list[int]:
     return chain
 
 
-def _power_neighbours(y: np.ndarray, lift: np.ndarray) -> np.ndarray | None:
+def _power_neighbours(
+    y: np.ndarray, lift: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
     """The facets of the lower convex hull of the lifted points, from Qhull.
 
     In dimension l = 2, 3, each lower facet of the hull of the points
     (y_j, lift_j), lift_j = ||y_j||^2 - g_j, joins l + 1 sinks. It is dual to
     the power vertex where those sinks' cells meet, each of its edges to the
     facet between two neighbouring cells, and a sink that is not a vertex of
-    the lower hull has an empty cell (Aurenhammer 1987). Returns the
-    (m, l + 1) sink indices of the lower facets, as Qhull triangulates them;
-    or None when Qhull rejects the points, or reports one as coplanar with a
-    facet, since such a sink may own a sliver cell that no facet names.
+    the lower hull has an empty cell (Aurenhammer 1987). The vertex comes off
+    the facet's plane a . y + a_z z + c = 0: at v = -a / (2 a_z) every sink
+    i on the plane has the power ||v - y_i||^2 - g_i = ||v||^2 - c / a_z.
+    Qhull triangulates a facet it merged (sinks on one sphere under the
+    weights) into pieces that keep the merged plane, so the pieces share
+    one vertex, however flat they are. Returns the (m, l + 1) sink indices
+    of the lower facets, as Qhull triangulates them, and their (m, l)
+    vertices; or None when Qhull rejects the points, or reports one as
+    coplanar with a facet, since such a sink may own a sliver cell that no
+    facet names.
     """
     # Imported on first use: scipy.spatial takes about 0.5 s to load.
     from scipy.spatial import ConvexHull, QhullError
@@ -694,7 +702,9 @@ def _power_neighbours(y: np.ndarray, lift: np.ndarray) -> np.ndarray | None:
     if hull.coplanar.size:
         return None
     # A facet is lower when its outward normal, before the offset, points down.
-    return hull.simplices[hull.equations[:, -2] < 0.0]
+    lower = hull.equations[:, -2] < 0.0
+    plane = hull.equations[lower]
+    return hull.simplices[lower], plane[:, :-2] / (-2.0 * plane[:, -2:-1])
 
 
 def _ghosts(
@@ -723,30 +733,6 @@ def _ghosts(
     c = 2.0 * (y[0] - ghosts)
     least = (ghosts**2).sum(1) - y[0] @ y[0] + np.minimum(c * lo, c * hi).sum(1)
     return ghosts, least + g[0] - reach**2 / 16.0
-
-
-def _dual_vertices(
-    y: np.ndarray, w: np.ndarray, facets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The power vertex of every facet and its sinks' determinant, or None.
-
-    Facet (s_0, ..., s_l)'s vertex v is where its sinks' powers
-    ||v - y_i||^2 - w_i tie. With v = y_0 + x and d_i = y_i - y_0 that is
-    d_i . x = (||d_i||^2 - w_i + w_0) / 2 for i = 1..l, solved by Cramer's
-    rule: x = sum_i r_i c_i / det(d_1, ..., d_l), with the cofactor vectors
-    c_i (c_i . d_k = det when i = k, else 0). Returns (vertices, det), or None
-    when a facet is flat (see _FLAT_TOL).
-    """
-    d = y[facets[:, 1:]] - y[facets[:, :1]]
-    r = 0.5 * ((d**2).sum(-1) - w[facets[:, 1:]] + w[facets[:, :1]])
-    if d.shape[-1] == 2:
-        cof = d[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    else:
-        cof = _cross(d[:, [1, 2, 0]], d[:, [2, 0, 1]])
-    det = (d[:, 0] * cof[:, 0]).sum(-1)
-    if (np.abs(det) <= _FLAT_TOL * np.sqrt((d**2).sum(-1)).prod(-1)).any():
-        return None
-    return y[facets[:, 0]] + (r[..., None] * cof).sum(1) / det[:, None], det
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -785,7 +771,7 @@ def _angle_order(groups: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray
     return order[np.argsort(groups[order], kind="stable")]
 
 
-def _polygon_rows(y, n, facets, det):
+def _polygon_rows(y, n, facets):
     """The corners of the 2-D cells of the sinks j < n, one row per corner.
 
     The lower facets around sink j are the triangles of the regular
@@ -798,7 +784,9 @@ def _polygon_rows(y, n, facets, det):
     side (j, b). Returns the cell, the facet and that edge's neighbour b
     of each row, sorted by cell and then counterclockwise.
     """
-    tri = np.where((det > 0.0)[:, None], facets, facets[:, [0, 2, 1]])
+    d = y[facets[:, 1:]] - y[facets[:, :1]]
+    ccw = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0] > 0.0
+    tri = np.where(ccw[:, None], facets, facets[:, [0, 2, 1]])
     cell, a, b = tri.ravel(), tri[:, [1, 2, 0]].ravel(), tri[:, [2, 0, 1]].ravel()
     f = np.repeat(np.arange(len(tri)), 3)
     keep = cell < n
@@ -850,20 +838,16 @@ class _Rows(NamedTuple):
     tags: np.ndarray
 
 
-def _lifted_cells(y, w, n, facets):
-    """The cells of the sinks j < n read off the lower facets, or None.
+def _lifted_cells(y, n, facets, verts):
+    """The cells of the sinks j < n read off the lower facets' vertices.
 
-    ``y`` and ``w`` hold the n sinks and then the ghosts, which bound every
-    cell. Returns (cells, low, high, rows): the nonempty cells in order of
-    index, their vertex bounding boxes, and the cells as :class:`_Rows`,
-    their sides tagged by neighbour. None when a facet is flat.
+    ``y`` holds the n sinks and then the ghosts, which bound every cell.
+    Returns (cells, low, high, rows): the nonempty cells in order of index,
+    their vertex bounding boxes, and the cells as :class:`_Rows`, their
+    sides tagged by neighbour.
     """
-    dual = _dual_vertices(y, w, facets)
-    if dual is None:
-        return None
-    verts, det = dual
     if y.shape[1] == 2:
-        cell, f, tags = _polygon_rows(y, n, facets, det)
+        cell, f, tags = _polygon_rows(y, n, facets)
         face = cell
     else:
         cell, tags, f = _face_rows(y, n, facets)
@@ -933,15 +917,15 @@ def _power_diagram(
     (y_j, ||y_j||^2 - g_j). In 2-D and 3-D with n > l + 1 sinks they are
     read off the lower facets of one Qhull hull of the lifted sinks and of
     2l ghosts, which bound every cell and own no point of the hull
-    (:func:`_power_neighbours`, :func:`_ghosts`): one closed-form solve per
-    facet gives its vertex, and one sort orders the corners of every cell
+    (:func:`_power_neighbours`, :func:`_ghosts`): each facet's plane gives
+    its vertex, and one sort orders the corners of every cell
     (:func:`_polygon_rows`, :func:`_face_rows`), all in numpy. The
     ``boxes``, each inside the hull, are then measured in one batch
     (:func:`_box_batch`, with facet pieces when ``facets``), which
     :func:`cell_box_moments_exact` hands out box by box. Where Qhull does
-    not run (n <= l + 1) or cannot be trusted (it rejects the points,
-    reports one as coplanar, or leaves a flat facet), the diagram holds no
-    cells, and each box clips its own by all pairs of sinks.
+    not run (n <= l + 1) or cannot be trusted (it rejects the points, or
+    reports one as coplanar), the diagram holds no cells, and each box clips
+    its own by all pairs of sinks.
     """
     g = np.asarray(g, dtype=float)
     y = samples.points
@@ -964,11 +948,10 @@ def _power_diagram(
 
     if n > l + 1:
         ghosts, weights = _ghosts(y, g, lo, hi)
-        ys, ws = np.concatenate([y, ghosts]), np.concatenate([g, weights])
-        lower = _power_neighbours(ys, (ys**2).sum(-1) - ws)
-        lifted = None if lower is None else _lifted_cells(ys, ws, n, lower)
-        if lifted is not None:
-            cells, low, high, rows = lifted
+        ys = np.concatenate([y, ghosts])
+        lower = _power_neighbours(ys, (ys**2).sum(-1) - np.concatenate([g, weights]))
+        if lower is not None:
+            cells, low, high, rows = _lifted_cells(ys, n, *lower)
             diagram = _PowerDiagram(lo, hi, cells, rows=rows, low=low, high=high)
             if boxes:
                 los = np.array([box.lo for box in boxes])

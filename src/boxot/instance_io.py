@@ -10,8 +10,6 @@ representation, so parse -> serialize is idempotent byte for byte.
 from __future__ import annotations
 
 import json
-import operator
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -34,31 +32,6 @@ def _vector(obj, what: str) -> list[float]:
             raise ValueError(f"{what} must contain only numbers")
         out.append(float(v))
     return out
-
-
-def _column(entries: list, key: str, dimension: int | None) -> np.ndarray | None:
-    """Field ``key`` of every entry (all dicts) as one float array, or None.
-
-    A vector field (``dimension`` given) must be a list of ``dimension``
-    values in every entry, a scalar field one value; each value must be an
-    int or a float by exact type, as JSON decodes them, so a bool (an int
-    subclass) or a string fails. Each check is one pass over the field in
-    C, with no Python call per entry. None when an entry lacks the key or
-    fails a check: the caller then walks the entries to name the first bad
-    one.
-    """
-    try:
-        column = list(map(operator.itemgetter(key), entries))
-    except KeyError:
-        return None
-    values = column
-    if dimension is not None:
-        if set(map(type, column)) != {list} or set(map(len, column)) != {dimension}:
-            return None
-        values = chain.from_iterable(column)
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    return np.array(column, dtype=float)
 
 
 def _samples_by_entry(raw_samples: list, dimension: int):
@@ -86,10 +59,8 @@ def _samples_by_entry(raw_samples: list, dimension: int):
 def parse_instance(data) -> tuple[Instance, dict]:
     """Validate a decoded JSON document and build the instance it describes.
 
-    The samples are checked field by field in one pass (:func:`_column`);
-    only when a check fails are they walked one by one, so that the refusal
-    names the first bad sample. The boxes, each of which builds its own
-    :class:`Hyperrectangle`, are walked one by one.
+    The boxes and the samples are walked one by one, so that a refusal names
+    the first bad entry.
     """
     if not isinstance(data, dict):
         raise ValueError("instance file must be a JSON object")
@@ -116,18 +87,7 @@ def parse_instance(data) -> tuple[Instance, dict]:
     raw_samples = _require(data, "samples")
     if not isinstance(raw_samples, list) or not raw_samples:
         raise ValueError("samples must be a non-empty list")
-    points = demands = None
-    if set(map(type, raw_samples)) == {dict}:
-        points = _column(raw_samples, "point", dimension)
-        demanded = sum(map(operator.contains, raw_samples, repeat("demand")))
-        if demanded:
-            # All or none: a partial set goes to the walk, which refuses it.
-            if demanded == len(raw_samples):
-                demands = _column(raw_samples, "demand", None)
-            if demands is None:
-                points = None
-    if points is None:
-        points, demands = _samples_by_entry(raw_samples, dimension)
+    points, demands = _samples_by_entry(raw_samples, dimension)
 
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):

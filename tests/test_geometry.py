@@ -383,18 +383,25 @@ class TestMcVolumes:
         [[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0, 0.0], [0.0], [[0.0, 0.0]]],
         ids=["nan", "inf", "three", "one", "row"],
     )
-    @pytest.mark.parametrize("consumer", ["volumes", "potential", "classify"])
+    @pytest.mark.parametrize(
+        "consumer", ["volumes", "potential", "classify", "energy", "gradient"]
+    )
     def test_every_consumer_checks_the_weights(self, consumer, g):
-        # Each consumer folds g into the sinks, and the fold takes only n
-        # finite weights: a length-3 g against two sinks would misalign the
-        # tiled constants, and a NaN would give a NaN potential or a label.
+        # Each Monte Carlo consumer folds g into the sinks, and the fold takes
+        # only n finite weights: a length-3 g against two sinks would
+        # misalign the tiled constants, and a NaN would give a NaN potential
+        # or a label. The exact energy and gradient check g the same way,
+        # before a wrong shape fails inside numpy's broadcasting or indexing.
         samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
         box = Hyperrectangle([-1.0], [1.0])
+        instance = Instance(BoxDensity(1, ((box, 0.5),)), samples)
         g = np.array(g)
         calls = {
             "volumes": lambda: cell_box_volumes_mc(samples, g, box, 0.05, 0.1, 0),
             "potential": lambda: potential_integral_mc(samples, g, box, 0.5, 100, 0),
             "classify": lambda: classify_points(samples, g, np.array([[0.3]])),
+            "energy": lambda: ds_module.energy(instance, g),
+            "gradient": lambda: ds_module.gradient(instance, g),
         }
         with pytest.raises(ValueError, match="dual weights must"):
             calls[consumer]()
@@ -845,9 +852,14 @@ def _brute_force_moments(samples, g, box):
                 firsts[j, 0] = (hi**2 - lo**2) / 2.0
                 seconds[j] = (hi**3 - lo**3) / 3.0
             continue
+        # Unit normals: the row of two sinks 1e-14 apart would otherwise lie
+        # within the solver's feasibility tolerance, and within rounding of
+        # the value by which Qhull checks that the centre is inside.
+        scale = np.linalg.norm(a, axis=1)
+        a, b = a / scale[:, None], b / scale
         res = linprog(
             c=[0.0] * l + [-1.0],
-            A_ub=np.hstack([a, np.linalg.norm(a, axis=1)[:, None]]),
+            A_ub=np.hstack([a, np.ones((len(a), 1))]),
             b_ub=b,
             bounds=[(None, None)] * l + [(0.0, None)],
             method="highs",
@@ -867,7 +879,9 @@ def _brute_force_moments(samples, g, box):
 
 
 def _lattice(l, per_axis, spacing):
-    axes = [spacing * (np.arange(per_axis) - (per_axis - 1) / 2.0)] * l
+    # per_axis: one count for every axis, or a count per axis.
+    counts = np.broadcast_to(per_axis, l)
+    axes = [spacing * (np.arange(p) - (p - 1) / 2.0) for p in counts]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, l)
 
 
@@ -901,6 +915,11 @@ def _power_diagram_cases():
         pts = _lattice(l, {1: 8, 2: 5, 3: 3}[l], 0.5)
         aligned = Hyperrectangle([-0.75] * l, [0.25] * l)
         cases.append((f"l{l}-lattice", pts, np.zeros(len(pts)), boxes[l] + (aligned,)))
+    # A rectangular lattice at g = 0: Qhull merges its cospherical facets
+    # into boxes of unequal sides and cuts them into pieces, flat ones too,
+    # each of which must give its merged facet's vertex.
+    pts = _lattice(3, (4, 3, 5), 0.5)
+    cases.append(("l3-lattice-4x3x5", pts, np.zeros(len(pts)), boxes[3]))
     # Sinks on a line or in a plane: the lifted sinks alone are flat, and
     # only the ghosts make the hull full-dimensional.
     t = rng.uniform(-1.0, 1.0, size=8)
@@ -961,6 +980,10 @@ class TestRestrictedPowerDiagram:
             # same bits as the call that builds its own.
             density = BoxDensity(box.dimension, ((box, 1.0 / box.volume),))
             diagram = geometry._power_diagram(samples, g, density.hull)
+            # Every case with Qhull's l + 2 sinks, cospherical ones too, is
+            # read off the lifted hull.
+            n, l = points.shape
+            assert (diagram.rows is not None) == (l > 1 and n > l + 1)
             for own, shared in zip(
                 (vols, firsts, seconds),
                 cell_box_moments_exact(samples, g, box, diagram),
@@ -1112,11 +1135,12 @@ class TestLiftedCells:
         assert np.abs(hess - ref_hess).max() <= 1e-12 * max(1.0, np.abs(ref_hess).max())
 
     @pytest.mark.parametrize(
-        "trigger", ["few-sinks", "qhull-error", "coplanar", "flat"]
+        "trigger", ["few-sinks", "qhull-error", "coplanar", "coplanar-3d", "flat"]
     )
     def test_fallbacks_clip_all_pairs(self, trigger, monkeypatch):
         # Each input that Qhull does not see or cannot be trusted on takes the
-        # all-pairs clip, and its cells match the brute force.
+        # all-pairs clip, and its cells match the brute force. Flat facets
+        # are no such input: their pieces share the merged facet's vertex.
         rng = np.random.default_rng(11)
         l, g = 2, None
         if trigger == "few-sinks":
@@ -1131,6 +1155,11 @@ class TestLiftedCells:
             points = rng.uniform(-1.0, 1.0, size=(9, 2))
         elif trigger == "coplanar":
             points, g = _coplanar_case()
+        elif trigger == "coplanar-3d":
+            # Two sinks 1e-14 apart split their cell, and Qhull keeps one of
+            # their lifted points as coplanar with the other's facets.
+            l, points = 3, rng.uniform(-1.0, 1.0, size=(8, 3))
+            points[1] = points[0] + [1e-14, 0.0, 0.0]
         else:
             # Cospherical lattice sinks: Qhull merges their facets and
             # triangulates the merged cubes with flat pieces.
@@ -1140,7 +1169,7 @@ class TestLiftedCells:
         samples = SampleSet.uniform(points)
         box = Hyperrectangle([-1.2] * l, [1.2] * l)
         diagram = geometry._power_diagram(samples, g, box)
-        assert diagram.rows is None
+        assert (diagram.rows is None) == (trigger != "flat")
         vols, firsts, seconds = cell_box_moments_exact(samples, g, box, diagram)
         ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
         tol = 1e-12 * box.volume
@@ -1148,7 +1177,19 @@ class TestLiftedCells:
         assert np.abs(vols - ref_vols).max() <= tol
         assert np.abs(firsts - ref_firsts).max() <= tol * r
         assert np.abs(seconds - ref_seconds).max() <= tol * r**2
+        if trigger == "coplanar-3d":
+            assert vols[:2].min() > 0.5
 
+    def test_large_lattice_takes_the_lifted_route(self):
+        # 216 cospherical sinks at g = 0, whose merged facets Qhull cuts into
+        # flat pieces, are read off the hull like any other input.
+        points = _lattice(3, 6, 0.4)
+        samples = SampleSet.uniform(points)
+        box = Hyperrectangle([-1.0] * 3, [1.0] * 3)
+        diagram = geometry._power_diagram(samples, np.zeros(len(points)), box)
+        assert diagram.rows is not None
+        vols = cell_box_moments_exact(samples, np.zeros(len(points)), box, diagram)[0]
+        assert abs(vols.sum() - box.volume) <= 1e-12 * box.volume
 
 
 def _facet_sums(n, pieces):

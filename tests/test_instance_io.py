@@ -112,8 +112,8 @@ class TestParseInstance:
             parse_instance(doc)
 
     def test_number_subclasses_take_the_walk(self):
-        # The one-pass check takes int and float by exact type; a float
-        # subclass such as np.float64 is checked entry by entry, as before.
+        # The walk takes any int or float, so a float subclass such as
+        # np.float64 parses to the bits of the plain float.
         doc = _minimal_doc()
         plain, _ = parse_instance(doc)
         doc["samples"][0]["point"] = [np.float64(-1.0)]
