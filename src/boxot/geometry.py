@@ -18,11 +18,13 @@ in numpy: one cut step per face that a cell crosses, at most 2l per pass,
 and one moment sum for all boxes. Every side of a cell carries the neighbour
 across it, which gives the facet measures that the dual solver's Hessian
 needs. Where Qhull does not run (n <= l + 1), or rejects the sinks or drops
-one as coplanar, each cell is clipped in plain floats by the half-spaces of
-all the other sinks. The Qhull call is the module's only use of scipy, so
-``scipy.spatial`` is imported inside :func:`_power_neighbours`: a process
-loads it at its first 2-D or 3-D diagram with at least l + 2 sinks, never at
-import.
+one as coplanar, each cell is clipped by the half-spaces of all the other
+sinks: in 2-D in plain floats, box by box; in 3-D by the same numpy cut as
+the box faces, n - 1 rounds of it on copies of the hull, after which the
+cells are measured like the lifted ones. The Qhull call is the module's
+only use of scipy, so ``scipy.spatial`` is imported inside
+:func:`_power_neighbours`: a process loads it at its first 2-D or 3-D
+diagram with at least l + 2 sinks, never at import.
 
 All operations are pure functions on immutable inputs. Monte-Carlo sampling
 is deterministic given (seed, box index); see :func:`box_rng` for the
@@ -647,8 +649,14 @@ _FACE_PAIRS = np.array(
 )
 
 
-# The sign of box face 2d + s, s = 0 for -x_d <= -lo_d and 1 for x_d <= hi_d.
-_FACE_SIGN = np.array([-1.0, 1.0] * EXACT_MAX_DIMENSION)
+# The faces of a 3-D box, each the cycle of its corners counterclockwise
+# seen from outside; bit d of a corner's number is set where its coordinate
+# d is the upper bound.
+_BOX_FACES = np.array([
+    [0, 2, 3, 1], [4, 5, 7, 6],  # z = lo, z = hi
+    [0, 1, 5, 4], [2, 6, 7, 3],  # y = lo, y = hi
+    [0, 4, 6, 2], [1, 3, 7, 5],  # x = lo, x = hi
+])
 
 
 def _lower_chain(xs: list[float], zs: list[float]) -> list[int]:
@@ -858,6 +866,44 @@ def _lifted_cells(y, n, facets, verts):
     return cell[starts], low, high, _Rows(owner, face, points, tags)
 
 
+def _all_pairs_rows(
+    samples: SampleSet, g: np.ndarray, lo: list[float], hi: list[float]
+):
+    """The 3-D cells clipped into the hull [lo, hi] by all other sinks' rows.
+
+    Every sink starts with a copy of the hull as rows, its six faces tagged
+    -1. Round r = 1, ..., n - 1 cuts each cell j by its row against sink
+    i = (j + r) mod n, a = 2 (y_i - y_j), b = g_j - g_i + ||y_i||^2 -
+    ||y_j||^2, in one :func:`_clip_rows` call, and the cut side gets tag i.
+    A row whose half-space holds the whole hull is skipped. Returns (cells,
+    low, high, rows) as :func:`_lifted_cells` does, for the nonempty cells.
+    """
+    y, norms = samples.points, samples.squared_norms
+    n = len(y)
+    lo, hi = np.array(lo), np.array(hi)
+    corners = np.where((_BOX_FACES.reshape(-1, 1) >> np.arange(3)) & 1, hi, lo)
+    size = len(corners)
+    rows = _Rows(
+        np.repeat(np.arange(n), size),
+        np.repeat(np.arange(n * len(_BOX_FACES)), 4),
+        np.tile(corners, (n, 1)),
+        np.full(n * size, -1),
+    )
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    for r in range(1, n):
+        i = (np.arange(n) + r) % n
+        a = 2.0 * (y[i] - y)
+        b = g - g[i] + norms[i] - norms
+        rows = _clip_rows(rows, a, b, i, a @ centre - b > -(np.abs(a) @ half))
+    # Each cell's rows as one run, its faces renumbered in row order.
+    order = np.argsort(rows.owner, kind="stable")
+    owner, points = rows.owner[order], rows.points[order]
+    starts, position = _runs(owner)
+    low, high = np.minimum.reduceat(points, starts), np.maximum.reduceat(points, starts)
+    face = _runs(rows.face[order])[1]
+    return owner[starts], low, high, _Rows(position, face, points, rows.tags[order])
+
+
 class _Batch(NamedTuple):
     """Every box's cell moments from one cut of the cells into all boxes.
 
@@ -887,9 +933,11 @@ class _PowerDiagram:
     ``high[p]`` are the corners of its vertices' bounding box, which may
     reach past the hull. ``boxes`` maps each box the diagram was built for,
     as the tuple of its corners, to its index in ``batch``, which holds
-    those boxes' moments (:func:`_box_batch`). Otherwise ``rows`` is None
-    and each box clips its own cells by all pairs of sinks
-    (:func:`_all_pairs_cells`).
+    those boxes' moments (:func:`_box_batch`). In 3-D, cells that do not
+    come off the lifted hull are the hull clipped by all pairs of sinks
+    (:func:`_all_pairs_rows`), held the same way, with bounding boxes inside
+    the hull. Otherwise, in 2-D, ``rows`` is None and each box clips its own
+    cells by all pairs of sinks (:func:`_all_pairs_cells`).
     """
 
     lo: list[float]
@@ -924,8 +972,10 @@ def _power_diagram(
     (:func:`_box_batch`, with facet pieces when ``facets``), which
     :func:`cell_box_moments_exact` hands out box by box. Where Qhull does
     not run (n <= l + 1) or cannot be trusted (it rejects the points, or
-    reports one as coplanar), the diagram holds no cells, and each box clips
-    its own by all pairs of sinks.
+    reports one as coplanar), each cell is clipped by the rows of all the
+    other sinks: in 3-D the hull as numpy rows (:func:`_all_pairs_rows`),
+    whose boxes are then measured in the same batch; in 2-D the diagram
+    holds no cells, and each box clips its own in plain floats.
     """
     g = np.asarray(g, dtype=float)
     y = samples.points
@@ -946,65 +996,64 @@ def _power_diagram(
         ]
         return _PowerDiagram(lo, hi, chain, [-math.inf, *cuts, math.inf])
 
+    cut = None
     if n > l + 1:
         ghosts, weights = _ghosts(y, g, lo, hi)
         ys = np.concatenate([y, ghosts])
         lower = _power_neighbours(ys, (ys**2).sum(-1) - np.concatenate([g, weights]))
         if lower is not None:
-            cells, low, high, rows = _lifted_cells(ys, n, *lower)
-            diagram = _PowerDiagram(lo, hi, cells, rows=rows, low=low, high=high)
-            if boxes:
-                los = np.array([box.lo for box in boxes])
-                his = np.array([box.hi for box in boxes])
-                diagram.boxes = {
-                    (*a, *b): index
-                    for index, (a, b) in enumerate(zip(los.tolist(), his.tolist()))
-                }
-                diagram.batch = _box_batch(diagram, n, los, his, facets)
-            return diagram
-    return _PowerDiagram(lo, hi, [])
+            cut = _lifted_cells(ys, n, *lower)
+    if cut is None and l == 3:
+        cut = _all_pairs_rows(samples, g, lo, hi)
+    if cut is None:
+        return _PowerDiagram(lo, hi, [])
+    cells, low, high, rows = cut
+    diagram = _PowerDiagram(lo, hi, cells, rows=rows, low=low, high=high)
+    if boxes:
+        los = np.array([box.lo for box in boxes])
+        his = np.array([box.hi for box in boxes])
+        diagram.boxes = {
+            (*a, *b): index
+            for index, (a, b) in enumerate(zip(los.tolist(), his.tolist()))
+        }
+        diagram.batch = _box_batch(diagram, n, los, his, facets)
+    return diagram
 
 
 def _all_pairs_cells(
     samples: SampleSet, g: np.ndarray, lo: list[float], hi: list[float]
 ):
-    """(cells, shapes) of the cells clipped into a box by all other sinks' rows.
+    """(cells, shapes) of the 2-D cells clipped into a box by all other rows.
 
     Cell j starts as the box and is clipped, in plain floats, by its row
     against every other sink, a = 2 (y_j' - y_j),
     b = g_j - g_j' + ||y_j'||^2 - ||y_j||^2, in index order. A row whose
-    half-space holds the whole box is skipped, and one whose half-space
+    half-plane holds the whole box is skipped, and one whose half-plane
     misses the box empties the cell; both tests compare the row's centre and
-    reach over the box. Returns the nonempty cells and their shapes: a
-    polygon and its edge tags ``(poly, tags)``, or a polyhedron ``(verts,
-    faces, tags)``, where a tag names the neighbour whose row made the side
-    and -1 a side of the box.
+    reach over the box. Returns the nonempty cells and their shapes
+    ``(poly, tags)``: the polygon counterclockwise and its edge tags, where
+    a tag names the neighbour whose row made the edge and -1 a side of the
+    box.
     """
     ys, gs, ns = samples.points.tolist(), g.tolist(), samples.squared_norms.tolist()
-    n, l = len(ys), len(lo)
-    pad = [0.0] * (3 - l)
-    m0, m1, m2 = [0.5 * (p + q) for p, q in zip(lo, hi)] + pad
-    h0, h1, h2 = [0.5 * (q - p) for p, q in zip(lo, hi)] + pad
-    clip = _clip_polygon if l == 2 else _clip_polyhedron
-    base = _box_shape(lo, hi)
+    n = len(ys)
+    m0, m1 = [0.5 * (p + q) for p, q in zip(lo, hi)]
+    h0, h1 = [0.5 * (q - p) for p, q in zip(lo, hi)]
+    corners = [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
     live, shapes = [], []
     for j in range(n):
-        shape = base
+        shape = corners, [-1] * 4
         for i in range(n):
             if i == j:
                 continue
             a = [2.0 * (q - p) for p, q in zip(ys[j], ys[i])]
             b = gs[j] - gs[i] + ns[i] - ns[j]
-            if l == 2:
-                centre = a[0] * m0 + a[1] * m1 - b
-                reach = abs(a[0]) * h0 + abs(a[1]) * h1
-            else:
-                centre = a[0] * m0 + a[1] * m1 + a[2] * m2 - b
-                reach = abs(a[0]) * h0 + abs(a[1]) * h1 + abs(a[2]) * h2
+            centre = a[0] * m0 + a[1] * m1 - b
+            reach = abs(a[0]) * h0 + abs(a[1]) * h1
             if centre > reach:
                 break
             if centre > -reach:
-                shape = clip(*shape, a, b, i)
+                shape = _clip_polygon(*shape, a, b, i)
                 if len(shape[0]) < 3:
                     break
         else:
@@ -1067,202 +1116,6 @@ def _polygon_moments(poly):
     return area, (fx, fy), second
 
 
-def _box_shape(lo, hi):
-    """A 2-D or 3-D box as the clippers take it, every side tagged -1.
-
-    In 2-D, ``(poly, tags)`` with the corners counterclockwise. In 3-D,
-    ``(verts, faces, tags)``: each face is a cycle of vertex indices that
-    runs counterclockwise seen from outside the box, and clipping keeps that
-    orientation.
-    """
-    if len(lo) == 2:
-        corners = [(lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]), (lo[0], hi[1])]
-        return corners, [-1] * 4
-    verts = [
-        (x, y, z)
-        for z in (lo[2], hi[2])
-        for y in (lo[1], hi[1])
-        for x in (lo[0], hi[0])
-    ]
-    faces = [
-        [0, 2, 3, 1], [4, 5, 7, 6],  # z = lo, z = hi
-        [0, 1, 5, 4], [2, 6, 7, 3],  # y = lo, y = hi
-        [0, 4, 6, 2], [1, 3, 7, 5],  # x = lo, x = hi
-    ]
-    return verts, faces, [-1] * 6
-
-
-def _cap_by_angle(verts, cap, a):
-    """The cap's vertices ordered by angle about their centroid.
-
-    (u, v) spans the cutting plane with normal a: u = e x a for the axis e
-    least aligned with a, v = a x u. The angle rises counterclockwise seen
-    from the side a points to, outside the clipped polyhedron.
-    """
-    a0, a1, a2 = a
-    m = len(cap)
-    cx = sum(verts[i][0] for i in cap) / m
-    cy = sum(verts[i][1] for i in cap) / m
-    cz = sum(verts[i][2] for i in cap) / m
-    ax = min(range(3), key=lambda d: abs(a[d]))
-    if ax == 0:
-        u = (0.0, -a2, a1)
-    elif ax == 1:
-        u = (a2, 0.0, -a0)
-    else:
-        u = (-a1, a0, 0.0)
-    v = (a1 * u[2] - a2 * u[1], a2 * u[0] - a0 * u[2], a0 * u[1] - a1 * u[0])
-
-    def angle(i):
-        dx, dy, dz = verts[i][0] - cx, verts[i][1] - cy, verts[i][2] - cz
-        return math.atan2(
-            dx * v[0] + dy * v[1] + dz * v[2], dx * u[0] + dy * u[1] + dz * u[2]
-        )
-
-    return sorted(cap, key=angle)
-
-
-def _clip_polyhedron(verts, faces, tags, a, b, tag):
-    """Clip a convex polyhedron (vertices, face cycles) against a.x <= b.
-
-    Each face is clipped by Sutherland-Hodgman. A cut edge's new vertex is
-    computed once, from its inside end, and shared by both faces on the
-    edge. A cut face leaves the half-space at an exit vertex and comes back
-    at an entry vertex, and its new edge runs from the exit to the entry;
-    the cap face runs every such edge the other way, so it is the cycle
-    that links each entry to its face's exit. The faces run
-    counterclockwise seen from outside, and so does the cap. A plane through
-    existing vertices keeps them and adds new vertices on top of them, which
-    the walk handles like any other. Where the links do not close one cycle
-    through every new vertex, as on a surface that is not closed (an earlier
-    cut that made fewer than three new vertices added no cap), the cap falls
-    back to :func:`_cap_by_angle`. ``tags[f]`` names the row that made face
-    f (-1 for a box face); the cap gets ``tag``.
-    """
-    a0, a1, a2 = a
-    vals = [a0 * x + a1 * y + a2 * z - b for x, y, z in verts]
-    if max(vals) <= 0.0:
-        return verts, faces, tags
-    if min(vals) > 0.0:
-        return [], [], []
-    index = [-1] * len(verts)
-    kept = []
-    for i, f in enumerate(vals):
-        if f <= 0.0:
-            index[i] = len(kept)
-            kept.append(verts[i])
-    cut: dict[tuple[int, int], int] = {}
-
-    def cut_vertex(i, o):
-        key = (i, o)
-        if key not in cut:
-            p, q = verts[i], verts[o]
-            t = vals[i] / (vals[i] - vals[o])
-            cut[key] = len(kept)
-            kept.append((
-                p[0] + t * (q[0] - p[0]),
-                p[1] + t * (q[1] - p[1]),
-                p[2] + t * (q[2] - p[2]),
-            ))
-        return cut[key]
-
-    clipped = []
-    clipped_tags = []
-    link = {}  # entry vertex -> the exit vertex before it on its face
-    for face, face_tag in zip(faces, tags):
-        out = []
-        first_entry = exit_ = None
-        p = face[-1]
-        for q in face:
-            if vals[q] <= 0.0:
-                if vals[p] > 0.0:
-                    entry = cut_vertex(q, p)
-                    out.append(entry)
-                    if exit_ is None:
-                        first_entry = entry
-                    else:
-                        link[entry] = exit_
-                out.append(index[q])
-            elif vals[p] <= 0.0:
-                exit_ = cut_vertex(p, q)
-                out.append(exit_)
-            p = q
-        if first_entry is not None:
-            link[first_entry] = exit_
-        if len(out) >= 3:
-            clipped.append(out)
-            clipped_tags.append(face_tag)
-    m = len(cut)
-    if m >= 3:
-        start = len(kept) - m
-        cap = [start]
-        nxt = link.get(start)
-        while nxt != start and nxt is not None and len(cap) < m:
-            cap.append(nxt)
-            nxt = link.get(nxt)
-        if nxt != start or len(cap) != m:
-            cap = _cap_by_angle(kept, list(cut.values()), a)
-        clipped.append(cap)
-        clipped_tags.append(tag)
-    return kept, clipped, clipped_tags
-
-
-def _polyhedron_moments(verts, faces):
-    """(volume, integral x, integral ||x||^2) of a convex polyhedron.
-
-    Sums the tetrahedra from the vertex centroid to a fan of every face; the
-    centroid lies in the closed polyhedron, so unsigned volumes are exact.
-    """
-    if not faces:
-        return 0.0, (0.0, 0.0, 0.0), 0.0
-    m = len(verts)
-    cx = sum(v[0] for v in verts) / m
-    cy = sum(v[1] for v in verts) / m
-    cz = sum(v[2] for v in verts) / m
-    csq = cx * cx + cy * cy + cz * cz
-    vol = fx = fy = fz = second = 0.0
-    for face in faces:
-        x0, y0, z0 = verts[face[0]]
-        ux, uy, uz = x0 - cx, y0 - cy, z0 - cz
-        sq0 = csq + x0 * x0 + y0 * y0 + z0 * z0
-        for i in range(1, len(face) - 1):
-            x1, y1, z1 = verts[face[i]]
-            x2, y2, z2 = verts[face[i + 1]]
-            vx, vy, vz = x1 - cx, y1 - cy, z1 - cz
-            wx, wy, wz = x2 - cx, y2 - cy, z2 - cz
-            det = (
-                ux * (vy * wz - vz * wy)
-                - uy * (vx * wz - vz * wx)
-                + uz * (vx * wy - vy * wx)
-            )
-            t = abs(det) / 6.0
-            if t == 0.0:
-                continue
-            sx, sy, sz = cx + x0 + x1 + x2, cy + y0 + y1 + y2, cz + z0 + z1 + z2
-            vol += t
-            fx += t * sx / 4.0
-            fy += t * sy / 4.0
-            fz += t * sz / 4.0
-            sq = sq0 + x1 * x1 + y1 * y1 + z1 * z1 + x2 * x2 + y2 * y2 + z2 * z2
-            second += t / 20.0 * (sq + sx * sx + sy * sy + sz * sz)
-    return vol, (fx, fy, fz), second
-
-
-def _face_area(verts, face):
-    """Area of a planar convex polygon in 3-D, given as a vertex index cycle."""
-    x0, y0, z0 = verts[face[0]]
-    sx = sy = sz = 0.0
-    for i in range(1, len(face) - 1):
-        x1, y1, z1 = verts[face[i]]
-        x2, y2, z2 = verts[face[i + 1]]
-        ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
-        vx, vy, vz = x2 - x0, y2 - y0, z2 - z0
-        sx += uy * vz - uz * vy
-        sy += uz * vx - ux * vz
-        sz += ux * vy - uy * vx
-    return 0.5 * math.sqrt(sx * sx + sy * sy + sz * sz)
-
-
 def _clip_cells(rows: _Rows, low, high, los, his):
     """Every cell as rows cut into each box that its bounding box meets.
 
@@ -1288,77 +1141,97 @@ def _clip_cells(rows: _Rows, low, high, los, his):
     at = np.arange(len(owner)) + np.repeat(np.cumsum(size)[cell] - np.cumsum(run), run)
     face = rows.face[at] + owner * len(rows.face)
     rows = _Rows(owner, face, rows.points[at], rows.tags[at])
-    # Column 2d + s of each pair is face s (0: lower, 1: upper) of axis d.
+    # Column 2d + s of each pair is face s (0: lower, 1: upper) of axis d,
+    # the half-space -x_d <= -lo_d or x_d <= hi_d.
     lo, hi = los[box], his[box]
     crosses = np.stack([low[cell] < lo, high[cell] > hi], 2).reshape(len(cell), -1)
-    planes = np.stack([lo, hi], 2).reshape(len(cell), -1)
+    offsets = np.stack([-lo, hi], 2).reshape(len(cell), -1)
+    normals = np.kron(np.eye(lo.shape[1]), [[-1.0], [1.0]])
+    tags = np.full(len(cell), -1)
     for _ in range(crosses.sum(1).max(initial=0)):
         side = crosses.argmax(1)
         crossing = crosses[pairs, side]
-        bound, sign = planes[pairs, side], _FACE_SIGN[side]
-        rows = _clip_rows(rows, side >> 1, bound, sign, crossing)
+        rows = _clip_rows(rows, normals[side], offsets[pairs, side], tags, crossing)
         crosses[pairs, side] = False
     return box, cell, rows
 
 
-def _clip_rows(rows: _Rows, d, bound, sign, crossing) -> _Rows:
-    """The cells marked in ``crossing`` clipped by sign (x_d - bound) <= 0.
+def _clip_rows(rows: _Rows, normal, offset, tag, crossing) -> _Rows:
+    """The cells marked in ``crossing`` clipped by normal . x <= offset.
 
-    ``d``, ``bound``, ``sign`` and ``crossing`` hold one entry per owner, so
-    one call cuts every cell by a face of its own box. Sutherland-Hodgman
-    on every face at once, in numpy: a corner is kept when it is inside
-    (value <= 0), and an edge whose ends lie on either side adds the point
-    where it crosses, p + t (q - p) with t = f_p / (f_p - f_q), whose
-    coordinate d is set to the bound. In 2-D the edge from where a cell
-    leaves the half-plane to where it comes back gets tag -1. In 3-D each
-    face that leaves the half-space does so across one edge of its cell, so
-    the leaving points are the corners of the cap, one per cut edge; a cell
-    with three or more gets the cap as a new face, tag -1, its corners
-    ordered by angle about their mean in the plane, counterclockwise seen
-    from outside.
+    ``normal`` (m, l), ``offset``, ``tag`` and ``crossing`` (m,) hold one
+    entry per owner, so one call cuts every cell by a half-space of its
+    own: a face of its box, tag -1 and normal +-e_d, or its row against a
+    neighbour, tagged by the neighbour's index. Sutherland-Hodgman on every
+    face at once, in numpy: a corner is kept when it is inside (value <= 0),
+    and an edge whose ends lie on either side adds the point where it
+    crosses, p + t (q - p) from its inside end p, t = f_p / (f_p - f_q); on
+    a box face its coordinate d is set to the bound. In 2-D the edge from
+    where a cell leaves the half-plane to where it comes back gets the tag.
+    In 3-D the cap is made of every cut point of the cell's faces, where
+    they leave the half-space and where they come back, each point once: a
+    face that touches the plane along an edge from inside is not cut, so
+    the leaving points alone need not hold every corner. A cell with three
+    or more gets the cap as a new face with the tag, its corners ordered by
+    angle about their mean as seen along the normal's largest axis,
+    counterclockwise seen from outside.
     """
     owner, face, p, tags = rows
     nxt = _cycle_next(face)
-    along = d[owner]
-    f = sign[owner] * (p[np.arange(len(p)), along] - bound[owner])
+    f = -offset[owner]
+    for x, a in zip(p.T, normal.T):
+        f += x * a[owner]
     f[~crossing[owner]] = -1.0
     keep = f <= 0.0
     cut = keep != keep[nxt]
-    to, pc, fc, cut_owner = nxt[cut], p[cut], f[cut], owner[cut]
-    hits = pc + (fc / (fc - f[to]))[:, None] * (p[to] - pc)
-    hits[np.arange(len(hits)), along[cut]] = bound[cut_owner]
+    # Each crossing is computed from the edge's inside end, so the two faces
+    # on a 3-D edge, whose corners agree bit for bit, get the same point.
+    edge, to, cut_owner = np.flatnonzero(cut), nxt[cut], owner[cut]
+    inner = np.where(keep[cut], edge, to)
+    outer = edge + to - inner
+    fi = f[inner]
+    hits = p[inner] + (fi / (fi - f[outer]))[:, None] * (p[outer] - p[inner])
+    # Per owner, the normal's largest component d: a box face's axis.
+    cells = len(crossing)
+    d = np.abs(normal).argmax(1)
+    a_d = normal[np.arange(cells), d]
+    on = np.flatnonzero(tag[cut_owner] < 0)
+    hits[on, d[cut_owner[on]]] = (offset / a_d)[cut_owner[on]]
     # Each row gives its corner if it is kept, then its edge's crossing: the
     # row is repeated that often, and its last copy becomes the crossing.
     count = keep.astype(np.intp) + cut
     out = _Rows(*(np.repeat(x, count, axis=0) for x in rows))
     slots = np.cumsum(count)[cut] - 1
     out.points[slots] = hits
-    leave = keep[cut]
     if p.shape[1] == 2:
-        out.tags[slots[leave]] = -1
+        leave = slots[keep[cut]]
+        out.tags[leave] = tag[out.owner[leave]]
         return out
-    cap_owner, cap = cut_owner[leave], hits[leave]
-    corners = np.bincount(cap_owner, minlength=len(crossing))
-    big = corners[cap_owner] >= 3
-    if not big.all():
-        cap_owner, cap = cap_owner[big], cap[big]
-    # Axes (u, v) of the plane with u x v = sign e_d, the cap's outward
-    # normal: (d + 1, d + 2) mod 3, swapped where the sign is negative.
-    flip = (sign < 0.0)[cap_owner]
+    corners = np.bincount(cut_owner, minlength=cells)
+    big = corners[cut_owner] >= 3
+    cap_owner, cap = cut_owner[big], hits[big]
+    # The cap seen along axis d, which keeps the order of its corners: the
+    # axes (d + 1, d + 2) mod 3, swapped where a_d < 0, so that the angle
+    # rises counterclockwise seen from outside.
+    flip = a_d < 0.0
     ends = np.arange(len(cap))
-    u = cap[ends, (d[cap_owner] + 1 + flip) % 3]
-    v = cap[ends, (d[cap_owner] + 2 - flip) % 3]
+    u = cap[ends, ((d + 1 + flip) % 3)[cap_owner]]
+    v = cap[ends, ((d + 2 - flip) % 3)[cap_owner]]
     size = np.maximum(corners, 1)
-    mid_u = np.bincount(cap_owner, u, len(crossing)) / size
-    mid_v = np.bincount(cap_owner, v, len(crossing)) / size
+    mid_u = np.bincount(cap_owner, u, cells) / size
+    mid_v = np.bincount(cap_owner, v, cells) / size
     angle = np.arctan2(v - mid_v[cap_owner], u - mid_u[cap_owner])
     order = np.lexsort((angle, cap_owner))
-    cap_owner = cap_owner[order]
+    cap_owner, cap = cap_owner[order], cap[order]
+    # The two faces on a cut edge give it the same bits: one corner for both.
+    first = np.ones(len(cap), bool)
+    first[1:] = (cap[1:] != cap[:-1]).any(1) | (cap_owner[1:] != cap_owner[:-1])
+    cap_owner, cap = cap_owner[first], cap[first]
     return _Rows(
         np.concatenate([out.owner, cap_owner]),
         np.concatenate([out.face, face.max() + 1 + cap_owner]),
-        np.concatenate([out.points, cap[order]]),
-        np.concatenate([out.tags, np.full(len(cap_owner), -1)]),
+        np.concatenate([out.points, cap]),
+        np.concatenate([out.tags, tag[cap_owner]]),
     )
 
 
@@ -1457,15 +1330,15 @@ def cell_box_moments_exact(
     built here with the box as its hull when None; a caller with several
     boxes builds it once per g, with a hull that holds them all, and passes
     it to every box. In 2-D and 3-D the diagram's cells, read off the
-    lifted hull, are numpy rows. A box the diagram was built for (its
-    ``boxes``, with facet pieces when ``facets`` asks for them) gets its
-    slice of the batch that measured all those boxes at once, as views
-    into it; any other box is measured here as a batch of one
-    (:func:`_box_batch`). Where the diagram holds no cells, the box is
-    clipped, in plain floats, once per cell by the rows of all the other
-    sinks (:func:`_all_pairs_cells`), as only a few sinks or inputs that
-    Qhull cannot handle take that route. Returns (vols (n,), firsts (n, l),
-    seconds (n,)). Deterministic.
+    lifted hull or, in 3-D, clipped into the hull by all pairs of sinks,
+    are numpy rows. A box the diagram was built for (its ``boxes``, with
+    facet pieces when ``facets`` asks for them) gets its slice of the batch
+    that measured all those boxes at once, as views into it; any other box
+    is measured here as a batch of one (:func:`_box_batch`). Where a 2-D
+    diagram holds no cells, the box is clipped, in plain floats, once per
+    cell by the rows of all the other sinks (:func:`_all_pairs_cells`), as
+    only a few sinks or inputs that Qhull cannot handle take that route.
+    Returns (vols (n,), firsts (n, l), seconds (n,)). Deterministic.
 
     With ``facets`` it also returns the boundary pieces as three parallel
     arrays (j, i, measure): the measure of the piece of cell j's boundary
@@ -1511,24 +1384,13 @@ def cell_box_moments_exact(
                 i = chain[pos + 1]
                 pieces += [(j, i, 1.0), (i, j, 1.0)]
     else:
-        for j, shape in zip(*_all_pairs_cells(samples, g, lo, hi)):
-            if l == 2:
-                poly, tags = shape
-                vols[j], firsts[j], seconds[j] = _polygon_moments(poly)
-                if facets and vols[j] > 0.0:
-                    for k, i in enumerate(tags):
-                        if i >= 0:
-                            p, q = poly[k], poly[k - len(poly) + 1]
-                            pieces.append((j, i, math.hypot(q[0] - p[0], q[1] - p[1])))
-            else:
-                verts, faces, tags = shape
-                vols[j], firsts[j], seconds[j] = _polyhedron_moments(verts, faces)
-                if facets and vols[j] > 0.0:
-                    pieces += [
-                        (j, i, _face_area(verts, face))
-                        for face, i in zip(faces, tags)
-                        if i >= 0
-                    ]
+        for j, (poly, tags) in zip(*_all_pairs_cells(samples, g, lo, hi)):
+            vols[j], firsts[j], seconds[j] = _polygon_moments(poly)
+            if facets and vols[j] > 0.0:
+                for k, i in enumerate(tags):
+                    if i >= 0:
+                        p, q = poly[k], poly[k - len(poly) + 1]
+                        pieces.append((j, i, math.hypot(q[0] - p[0], q[1] - p[1])))
     moments = np.array(vols), np.array(firsts), np.array(seconds)
     if not facets:
         return moments

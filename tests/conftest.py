@@ -1,8 +1,26 @@
-"""Shared instances for the test suite."""
+"""Shared instances and helpers for the test suite."""
+
+import os
+from pathlib import Path
 
 import pytest
 
 from boxot import fixtures as fx
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment with src/ first on PYTHONPATH.
+
+    A child Python started with it imports the package from this checkout,
+    installed or not.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 @pytest.fixture

@@ -53,6 +53,8 @@ from boxot.sat_reduction import (
     reduce_3sat,
 )
 
+from conftest import child_env
+
 CLOSED_FORM_TARGETS = {
     "symmetric-interval": (1.5, [0.0]),
     "single-sink": (0.0, [-0.5]),
@@ -106,7 +108,7 @@ def test_criterion_01_closed_form_recovery(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "boxot.cli", "estimate", str(path),
              "--epsilon", "0.05", "--eta", "0.01", "--seed", "0"],
-            capture_output=True, text=True, timeout=60,
+            env=child_env(), capture_output=True, text=True, timeout=60,
         )
         elapsed = time.monotonic() - start
         assert proc.returncode == 0, proc.stderr

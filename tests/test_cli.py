@@ -2,11 +2,9 @@
 
 import json
 import logging
-import os
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +21,8 @@ from boxot.cli import (
 from boxot.fixtures import named_instances
 from boxot.geometry import BoxDensity, Hyperrectangle, Instance, SampleSet
 from boxot.instance_io import load_instance, save_instance
+
+from conftest import child_env
 
 SAT_TEXT = "p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
 UNSAT_TEXT = "p cnf 3 8\n" + "\n".join(
@@ -410,15 +410,10 @@ class TestParserReuse:
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
     def test_import_builds_no_parser(self):
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.run(
             [sys.executable, "-c",
              "import boxot.cli; print(boxot.cli.build_parser.cache_info().currsize)"],
-            env=env, capture_output=True, text=True, timeout=60,
+            env=child_env(), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0"

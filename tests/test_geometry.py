@@ -981,9 +981,11 @@ class TestRestrictedPowerDiagram:
             density = BoxDensity(box.dimension, ((box, 1.0 / box.volume),))
             diagram = geometry._power_diagram(samples, g, density.hull)
             # Every case with Qhull's l + 2 sinks, cospherical ones too, is
-            # read off the lifted hull.
+            # read off the lifted hull; the other 3-D cases are clipped by
+            # all pairs as rows.
             n, l = points.shape
-            assert (diagram.rows is not None) == (l > 1 and n > l + 1)
+            assert _lifted(diagram) == (l > 1 and n > l + 1)
+            assert (diagram.rows is not None) == (l == 3 or _lifted(diagram))
             for own, shared in zip(
                 (vols, firsts, seconds),
                 cell_box_moments_exact(samples, g, box, diagram),
@@ -1023,9 +1025,11 @@ class TestRestrictedPowerDiagram:
             assert np.abs(shared[0] - own[0]).max() <= tol
             assert np.abs(shared[1] - own[1]).max() <= tol * r
             assert np.abs(shared[2] - own[2]).max() <= tol * r**2
-            if n == 1:
+            if n == 1 and l < 3:
                 # The lone cell is the whole hull; its part of the box is the
-                # box itself, with the box's own corners.
+                # box itself, with the box's own corners. (A 3-D cell is the
+                # hull's rows cut by the box's faces, whose caps hold each
+                # corner twice, so its sums run over other rows.)
                 for exact, cut in zip(own[:3], shared[:3]):
                     assert exact.tobytes() == cut.tobytes()
             if index in TestFacetHessian.KINKED.get(name, ()):
@@ -1048,6 +1052,13 @@ class TestRestrictedPowerDiagram:
             cell_box_moments_exact(
                 samples, g, Hyperrectangle([0.5, 0.5], [1.5, 1.0]), diagram
             )
+
+
+def _lifted(diagram):
+    # Whether the diagram's cells came off the lifted hull. The ghosts bound
+    # those cells, so each of their sides names a neighbour; cells clipped
+    # into the hull by all pairs keep its sides, tag -1.
+    return diagram.rows is not None and (diagram.rows.tags >= 0).all()
 
 
 def _ladder(rng, l, n, k=4):
@@ -1116,7 +1127,8 @@ class TestLiftedCells:
         lifted, moments, hess = run()
         monkeypatch.setattr(geometry, "_power_neighbours", lambda y, lift: None)
         clipped, reference, ref_hess = run()
-        assert lifted.rows is not None and clipped.rows is None
+        assert _lifted(lifted) and not _lifted(clipped)
+        assert (clipped.rows is None) == (l == 2)
         vols = np.array([out[0] for out in moments])
         assert (vols.sum(0) == 0.0).any() == hide
         for box, out, ref in zip(boxes, moments, reference):
@@ -1139,8 +1151,9 @@ class TestLiftedCells:
     )
     def test_fallbacks_clip_all_pairs(self, trigger, monkeypatch):
         # Each input that Qhull does not see or cannot be trusted on takes the
-        # all-pairs clip, and its cells match the brute force. Flat facets
-        # are no such input: their pieces share the merged facet's vertex.
+        # all-pairs clip, in plain floats in 2-D and as rows in 3-D, and its
+        # cells match the brute force. Flat facets are no such input: their
+        # pieces share the merged facet's vertex.
         rng = np.random.default_rng(11)
         l, g = 2, None
         if trigger == "few-sinks":
@@ -1169,7 +1182,8 @@ class TestLiftedCells:
         samples = SampleSet.uniform(points)
         box = Hyperrectangle([-1.2] * l, [1.2] * l)
         diagram = geometry._power_diagram(samples, g, box)
-        assert (diagram.rows is None) == (trigger != "flat")
+        assert _lifted(diagram) == (trigger == "flat")
+        assert (diagram.rows is None) == (l == 2)
         vols, firsts, seconds = cell_box_moments_exact(samples, g, box, diagram)
         ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
         tol = 1e-12 * box.volume
@@ -1211,14 +1225,15 @@ def _hull_route(diagram, n, box, facets):
     keep = meets[rows.owner]
     rows = geometry._Rows(*(x[keep] for x in rows))
     count = len(diagram.cells)
-    for d in range(len(lo)):
-        for bound, sign, crossing in (
-            (lo[d], -1.0, low[:, d] < lo[d]), (hi[d], 1.0, high[:, d] > hi[d])
+    for d, axis in enumerate(np.eye(len(lo))):
+        for normal, offset, crossing in (
+            (-axis, -lo[d], low[:, d] < lo[d]), (axis, hi[d], high[:, d] > hi[d])
         ):
             crossing &= meets
             if crossing.any():
                 rows = geometry._clip_rows(
-                    rows, *(np.full(count, x) for x in (d, bound, sign)), crossing
+                    rows, np.tile(normal, (count, 1)), np.full(count, offset),
+                    np.full(count, -1), crossing,
                 )
     vol, first, second, pieces = geometry._row_moments(rows, count, facets)
     vols, firsts, seconds = np.zeros(n), np.zeros((n, len(lo))), np.zeros(n)
@@ -1376,19 +1391,6 @@ class TestBatchedPass:
         assert calls["_row_moments"] == 1
         assert calls["cell_box_moments_exact"] == 4
 
-def _signed_volume(verts, faces):
-    """Volume by the divergence theorem: fans of the faces from the origin.
-
-    Positive when every face runs counterclockwise seen from outside.
-    """
-    vol = 0.0
-    for face in faces:
-        p = np.array(verts[face[0]])
-        for q, r in zip(face[1:], face[2:]):
-            vol += p @ np.cross(verts[q], verts[r]) / 6.0
-    return vol
-
-
 def _tie_cases():
     """(id, points, g, boxes) whose cutting planes pass through vertices."""
     lattice = next(case for case in _POWER_DIAGRAM_CASES if case[0] == "l3-lattice")
@@ -1412,97 +1414,79 @@ def _tie_cases():
 _TIE_CASES = _tie_cases()
 
 
-class TestCapWalk:
-    """The 3-D cap as the cycle of cut-edge links, where planes meet vertices."""
-
-    @pytest.fixture
-    def audit(self, monkeypatch):
-        # Checks every cap _clip_polyhedron makes and counts the caps that
-        # took the angle order.
-        counts = {"caps": 0, "fallbacks": 0}
-        clip, by_angle = geometry._clip_polyhedron, geometry._cap_by_angle
-
-        def counted_by_angle(*args):
-            counts["fallbacks"] += 1
-            return by_angle(*args)
-
-        def checked_clip(verts, faces, tags, a, b, tag):
-            fallbacks = counts["fallbacks"]
-            out = clip(verts, faces, tags, a, b, tag)
-            vals = [a[0] * x + a[1] * y + a[2] * z - b for x, y, z in verts]
-            inside = sum(f <= 0.0 for f in vals)
-            new = list(range(inside, len(out[0])))
-            if 0 < inside < len(verts) and len(new) >= 3:
-                counts["caps"] += 1
-                cap, cap_tag = out[1][-1], out[2][-1]
-                # Every cut vertex once, in one face with the row's tag.
-                assert cap_tag == tag
-                assert sorted(cap) == new
-                if counts["fallbacks"] == fallbacks:
-                    # A walked cap runs each of its edges against a face.
-                    edges = {
-                        (p, q)
-                        for face in out[1][:-1]
-                        for p, q in zip(face, face[1:] + face[:1])
-                    }
-                    for p, q in zip(cap, cap[1:] + cap[:1]):
-                        assert (q, p) in edges
-            return out
-
-        monkeypatch.setattr(geometry, "_clip_polyhedron", checked_clip)
-        monkeypatch.setattr(geometry, "_cap_by_angle", counted_by_angle)
-        return counts
+class TestAllPairsRows:
+    """3-D cells clipped by all pairs as rows, where cutting planes meet vertices."""
 
     @pytest.mark.parametrize("case", _TIE_CASES, ids=[case[0] for case in _TIE_CASES])
-    def test_ties_walk_every_cut_vertex_once(self, case, audit):
+    def test_ties_match_brute_force(self, case, monkeypatch):
+        # With no facets from Qhull, every cell is the hull cut by the rows
+        # of all the other sinks. On the lattice a face touches many planes
+        # along an edge, and a cap of the leaving points alone loses corners.
+        monkeypatch.setattr(geometry, "_power_neighbours", lambda y, lift: None)
         name, points, g, boxes = case
         samples = SampleSet.uniform(points)
         hull = Hyperrectangle(
             np.min([box.lo for box in boxes], axis=0),
             np.max([box.hi for box in boxes], axis=0),
         )
+        diagram = geometry._power_diagram(samples, g, hull, boxes)
+        assert diagram.rows is not None and not _lifted(diagram)
         for box in (hull, *boxes):
-            lo, hi = box.lo.tolist(), box.hi.tolist()
-            for verts, faces, _ in geometry._all_pairs_cells(samples, g, lo, hi)[1]:
-                vol = geometry._polyhedron_moments(verts, faces)[0]
-                signed = _signed_volume(verts, faces)
-                assert abs(signed - vol) <= 1e-12 * box.volume
-        assert audit["caps"] > 0
-        assert audit["fallbacks"] == 0
+            ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
+            tol = 1e-12 * box.volume
+            r = box.max_corner_norm()
+            # Cut from the shared hull, and built with the box as its hull.
+            for shared in (diagram, None):
+                vols, firsts, seconds = cell_box_moments_exact(samples, g, box, shared)
+                assert abs(vols.sum() - box.volume) <= tol
+                assert np.abs(vols - ref_vols).max() <= tol
+                assert np.abs(firsts - ref_firsts).max() <= tol * r
+                assert np.abs(seconds - ref_seconds).max() <= tol * r**2
 
-    def test_planes_through_box_corners(self, audit):
-        # Clip the unit cube in turn by planes through existing vertices: the
-        # first through three corners, the third through two cube edges,
-        # the last through the edge x = y = 0 and the corner (1, 1, 0).
-        # Each cut leaves new vertices on old ones for the next.
-        shape = geometry._box_shape([0.0] * 3, [1.0] * 3)
-        rows = [
+    def test_planes_through_box_corners(self):
+        # Cut the unit cube in turn by planes through existing corners: the
+        # first through three corners, the third through two cube edges, the
+        # last through the edge x = y = 0 and the corner (1, 1, 0). Each cut
+        # leaves new corners on old ones for the next. The cell's volume is
+        # that of the hull of its corners, and its cap has the plane's tag.
+        cube = SampleSet.uniform([[0.5] * 3])
+        rows = geometry._all_pairs_rows(cube, np.zeros(1), [0.0] * 3, [1.0] * 3)[3]
+        planes = [
             ((1.0, 1.0, -1.0), 1.0),
             ((1.0, 0.0, 1.0), 1.5),
             ((0.0, 1.0, 1.0), 1.0),
             ((1.0, -1.0, 0.0), 0.0),
         ]
-        for tag, (a, b) in enumerate(rows):
-            shape = geometry._clip_polyhedron(*shape, a, b, tag)
-            verts, faces, _ = shape
-            vol = geometry._polyhedron_moments(verts, faces)[0]
-            assert vol > 0.0
-            assert abs(_signed_volume(verts, faces) - vol) <= 1e-15
-        assert audit["caps"] == len(rows)
-        assert audit["fallbacks"] == 0
+        for tag, (a, b) in enumerate(planes):
+            rows = geometry._clip_rows(
+                rows, np.array([a]), np.array([b]), np.array([tag]), np.array([True])
+            )
+            vol, _, _, pieces = geometry._row_moments(rows, 1, facets=True)
+            assert abs(vol[0] - ConvexHull(rows.points).volume) <= 1e-15
+            assert pieces[2][pieces[1] == tag].sum() > 0.0
 
-    def test_broken_links_take_the_angle_order(self, audit):
-        # Without its face y = 0 the box is no closed surface, so the links
-        # of a cut across that face stop short; the cap takes the angle
-        # order, which also runs counterclockwise seen from outside.
-        verts, faces, tags = geometry._box_shape([0.0] * 3, [1.0] * 3)
-        open_box = verts, faces[:2] + faces[3:], tags[1:]
-        verts, faces, _ = geometry._clip_polyhedron(*open_box, (0.0, 0.0, 1.0), 0.5, 7)
-        assert audit == {"caps": 1, "fallbacks": 1}
-        top = [verts[i] for i in faces[-1]]
-        assert all(v[2] == 0.5 for v in top)
-        normal = np.cross(np.subtract(top[1], top[0]), np.subtract(top[2], top[0]))
-        assert normal[2] > 0.0
+    def test_nearly_coincident_cuts_close_the_surface(self):
+        # A second plane within 1e-14 of the first crosses the first cut's
+        # cap within rounding of its corners. Each cut point is computed from
+        # its edge's inside end, so the faces on an edge agree on it and the
+        # surface stays closed: its area vectors sum to zero, and the cell's
+        # volume is that of the hull of its corners.
+        rng = np.random.default_rng(3)
+        lone = SampleSet.uniform([[0.0] * 3])
+        for _ in range(30):
+            lo, hi = -rng.uniform(0.5, 1.5, 3), rng.uniform(0.5, 1.5, 3)
+            rows = geometry._all_pairs_rows(lone, np.zeros(1), list(lo), list(hi))[3]
+            a, b = rng.normal(size=3), rng.uniform(-0.3, 0.3)
+            for tag, tilt in enumerate((np.zeros(3), 1e-14 * rng.normal(size=3))):
+                rows = geometry._clip_rows(
+                    rows, (a + tilt)[None], np.array([b]), np.array([tag]),
+                    np.array([True]),
+                )
+            p = rows.points
+            closure = np.cross(p, p[geometry._cycle_next(rows.face)]).sum(0)
+            assert np.abs(closure).max() <= 1e-13
+            vol = geometry._row_moments(rows, 1, facets=False)[0][0]
+            assert abs(vol - ConvexHull(p).volume) <= 1e-13
 
 
 def _midpoint_moments(density, cells_per_box=10_000):

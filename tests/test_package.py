@@ -3,7 +3,6 @@
 import ast
 import importlib
 import json
-import os
 import re
 import subprocess
 import sys
@@ -14,6 +13,8 @@ import numpy as np
 import boxot
 from boxot import BoxDensity, Hyperrectangle, Instance, SampleSet, save_instance
 from boxot.fixtures import symmetric_interval
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,13 +38,9 @@ PIPELINE = [
 
 def _run_python(code: str) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter against the package in src/."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     return subprocess.run(
         [sys.executable, "-c", code],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=ROOT, env=child_env(), capture_output=True, text=True, timeout=120,
     )
 
 
@@ -80,9 +77,11 @@ def _scipy_after(*commands: list[str]) -> tuple[list[int], list[str]]:
     return codes, scipy
 
 
-def _square_with_sinks(path: Path, points) -> str:
-    box = Hyperrectangle([-1.0, -1.0], [1.0, 1.0])
-    density = BoxDensity(dimension=2, boxes=((box, 0.25),))
+def _cube_with_sinks(path: Path, points) -> str:
+    # The uniform density on [-1, 1]^l, for sinks in dimension l.
+    l = len(points[0])
+    box = Hyperrectangle([-1.0] * l, [1.0] * l)
+    density = BoxDensity(dimension=l, boxes=((box, 0.5**l),))
     save_instance(path, Instance(density, SampleSet.uniform(np.array(points))))
     return str(path)
 
@@ -94,24 +93,31 @@ def test_cli_import_leaves_scipy_unloaded():
 def test_commands_without_qhull_or_lp_leave_scipy_unloaded(tmp_path):
     interval = tmp_path / "interval.json"
     save_instance(interval, symmetric_interval())
-    square = _square_with_sinks(
+    square = _cube_with_sinks(
         tmp_path / "square.json", [[-0.5, -0.5], [0.5, -0.5], [0.0, 0.5]]
+    )
+    # Four sinks in 3-D, n = l + 1: the cells are clipped by all pairs as
+    # rows, with no Qhull call.
+    cube = _cube_with_sinks(
+        tmp_path / "cube.json",
+        [[-0.5, -0.5, -0.5], [0.5, -0.5, 0.5], [-0.5, 0.5, 0.5], [0.5, 0.5, -0.5]],
     )
     cnf = tmp_path / "formula.cnf"
     cnf.write_text("p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n")
     codes, scipy = _scipy_after(
         ["estimate", str(interval), "--seed", "1"],
         ["estimate", square, "--seed", "1", "--backend", "exact"],
+        ["estimate", cube, "--seed", "1", "--backend", "exact"],
         ["verify", str(cnf), "--mode", "sat"],
         ["reduce-3sat", str(cnf), "--out", str(tmp_path / "reduced.json")],
     )
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0, 0, 0, 0, 0]
     assert scipy == []
 
 
 def test_qhull_diagram_loads_only_scipy_spatial(tmp_path):
     # Four sinks in 2-D exceed l + 1 = 3, so the diagram comes from Qhull.
-    square = _square_with_sinks(
+    square = _cube_with_sinks(
         tmp_path / "square.json",
         [[-0.5, -0.5], [0.5, -0.5], [-0.5, 0.5], [0.6, 0.4]],
     )
@@ -125,14 +131,14 @@ def test_qhull_diagram_loads_only_scipy_spatial(tmp_path):
 
 def test_two_sink_oracle_leaves_scipy_unloaded(tmp_path):
     # Two sinks: the transport plan is a certified sort, with no HiGHS LP.
-    square = _square_with_sinks(tmp_path / "square.json", [[-0.5, 0.0], [0.5, 0.0]])
+    square = _cube_with_sinks(tmp_path / "square.json", [[-0.5, 0.0], [0.5, 0.0]])
     codes, scipy = _scipy_after(["verify", square, "--mode", "oracle"])
     assert codes == [0]
     assert scipy == []
 
 
 def test_three_sink_oracle_loads_scipy_optimize(tmp_path):
-    square = _square_with_sinks(
+    square = _cube_with_sinks(
         tmp_path / "square.json", [[-0.5, -0.5], [0.5, -0.5], [0.0, 0.5]]
     )
     codes, scipy = _scipy_after(
