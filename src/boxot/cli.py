@@ -157,10 +157,12 @@ def _verify_oracle(args: argparse.Namespace, seed: int) -> int:
     if instance.density.dimension == 1:
         p_star, _, _ = semidiscrete_1d_exact(instance)
         disc = 0.0
+        route = "monotone-1d"
     else:
         sources = discretize_source(instance.density, args.resolution)
         plan = solve_discrete_ot_exact(sources, instance.samples)
         p_star = plan.cost
+        route = plan.route
         disc = (
             discretization_error_bound(
                 instance.density, instance.samples, args.resolution
@@ -172,6 +174,7 @@ def _verify_oracle(args: argparse.Namespace, seed: int) -> int:
     print(f"E = {e_final!r}")
     print(f"p* = {p_star!r}")
     print(f"|E - p*| = {gap!r} (tolerance {tol!r})")
+    print(f"route = {route}")
     ok = gap <= tol
     print("PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_CHECK_FAILED

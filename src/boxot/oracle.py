@@ -5,6 +5,15 @@ never takes: midpoint discretization plus an exactly-certified transportation
 solve, closed-form 1D monotone matching, and finite differences of the
 energy. Tests and the ``verify`` command compare the two routes.
 
+The exact transport stores its problem sink-major: the costs are (n, m)
+C-contiguous arrays, one row of m sources per sink, so every per-source
+step (the marginals, reduced costs and complementary slackness of the
+certificate, the sort's threshold and plan, the band's preferred sink and
+gap) is an elementwise pass over n rows rather than a reduction over a
+short trailing axis. The private helpers take and return the (m, n)
+transposes of those arrays, which are views, and so is
+``DiscretePlan.flows``.
+
 The transport LPs are the module's only use of scipy, so ``scipy.sparse``
 and ``scipy.optimize`` are imported inside :func:`_arc_lp`: importing this
 module (the CLI does) loads neither, and a one- or two-sink transport
@@ -55,13 +64,17 @@ class DiscretePlan:
     ``flows[i, j]`` is the mass moved from source i to sample j; ``cost`` is
     sum_ij flows_ij ||x_i - y_j||^2 evaluated on the unscaled costs.
     ``rounding_cost_bound`` bounds the cost perturbation introduced by the
-    rational scaling, so callers can fold it into tolerances.
+    rational scaling, so callers can fold it into tolerances. ``route``
+    names the step whose plan the certificate accepted: ``"sorted"`` (the
+    one- or two-sink sort), ``"banded"`` (the restricted LP) or ``"full"``
+    (HiGHS on every arc).
     """
 
     sources: WeightedPoints
     flows: np.ndarray
     cost: float
-    rounding_cost_bound: float = 0.0
+    rounding_cost_bound: float
+    route: str
 
 
 def discretize_source(density: BoxDensity, resolution: int) -> WeightedPoints:
@@ -129,13 +142,15 @@ def _apportion(weights: np.ndarray, total_units: int) -> np.ndarray:
 def _scaled_costs(points, sinks):
     """Squared distances C, their integer rounding C_int and its scale.
 
-    The quantum keeps every integer objective value (MASS_UNITS units moved
-    at cost at most max C_int) inside int64.
+    C and C_int are built sink-major, one C-contiguous row of m sources per
+    sink, by adding the squared differences axis by axis, and returned as
+    their (m, n) transposes. The quantum keeps every integer objective value
+    (MASS_UNITS units moved at cost at most max C_int) inside int64.
     """
-    C = ((points[:, None, :] - sinks[None, :, :]) ** 2).sum(-1)
+    C = sum((coords - sink[:, None]) ** 2 for coords, sink in zip(points.T, sinks.T))
     max_c = float(C.max())
     quantum_inv = max(1.0, math.floor(_INT64_BUDGET / (MASS_UNITS * max(max_c, 1.0))))
-    return C, np.rint(C * quantum_inv).astype(np.int64), quantum_inv
+    return C.T, np.rint(C * quantum_inv).astype(np.int64).T, quantum_inv
 
 
 def _certify_optimal(C_int, a_int, b_int, x, duals):
@@ -144,25 +159,32 @@ def _certify_optimal(C_int, a_int, b_int, x, duals):
     Rounds the candidate flow and duals to integers (integral optima exist by
     total unimodularity of the transportation matrix), then verifies, in
     exact integer arithmetic: nonnegativity, both marginals, dual
-    feasibility of the reduced costs, and complementary slackness. Returns
-    the integer flow on success, None on any failure.
+    feasibility of the reduced costs, and complementary slackness. An
+    integer flow or integer duals skip only their rounding, which cannot
+    fail on them. The checks run sink-major, on the (n, m) transposes.
+    Returns the integer flow, shaped (m, n), on success, None on any failure.
     """
     m, n = C_int.shape
-    X = np.rint(x).astype(np.int64).reshape(m, n)
-    if np.abs(x.reshape(m, n) - X).max() > 1e-3:
+    X = np.reshape(x, (m, n))
+    if X.dtype.kind != "i":
+        rounded = np.rint(X).astype(np.int64)
+        if np.abs(X - rounded).max() > 1e-3:
+            return None
+        X = rounded
+    flows = X.T
+    if (flows < 0).any():
         return None
-    if (X < 0).any():
+    if (flows.sum(axis=0) != a_int).any() or (flows.sum(axis=1) != b_int).any():
         return None
-    if (X.sum(axis=1) != a_int).any() or (X.sum(axis=0) != b_int).any():
-        return None
-    u = np.rint(duals[:m]).astype(np.int64)
-    v = np.rint(duals[m:]).astype(np.int64)
-    if np.abs(duals[:m] - u).max() > 1e-4 or np.abs(duals[m:] - v).max() > 1e-4:
-        return None
-    reduced = C_int - u[:, None] - v[None, :]
+    if duals.dtype.kind != "i":
+        rounded = np.rint(duals).astype(np.int64)
+        if np.abs(duals - rounded).max() > 1e-4:
+            return None
+        duals = rounded
+    reduced = C_int.T - duals[m:, None] - duals[:m]
     if (reduced < 0).any():
         return None
-    if (reduced[X > 0] != 0).any():
+    if ((reduced > 0) & (flows > 0)).any():
         return None
     return X
 
@@ -198,7 +220,7 @@ def _arc_lp(costs, src, snk, a_int, b_int, method):
 
 
 def _full_plan(C_int, a_int, b_int):
-    """Certified (X, sink duals) from HiGHS on all m*n arcs, or None.
+    """Certified (X, sink duals, "full") from HiGHS on all m*n arcs, or None.
 
     HiGHS's default solver goes first on small problems, its interior point
     method on large ones, then the dual simplex. Beyond the base case of the
@@ -218,7 +240,7 @@ def _full_plan(C_int, a_int, b_int):
         if lp is not None:
             X = _certify_optimal(C_int, a_int, b_int, *lp)
             if X is not None:
-                return X, np.rint(lp[1][m:]).astype(np.int64)
+                return X, np.rint(lp[1][m:]).astype(np.int64), "full"
     return None
 
 
@@ -251,17 +273,18 @@ def _balance_sinks(C_int, a_int, b_int, v):
     Sets each v_j but the last (the duals are defined up to a constant) to
     where the sources that prefer sink j just carry its demand b_j.
     """
+    costs = C_int.T
     v = v.copy()
     for _ in range(_BALANCE_SWEEPS):
         for j in range(v.size - 1):
-            threshold = C_int[:, j] - np.delete(C_int - v, j, axis=1).min(axis=1)
+            threshold = costs[j] - np.delete(costs - v[:, None], j, axis=0).min(axis=0)
             order, _, reached = _fill(threshold, a_int, b_int[j])
             v[j] = threshold[order[reached]]
     return v
 
 
 def _sorted_plan(C_int, a_int, b_int):
-    """Certified (X, sink duals) of a one- or two-sink problem, or None.
+    """Certified (X, sink duals, "sorted") of a one- or two-sink problem, or None.
 
     With one sink every source goes to it (v = 0). With two the problem is
     a fractional knapsack (Dantzig 1957): sink 0 takes the sources by
@@ -271,25 +294,26 @@ def _sorted_plan(C_int, a_int, b_int):
     and :func:`_certify_optimal` checks the plan as it checks an LP's.
     """
     m, n = C_int.shape
-    X = np.zeros((m, n), dtype=np.int64)
+    costs = C_int.T
     v = np.zeros(n, dtype=np.int64)
     if n == 1:
-        X[:, 0] = a_int
+        flows = a_int[None, :]
     else:
-        threshold = C_int[:, 0] - C_int[:, 1]
+        threshold = costs[0] - costs[1]
         order, carried, reached = _fill(threshold, a_int, b_int[0])
         s = order[reached]
-        X[order[:reached], 0] = a_int[order[:reached]]
-        X[s, 0] = b_int[0] - (carried[reached] - a_int[s])
-        X[:, 1] = a_int - X[:, 0]
+        first = np.zeros(m, dtype=np.int64)
+        first[order[:reached]] = a_int[order[:reached]]
+        first[s] = b_int[0] - (carried[reached] - a_int[s])
+        flows = np.stack([first, a_int - first])
         v[0] = threshold[s]
-    u = (C_int - v).min(axis=1)
-    X = _certify_optimal(C_int, a_int, b_int, X, np.concatenate([u, v]))
-    return None if X is None else (X, v)
+    u = (costs - v[:, None]).min(axis=0)
+    X = _certify_optimal(C_int, a_int, b_int, flows.T, np.concatenate([u, v]))
+    return None if X is None else (X, v, "sorted")
 
 
 def _banded_plan(C_int, a_int, b_int):
-    """Certified (X, sink duals) from a sort or small restricted LPs, or None.
+    """Certified (X, sink duals, route) from a sort or small LPs, or None.
 
     One- and two-sink problems go to :func:`_sorted_plan` first, which
     needs no LP; if its plan fails the certificate, the LP route below runs.
@@ -308,9 +332,12 @@ def _banded_plan(C_int, a_int, b_int):
     assembled plan must pass :func:`_certify_optimal` on the whole problem.
     A round whose band is infeasible or whose plan fails the certificate is
     retried with a wider band and the duals rebalanced by
-    :func:`_balance_sinks`.
+    :func:`_balance_sinks`. The route names the step that certified the
+    plan: ``"sorted"``, ``"full"`` (HiGHS on every arc, up to
+    ``_FULL_LP_SOURCES`` sources) or ``"banded"``.
     """
     m, n = C_int.shape
+    costs = C_int.T
     if n <= 2 and (plan := _sorted_plan(C_int, a_int, b_int)) is not None:
         return plan
     if m <= _FULL_LP_SOURCES:
@@ -320,7 +347,7 @@ def _banded_plan(C_int, a_int, b_int):
     edges = np.arange(count + 1) * positive.size // count
     draws = np.random.default_rng(_SUBSAMPLE_SEED).random(count)
     sub = positive[edges[:-1] + (draws * np.diff(edges)).astype(np.int64)]
-    guess = _banded_plan(C_int[sub], _apportion(a_int[sub], MASS_UNITS), b_int)
+    guess = _banded_plan(costs[:, sub].T, _apportion(a_int[sub], MASS_UNITS), b_int)
     if guess is None:
         return None
     v = guess[1]
@@ -330,11 +357,15 @@ def _banded_plan(C_int, a_int, b_int):
         if attempt:
             v = _balance_sinks(C_int, a_int, b_int, v)
             free_count = min(m, 4 * free_count)
-        shifted = C_int - v
-        best = shifted.argmin(axis=1)
-        reduced = shifted - shifted[rows, best][:, None]
-        is_best = np.arange(n) == best[:, None]
-        gap = np.where(is_best, np.iinfo(np.int64).max, reduced).min(axis=1)
+        shifted = costs - v[:, None]
+        low = shifted[0].copy()
+        best = np.zeros(m, dtype=np.intp)
+        for j in range(1, n):
+            best[shifted[j] < low] = j
+            np.minimum(low, shifted[j], out=low)
+        reduced = shifted - low
+        is_best = np.arange(n)[:, None] == best
+        gap = np.where(is_best, np.iinfo(np.int64).max, reduced).min(axis=0)
         order = np.argsort(gap, kind="stable")
         fixed = np.ones(m, dtype=bool)
         fixed[order[:free_count]] = False
@@ -348,20 +379,21 @@ def _banded_plan(C_int, a_int, b_int):
             b_rest[j] += a_int[released].sum()
         free = np.flatnonzero(~fixed)
         delta = gap[free].max()
-        fi, fj = np.nonzero(reduced[free] <= delta)
-        lp = _arc_lp(C_int[free[fi], fj], fi, fj, a_int[free], b_rest, "highs")
+        # The transpose makes np.nonzero list the arcs source by source.
+        fi, fj = np.nonzero((reduced[:, free] <= delta).T)
+        lp = _arc_lp(costs[fj, free[fi]], fi, fj, a_int[free], b_rest, "highs")
         if lp is None:
             continue
         x, duals = lp
         v = np.rint(duals[free.size:]).astype(np.int64)
-        u = C_int[rows, best] - v[best]
+        u = costs[best, rows] - v[best]
         u[free] = np.rint(duals[: free.size]).astype(np.int64)
-        flows = np.zeros((m, n))
-        flows[fixed, best[fixed]] = a_int[fixed]
-        flows[free[fi], fj] = x
-        X = _certify_optimal(C_int, a_int, b_int, flows, np.concatenate([u, v]))
+        flows = np.zeros((n, m))
+        flows[best[fixed], rows[fixed]] = a_int[fixed]
+        flows[fj, free[fi]] = x
+        X = _certify_optimal(C_int, a_int, b_int, flows.T, np.concatenate([u, v]))
         if X is not None:
-            return X, v
+            return X, v, "banded"
     return None
 
 
@@ -374,6 +406,10 @@ def solve_discrete_ot_exact(
     integer units, squared-distance costs rounded to an adaptive quantum),
     and a candidate vertex plan with duals is proven optimal for the whole
     m x n problem by an exact integer certificate (:func:`_certify_optimal`).
+    The problem is stored sink-major: the costs are (n, m) arrays, one
+    C-contiguous row of sources per sink, so each step of the sort, the
+    band and the certificate is an elementwise pass over n rows; the flows
+    come back as an (m, n) view of such an array.
     With one or two sinks the candidate comes from a sort (a fractional
     knapsack, :func:`_sorted_plan`) and no LP is solved. Otherwise, up to
     ``_FULL_LP_SOURCES`` sources it comes from HiGHS on the full LP, and
@@ -405,14 +441,17 @@ def solve_discrete_ot_exact(
     if plan is None:
         raise OracleFailure("transportation solve failed to produce a certified plan")
 
-    flows = plan[0] * (total / MASS_UNITS)
-    cost = float((flows * C).sum())
+    X, _, route = plan
+    flows = X * (total / MASS_UNITS)
+    # The product in source-major order, so the sum adds in that order.
+    cost = float(np.multiply(flows, C, order="C").sum())
     slop = float(C.max()) * (m + n) / MASS_UNITS * total + 1.0 / quantum_inv
     return DiscretePlan(
         sources=WeightedPoints(pts, masses),
         flows=flows,
         cost=cost,
         rounding_cost_bound=float(slop),
+        route=route,
     )
 
 

@@ -91,15 +91,34 @@ class ReductionOutput:
         return los, his
 
 
-def _satisfying_rows(polarities: tuple[bool, bool, bool]):
-    """Truth-table rows (FFF..TTT ascending) minus the unique falsifying one."""
-    falsifying = tuple(not p for p in polarities)
-    rows = []
-    for i in range(8):
-        row = (bool(i & 4), bool(i & 2), bool(i & 1))
-        if row != falsifying:
-            rows.append(row)
-    return rows
+# Bit of truth-table row i (FFF..TTT ascending) that sets a clause's k-th
+# smallest variable: bit 2 - k.
+_ROW_SHIFTS = np.array([2, 1, 0])
+
+
+def _gadget_rows(cnf: CnfFormula) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Samples (n, l) and the gadget boxes' lower and upper corners (7n, l).
+
+    The rows are in :func:`reduce_3sat`'s box order: clauses first, then
+    each clause's seven satisfying truth-table rows in ascending order.
+    """
+    l, n = cnf.num_vars, cnf.n
+    eps = EPSILON_GADGET
+    by_var = [sorted(clause) for clause in cnf.clauses]
+    var = np.array([[v for v, _ in clause] for clause in by_var])
+    pol = np.array([[p for _, p in clause] for clause in by_var])
+    c = np.arange(1, n + 1)
+    points = np.zeros((n, l))
+    points[np.arange(n)[:, None], var] = c[:, None]
+    falsifying = (~pol << _ROW_SHIFTS).sum(axis=1)
+    clause, row = np.nonzero(np.arange(8) != falsifying[:, None])
+    center = c[clause, None] + 0.5 * (row[:, None] >> _ROW_SHIFTS & 1)
+    at = (np.arange(clause.size)[:, None], var[clause])
+    lo = np.zeros((clause.size, l))
+    hi = np.full((clause.size, l), 0.5)
+    lo[at] = center - eps
+    hi[at] = center + eps
+    return points, lo, hi
 
 
 def reduce_3sat(cnf: CnfFormula) -> ReductionOutput:
@@ -114,25 +133,9 @@ def reduce_3sat(cnf: CnfFormula) -> ReductionOutput:
     l, n = cnf.num_vars, cnf.n
     eps = EPSILON_GADGET
     gamma = 1.0 / (7.0 * n * 0.5 ** (l - 3) * (2.0 * eps) ** 3)
-
-    points = np.zeros((n, l))
-    boxes: list[tuple[Hyperrectangle, float]] = []
-    for c_idx, clause in enumerate(cnf.clauses):
-        c = c_idx + 1
-        by_var = sorted(clause)
-        varids = tuple(v for v, _ in by_var)
-        pols = tuple(p for _, p in by_var)
-        points[c_idx, list(varids)] = c
-        for row in _satisfying_rows(pols):
-            lo = np.zeros(l)
-            hi = np.full(l, 0.5)
-            for v, true_here in zip(varids, row):
-                center = c + 0.5 if true_here else c
-                lo[v] = center - eps
-                hi[v] = center + eps
-            boxes.append((Hyperrectangle(lo, hi), gamma))
-
-    density = BoxDensity(dimension=l, boxes=tuple(boxes))
+    points, los, his = _gadget_rows(cnf)
+    boxes = tuple((Hyperrectangle(lo, hi), gamma) for lo, hi in zip(los, his))
+    density = BoxDensity(dimension=l, boxes=boxes)
     samples = SampleSet.uniform(points)
     return ReductionOutput(
         samples=samples, density=density, gamma=gamma, epsilon_gadget=eps
@@ -179,11 +182,10 @@ def decide_positive_likelihood(cnf: CnfFormula) -> bool:
     l = cnf.num_vars
     if l > ENUMERATION_GUARD:
         raise ValueError(f"enumeration guard: l = {l} > {ENUMERATION_GUARD}")
-    reduction = reduce_3sat(cnf)
-    los, his = reduction._box_bounds
+    points, los, his = _gadget_rows(cnf)
     fits = []
     for value in (0.0, -0.5):  # theta_d for bit d false, true
-        shifted = reduction.samples.points[:, None, :] - value
+        shifted = points[:, None, :] - value
         fits.append((shifted >= los[None, :, :]) & (shifted <= his[None, :, :]))
     fit_false, fit_true = fits
     pair_sample, pair_box = np.nonzero((fit_false | fit_true).all(axis=2))

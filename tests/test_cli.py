@@ -227,7 +227,7 @@ class TestVerify:
             )
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        assert out.strip().endswith("PASS")
+        assert out.strip().endswith("route = monotone-1d\nPASS")
         assert "p* = " in out
 
     def test_oracle_pass_2d(self, instance_files, capsys):
@@ -236,10 +236,10 @@ class TestVerify:
              "--mode", "oracle", "--seed", "0", "--resolution", "100"]
         )
         assert code == EXIT_OK
-        assert capsys.readouterr().out.strip().endswith("PASS")
+        assert capsys.readouterr().out.strip().endswith("route = sorted\nPASS")
 
-    def test_oracle_pass_default_resolution(self, tmp_path, capsys):
-        """2-D, two boxes, three sinks: 80 000 oracle sources at resolution 200."""
+    @staticmethod
+    def _two_boxes_three_sinks(tmp_path):
         density = BoxDensity(
             dimension=2,
             boxes=(
@@ -250,9 +250,23 @@ class TestVerify:
         samples = SampleSet.uniform(np.array([[-0.6, 0.4], [-0.3, -0.7], [0.9, 0.1]]))
         path = tmp_path / "two-box.json"
         save_instance(path, Instance(density, samples), {"name": "two-box"})
-        code = main(["verify", str(path), "--mode", "oracle", "--seed", "0"])
+        return str(path)
+
+    def test_oracle_pass_default_resolution(self, tmp_path, capsys):
+        """2-D, two boxes, three sinks: 80 000 oracle sources at resolution 200."""
+        path = self._two_boxes_three_sinks(tmp_path)
+        code = main(["verify", path, "--mode", "oracle", "--seed", "0"])
         assert code == EXIT_OK
-        assert capsys.readouterr().out.strip().endswith("PASS")
+        assert capsys.readouterr().out.strip().endswith("route = banded\nPASS")
+
+    def test_oracle_reports_the_full_lp_route(self, tmp_path, capsys):
+        """450 sources, at most the 500 that HiGHS solves whole."""
+        path = self._two_boxes_three_sinks(tmp_path)
+        code = main(
+            ["verify", path, "--mode", "oracle", "--seed", "0", "--resolution", "15"]
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.strip().endswith("route = full\nPASS")
 
     def test_oracle_failure_is_numerical_abort(
         self, instance_files, monkeypatch, capsys

@@ -406,6 +406,123 @@ class TestSortedRoute:
         assert methods == ["highs", "highs-ds"]
 
 
+class TestCertifyOptimal:
+    """Each check of the certificate rejects a candidate that fails only it.
+
+    Three sources, two sinks: sink 0 takes source 0 and one unit of
+    source 1, the sort's plan, with duals u = (1, 2, 0) and v = (-1, 0).
+    """
+
+    C_INT = np.ascontiguousarray(np.array([[0, 5], [1, 2], [6, 0]]).T).T
+    A_INT = np.array([2, 2, 2])
+    B_INT = np.array([3, 3])
+    X = np.array([[2, 0], [1, 1], [0, 2]])
+    DUALS = np.array([1, 2, 0, -1, 0])
+
+    def _certify(self, x=X, duals=DUALS, a_int=A_INT, b_int=B_INT):
+        return oracle._certify_optimal(self.C_INT, a_int, b_int, x, duals)
+
+    def test_accepts_the_optimal_plan(self):
+        assert np.array_equal(self._certify(), self.X)
+        near = self._certify(self.X + 1e-6, self.DUALS + 1e-7)
+        assert near.dtype == np.int64 and np.array_equal(near, self.X)
+        assert np.array_equal(self._certify(self.X.ravel()), self.X)
+        plan = oracle._sorted_plan(self.C_INT, self.A_INT, self.B_INT)
+        assert np.array_equal(plan[0], self.X) and plan[1].tolist() == [-1, 0]
+
+    def test_rejects_a_non_integral_flow(self):
+        x = self.X.astype(float)
+        x[1] += [0.25, -0.25]
+        assert self._certify(x) is None
+
+    def test_rejects_a_negative_flow(self):
+        assert self._certify(np.array([[3, -1], [0, 2], [0, 2]])) is None
+
+    def test_rejects_a_row_marginal_off_by_one(self):
+        assert self._certify(a_int=np.array([3, 1, 2])) is None
+
+    def test_rejects_a_column_marginal_off_by_one(self):
+        assert self._certify(b_int=np.array([4, 2])) is None
+
+    def test_rejects_a_non_integral_dual(self):
+        duals = self.DUALS.astype(float)
+        duals[0] += 0.3  # rounds back to the optimal dual
+        assert self._certify(duals=duals) is None
+
+    def test_rejects_a_negative_reduced_cost(self):
+        duals = self.DUALS.copy()
+        duals[1] = 3  # C_10 - u_1 - v_0 = 1 - 3 + 1 = -1
+        assert self._certify(duals=duals) is None
+
+    def test_rejects_flow_on_a_positive_reduced_cost(self):
+        # reduced cost 4 on (source 0, sink 1)
+        assert self._certify(np.array([[1, 1], [2, 0], [0, 2]])) is None
+
+
+def _square_grid_problem(seed, resolution, n):
+    """[-1, 1]^2 at resolution^2 midpoints against n random sinks and demands."""
+    rng = np.random.default_rng(seed)
+    square = Hyperrectangle([-1.0, -1.0], [1.0, 1.0])
+    density = BoxDensity(dimension=2, boxes=((square, 0.25),))
+    sources = discretize_source(density, resolution)
+    samples = SampleSet(rng.uniform(-1.0, 1.0, size=(n, 2)), rng.dirichlet(np.ones(n)))
+    return sources, samples
+
+
+class TestSinkMajorLayout:
+    """The sink-major storage shows the (m, n) plan and source-major LPs."""
+
+    @pytest.mark.parametrize(
+        "resolution, n, route", [(200, 2, "sorted"), (25, 3, "banded")]
+    )
+    def test_plan_layout(self, monkeypatch, resolution, n, route):
+        # On this seed a sum in the flows' memory order (sink-major) differs
+        # from the source-major sum in the last bit, for both problems.
+        sources, samples = _square_grid_problem(310, resolution, n)
+        arcs = []
+        arc_lp = oracle._arc_lp
+
+        def spied(costs, src, snk, *args):
+            arcs.append((src, snk))
+            return arc_lp(costs, src, snk, *args)
+
+        monkeypatch.setattr(oracle, "_arc_lp", spied)
+        plan = solve_discrete_ot_exact(sources, samples)
+        m = resolution**2
+        assert plan.route == route
+        assert plan.flows.shape == (m, n)
+        scale = sources.masses.sum() / MASS_UNITS
+        X = np.rint(plan.flows / scale).astype(np.int64)
+        assert np.array_equal(X * scale, plan.flows)
+        assert np.array_equal(X.sum(axis=1), _apportion(sources.masses, MASS_UNITS))
+        assert np.array_equal(X.sum(axis=0), _apportion(samples.demands, MASS_UNITS))
+        C = _scaled_costs(sources.points, samples.points)[0]
+        assert plan.cost == float((np.ascontiguousarray(plan.flows) * C).sum())
+        assert bool(arcs) == (n > 2)
+        for src, snk in arcs:
+            # source by source, and by sink within a source
+            step, turn = np.diff(src), np.diff(snk)
+            assert ((step > 0) | ((step == 0) & (turn > 0))).all()
+
+    def test_costs_are_stored_sink_major(self):
+        rng = np.random.default_rng(310)
+        points = rng.uniform(-1, 1, size=(50, 3))
+        sinks = rng.uniform(-1, 1, size=(4, 3))
+        C, C_int, _ = _scaled_costs(points, sinks)
+        assert C.shape == C_int.shape == (50, 4)
+        assert C.T.flags.c_contiguous and C_int.T.flags.c_contiguous
+        squares = (points[:, None, :] - sinks[None, :, :]) ** 2
+        assert np.array_equal(C, squares.sum(-1))
+
+    def test_full_route(self, monkeypatch):
+        """At most 500 sources HiGHS solves the whole LP, and so does the fallback."""
+        sources, samples = _square_grid_problem(311, 20, 3)
+        assert solve_discrete_ot_exact(sources, samples).route == "full"
+        sources, samples = _square_grid_problem(312, 25, 3)
+        monkeypatch.setattr(oracle, "_banded_plan", lambda *args: None)
+        assert solve_discrete_ot_exact(sources, samples).route == "full"
+
+
 class TestSemidiscrete1dExact:
     def test_symmetric_interval(self, symmetric_interval):
         p, cross, bp = semidiscrete_1d_exact(symmetric_interval)

@@ -111,6 +111,36 @@ class TestReduce3Sat:
         for (ba, wa), (bb, wb) in zip(a.density.boxes, b.density.boxes):
             assert (ba.lo == bb.lo).all() and (ba.hi == bb.hi).all() and wa == wb
 
+    def test_gadget_rows_are_the_density_boxes(self):
+        """The decider's array rows are the boxes of the validated density,
+        and both follow the docstring's rule box by box, bit for bit."""
+        rng = np.random.default_rng(17)
+        eps = EPSILON_GADGET
+        for l in range(3, 13):
+            for _ in range(3):
+                cnf = _random_formula(rng, max_vars=l, min_vars=l, max_clauses=3 * l)
+                points, los, his = sat_reduction._gadget_rows(cnf)
+                red = reduce_3sat(cnf)
+                assert los.shape == his.shape == (7 * cnf.n, l)
+                assert np.array_equal(points, red.samples.points)
+                boxes = [box for box, _ in red.density.boxes]
+                assert np.array_equal(los, np.stack([box.lo for box in boxes]))
+                assert np.array_equal(his, np.stack([box.hi for box in boxes]))
+                i = 0
+                for c, clause in enumerate(cnf.clauses, start=1):
+                    var = [v for v, _ in sorted(clause)]
+                    falsifying = [not p for _, p in sorted(clause)]
+                    for row in range(8):
+                        bits = [bool(row & 4), bool(row & 2), bool(row & 1)]
+                        if bits == falsifying:
+                            continue
+                        lo, hi = np.zeros(l), np.full(l, 0.5)
+                        for v, true_here in zip(var, bits):
+                            center = c + 0.5 if true_here else c
+                            lo[v], hi[v] = center - eps, center + eps
+                        assert np.array_equal(los[i], lo) and np.array_equal(his[i], hi)
+                        i += 1
+
     def test_output_is_valid_estimator_instance(self):
         cnf = CnfFormula.from_dimacs_clauses(3, [(1, 2, -3)])
         instance = reduce_3sat(cnf).instance
