@@ -289,19 +289,24 @@ def gradient(
     Projection onto G_0 is a contraction (grad E lies in G_0), so it never
     increases the error.
 
-    With a ``threshold`` (the solver's stop on ||grad||) and a single box,
-    the MC draw ends at the first block whose prefix estimate g_k, from the
-    first k of the m points, satisfies ||g_k|| + (1 + m/k) eps_bar <=
+    With a ``threshold`` (the solver's stop on ||grad||), the MC draw ends
+    at the first checked prefix whose estimate g_k, from the first k of
+    the m points of every box, satisfies ||g_k|| + (1 + m/k) eps_bar <=
     threshold, and returns g_k. Hoeffding's maximal inequality puts every
     prefix within (m/k) eps_bar of grad E on the full draw's own event, of
     probability >= 1 - eta_prime (see :func:`cell_box_volumes_mc`). There
     ||g_m|| <= ||grad E|| + eps_bar <= ||g_k|| + (1 + m/k) eps_bar <=
     threshold: the full draw would pass the threshold too, so a solver
-    that stops on it stops at the same iterate. A prefix that never
-    certifies runs to m and returns the full draw's bits. With k >= 2 boxes
-    the draw is always full, since a prefix shared by the boxes needs their
-    draws in lockstep; that is left for later. ``drawn``, when given, gets
-    the number of points drawn in each box appended.
+    that stops on it stops at the same iterate. The rule can hold at k
+    only if k >= m eps_bar / (threshold - eps_bar - ||g_k||), so the first
+    check is at k_0 = m eps_bar / (threshold - eps_bar) (m/7 at the
+    solver's threshold of 8 eps_bar), and a check that fails at prefix
+    norm nu plans the next at m eps_bar / (threshold - eps_bar - nu), or a
+    block further when that denominator is not positive. Every box is
+    drawn in lockstep to each check's row, on one pool of threads. A
+    prefix that never certifies runs to m and returns the full draw's
+    bits. ``drawn``, when given, gets the number of points drawn in each
+    box appended.
     """
     g = _finite_weights(g, instance.samples.n)
     backend = _resolve_backend(backend, instance.dimension)
@@ -315,29 +320,33 @@ def gradient(
     per_cell = eps_bar / math.sqrt(samples.n)
     m = mc_sample_count(samples.n, per_cell, eta_prime / k)
     rows = m
-    stop = None
-    if threshold is not None and k == 1:
-        weight = boxes[0][1]
 
-        def stop(volumes: np.ndarray, prefix_rows: int) -> bool:
+    def estimate(volumes: np.ndarray) -> np.ndarray:
+        out = samples.demands.copy()
+        for (_, w), v in zip(boxes, volumes):
+            out -= w * v
+        return out - out.sum() / out.size
+
+    def plan(volumes: np.ndarray | None, prefix_rows: int) -> float | None:
+        norm = 0.0
+        if volumes is not None:
             # The solver's gradient norm of the prefix, to the same bits.
-            prefix = samples.demands - weight * volumes
-            prefix -= prefix.sum() / prefix.size
+            prefix = estimate(volumes)
             norm = math.sqrt(float(prefix.dot(prefix)))
-            if norm + (1.0 + m / prefix_rows) * eps_bar > threshold:
-                return False
-            nonlocal rows
-            rows = prefix_rows
-            return True
+            if norm + (1.0 + m / prefix_rows) * eps_bar <= threshold:
+                nonlocal rows
+                rows = prefix_rows
+                return None
+        slack = threshold - eps_bar - norm
+        return m * eps_bar / slack if slack > 0.0 else math.inf
 
-    out = samples.demands.copy()
-    for idx, (box, w) in enumerate(boxes):
-        out -= w * cell_box_volumes_mc(
-            samples, g, box, per_cell, eta_prime / k, seed, box_index=idx, stop=stop
-        )
-        if drawn is not None:
-            drawn.append(rows)
-    return out - out.sum() / out.size
+    volumes = cell_box_volumes_mc(
+        samples, g, [box for box, _ in boxes], per_cell, eta_prime / k, seed,
+        plan=None if threshold is None else plan,
+    )
+    if drawn is not None:
+        drawn.extend([rows] * k)
+    return estimate(volumes)
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +427,15 @@ def solve_dual(
     depend on the gradient draws only, so the last pass's energy, which the
     solve returns on both backends, carries that bound.
 
-    On a single-box density each mc gradient draw is given the threshold
-    and ends at the first block of k of its m points whose prefix estimate
-    g_k has ||g_k|| + (1 + m/k) eps_bar <= eps'/(45 n D^2) (see
-    :func:`gradient`). By Hoeffding's maximal inequality this happens, on
-    the full draw's own event, only where the full draw's norm is below the
-    threshold too: the solve stops at the same t with the same iterate and
-    the same energy, and only the last row's ``grad_norm`` is the prefix's.
-    A draw whose prefix never certifies is the full draw, bit for bit.
+    Each mc gradient draw is given the threshold and ends at the first
+    checked prefix, of k of the m points of every box, whose estimate g_k
+    has ||g_k|| + (1 + m/k) eps_bar <= eps'/(45 n D^2); the checks are
+    planned from that rule, the first at k = m/7 (see :func:`gradient`).
+    By Hoeffding's maximal inequality this happens, on the full draw's own
+    event, only where the full draw's norm is below the threshold too: the
+    solve stops at the same t with the same iterate and the same energy,
+    and only the last row's ``grad_norm`` is the prefix's. A draw whose
+    prefix never certifies is the full draw, bit for bit.
     """
     stats = instance.stats
     n = instance.samples.n

@@ -51,6 +51,8 @@ class EstimationResult:
             "guarantee_holds": self.guarantee_holds,
             "iterations": self.trace.M_bar,
             "passes": self.trace.passes,
+            "mc_points_gradient": self.trace.mc_points_gradient,
+            "mc_points_energy": self.trace.mc_points_energy,
             "stop_reason": self.trace.stop_reason,
             "backend": self.trace.backend,
         }

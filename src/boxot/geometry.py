@@ -28,9 +28,9 @@ diagram with at least l + 2 sinks, never at import.
 
 All operations are pure functions on immutable inputs. Monte-Carlo sampling
 is deterministic given (seed, box index); see :func:`box_rng` for the
-substream rule. Each block of draws is split into row ranges over one thread
-per usable core; a worker jumps its copy of the box's stream to its first
-row, so every point's value depends only on its position in the
+substream rule. Each stretch of draws is split into row ranges over one
+thread per usable core; a worker jumps its copy of a box's stream to its
+first row, so every point's value depends only on its position in the
 ``(seed, box_index)`` stream, never on the worker count. One kernel scores
 every point from its unit draw u, not from its point x = lo + w u: with the
 box folded into the sinks, ||x - y_j||^2 - g_j - ||x||^2 is u . W_j + c_j.
@@ -39,21 +39,22 @@ with n = 2 sinks by one projection ``u . v < c'``; ties go to the first
 index. :func:`classify_points` is that rule on the unit cube [0, 1]^l, so a
 count label can differ from ``classify_points(lo + w u)`` only within
 rounding of a cell boundary. The potential integral adds ||x||^2 to the
-least score. A caller may end the volume count after any block, at a prefix
-whose estimate Hoeffding's maximal inequality bounds on the full count's own
-event (see :func:`cell_box_volumes_mc`).
+least score. The volume count draws several boxes in lockstep on one pool of
+threads, and its caller may plan the rows at which it checks the prefix: it
+may end the count at any checked prefix, whose estimate Hoeffding's maximal
+inequality bounds on the full count's own event (see
+:func:`cell_box_volumes_mc`).
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import operator
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -75,7 +76,12 @@ _MC_CHUNK = 2_000_000
 # with 16 384 rows, 65-70 ns with 8 192).
 _MC_SUBCHUNK = 16_384
 _MC_SUBCHUNK_WORK = 1 << 18
-# Threads that share each block: one per core this process may run on.
+# Sub-chunks a planned check of a volume count lies past the last check at
+# least (see cell_box_volumes_mc), so that each check's wait for the workers
+# is paid for by the rows they draw.
+_MC_CHECK_SUBCHUNKS = 4
+# Threads that share each stretch of draws: one per core this process may
+# run on, the calling thread included.
 _MC_WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1
@@ -254,7 +260,9 @@ class SampleSet:
     @cached_property
     def uniform_demands(self) -> bool:
         """Whether every demand is 1/n, within MASS_TOL."""
-        return bool(np.allclose(self.demands, 1.0 / self.n, atol=MASS_TOL, rtol=0.0))
+        # The rule of np.allclose(..., rtol=0) for finite demands, at a
+        # fraction of its cost.
+        return bool(np.abs(self.demands - 1.0 / self.n).max() <= MASS_TOL)
 
 
 @dataclass(frozen=True)
@@ -433,9 +441,78 @@ def box_rng(seed: int, box_index: int) -> np.random.Generator:
 
 
 def _subchunk_rows(samples: SampleSet, l: int) -> int:
-    # Rows a worker draws per numpy call (see _MC_SUBCHUNK); a piece of a
-    # block has at most one more.
+    # Rows a worker draws per numpy call (see _MC_SUBCHUNK); the last
+    # sub-chunk of a row range has at most one more.
     return max(2, min(_MC_SUBCHUNK, _MC_SUBCHUNK_WORK // (samples.n * l)))
+
+
+def _refuse_above_cap(m: int) -> None:
+    if m > MC_SAMPLE_CAP:
+        raise BudgetRefused(
+            f"MC budget {m} exceeds cap {MC_SAMPLE_CAP}; "
+            "loosen the accuracy targets or use the exact backend"
+        )
+
+
+def _pool() -> ThreadPoolExecutor:
+    # The threads of one draw. The calling thread draws a piece too, so
+    # _MC_WORKERS - 1 of them make one thread per usable core.
+    return ThreadPoolExecutor(max(1, _MC_WORKERS - 1))
+
+
+def _fill(state: dict, l: int, size: int, per_point, first: int, stop: int) -> None:
+    # Rows [first, stop) of the stream whose PCG64 state is `state`: a copy
+    # of the stream jumps to row `first` and draws `size` rows at a time (the
+    # last sub-chunk takes up to size + 1, so none is a lone row unless the
+    # range is); per_point(u, row) gets each sub-chunk u and the stream row
+    # of u[0].
+    bitgen = np.random.PCG64()
+    bitgen.state = state
+    rng = np.random.Generator(bitgen.advance(first * l))
+    buf = np.empty((min(stop - first, size + 1), l))
+    while first < stop:
+        end = stop if stop - first <= size + 1 else first + size
+        u = buf[: end - first]
+        rng.random(out=u)
+        per_point(u, first)
+        first = end
+
+
+def _draw_rows(pool, streams, first: int, stop: int, l: int, size: int) -> None:
+    """Rows [first, stop) of every stream, one (state, scorer) pair a box.
+
+    The k (stop - first) rows, box after box, are cut into at most
+    ``_MC_WORKERS`` contiguous pieces of equal length, none shorter than
+    ``size`` rows unless there is only one. The calling thread draws the
+    first piece and the pool the others, so a draw of many boxes holds no
+    more threads than one of a single box. A piece draws each box's rows in
+    it by
+    :func:`_fill`, with the ``per_point`` that ``scorer()`` returns: a
+    scorer may build its box's fold there, so that only the folds of the
+    boxes being drawn are held. A worker's exception is raised once every
+    piece has been drawn.
+    """
+    span = stop - first
+    total = len(streams) * span
+    parts = max(1, min(_MC_WORKERS, total // size))
+    cuts = [total * i // parts for i in range(parts + 1)]
+
+    def draw(a: int, b: int) -> None:
+        # Positions [a, b) of the box-after-box order.
+        while a < b:
+            box, row = divmod(a, span)
+            end = min(b, (box + 1) * span)
+            state, scorer = streams[box]
+            _fill(state, l, size, scorer(), first + row, first + end - box * span)
+            a = end
+
+    jobs = [pool.submit(draw, a, b) for a, b in zip(cuts[1:], cuts[2:])]
+    try:
+        draw(cuts[0], cuts[1])
+    finally:
+        wait(jobs)
+    for job in jobs:
+        job.result()
 
 
 def _box_draws(
@@ -457,54 +534,32 @@ def _box_draws(
     at a time, so memory stays bounded; each yielded array is reused for
     the next block.
 
-    A block is split into contiguous row ranges, one per worker thread (the
-    calling thread takes the first). A worker copies the stream's state,
-    advances it to its first row and draws its rows a sub-chunk at a time
-    (:func:`_subchunk_rows`). No piece of a block of two or more rows has a
-    single row, and the kernel scores a lone row as two (numpy multiplies
-    a lone row with another kernel, which rounds differently). So every
-    value depends only on its row, never on the split or on m.
+    Each block is drawn by :func:`_draw_rows`: split into row ranges over
+    one thread per usable core, each of which jumps a copy of the stream to
+    its first row and draws a sub-chunk at a time (:func:`_subchunk_rows`).
+    The kernel scores a lone row as two (numpy multiplies a lone row with
+    another kernel, which rounds differently), so every value depends only
+    on its row, never on the split or on m.
 
     A budget above ``MC_SAMPLE_CAP`` is refused before any draw and before
     any thread starts; a worker's exception is raised once every worker has
     stopped.
     """
-    if m > MC_SAMPLE_CAP:
-        raise BudgetRefused(
-            f"MC budget {m} exceeds cap {MC_SAMPLE_CAP}; "
-            "loosen the accuracy targets or use the exact backend"
-        )
-    state = box_rng(seed, box_index).bit_generator.state
+    _refuse_above_cap(m)
     l = box.dimension
     size = _subchunk_rows(samples, l)
     block = np.empty(min(m, _MC_CHUNK), dtype=dtype)
+    start = 0
 
-    def fill(start: int, first: int, stop: int) -> None:
-        # Rows [first, stop) of the stream into block[first - start:stop - start].
-        bitgen = np.random.PCG64()
-        bitgen.state = state
-        rng = np.random.Generator(bitgen.advance(first * l))
-        buf = np.empty((min(stop - first, size + 1), l))
-        while first < stop:
-            end = stop if stop - first <= size + 1 else first + size
-            u = buf[: end - first]
-            rng.random(out=u)
-            per_point(u, block[first - start : end - start])
-            first = end
+    def into_block(u: np.ndarray, row: int) -> None:
+        per_point(u, block[row - start : row - start + len(u)])
 
-    with ThreadPoolExecutor(_MC_WORKERS) as pool:
+    stream = (box_rng(seed, box_index).bit_generator.state, lambda: into_block)
+    with _pool() as pool:
         for start in range(0, m, _MC_CHUNK):
-            rows = min(_MC_CHUNK, m - start)
-            parts = max(1, min(_MC_WORKERS, rows // size))
-            cuts = [start + rows * i // parts for i in range(parts + 1)]
-            # The calling thread fills the first range, so a block too small
-            # to split starts no thread.
-            ranges = zip(cuts[1:], cuts[2:])
-            jobs = [pool.submit(fill, start, a, b) for a, b in ranges]
-            fill(start, cuts[0], cuts[1])
-            for job in jobs:
-                job.result()
-            yield block[:rows]
+            stop = min(start + _MC_CHUNK, m)
+            _draw_rows(pool, [stream], start, stop, l, size)
+            yield block[: stop - start]
 
 
 def mc_sample_count(n: int, eps_bar: float, eta_prime: float) -> int:
@@ -519,13 +574,13 @@ def mc_sample_count(n: int, eps_bar: float, eta_prime: float) -> int:
 def cell_box_volumes_mc(
     samples: SampleSet,
     g: np.ndarray,
-    box: Hyperrectangle,
+    box: Hyperrectangle | Sequence[Hyperrectangle],
     eps_bar: float,
     eta_prime: float,
     seed: int,
     box_index: int = 0,
     *,
-    stop: Callable[[np.ndarray, int], bool] | None = None,
+    plan: Callable[[np.ndarray | None, int], float | None] | None = None,
 ) -> np.ndarray:
     """Estimate vol(L_j(g) n box) for all j at once by rejection sampling.
 
@@ -533,16 +588,25 @@ def cell_box_volumes_mc(
     classifies each, and returns fraction_j * vol(box). With probability at
     least 1 - eta' every cell satisfies |v_j - vol(L_j n box)| <=
     eps_bar * vol(box) (Hoeffding plus a union bound over the n cells).
+    Given a sequence of k boxes, it draws m points in each, box i from the
+    stream of box_index + i, all of them in lockstep on one pool of
+    threads, and returns the (k, n) estimates, each box's with failure
+    probability at most eta'.
 
     Hoeffding's bound holds for the largest deviation over all prefixes of
     the count, not only for the last (Hoeffding 1963, section 2.6). So on
     the same event of probability at least 1 - eta', the estimate from the
     first k draws, counts_j / k * vol(box), is within (m/k) eps_bar vol(box)
-    of every cell's volume, for every k <= m at once. When ``stop`` is
-    given, it is called after each block of draws short of m with that
-    prefix estimate and k; once it returns True, the draw ends there and
-    the prefix estimate is returned. Otherwise all m points are drawn, and
-    the result has the bits it has without ``stop``.
+    of every cell's volume, for every k <= m at once. ``plan``, when given,
+    schedules checks of that prefix. It is called first with no estimate
+    and k = 0, then with the prefix estimate and k at each check short of
+    m. It returns None to end the draw there and return that prefix, or
+    the row at which the caller's rule could next pass: math.inf when none
+    can yet, which puts the next check one block (``_MC_CHUNK`` rows)
+    further. Every box is drawn to that row, but at least
+    ``_MC_CHECK_SUBCHUNKS`` sub-chunks past the last check and never past m.
+    Otherwise all m points are drawn, and the result has the bits it has
+    without ``plan``.
 
     One pass serves every cell: the gradient consumes all j for a fixed box.
     The points are the first m rows u of the ``box_rng(seed, box_index)``
@@ -550,51 +614,71 @@ def cell_box_volumes_mc(
     labelled from u itself, with the box folded into the sinks: the first
     index of the least ``u @ W + c``, or with n = 2 whether ``u . v < c'``
     (see the module docstring). Each point's cell depends only on its row,
-    so the result is the same, bit for bit, for any worker count. Raises
-    ValueError unless g holds n finite weights.
+    and counts are integers, so the result is the same, bit for bit, for
+    any worker count and any schedule of checks. Raises ValueError unless g
+    holds n finite weights.
     """
-    n = samples.n
+    boxes = [box] if isinstance(box, Hyperrectangle) else list(box)
+    g = _finite_weights(g, samples.n)
+    n, l = samples.n, samples.dimension
     m = mc_sample_count(n, eps_bar, eta_prime)
-    rows = min(m, _subchunk_rows(samples, box.dimension) + 1)
-    fold = _unit_fold(samples, g, box, rows)
+    _refuse_above_cap(m)
+    size = _subchunk_rows(samples, l)
     # Each worker counts its own sub-chunk's labels, so no worker waits on a
-    # count of the whole block; integer counts add up to the same total in
+    # count of the whole draw; integer counts add up to the same total in
     # any order. With n = 2 a label is a bool: counting the points of cell 1
     # took 0.14 ns a point, bincount of intp labels 2.6 ns.
-    counts = np.zeros(n, dtype=np.int64)
+    counts = np.zeros((len(boxes), n), dtype=np.int64)
     lock = threading.Lock()
+    dtype = bool if n == 2 else np.intp
 
-    def label(u: np.ndarray, out: np.ndarray) -> None:
-        labels = _unit_labels(fold, u, out)
-        if n == 2:
-            ones = np.count_nonzero(labels)
-            part = (labels.size - ones, ones)
-        else:
-            part = np.bincount(labels, minlength=n)
-        with lock:
-            np.add(counts, part, out=counts)
+    def counter(box: Hyperrectangle, count: np.ndarray):
+        fold = _unit_fold(samples, g, box, min(m, size + 1))
+
+        def label(u: np.ndarray, row: int) -> None:
+            labels = _unit_labels(fold, u, np.empty(len(u), dtype))
+            if n == 2:
+                ones = np.count_nonzero(labels)
+                part = (labels.size - ones, ones)
+            else:
+                part = np.bincount(labels, minlength=n)
+            with lock:
+                np.add(count, part, out=count)
+
+        return label
+
+    streams = [
+        (box_rng(seed, box_index + i).bit_generator.state, partial(counter, b, count))
+        for i, (b, count) in enumerate(zip(boxes, counts))
+    ]
+    box_volumes = np.array([[b.volume] for b in boxes])
 
     def volumes(rows: int) -> np.ndarray:
-        if counts.sum() != rows:
+        lost = counts.sum(axis=1) != rows
+        if lost.any():
             drawn = f"m = {m}" if rows == m else f"the {rows} rows drawn"
             raise RuntimeError(
-                f"Monte Carlo counts sum to {counts.sum()}, not to {drawn}"
+                f"Monte Carlo counts sum to {counts[lost][0].sum()}, not to {drawn}"
             )
-        return counts / rows * box.volume
+        estimate = counts / rows * box_volumes
+        return estimate[0] if isinstance(box, Hyperrectangle) else estimate
 
-    dtype = bool if n == 2 else np.intp
     rows = 0
-    # Closing the draws on an early stop shuts their worker pool down.
-    with contextlib.closing(
-        _box_draws(samples, box, m, seed, box_index, label, dtype)
-    ) as draws:
-        for block in draws:
-            rows += len(block)
-            if stop is not None and rows < m:
-                prefix = volumes(rows)
-                if stop(prefix, rows):
-                    return prefix
-    return volumes(m)
+    target = m if plan is None else plan(None, 0)
+    with _pool() as pool:
+        while True:
+            if math.isinf(target):
+                target = rows + _MC_CHUNK
+            least = rows + _MC_CHECK_SUBCHUNKS * size
+            stop = min(m, max(math.ceil(min(target, m)), least))
+            _draw_rows(pool, streams, rows, stop, l, size)
+            rows = stop
+            if rows == m:
+                return volumes(m)
+            prefix = volumes(rows)
+            target = plan(prefix, rows)
+            if target is None:
+                return prefix
 
 
 def potential_integral_mc(

@@ -79,9 +79,11 @@ class TestEstimate:
         assert set(payload) == {
             "sigma_hat", "mu_hat", "rho", "dual_energy",
             "epsilon", "eta", "guarantee_holds", "iterations",
-            "passes", "stop_reason", "backend",
+            "passes", "mc_points_gradient", "mc_points_energy", "stop_reason",
+            "backend",
         }
         assert payload["backend"] == "exact"
+        assert payload["mc_points_gradient"] == payload["mc_points_energy"] == 0
         assert payload["stop_reason"] in ("threshold", "budget")
         assert payload["passes"] >= payload["iterations"]
 

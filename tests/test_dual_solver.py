@@ -1,6 +1,7 @@
 """Dual energy, gradient, budgets, the solve loop and its two steps, transforms."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -278,12 +279,14 @@ class TestPrefixStop:
 
     @pytest.mark.parametrize("name", sorted(_PREFIX_CASES))
     def test_solve_matches_the_full_draw(self, name, monkeypatch):
-        # eps' is scaled up 30x, which makes m about 2e4 per box, and the
-        # blocks 2 000 rows, so 20 seeds of both solves take well under a
-        # second; the stop rule is the same at any scale.
+        # eps' is scaled up 30x, which makes m about 2e4 per box, the blocks
+        # 2 000 rows and the sub-chunks 250, so that checks may lie 1 000
+        # rows apart, and 20 seeds of both solves take well under a second;
+        # the stop rule is the same at any scale.
         prime = ds.epsilon_prime
         monkeypatch.setattr(ds, "epsilon_prime", lambda i, e: 30.0 * prime(i, e))
         monkeypatch.setattr(geometry, "_MC_CHUNK", 2000)
+        monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 250)
         build, epsilon = _PREFIX_CASES[name]
         instance = build()
         saved = 0
@@ -301,15 +304,15 @@ class TestPrefixStop:
             assert trace.stop_reason == full.stop_reason == "threshold"
             assert trace.energy_estimate == full.energy_estimate
             assert trace.mc_points_energy == full.mc_points_energy > 0
-            m = _sample_count(instance, trace, config.eta)
-            draws = trace.passes * instance.density.k * m
+            k_m = instance.density.k * _sample_count(instance, trace, config.eta)
+            draws = trace.passes * k_m
             assert full.mc_points_gradient == draws
             # only the last pass can stop early
-            assert trace.mc_points_gradient > draws - m
+            assert trace.mc_points_gradient > draws - k_m
             saved += full.mc_points_gradient - trace.mc_points_gradient
-        if instance.density.k > 1 or name == "off-centre-1d":
-            # Two boxes always draw in full; the 1/L descent reaches the
-            # threshold too narrowly for a prefix to certify it.
+        if name == "off-centre-1d":
+            # The 1/L descent reaches the threshold too narrowly for a
+            # prefix to certify it.
             assert saved == 0
         else:
             assert saved > 0
@@ -349,6 +352,132 @@ class TestPrefixStop:
         assert trace.stop_reason == "threshold"
         m = _sample_count(symmetric_square, trace, config.eta)
         assert 0 < trace.mc_points_gradient <= trace.passes * m / 4
+
+
+class TestCheckSchedule:
+    # The gradient checks its prefix where the stop rule can first hold,
+    # and draws every box of the density in lockstep to each checked row.
+    # eps_bar = 0.01 at the solver's threshold of 8 eps_bar makes m about
+    # 1.5e5 rows a box and k_0 = m/7; sub-chunks of 50 rows let the checks
+    # lie 200 rows apart.
+    EPS_BAR, ETA = 0.01, 1e-6
+
+    @pytest.fixture(autouse=True)
+    def small_sub_chunks(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 50)
+        monkeypatch.setattr(geometry, "_MC_CHUNK", 10_000)
+
+    def _draw(self, instance, g, monkeypatch, threshold=None):
+        # The gradient's draw with every plan call recorded as
+        # (prefix volumes, k, returned row).
+        calls = []
+        count = geometry.cell_box_volumes_mc
+
+        def recorded(*args, plan=None, **kwargs):
+            def logged(volumes, k):
+                target = plan(volumes, k)
+                calls.append((volumes, k, target))
+                return target
+
+            return count(*args, plan=None if plan is None else logged, **kwargs)
+
+        monkeypatch.setattr(ds, "cell_box_volumes_mc", recorded)
+        drawn = []
+        grad = gradient(
+            instance, g, self.EPS_BAR, self.ETA, (3, 1), "mc",
+            threshold=threshold, drawn=drawn,
+        )
+        return grad, drawn, calls
+
+    def _m(self, instance):
+        n, k = instance.samples.n, instance.density.k
+        return geometry.mc_sample_count(n, self.EPS_BAR / math.sqrt(n), self.ETA / k)
+
+    def _norm(self, instance, volumes):
+        # the prefix gradient's norm, as the solver takes it
+        grad = instance.samples.demands.copy()
+        for (_, w), v in zip(instance.density.boxes, volumes):
+            grad -= w * v
+        grad -= grad.sum() / grad.size
+        return math.sqrt(float(grad @ grad))
+
+    @pytest.mark.parametrize("build", [fx.symmetric_square, _split_square])
+    def test_first_check_is_at_k0(self, build, monkeypatch):
+        instance = build()
+        m = self._m(instance)
+        threshold = 8.0 * self.EPS_BAR
+        _, drawn, calls = self._draw(instance, np.zeros(2), monkeypatch, threshold)
+        k0 = m * self.EPS_BAR / (threshold - self.EPS_BAR)
+        assert calls[0][:2] == (None, 0) and calls[0][2] == k0
+        # no prefix is seen before k_0 = ceil(m/7)
+        assert calls[1][1] == math.ceil(k0) == math.ceil(m / 7)
+        assert drawn == [calls[-1][1]] * instance.density.k
+        assert calls[-1][2] is None and drawn[0] < m
+
+    def test_a_failed_check_plans_from_its_norm(self, monkeypatch):
+        # Off the optimum, the rule fails at k_0 and the next check is
+        # where the failed prefix's norm nu would pass it.
+        instance = _split_square()
+        m = self._m(instance)
+        threshold = 8.0 * self.EPS_BAR
+        g = np.array([0.004, -0.004])
+        _, drawn, calls = self._draw(instance, g, monkeypatch, threshold)
+        gap = geometry._MC_CHECK_SUBCHUNKS * 50
+        checks = calls[1:]
+        assert len(checks) >= 2
+        for (volumes, k, target), (_, k_next, _) in zip(checks, checks[1:]):
+            nu = self._norm(instance, volumes)
+            slack = threshold - self.EPS_BAR - nu
+            assert nu + (1.0 + m / k) * self.EPS_BAR > threshold
+            assert target == (m * self.EPS_BAR / slack if slack > 0 else math.inf)
+            planned = k + 10_000 if math.isinf(target) else math.ceil(target)
+            assert k_next == min(m, max(planned, k + gap))
+        assert drawn == [checks[-1][1] if checks[-1][2] is None else m] * 2
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_draw_that_never_certifies_keeps_the_full_bits(
+        self, workers, monkeypatch
+    ):
+        # Far from the optimum every check from k_0 on fails and asks for a
+        # block more; the draw runs to m, with the bits of each box's own
+        # full count.
+        monkeypatch.setattr(geometry, "_MC_WORKERS", workers)
+        instance = _split_square()
+        m = self._m(instance)
+        g = np.array([0.3, -0.3])
+        grad, drawn, calls = self._draw(instance, g, monkeypatch, 8.0 * self.EPS_BAR)
+        checks = [k for _, k, _ in calls]
+        assert checks == [0, *range(math.ceil(m / 7), m, 10_000)]
+        assert drawn == [m, m]
+        full, _, _ = self._draw(instance, g, monkeypatch)
+        assert grad.tolist() == full.tolist()
+        expected = instance.samples.demands.copy()
+        for i, (box, w) in enumerate(instance.density.boxes):
+            expected -= w * geometry.cell_box_volumes_mc(
+                instance.samples, g, box, self.EPS_BAR / math.sqrt(2),
+                self.ETA / 2, (3, 1), box_index=i,
+            )
+        assert grad.tolist() == (expected - expected.sum() / 2).tolist()
+
+    def test_lost_labels_are_raised_on_a_prefix(self, monkeypatch):
+        labels = geometry._unit_labels
+        monkeypatch.setattr(
+            geometry, "_unit_labels", lambda fold, u, out: labels(fold, u, out)[1:]
+        )
+        instance = _split_square()
+        k0 = math.ceil(self._m(instance) / 7)
+        with pytest.raises(RuntimeError, match=f"not to the {k0} rows drawn"):
+            self._draw(instance, np.zeros(2), monkeypatch, 8.0 * self.EPS_BAR)
+
+    def test_an_early_stop_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_MC_WORKERS", 3)
+        instance = _split_square()
+        baseline = threading.active_count()
+        _, drawn, _ = self._draw(
+            instance, np.zeros(2), monkeypatch, 8.0 * self.EPS_BAR
+        )
+        assert drawn[0] < self._m(instance)
+        assert threading.active_count() == baseline
 
 
 class TestSolveDual:

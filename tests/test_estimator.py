@@ -144,11 +144,15 @@ class TestEstimateParameters:
             "guarantee_holds",
             "iterations",
             "passes",
+            "mc_points_gradient",
+            "mc_points_energy",
             "stop_reason",
             "backend",
         }
         assert doc["iterations"] == result.trace.M_bar
         assert doc["passes"] == result.trace.passes
+        assert doc["mc_points_gradient"] == result.trace.mc_points_gradient == 0
+        assert doc["mc_points_energy"] == result.trace.mc_points_energy == 0
         assert doc["stop_reason"] == result.trace.stop_reason
         assert doc["backend"] == result.trace.backend
         assert isinstance(doc["mu_hat"], list)

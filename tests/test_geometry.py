@@ -130,6 +130,17 @@ class TestSampleSet:
         assert_allclose(s.demands, [1 / 3, 1 / 3, 1 / 3])
         assert s.uniform_demands
 
+    @pytest.mark.parametrize("off", [0.0, 0.5e-9, 1e-9, 1.5e-9, 1e-6])
+    def test_uniform_demands_is_allclose_at_mass_tol(self, off):
+        # one max-abs comparison against MASS_TOL, the rule of np.allclose
+        # with rtol = 0 on finite demands, on either side of the tolerance
+        demands = np.array([0.5 + off, 0.5 - off])
+        s = SampleSet(np.array([[0.0], [1.0]]), demands)
+        expected = np.allclose(demands, 0.5, atol=geometry.MASS_TOL, rtol=0.0)
+        assert s.uniform_demands is bool(expected)
+        if off != 1e-9:
+            assert s.uniform_demands is (off < 1e-9)
+
     def test_demands_must_sum_to_one(self):
         with pytest.raises(ValueError):
             SampleSet(points=np.array([[0.0], [1.0]]), demands=np.array([0.5, 0.6]))
@@ -583,8 +594,9 @@ class TestMcWorkers:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("n", [2, 5])
     def test_stop_returns_the_prefix_estimate(self, workers, n, monkeypatch):
-        # Blocks of 1000 rows: the check sees each block's prefix short of
-        # m, and a stop after the third returns the first 3000 rows' counts.
+        # Blocks of 1000 rows: a plan that finds no row to pass at (inf)
+        # sees each block's prefix short of m, and a stop after the third
+        # returns the first 3000 rows' counts.
         monkeypatch.setattr(geometry, "_MC_CHUNK", 1000)
         monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 83)
         monkeypatch.setattr(geometry, "_MC_WORKERS", workers)
@@ -599,30 +611,101 @@ class TestMcWorkers:
         seen = []
 
         def stop_at(rows):
-            def stop(volumes, k):
+            def plan(volumes, k):
+                if volumes is None:
+                    return math.inf
                 expected = _unit_rule_counts(samples, g, box, units[:k])
                 assert volumes.tolist() == (expected / k * box.volume).tolist()
                 seen.append(k)
-                return k == rows
+                return None if k == rows else math.inf
 
-            return stop
+            return plan
 
         baseline = threading.active_count()
-        v = cell_box_volumes_mc(*args, stop=stop_at(3000))
+        v = cell_box_volumes_mc(*args, plan=stop_at(3000))
         assert seen == [1000, 2000, 3000]
         counts = _unit_rule_counts(samples, g, box, units[:3000])
         assert v.tolist() == (counts / 3000 * box.volume).tolist()
         assert threading.active_count() == baseline
-        # A stop that never returns True leaves the full draw's bits.
+        # A plan that never stops leaves the full draw's bits.
         seen.clear()
-        v = cell_box_volumes_mc(*args, stop=stop_at(None))
+        v = cell_box_volumes_mc(*args, plan=stop_at(None))
         assert seen == [1000, 2000, 3000, 4000, 5000]
         assert v.tolist() == cell_box_volumes_mc(*args).tolist()
 
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_lockstep_boxes_match_their_own_draws(
+        self, workers, n, monkeypatch, frequent_switches
+    ):
+        # Three boxes drawn in lockstep on one pool, with more workers than
+        # cores: every planned prefix and the full draw hold each box's own
+        # counts of its first k rows, whatever piece of the draw a worker
+        # took across the boxes.
+        monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 83)
+        monkeypatch.setattr(geometry, "_MC_WORKERS", workers)
+        m = 5003
+        monkeypatch.setattr(geometry, "mc_sample_count", lambda n, eps, eta: m)
+        rng = np.random.default_rng(10 + n)
+        samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(n, 2)))
+        g = rng.uniform(-0.2, 0.2, size=n)
+        boxes = [
+            Hyperrectangle([-1.0, -0.5], [0.0, 1.5]),
+            Hyperrectangle([0.0, -0.5], [1.0, 0.5]),
+            Hyperrectangle([0.0, 0.5], [1.0, 1.5]),
+        ]
+        units = [box_rng(11, 2 + i).random((m, 2)) for i in range(3)]
+
+        def expected(k):
+            return [
+                (_unit_rule_counts(samples, g, box, u[:k]) / k * box.volume).tolist()
+                for box, u in zip(boxes, units)
+            ]
+
+        seen = []
+
+        def plan(volumes, k):
+            if volumes is not None:
+                assert volumes.tolist() == expected(k)
+                seen.append(k)
+            return k + 1201
+
+        args = (samples, g, boxes, 0.1, 0.1, 11, 2)
+        v = cell_box_volumes_mc(*args, plan=plan)
+        assert seen == [1201, 2402, 3603, 4804]
+        assert v.tolist() == expected(m)
+        assert v.tolist() == cell_box_volumes_mc(*args).tolist()
+
+    def test_checks_lie_sub_chunks_apart_and_within_m(self, monkeypatch):
+        # A plan that asks for the next row at once gets one every
+        # _MC_CHECK_SUBCHUNKS sub-chunks of 83 rows; one that asks past m
+        # draws to m with no further check.
+        monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 83)
+        m = 2000
+        monkeypatch.setattr(geometry, "mc_sample_count", lambda n, eps, eta: m)
+        samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
+        box = Hyperrectangle([-1.0], [1.0])
+        gap = geometry._MC_CHECK_SUBCHUNKS * 83
+        for ask, expected in ((1, range(900, m, gap)), (m + 500, [900])):
+            seen = []
+
+            def plan(volumes, k):
+                if volumes is None:
+                    return 900
+                seen.append(k)
+                return k + ask
+
+            v = cell_box_volumes_mc(samples, np.zeros(2), box, 0.1, 0.1, 4, plan=plan)
+            assert seen == list(expected)
+            assert v.tolist() == cell_box_volumes_mc(
+                samples, np.zeros(2), box, 0.1, 0.1, 4
+            ).tolist()
+
     def test_stop_checks_the_prefix_counts(self, monkeypatch):
         # a label callback that drops each sub-chunk's first point, on a
-        # draw of m = 4 611 rows in blocks of 1000
+        # draw of m = 4 612 rows in blocks of 1000 and sub-chunks of 100
         monkeypatch.setattr(geometry, "_MC_CHUNK", 1000)
+        monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 100)
         labels = geometry._unit_labels
         monkeypatch.setattr(
             geometry, "_unit_labels", lambda fold, u, out: labels(fold, u, out)[1:]
@@ -631,7 +714,8 @@ class TestMcWorkers:
         box = Hyperrectangle([-1.0], [1.0])
         with pytest.raises(RuntimeError, match="not to the 1000 rows drawn"):
             cell_box_volumes_mc(
-                samples, np.zeros(2), box, 0.02, 0.1, seed=0, stop=lambda v, k: True
+                samples, np.zeros(2), box, 0.02, 0.1, seed=0,
+                plan=lambda v, k: math.inf if v is None else None,
             )
 
     @pytest.mark.parametrize("l, n", [(1, 2), (2, 2), (3, 2), (2, 5), (4, 8), (3, 16)])

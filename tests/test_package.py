@@ -195,7 +195,8 @@ def test_tracer_targets_resolve():
 
 def test_mc_gradient_calls_the_volume_count_as_the_tracer_reads_it(monkeypatch):
     # The tracer wraps dual_solver.cell_box_volumes_mc and reads its first
-    # five positional arguments: (samples, g, box, eps_bar, eta_prime).
+    # five positional arguments: (samples, g, box, eps_bar, eta_prime). The
+    # gradient makes one call for all its boxes, drawn in lockstep.
     from boxot import dual_solver
 
     calls = []
@@ -212,8 +213,8 @@ def test_mc_gradient_calls_the_volume_count_as_the_tracer_reads_it(monkeypatch):
         instance, g, eps_bar=0.05, eta_prime=0.1, seed=3, backend="mc", threshold=0.4
     )
     (args,) = calls
-    samples, weights, box, eps_bar, eta_prime = args[:5]
+    samples, weights, boxes, eps_bar, eta_prime = args[:5]
     assert samples is instance.samples
     assert weights.tolist() == g.tolist()
-    assert box is instance.density.boxes[0][0]
+    assert list(boxes) == [instance.density.boxes[0][0]]
     assert eps_bar == 0.05 / np.sqrt(2) and eta_prime == 0.1
