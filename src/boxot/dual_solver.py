@@ -291,18 +291,19 @@ def gradient(
 
     With a ``threshold`` (the solver's stop on ||grad||), the MC draw ends
     at the first checked prefix whose estimate g_k, from the first k of
-    the m points of every box, satisfies ||g_k|| + (1 + m/k) eps_bar <=
-    threshold, and returns g_k. Hoeffding's maximal inequality puts every
-    prefix within (m/k) eps_bar of grad E on the full draw's own event, of
-    probability >= 1 - eta_prime (see :func:`cell_box_volumes_mc`). There
-    ||g_m|| <= ||grad E|| + eps_bar <= ||g_k|| + (1 + m/k) eps_bar <=
-    threshold: the full draw would pass the threshold too, so a solver
-    that stops on it stops at the same iterate. The rule can hold at k
-    only if k >= m eps_bar / (threshold - eps_bar - ||g_k||), so the first
-    check is at k_0 = m eps_bar / (threshold - eps_bar) (m/7 at the
+    the m points of every box, satisfies ||g_k|| + (3 + m/k) eps_bar / 2
+    <= threshold, and returns g_k. Hoeffding's supermartingale and Ville's
+    inequality put every prefix within (m/k + 1) eps_bar / 2 of grad E at
+    once, on an event inside the full draw's own of probability >= 1 -
+    eta_prime (see :func:`cell_box_volumes_mc`). There ||g_m|| <=
+    ||grad E|| + eps_bar <= ||g_k|| + (3 + m/k) eps_bar / 2 <= threshold:
+    the full draw would pass the threshold too, so a solver that stops on
+    it stops at the same iterate. The rule can hold at k only if k >=
+    m eps_bar / (2 threshold - 3 eps_bar - 2 ||g_k||), so the first check
+    is at k_0 = m eps_bar / (2 threshold - 3 eps_bar) (m/13 at the
     solver's threshold of 8 eps_bar), and a check that fails at prefix
-    norm nu plans the next at m eps_bar / (threshold - eps_bar - nu), or a
-    block further when that denominator is not positive. Every box is
+    norm nu plans the next at m eps_bar / (2 threshold - 3 eps_bar - 2 nu),
+    or a block further when that denominator is not positive. Every box is
     drawn in lockstep to each check's row, on one pool of threads. A
     prefix that never certifies runs to m and returns the full draw's
     bits. ``drawn``, when given, gets the number of points drawn in each
@@ -333,11 +334,11 @@ def gradient(
             # The solver's gradient norm of the prefix, to the same bits.
             prefix = estimate(volumes)
             norm = math.sqrt(float(prefix.dot(prefix)))
-            if norm + (1.0 + m / prefix_rows) * eps_bar <= threshold:
+            if norm + (3.0 + m / prefix_rows) * eps_bar / 2.0 <= threshold:
                 nonlocal rows
                 rows = prefix_rows
                 return None
-        slack = threshold - eps_bar - norm
+        slack = 2.0 * threshold - 3.0 * eps_bar - 2.0 * norm
         return m * eps_bar / slack if slack > 0.0 else math.inf
 
     volumes = cell_box_volumes_mc(
@@ -429,13 +430,15 @@ def solve_dual(
 
     Each mc gradient draw is given the threshold and ends at the first
     checked prefix, of k of the m points of every box, whose estimate g_k
-    has ||g_k|| + (1 + m/k) eps_bar <= eps'/(45 n D^2); the checks are
-    planned from that rule, the first at k = m/7 (see :func:`gradient`).
-    By Hoeffding's maximal inequality this happens, on the full draw's own
-    event, only where the full draw's norm is below the threshold too: the
-    solve stops at the same t with the same iterate and the same energy,
-    and only the last row's ``grad_norm`` is the prefix's. A draw whose
-    prefix never certifies is the full draw, bit for bit.
+    has ||g_k|| + (3 + m/k) eps_bar / 2 <= eps'/(45 n D^2); the checks
+    are planned from that rule, the first at k = m/13 (see
+    :func:`gradient`). By Hoeffding's supermartingale and Ville's
+    inequality this happens, on an event inside the full draw's own of the
+    same probability, only where the full draw's norm is below the
+    threshold too: the solve stops at the same t with the same iterate and
+    the same energy, and only the last row's ``grad_norm`` is the
+    prefix's. A draw whose prefix never certifies is the full draw, bit
+    for bit.
     """
     stats = instance.stats
     n = instance.samples.n

@@ -41,9 +41,9 @@ count label can differ from ``classify_points(lo + w u)`` only within
 rounding of a cell boundary. The potential integral adds ||x||^2 to the
 least score. The volume count draws several boxes in lockstep on one pool of
 threads, and its caller may plan the rows at which it checks the prefix: it
-may end the count at any checked prefix, whose estimate Hoeffding's maximal
-inequality bounds on the full count's own event (see
-:func:`cell_box_volumes_mc`).
+may end the count at any checked prefix, whose estimate a line boundary of
+Hoeffding's supermartingale bounds on an event inside the full count's own
+(see :func:`cell_box_volumes_mc`).
 """
 
 from __future__ import annotations
@@ -593,20 +593,28 @@ def cell_box_volumes_mc(
     threads, and returns the (k, n) estimates, each box's with failure
     probability at most eta'.
 
-    Hoeffding's bound holds for the largest deviation over all prefixes of
-    the count, not only for the last (Hoeffding 1963, section 2.6). So on
-    the same event of probability at least 1 - eta', the estimate from the
-    first k draws, counts_j / k * vol(box), is within (m/k) eps_bar vol(box)
-    of every cell's volume, for every k <= m at once. ``plan``, when given,
-    schedules checks of that prefix. It is called first with no estimate
-    and k = 0, then with the prefix estimate and k at each check short of
-    m. It returns None to end the draw there and return that prefix, or
-    the row at which the caller's rule could next pass: math.inf when none
-    can yet, which puts the next check one block (``_MC_CHUNK`` rows)
-    further. Every box is drawn to that row, but at least
-    ``_MC_CHECK_SUBCHUNKS`` sub-chunks past the last check and never past m.
-    Otherwise all m points are drawn, and the result has the bits it has
-    without ``plan``.
+    Hoeffding's bound holds for every prefix of the count at once, not only
+    for the last. For one cell's centred count S_k after k draws,
+    exp(lambda S_k - k lambda^2 / 8) is a supermartingale (Hoeffding's
+    lemma), and Ville's inequality at lambda = 4 eps_bar gives
+    P(S_k >= (m + k) eps_bar / 2 for some k) <= exp(-2 m eps_bar^2): the
+    probability the union bound spends on the full count's deviation
+    m eps_bar (Hoeffding 1963; Howard et al. 2021). That line meets
+    m eps_bar at k = m and lies below it for every k < m. So on an event
+    of probability at least 1 - eta' inside the full count's own, the
+    estimate from the first k draws, counts_j / k * vol(box), is within
+    (m/k + 1) eps_bar vol(box) / 2 of every cell's volume, for every
+    k <= m at once.
+
+    ``plan``, when given, schedules checks of that prefix. It is called
+    first with no estimate and k = 0, then with the prefix estimate and k
+    at each check short of m. It returns None to end the draw there and
+    return that prefix, or the row at which the caller's rule could next
+    pass: math.inf when none can yet, which puts the next check one block
+    (``_MC_CHUNK`` rows) further. Every box is drawn to that row, but at
+    least ``_MC_CHECK_SUBCHUNKS`` sub-chunks past the last check and never
+    past m. Otherwise all m points are drawn, and the result has the bits
+    it has without ``plan``.
 
     One pass serves every cell: the gradient consumes all j for a fixed box.
     The points are the first m rows u of the ``box_rng(seed, box_index)``
@@ -615,10 +623,13 @@ def cell_box_volumes_mc(
     index of the least ``u @ W + c``, or with n = 2 whether ``u . v < c'``
     (see the module docstring). Each point's cell depends only on its row,
     and counts are integers, so the result is the same, bit for bit, for
-    any worker count and any schedule of checks. Raises ValueError unless g
-    holds n finite weights.
+    any worker count and any schedule of checks. Raises ValueError, before
+    any thread starts, unless g holds n finite weights and there is at
+    least one box.
     """
     boxes = [box] if isinstance(box, Hyperrectangle) else list(box)
+    if not boxes:
+        raise ValueError("cell_box_volumes_mc needs at least one box")
     g = _finite_weights(g, samples.n)
     n, l = samples.n, samples.dimension
     m = mc_sample_count(n, eps_bar, eta_prime)

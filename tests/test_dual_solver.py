@@ -273,8 +273,8 @@ def _sample_count(instance, trace, eta):
 
 
 class TestPrefixStop:
-    # The mc gradient draw ends at the first block whose prefix certifies the
-    # threshold stop; on the maximal inequality's event the solve is the one
+    # The mc gradient draw ends at the first checked prefix that certifies
+    # the threshold stop; on the line boundary's event the solve is the one
     # the full draws give.
 
     @pytest.mark.parametrize("name", sorted(_PREFIX_CASES))
@@ -338,7 +338,7 @@ class TestPrefixStop:
             norm = math.sqrt(float(grad @ grad))
             if drawn[0] < m:
                 stops += 1
-                assert norm + (1.0 + m / drawn[0]) * eps_bar <= threshold
+                assert norm + (3.0 + m / drawn[0]) * eps_bar / 2.0 <= threshold
                 assert math.sqrt(float(full @ full)) <= threshold
             else:
                 assert drawn == [m]
@@ -353,12 +353,22 @@ class TestPrefixStop:
         m = _sample_count(symmetric_square, trace, config.eta)
         assert 0 < trace.mc_points_gradient <= trace.passes * m / 4
 
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_symmetric_square_draws_an_eighth(self, seed, symmetric_square):
+        # The line boundary's first check is at m/13, so the stop lies
+        # below m/8 after a failed check or two.
+        config = SolverConfig(epsilon=0.9, eta=0.05, seed=seed, volume_backend="mc")
+        _, _, trace = solve_dual(symmetric_square, config)
+        assert trace.stop_reason == "threshold"
+        m = _sample_count(symmetric_square, trace, config.eta)
+        assert 0 < trace.mc_points_gradient <= trace.passes * m / 8
+
 
 class TestCheckSchedule:
     # The gradient checks its prefix where the stop rule can first hold,
     # and draws every box of the density in lockstep to each checked row.
     # eps_bar = 0.01 at the solver's threshold of 8 eps_bar makes m about
-    # 1.5e5 rows a box and k_0 = m/7; sub-chunks of 50 rows let the checks
+    # 1.5e5 rows a box and k_0 = m/13; sub-chunks of 50 rows let the checks
     # lie 200 rows apart.
     EPS_BAR, ETA = 0.01, 1e-6
 
@@ -367,7 +377,7 @@ class TestCheckSchedule:
         monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 50)
         monkeypatch.setattr(geometry, "_MC_CHUNK", 10_000)
 
-    def _draw(self, instance, g, monkeypatch, threshold=None):
+    def _draw(self, instance, g, monkeypatch, threshold=None, seed=(3, 1)):
         # The gradient's draw with every plan call recorded as
         # (prefix volumes, k, returned row).
         calls = []
@@ -384,7 +394,7 @@ class TestCheckSchedule:
         monkeypatch.setattr(ds, "cell_box_volumes_mc", recorded)
         drawn = []
         grad = gradient(
-            instance, g, self.EPS_BAR, self.ETA, (3, 1), "mc",
+            instance, g, self.EPS_BAR, self.ETA, seed, "mc",
             threshold=threshold, drawn=drawn,
         )
         return grad, drawn, calls
@@ -393,13 +403,19 @@ class TestCheckSchedule:
         n, k = instance.samples.n, instance.density.k
         return geometry.mc_sample_count(n, self.EPS_BAR / math.sqrt(n), self.ETA / k)
 
-    def _norm(self, instance, volumes):
-        # the prefix gradient's norm, as the solver takes it
+    def _prefix(self, instance, volumes):
+        # the prefix gradient, as the solver takes it
         grad = instance.samples.demands.copy()
         for (_, w), v in zip(instance.density.boxes, volumes):
             grad -= w * v
-        grad -= grad.sum() / grad.size
+        return grad - grad.sum() / grad.size
+
+    def _norm(self, instance, volumes):
+        grad = self._prefix(instance, volumes)
         return math.sqrt(float(grad @ grad))
+
+    def _k0(self, m, threshold):
+        return m * self.EPS_BAR / (2.0 * threshold - 3.0 * self.EPS_BAR)
 
     @pytest.mark.parametrize("build", [fx.symmetric_square, _split_square])
     def test_first_check_is_at_k0(self, build, monkeypatch):
@@ -407,10 +423,10 @@ class TestCheckSchedule:
         m = self._m(instance)
         threshold = 8.0 * self.EPS_BAR
         _, drawn, calls = self._draw(instance, np.zeros(2), monkeypatch, threshold)
-        k0 = m * self.EPS_BAR / (threshold - self.EPS_BAR)
+        k0 = self._k0(m, threshold)
         assert calls[0][:2] == (None, 0) and calls[0][2] == k0
-        # no prefix is seen before k_0 = ceil(m/7)
-        assert calls[1][1] == math.ceil(k0) == math.ceil(m / 7)
+        # no prefix is seen before k_0 = ceil(m/13)
+        assert calls[1][1] == math.ceil(k0) == math.ceil(m / 13)
         assert drawn == [calls[-1][1]] * instance.density.k
         assert calls[-1][2] is None and drawn[0] < m
 
@@ -427,12 +443,36 @@ class TestCheckSchedule:
         assert len(checks) >= 2
         for (volumes, k, target), (_, k_next, _) in zip(checks, checks[1:]):
             nu = self._norm(instance, volumes)
-            slack = threshold - self.EPS_BAR - nu
-            assert nu + (1.0 + m / k) * self.EPS_BAR > threshold
+            slack = 2.0 * threshold - 3.0 * self.EPS_BAR - 2.0 * nu
+            assert nu + (3.0 + m / k) * self.EPS_BAR / 2.0 > threshold
             assert target == (m * self.EPS_BAR / slack if slack > 0 else math.inf)
             planned = k + 10_000 if math.isinf(target) else math.ceil(target)
             assert k_next == min(m, max(planned, k + gap))
         assert drawn == [checks[-1][1] if checks[-1][2] is None else m] * 2
+
+    @pytest.mark.parametrize("build", [fx.symmetric_square, _split_square])
+    def test_every_checked_prefix_lies_within_the_line(self, build, monkeypatch):
+        # On the line boundary's event, of probability >= 1 - 1e-6 here,
+        # every prefix g_k the plan sees is within (m/k + 1) eps_bar / 2 of
+        # the exact gradient: at the optimum, near it (a check or two fail)
+        # and far from it (every block's check fails).
+        monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 1000)
+        instance = build()
+        m = self._m(instance)
+        checked = 0
+        for shift in (0.0, 0.004, 0.3):
+            g = np.array([shift, -shift])
+            exact = gradient(instance, g, backend="exact")
+            for seed in range(20):
+                _, _, calls = self._draw(
+                    instance, g, monkeypatch, 8.0 * self.EPS_BAR, seed=(seed, 5)
+                )
+                for volumes, k, _ in calls[1:]:
+                    error = self._prefix(instance, volumes) - exact
+                    bound = (m / k + 1.0) * self.EPS_BAR / 2.0
+                    assert math.sqrt(float(error @ error)) <= bound
+                    checked += 1
+        assert checked >= 3 * 20
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_a_draw_that_never_certifies_keeps_the_full_bits(
@@ -445,9 +485,10 @@ class TestCheckSchedule:
         instance = _split_square()
         m = self._m(instance)
         g = np.array([0.3, -0.3])
-        grad, drawn, calls = self._draw(instance, g, monkeypatch, 8.0 * self.EPS_BAR)
+        threshold = 8.0 * self.EPS_BAR
+        grad, drawn, calls = self._draw(instance, g, monkeypatch, threshold)
         checks = [k for _, k, _ in calls]
-        assert checks == [0, *range(math.ceil(m / 7), m, 10_000)]
+        assert checks == [0, *range(math.ceil(self._k0(m, threshold)), m, 10_000)]
         assert drawn == [m, m]
         full, _, _ = self._draw(instance, g, monkeypatch)
         assert grad.tolist() == full.tolist()
@@ -465,9 +506,10 @@ class TestCheckSchedule:
             geometry, "_unit_labels", lambda fold, u, out: labels(fold, u, out)[1:]
         )
         instance = _split_square()
-        k0 = math.ceil(self._m(instance) / 7)
+        threshold = 8.0 * self.EPS_BAR
+        k0 = math.ceil(self._k0(self._m(instance), threshold))
         with pytest.raises(RuntimeError, match=f"not to the {k0} rows drawn"):
-            self._draw(instance, np.zeros(2), monkeypatch, 8.0 * self.EPS_BAR)
+            self._draw(instance, np.zeros(2), monkeypatch, threshold)
 
     def test_an_early_stop_leaves_no_thread(self, monkeypatch):
         monkeypatch.setattr(geometry, "_MC_WORKERS", 3)

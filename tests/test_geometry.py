@@ -591,6 +591,19 @@ class TestMcWorkers:
         with pytest.raises(RuntimeError, match=f"not to m = {m}"):
             cell_box_volumes_mc(samples, np.zeros(2), box, 0.05, 0.1, seed=0)
 
+    def test_an_empty_box_sequence_is_refused(self, monkeypatch):
+        # refused by name, before a pool of threads is asked for
+        def no_pool():
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(geometry, "_pool", no_pool)
+        samples = SampleSet.uniform(np.array([[-1.0, 0.0], [1.0, 0.0]]))
+        for plan in (None, lambda volumes, k: math.inf):
+            with pytest.raises(ValueError, match="at least one box"):
+                cell_box_volumes_mc(
+                    samples, np.zeros(2), [], 0.05, 0.1, seed=0, plan=plan
+                )
+
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("n", [2, 5])
     def test_stop_returns_the_prefix_estimate(self, workers, n, monkeypatch):
