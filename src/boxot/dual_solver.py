@@ -241,11 +241,12 @@ def energy(
     """Dual energy E(g).
 
     Exact backend (l <= 3): closed-form clipped-cell quadratic moments per
-    box. MC backend: per-box uniform sampling of the potential
-    min_j(||x - y_j||^2 - g_j) with Hoeffding counts for additive error
-    ``accuracy`` at failure probability eta_prime; the integrand range is
-    bounded by 4 D^2 + 2 ||g||_inf. ``drawn``, when given, gets the number
-    of points drawn in each box appended.
+    box. MC backend: uniform sampling of the potential
+    min_j(||x - y_j||^2 - g_j), every box in lockstep, with Hoeffding counts
+    for additive error ``accuracy`` > 0 at failure probability eta_prime in
+    (0, 1), both checked before any draw; the integrand range is bounded by
+    4 D^2 + 2 ||g||_inf. ``drawn``, when given, gets the number of points
+    drawn in each box appended.
     """
     g = _finite_weights(g, instance.samples.n)
     samples = instance.samples
@@ -256,17 +257,22 @@ def energy(
 
     if accuracy is None or eta_prime is None:
         raise ValueError("mc energy needs accuracy and eta_prime")
+    if not 0.0 < accuracy < math.inf:
+        raise ValueError(f"accuracy must be finite and positive, not {accuracy}")
+    if not 0.0 < eta_prime < 1.0:
+        raise ValueError(f"eta_prime must lie in (0, 1), not {eta_prime}")
     stats = instance.stats
     rng_range = 4.0 * stats.D**2 + 2.0 * float(np.abs(g).max())
     k = instance.density.k
     m = int(
         math.ceil(rng_range**2 * math.log(2.0 * k / eta_prime) / (2.0 * accuracy**2))
     )
+    boxes, weights = zip(*instance.density.boxes)
     total = 0.0
-    for idx, (box, w) in enumerate(instance.density.boxes):
-        total += potential_integral_mc(samples, g, box, w, m, seed, box_index=idx)
-        if drawn is not None:
-            drawn.append(m)
+    for value in potential_integral_mc(samples, g, boxes, weights, m, seed).tolist():
+        total += value
+    if drawn is not None:
+        drawn.extend([m] * k)
     return total + float(g @ samples.demands)
 
 

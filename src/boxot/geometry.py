@@ -39,11 +39,11 @@ with n = 2 sinks by one projection ``u . v < c'``; ties go to the first
 index. :func:`classify_points` is that rule on the unit cube [0, 1]^l, so a
 count label can differ from ``classify_points(lo + w u)`` only within
 rounding of a cell boundary. The potential integral adds ||x||^2 to the
-least score. The volume count draws several boxes in lockstep on one pool of
-threads, and its caller may plan the rows at which it checks the prefix: it
-may end the count at any checked prefix, whose estimate a line boundary of
-Hoeffding's supermartingale bounds on an event inside the full count's own
-(see :func:`cell_box_volumes_mc`).
+least score. Both draw any number of boxes in lockstep through one loop on
+one pool of threads (:func:`_draw`). The potential adds one block after
+another; the volume count's caller may plan its prefix checks and end it at
+any checked prefix, whose estimate a line boundary of Hoeffding's
+supermartingale bounds on an event inside the full count's own.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,8 +66,10 @@ MASS_TOL = 1e-9
 MC_SAMPLE_CAP = 50_000_000
 # Rows per block of a box's draws. Each point's value depends only on its
 # position in the (seed, box_index) stream, never on the worker count, but
-# the energy adds the values one block at a time: the block length fixes
-# its summation order, and so its bits. It also bounds the result buffer.
+# the potential adds the values one block at a time: the block length fixes
+# its summation order, and so its bits. It also bounds the potential's
+# buffer to k * min(m, _MC_CHUNK) floats for k boxes drawn in lockstep, and
+# a volume count's stretch between checks that find no row to pass at.
 _MC_CHUNK = 2_000_000
 # Rows a worker draws and scores per numpy call: at most _MC_SUBCHUNK, and
 # at most _MC_SUBCHUNK_WORK / (n l), so that the (rows, l) @ (l, n) product
@@ -446,14 +448,6 @@ def _subchunk_rows(samples: SampleSet, l: int) -> int:
     return max(2, min(_MC_SUBCHUNK, _MC_SUBCHUNK_WORK // (samples.n * l)))
 
 
-def _refuse_above_cap(m: int) -> None:
-    if m > MC_SAMPLE_CAP:
-        raise BudgetRefused(
-            f"MC budget {m} exceeds cap {MC_SAMPLE_CAP}; "
-            "loosen the accuracy targets or use the exact backend"
-        )
-
-
 def _pool() -> ThreadPoolExecutor:
     # The threads of one draw. The calling thread draws a piece too, so
     # _MC_WORKERS - 1 of them make one thread per usable core.
@@ -478,88 +472,77 @@ def _fill(state: dict, l: int, size: int, per_point, first: int, stop: int) -> N
         first = end
 
 
-def _draw_rows(pool, streams, first: int, stop: int, l: int, size: int) -> None:
-    """Rows [first, stop) of every stream, one (state, scorer) pair a box.
-
-    The k (stop - first) rows, box after box, are cut into at most
-    ``_MC_WORKERS`` contiguous pieces of equal length, none shorter than
-    ``size`` rows unless there is only one. The calling thread draws the
-    first piece and the pool the others, so a draw of many boxes holds no
-    more threads than one of a single box. A piece draws each box's rows in
-    it by
-    :func:`_fill`, with the ``per_point`` that ``scorer()`` returns: a
-    scorer may build its box's fold there, so that only the folds of the
-    boxes being drawn are held. A worker's exception is raised once every
-    piece has been drawn.
-    """
-    span = stop - first
-    total = len(streams) * span
-    parts = max(1, min(_MC_WORKERS, total // size))
-    cuts = [total * i // parts for i in range(parts + 1)]
-
-    def draw(a: int, b: int) -> None:
-        # Positions [a, b) of the box-after-box order.
-        while a < b:
-            box, row = divmod(a, span)
-            end = min(b, (box + 1) * span)
-            state, scorer = streams[box]
-            _fill(state, l, size, scorer(), first + row, first + end - box * span)
-            a = end
-
-    jobs = [pool.submit(draw, a, b) for a, b in zip(cuts[1:], cuts[2:])]
-    try:
-        draw(cuts[0], cuts[1])
-    finally:
-        wait(jobs)
-    for job in jobs:
-        job.result()
-
-
-def _box_draws(
+def _draw(
     samples: SampleSet,
-    box: Hyperrectangle,
+    k: int,
     m: int,
     seed,
     box_index: int,
-    per_point: Callable[[np.ndarray, np.ndarray], None],
-    dtype,
-) -> Iterator[np.ndarray]:
-    """``per_point`` of the first m unit draws of the box's ``box_rng`` stream.
+    scorer: Callable[[int], Callable[[np.ndarray, int], None]],
+    plan: Callable[[int], float | None],
+) -> int:
+    """Draw the first rows of k boxes' streams in lockstep; return the rows drawn.
 
-    ``per_point(u, out)`` writes one value per row of ``u`` into ``out``.
-    Each row of ``u`` is a unit draw of ``Generator.random``; the box's
-    point for it is ``lo + width * u``, the value ``Generator.uniform``
-    gives. Each callback scores ``u`` with :func:`_unit_scores` and may then
-    overwrite it. Yields the values a block of at most ``_MC_CHUNK`` rows
-    at a time, so memory stays bounded; each yielded array is reused for
-    the next block.
+    Box i draws from ``box_rng(seed, box_index + i)``, and ``scorer(i)``
+    returns the ``per_point`` that :func:`_fill` hands its unit draws u; the
+    point of u is ``lo + width * u``, the value ``Generator.uniform`` gives.
+    A ``per_point`` may overwrite u. A scorer may build its box's fold, so
+    that only the folds of the boxes being drawn are held.
 
-    Each block is drawn by :func:`_draw_rows`: split into row ranges over
-    one thread per usable core, each of which jumps a copy of the stream to
-    its first row and draws a sub-chunk at a time (:func:`_subchunk_rows`).
-    The kernel scores a lone row as two (numpy multiplies a lone row with
-    another kernel, which rounds differently), so every value depends only
-    on its row, never on the split or on m.
+    ``plan(rows)`` is called with 0, then with the rows drawn after each
+    stretch short of m. It returns None to end the draw, or the row at which
+    to end the next stretch: math.inf puts it one block (``_MC_CHUNK`` rows)
+    further. A stretch ends at least ``_MC_CHECK_SUBCHUNKS`` sub-chunks past
+    the last and at m at the latest, where the draw ends.
 
-    A budget above ``MC_SAMPLE_CAP`` is refused before any draw and before
-    any thread starts; a worker's exception is raised once every worker has
-    stopped.
+    A stretch of every box, box after box, is cut into at most
+    ``_MC_WORKERS`` contiguous pieces of equal length, none shorter than a
+    sub-chunk unless there is only one. The calling thread draws the first
+    piece and the draw's one pool the others, so k boxes hold no more
+    threads than one. A piece jumps a copy of each box's stream to its first
+    row, so every value depends only on its row, never on the split, the
+    stretches or m. A budget above ``MC_SAMPLE_CAP`` is refused before any
+    draw and any thread; a worker's exception is raised once every piece has
+    been drawn.
     """
-    _refuse_above_cap(m)
-    l = box.dimension
+    if m > MC_SAMPLE_CAP:
+        raise BudgetRefused(
+            f"MC budget {m} exceeds cap {MC_SAMPLE_CAP}; "
+            "loosen the accuracy targets or use the exact backend"
+        )
+    l = samples.dimension
     size = _subchunk_rows(samples, l)
-    block = np.empty(min(m, _MC_CHUNK), dtype=dtype)
-    start = 0
+    states = [box_rng(seed, box_index + i).bit_generator.state for i in range(k)]
 
-    def into_block(u: np.ndarray, row: int) -> None:
-        per_point(u, block[row - start : row - start + len(u)])
+    def draw(first: int, span: int, a: int, b: int) -> None:
+        # Positions [a, b) of rows [first, first + span), box after box.
+        while a < b:
+            i, row = divmod(a, span)
+            end = min(b, (i + 1) * span)
+            _fill(states[i], l, size, scorer(i), first + row, first + end - i * span)
+            a = end
 
-    stream = (box_rng(seed, box_index).bit_generator.state, lambda: into_block)
+    rows, target = 0, plan(0)
     with _pool() as pool:
-        for start in range(0, m, _MC_CHUNK):
-            stop = min(start + _MC_CHUNK, m)
-            _draw_rows(pool, [stream], start, stop, l, size)
-            yield block[: stop - start]
+        while target is not None:
+            if math.isinf(target):
+                target = rows + _MC_CHUNK
+            least = rows + _MC_CHECK_SUBCHUNKS * size
+            span = min(m, max(math.ceil(min(target, m)), least)) - rows
+            parts = max(1, min(_MC_WORKERS, k * span // size))
+            cuts = [k * span * i // parts for i in range(parts + 1)]
+            jobs = [
+                pool.submit(draw, rows, span, a, b) for a, b in zip(cuts[1:], cuts[2:])
+            ]
+            try:
+                draw(rows, span, cuts[0], cuts[1])
+            finally:
+                wait(jobs)
+            for job in jobs:
+                job.result()
+            rows += span
+            target = None if rows == m else plan(rows)
+    return rows
 
 
 def mc_sample_count(n: int, eps_bar: float, eta_prime: float) -> int:
@@ -631,10 +614,9 @@ def cell_box_volumes_mc(
     if not boxes:
         raise ValueError("cell_box_volumes_mc needs at least one box")
     g = _finite_weights(g, samples.n)
-    n, l = samples.n, samples.dimension
+    n = samples.n
     m = mc_sample_count(n, eps_bar, eta_prime)
-    _refuse_above_cap(m)
-    size = _subchunk_rows(samples, l)
+    size = _subchunk_rows(samples, samples.dimension)
     # Each worker counts its own sub-chunk's labels, so no worker waits on a
     # count of the whole draw; integer counts add up to the same total in
     # any order. With n = 2 a label is a bool: counting the points of cell 1
@@ -643,8 +625,9 @@ def cell_box_volumes_mc(
     lock = threading.Lock()
     dtype = bool if n == 2 else np.intp
 
-    def counter(box: Hyperrectangle, count: np.ndarray):
-        fold = _unit_fold(samples, g, box, min(m, size + 1))
+    def counter(i: int):
+        fold = _unit_fold(samples, g, boxes[i], min(m, size + 1))
+        count = counts[i]
 
         def label(u: np.ndarray, row: int) -> None:
             labels = _unit_labels(fold, u, np.empty(len(u), dtype))
@@ -658,10 +641,6 @@ def cell_box_volumes_mc(
 
         return label
 
-    streams = [
-        (box_rng(seed, box_index + i).bit_generator.state, partial(counter, b, count))
-        for i, (b, count) in enumerate(zip(boxes, counts))
-    ]
     box_volumes = np.array([[b.volume] for b in boxes])
 
     def volumes(rows: int) -> np.ndarray:
@@ -674,62 +653,73 @@ def cell_box_volumes_mc(
         estimate = counts / rows * box_volumes
         return estimate[0] if isinstance(box, Hyperrectangle) else estimate
 
-    rows = 0
-    target = m if plan is None else plan(None, 0)
-    with _pool() as pool:
-        while True:
-            if math.isinf(target):
-                target = rows + _MC_CHUNK
-            least = rows + _MC_CHECK_SUBCHUNKS * size
-            stop = min(m, max(math.ceil(min(target, m)), least))
-            _draw_rows(pool, streams, rows, stop, l, size)
-            rows = stop
-            if rows == m:
-                return volumes(m)
-            prefix = volumes(rows)
-            target = plan(prefix, rows)
-            if target is None:
-                return prefix
+    def check(rows: int) -> float | None:
+        return m if plan is None else plan(volumes(rows) if rows else None, rows)
+
+    return volumes(_draw(samples, len(boxes), m, seed, box_index, counter, check))
 
 
 def potential_integral_mc(
     samples: SampleSet,
     g: np.ndarray,
-    box: Hyperrectangle,
-    weight: float,
+    box: Hyperrectangle | Sequence[Hyperrectangle],
+    weight: float | Sequence[float],
     m: int,
     seed,
     box_index: int = 0,
-) -> float:
+) -> float | np.ndarray:
     """Estimate weight * integral over the box of min_j(||x - y_j||^2 - g_j).
 
     Averages the potential over m >= 1 uniform points of the box, the first
     m rows of the stream :func:`cell_box_volumes_mc` draws; the caller picks
     m for its accuracy target. A point's value is ||x||^2 plus the least of
     the volume count's scores of its unit draw u (at n = 2 both scores, not
-    the projection), for x = lo + w u. Raises ValueError unless g holds n
-    finite weights and m >= 1.
+    the projection), for x = lo + w u. Given k boxes and their k weights, it
+    draws them in lockstep as the count does and returns the k estimates.
+    Each box's values are added one ``_MC_CHUNK`` block at a time, so an
+    estimate has the same bits alone as among other boxes. Raises
+    ValueError, before any thread starts, unless g holds n finite weights,
+    there are at least one box and one weight per box, and m >= 1.
     """
+    single = isinstance(box, Hyperrectangle)
+    boxes, weights = ([box], [weight]) if single else (list(box), list(weight))
+    if not boxes or len(weights) != len(boxes):
+        raise ValueError("the potential needs at least one box and one weight per box")
     if m < 1:
         raise ValueError(f"the potential needs m >= 1 draws, not {m}")
-    rows = min(m, _subchunk_rows(samples, box.dimension) + 1)
-    fold = _unit_fold(samples, g, box, rows, project=False)
-    # lo and width repeated along the flat buffer, like the fold's c: one
-    # contiguous multiply and add, where broadcasting over rows of l = 2-4
-    # was 4-13x slower. Built once, for the longest sub-chunk.
-    flat_lo, flat_width = np.tile(box.lo, rows), np.tile(box.widths, rows)
+    g = _finite_weights(g, samples.n)
+    rows = min(m, _subchunk_rows(samples, samples.dimension) + 1)
+    blocks = np.empty((len(boxes), min(m, _MC_CHUNK)))
+    sums, start = [0.0] * len(boxes), 0
 
-    def potential(u: np.ndarray, out: np.ndarray) -> None:
-        least = _unit_scores(fold, u).min(axis=1)
-        flat = u.reshape(-1)
-        flat *= flat_width[: flat.size]
-        flat += flat_lo[: flat.size]
-        np.add(least, (u**2).sum(-1), out=out)
+    def potential(i: int):
+        fold = _unit_fold(samples, g, boxes[i], rows, project=False)
+        # lo and width repeated along the flat buffer, like the fold's c: one
+        # contiguous multiply and add, where broadcasting over rows of l = 2-4
+        # was 4-13x slower. Built for the longest sub-chunk.
+        flat_lo, flat_width = np.tile(boxes[i].lo, rows), np.tile(boxes[i].widths, rows)
 
-    acc = 0.0
-    for values in _box_draws(samples, box, m, seed, box_index, potential, float):
-        acc += float(values.sum())
-    return weight * box.volume * acc / m
+        def value(u: np.ndarray, row: int) -> None:
+            least = _unit_scores(fold, u).min(axis=1)
+            flat = u.reshape(-1)
+            flat *= flat_width[: flat.size]
+            flat += flat_lo[: flat.size]
+            out = blocks[i, row - start : row - start + len(u)]
+            np.add(least, (u**2).sum(-1), out=out)
+
+        return value
+
+    def add_block(stop: int) -> float:
+        # Add each box's values of rows [start, stop), and ask for a block more.
+        nonlocal start
+        for i, block in enumerate(blocks):
+            sums[i] += float(block[: stop - start].sum())
+        start = stop
+        return math.inf
+
+    add_block(_draw(samples, len(boxes), m, seed, box_index, potential, add_block))
+    values = [w * b.volume * acc / m for b, w, acc in zip(boxes, weights, sums)]
+    return values[0] if single else np.array(values)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,50 @@ class TestMcDraws:
         )
         assert e == 0.216445801774224
 
+    def test_two_box_energy_across_blocks_is_pinned(self):
+        # 2 258 906 draws a box: both boxes cross a block boundary, drawn in
+        # lockstep. Recorded with each box's potential drawn on its own.
+        drawn = []
+        e = energy(
+            _box_pair_3d(), np.array([0.05, -0.1, 0.05]),
+            accuracy=0.03, eta_prime=0.1, seed=(5, 3, 1), backend="mc",
+            drawn=drawn,
+        )
+        assert e == 0.21697698708222898
+        assert drawn == [2_258_906, 2_258_906]
+        assert drawn[0] > geometry._MC_CHUNK
+
+    @pytest.mark.parametrize(
+        "accuracy, eta_prime, message",
+        [
+            (-0.5, 0.1, "accuracy must be"),
+            (0.0, 0.1, "accuracy must be"),
+            (math.nan, 0.1, "accuracy must be"),
+            (math.inf, 0.1, "accuracy must be"),
+            (0.5, 1.5, "eta_prime must lie"),
+            (0.5, 1.0, "eta_prime must lie"),
+            (0.5, 0.0, "eta_prime must lie"),
+            (0.5, -0.1, "eta_prime must lie"),
+            (0.5, 5.0, "eta_prime must lie"),
+            (0.5, math.nan, "eta_prime must lie"),
+        ],
+    )
+    def test_energy_checks_its_accuracy_targets(
+        self, symmetric_square, monkeypatch, accuracy, eta_prime, message
+    ):
+        # Refused by name before any draw: a negative accuracy or an
+        # eta_prime above 1 would return an energy, and a zero one divide
+        # by zero or take the log of a negative number.
+        def no_draws(seed, box_index):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(geometry, "box_rng", no_draws)
+        with pytest.raises(ValueError, match=message):
+            energy(
+                symmetric_square, np.zeros(2), accuracy=accuracy,
+                eta_prime=eta_prime, backend="mc",
+            )
+
     def test_budget_above_cap_is_refused_before_drawing(
         self, symmetric_square, monkeypatch
     ):

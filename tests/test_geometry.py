@@ -395,14 +395,20 @@ class TestMcVolumes:
         ids=["nan", "inf", "three", "one", "row"],
     )
     @pytest.mark.parametrize(
-        "consumer", ["volumes", "potential", "classify", "energy", "gradient"]
+        "consumer",
+        ["volumes", "potential", "potentials", "classify", "energy", "gradient"],
     )
-    def test_every_consumer_checks_the_weights(self, consumer, g):
+    def test_every_consumer_checks_the_weights(self, consumer, g, monkeypatch):
         # Each Monte Carlo consumer folds g into the sinks, and the fold takes
         # only n finite weights: a length-3 g against two sinks would
         # misalign the tiled constants, and a NaN would give a NaN potential
         # or a label. The exact energy and gradient check g the same way,
         # before a wrong shape fails inside numpy's broadcasting or indexing.
+        # Every check comes before a pool of threads is asked for.
+        def no_pool():
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(geometry, "_pool", no_pool)
         samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
         box = Hyperrectangle([-1.0], [1.0])
         instance = Instance(BoxDensity(1, ((box, 0.5),)), samples)
@@ -410,6 +416,9 @@ class TestMcVolumes:
         calls = {
             "volumes": lambda: cell_box_volumes_mc(samples, g, box, 0.05, 0.1, 0),
             "potential": lambda: potential_integral_mc(samples, g, box, 0.5, 100, 0),
+            "potentials": lambda: potential_integral_mc(
+                samples, g, [box, box], [0.5, 0.5], 100, 0
+            ),
             "classify": lambda: classify_points(samples, g, np.array([[0.3]])),
             "energy": lambda: ds_module.energy(instance, g),
             "gradient": lambda: ds_module.gradient(instance, g),
@@ -510,14 +519,25 @@ class TestMcWorkers:
         assert e == 0.25 * box.volume * acc / m
 
         # The per-point values themselves, which a sum could round away:
-        # each point's draw and its swept scores.
-        def potential(u, out):
-            xs = box.lo + box.widths * u
-            np.add(broadcast_scores(u).min(axis=1), (xs**2).sum(-1), out=out)
+        # each point's draw and its swept scores, drawn a block at a time
+        # by the loop that every Monte Carlo consumer draws through.
+        swept, asked = np.empty(m), []
 
-        swept = geometry._box_draws(samples, box, m, (4, 2), 3, potential, float)
-        for block, expected in zip(swept, serial, strict=True):
-            assert block.tolist() == expected.tolist()
+        def potential(i):
+            def value(u, row):
+                xs = box.lo + box.widths * u
+                out = swept[row : row + len(u)]
+                np.add(broadcast_scores(u).min(axis=1), (xs**2).sum(-1), out=out)
+
+            return value
+
+        def next_block(rows):
+            asked.append(rows)
+            return math.inf
+
+        assert geometry._draw(samples, 1, m, (4, 2), 3, potential, next_block) == m
+        assert asked == [0, 1000, 2000]
+        assert swept.tolist() == np.concatenate(serial).tolist()
 
     @pytest.mark.parametrize("fail_at", [0, 5, 40])
     def test_worker_failure_is_raised(self, fail_at, monkeypatch):
@@ -603,6 +623,11 @@ class TestMcWorkers:
                 cell_box_volumes_mc(
                     samples, np.zeros(2), [], 0.05, 0.1, seed=0, plan=plan
                 )
+        with pytest.raises(ValueError, match="at least one box"):
+            potential_integral_mc(samples, np.zeros(2), [], [], 100, 0)
+        box = Hyperrectangle([-1.0, -1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="one weight per box"):
+            potential_integral_mc(samples, np.zeros(2), [box, box], [0.5], 100, 0)
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("n", [2, 5])
@@ -689,6 +714,37 @@ class TestMcWorkers:
         assert v.tolist() == expected(m)
         assert v.tolist() == cell_box_volumes_mc(*args).tolist()
 
+    @pytest.mark.parametrize("workers", [1, 3, 8])
+    def test_lockstep_potentials_match_their_own_draws(
+        self, workers, monkeypatch, frequent_switches
+    ):
+        # Three boxes' potentials drawn in lockstep on one pool, in blocks of
+        # 1000 rows and with more workers than cores: each box's estimate
+        # has the bits of its own draw alone, whatever piece of a block a
+        # worker took across the boxes, and every thread is gone after.
+        monkeypatch.setattr(geometry, "_MC_CHUNK", 1000)
+        monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 83)
+        monkeypatch.setattr(geometry, "_MC_WORKERS", workers)
+        m = 2503
+        rng = np.random.default_rng(20)
+        samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(5, 2)))
+        g = rng.uniform(-0.2, 0.2, size=5)
+        boxes = [
+            Hyperrectangle([-1.0, -0.5], [0.0, 1.5]),
+            Hyperrectangle([0.0, -0.5], [1.0, 0.5]),
+            Hyperrectangle([0.0, 0.5], [1.0, 1.5]),
+        ]
+        weights = [0.25, 0.5, 0.125]
+        baseline = threading.active_count()
+        values = potential_integral_mc(samples, g, boxes, weights, m, (4, 2), 3)
+        assert threading.active_count() == baseline
+        alone = [
+            potential_integral_mc(samples, g, box, w, m, (4, 2), 3 + i)
+            for i, (box, w) in enumerate(zip(boxes, weights))
+        ]
+        assert values.tolist() == alone
+        assert len(set(alone)) == 3
+
     def test_checks_lie_sub_chunks_apart_and_within_m(self, monkeypatch):
         # A plan that asks for the next row at once gets one every
         # _MC_CHECK_SUBCHUNKS sub-chunks of 83 rows; one that asks past m
@@ -772,6 +828,11 @@ class TestMcWorkers:
         with pytest.raises(geometry.BudgetRefused, match="exceeds cap"):
             potential_integral_mc(
                 samples, np.zeros(2), box, 0.5, geometry.MC_SAMPLE_CAP + 1, 0
+            )
+        with pytest.raises(geometry.BudgetRefused, match="exceeds cap"):
+            potential_integral_mc(
+                samples, np.zeros(2), [box, box], [0.5, 0.5],
+                geometry.MC_SAMPLE_CAP + 1, 0,
             )
 
     @pytest.mark.parametrize("m", [0, -3])
