@@ -30,9 +30,11 @@ from .geometry import (
     EXACT_MAX_DIMENSION,
     Instance,
     SampleSet,
+    _box_batch,
     _finite_weights,
     _power_diagram,
     box_moments,
+    # Not called here; bench/tracer.py wraps it here until ROADMAP item 13.
     cell_box_moments_exact,
     cell_box_volumes_mc,
     mc_sample_count,
@@ -182,44 +184,43 @@ class _Pass(NamedTuple):
 def _evaluate(instance: Instance, g: np.ndarray, hessian: bool = False) -> _Pass:
     """E(g), grad E(g) and, on request, its Hessian on the exact backend.
 
-    One power diagram of g is shared by every box; on the lifted route it
-    measures all the boxes in one batch, which ``cell_box_moments_exact``
-    then hands out box by box. Each box's cell moments give its share of
-    the energy (sum_j of the integral of ||x - y_j||^2 - g_j over L_j(g),
-    plus <g, b>) and of the gradient (b_j - sum_boxes gamma vol(L_j n H)).
-    The Hessian's off-diagonal entry is
-    sum_boxes gamma measure(facet_ij n H) / (2 ||y_i - y_j||); its diagonal
-    makes every row sum to zero (Kitagawa, Merigot and Thibert 2019, with
-    the factor 2 of the cost ||x - y||^2).
+    One power diagram of g, built for the density's hull, and one batch
+    that measures every box on it (``geometry._box_batch``, which also
+    checks that each box's cell volumes sum to its volume). Each box's row
+    of the batch gives its share of the energy (sum_j of the integral of
+    ||x - y_j||^2 - g_j over L_j(g), plus <g, b>) and of the gradient
+    (b_j - sum_boxes gamma vol(L_j n H)). The Hessian's off-diagonal entry
+    is sum_boxes gamma measure(facet_ij n H) / (2 ||y_i - y_j||); its
+    diagonal makes every row sum to zero (Kitagawa, Merigot and Thibert
+    2019, with the factor 2 of the cost ||x - y||^2).
     """
     g = _finite_weights(g, instance.samples.n)
     samples = instance.samples
     y = samples.points
     n = samples.n
-    density = instance.density
-    diagram = _power_diagram(
-        samples, g, density.hull, [box for box, _ in density.boxes], hessian
+    boxes, weights = zip(*instance.density.boxes)
+    batch = _box_batch(
+        _power_diagram(samples, g, instance.density.hull), samples, g, boxes, hessian
     )
     resid = samples.demands.copy()
     hess = np.zeros((n, n)) if hessian else None
     shifted = samples.squared_norms - g
     total = 0.0
-    # Every box's facet pieces (j, i, w measure), for one add into H.
-    pieces = []
-    for box, w in density.boxes:
-        out = cell_box_moments_exact(samples, g, box, diagram, facets=hessian)
-        vols, firsts, seconds = out[:3]
+    for w, vols, firsts, seconds in zip(
+        weights, batch.vols, batch.firsts, batch.seconds
+    ):
         resid -= w * vols
         total += w * float(
             seconds.sum()
             - 2.0 * (firsts * y).sum()
             + (shifted * vols).sum()
         )
-        if hessian and len(out[3][0]):
-            pieces.append((out[3][0], out[3][1], w * out[3][2]))
     if hessian:
-        if pieces:
-            j, i, measure = map(np.concatenate, zip(*pieces))
+        j, i, measure = batch.pieces
+        if len(j):
+            # Each piece weighted by its box's gamma, as w * measure.
+            runs = batch.bounds[1:] - batch.bounds[:-1]
+            measure = np.array(weights).repeat(runs) * measure
             dist = np.sqrt(((y[i] - y[j]) ** 2).sum(axis=1))
             np.add.at(hess, (j, i), measure / (2.0 * dist))
         hess.flat[:: n + 1] -= hess.sum(axis=1)

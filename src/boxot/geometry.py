@@ -21,7 +21,11 @@ needs. Where Qhull does not run (n <= l + 1), or rejects the sinks or drops
 one as coplanar, each cell is clipped by the half-spaces of all the other
 sinks: in 2-D in plain floats, box by box; in 3-D by the same numpy cut as
 the box faces, n - 1 rounds of it on copies of the hull, after which the
-cells are measured like the lifted ones. The Qhull call is the module's
+cells are measured like the lifted ones. The diagram holds only the cells.
+Every route measures a list of boxes into one batch of (k, n) arrays
+(:func:`_box_batch`), which the dual solver reads whole and which raises
+:class:`VolumeSumError` unless each box's cell volumes sum to its volume
+within ``VOLUME_SUM_TOL`` of it. The Qhull call is the module's
 only use of scipy, so ``scipy.spatial`` is imported inside
 :func:`_power_neighbours`: a process loads it at its first 2-D or 3-D
 diagram with at least l + 2 sinks, never at import.
@@ -49,11 +53,10 @@ supermartingale bounds on an event inside the full count's own.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -93,8 +96,16 @@ _MC_WORKERS = (
 EXACT_MAX_DIMENSION = 3
 
 
+# Share of a box's volume within which its exact cell volumes must sum to it.
+VOLUME_SUM_TOL = 1e-9
+
+
 class BudgetRefused(ValueError):
     """A Monte-Carlo sample budget above ``MC_SAMPLE_CAP``, refused before any draw."""
+
+
+class VolumeSumError(ArithmeticError):
+    """A box whose exact cell volumes do not sum to its volume."""
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +140,7 @@ class Hyperrectangle:
     def widths(self) -> np.ndarray:
         return self.hi - self.lo
 
-    @property
+    @cached_property
     def volume(self) -> float:
         return float(np.prod(self.widths))
 
@@ -990,7 +1001,7 @@ def _all_pairs_rows(
 
 
 class _Batch(NamedTuple):
-    """Every box's cell moments from one cut of the cells into all boxes.
+    """Every box's cell moments from one pass of a diagram over a list of boxes.
 
     Box b's are ``vols[b]`` (n,), ``firsts[b]`` (n, l) and ``seconds[b]``
     (n,). ``pieces`` is None, or (j, i, measure) box-major: box b's facet
@@ -1004,44 +1015,31 @@ class _Batch(NamedTuple):
     bounds: np.ndarray | None
 
 
-@dataclass(eq=False)
-class _PowerDiagram:
+class _PowerDiagram(NamedTuple):
     """The Laguerre cells of one (samples, g), for the boxes in one hull.
 
-    The hull runs from corner ``lo`` to corner ``hi`` and holds every box
-    the diagram serves; the dual solver passes the density's
-    :attr:`BoxDensity.hull`. In 1-D, ``cells`` lists the lower chain's cells
-    in order, and cell ``cells[p]`` is the interval
-    ``[ends[p], ends[p + 1]]``. In 2-D and 3-D, when the cells were read off
-    the lifted hull, ``rows`` holds them whole, bounded by the ghosts:
-    ``cells[p]`` is the sink of cell position p, and ``low[p]`` and
-    ``high[p]`` are the corners of its vertices' bounding box, which may
-    reach past the hull. ``boxes`` maps each box the diagram was built for,
-    as the tuple of its corners, to its index in ``batch``, which holds
-    those boxes' moments (:func:`_box_batch`). In 3-D, cells that do not
-    come off the lifted hull are the hull clipped by all pairs of sinks
-    (:func:`_all_pairs_rows`), held the same way, with bounding boxes inside
-    the hull. Otherwise, in 2-D, ``rows`` is None and each box clips its own
-    cells by all pairs of sinks (:func:`_all_pairs_cells`).
+    In 1-D, ``cells`` lists the lower chain's cells in order, and cell
+    ``cells[p]`` is the interval ``[ends[p], ends[p + 1]]``. In 2-D and
+    3-D, ``rows`` holds the cells whole: ``cells[p]`` is the sink of cell
+    position p, and ``low[p]`` and ``high[p]`` are the corners of its
+    vertices' bounding box. Cells read off the lifted hull are bounded by
+    the ghosts, and their bounding boxes may reach past the hull; 3-D cells
+    that do not come off it are the hull clipped by all pairs of sinks
+    (:func:`_all_pairs_rows`), with bounding boxes inside the hull.
+    Otherwise, in 2-D, ``rows`` is None and ``cells`` empty: each box clips
+    its own cells by all pairs of sinks (:func:`_all_pairs_cells`).
+    :func:`_box_batch` measures boxes inside the hull on any of these.
     """
 
-    lo: list[float]
-    hi: list[float]
     cells: Sequence[int]
     ends: Sequence[float] = ()
     rows: _Rows | None = None
     low: np.ndarray | None = None
     high: np.ndarray | None = None
-    boxes: dict = field(default_factory=dict)
-    batch: _Batch | None = None
 
 
 def _power_diagram(
-    samples: SampleSet,
-    g: np.ndarray,
-    hull: Hyperrectangle,
-    boxes: Sequence[Hyperrectangle] = (),
-    facets: bool = False,
+    samples: SampleSet, g: np.ndarray, hull: Hyperrectangle
 ) -> _PowerDiagram:
     """The restricted power diagram of the sinks under weights g (l <= 3).
 
@@ -1052,15 +1050,13 @@ def _power_diagram(
     2l ghosts, which bound every cell and own no point of the hull
     (:func:`_power_neighbours`, :func:`_ghosts`): each facet's plane gives
     its vertex, and one sort orders the corners of every cell
-    (:func:`_polygon_rows`, :func:`_face_rows`), all in numpy. The
-    ``boxes``, each inside the hull, are then measured in one batch
-    (:func:`_box_batch`, with facet pieces when ``facets``), which
-    :func:`cell_box_moments_exact` hands out box by box. Where Qhull does
-    not run (n <= l + 1) or cannot be trusted (it rejects the points, or
-    reports one as coplanar), each cell is clipped by the rows of all the
-    other sinks: in 3-D the hull as numpy rows (:func:`_all_pairs_rows`),
-    whose boxes are then measured in the same batch; in 2-D the diagram
-    holds no cells, and each box clips its own in plain floats.
+    (:func:`_polygon_rows`, :func:`_face_rows`), all in numpy. Where Qhull
+    does not run (n <= l + 1) or cannot be trusted (it rejects the points,
+    or reports one as coplanar), each cell is clipped by the rows of all the
+    other sinks: in 3-D the hull as numpy rows (:func:`_all_pairs_rows`); in
+    2-D the diagram holds no cells, and each box clips its own in plain
+    floats. The diagram builds only the cells; :func:`_box_batch` measures
+    the boxes.
     """
     g = np.asarray(g, dtype=float)
     y = samples.points
@@ -1069,7 +1065,6 @@ def _power_diagram(
         raise ValueError(
             f"exact cell volumes support dimension <= {EXACT_MAX_DIMENSION} only"
         )
-    lo, hi = hull.lo.tolist(), hull.hi.tolist()
     if l == 1:
         gs, ns = g.tolist(), samples.squared_norms.tolist()
         ys = y[:, 0].tolist()
@@ -1079,8 +1074,9 @@ def _power_diagram(
             (gs[i] - gs[j] + ns[j] - ns[i]) / (2.0 * (ys[j] - ys[i]))
             for i, j in zip(chain, chain[1:])
         ]
-        return _PowerDiagram(lo, hi, chain, [-math.inf, *cuts, math.inf])
+        return _PowerDiagram(chain, [-math.inf, *cuts, math.inf])
 
+    lo, hi = hull.lo.tolist(), hull.hi.tolist()
     cut = None
     if n > l + 1:
         ghosts, weights = _ghosts(y, g, lo, hi)
@@ -1091,18 +1087,9 @@ def _power_diagram(
     if cut is None and l == 3:
         cut = _all_pairs_rows(samples, g, lo, hi)
     if cut is None:
-        return _PowerDiagram(lo, hi, [])
+        return _PowerDiagram([])
     cells, low, high, rows = cut
-    diagram = _PowerDiagram(lo, hi, cells, rows=rows, low=low, high=high)
-    if boxes:
-        los = np.array([box.lo for box in boxes])
-        his = np.array([box.hi for box in boxes])
-        diagram.boxes = {
-            (*a, *b): index
-            for index, (a, b) in enumerate(zip(los.tolist(), his.tolist()))
-        }
-        diagram.batch = _box_batch(diagram, n, los, his, facets)
-    return diagram
+    return _PowerDiagram(cells, rows=rows, low=low, high=high)
 
 
 def _all_pairs_cells(
@@ -1379,51 +1366,100 @@ def _row_moments(rows: _Rows, count: int, facets: bool):
     return vol, firsts, seconds, pieces
 
 
-def _box_batch(diagram: _PowerDiagram, n: int, los, his, facets: bool) -> _Batch:
-    """The cell moments of the diagram's rows in every box [los[b], his[b]].
+def _box_batch(
+    diagram: _PowerDiagram,
+    samples: SampleSet,
+    g: np.ndarray,
+    boxes: Sequence[Hyperrectangle],
+    facets: bool,
+) -> _Batch:
+    """The cell moments of every box, each inside the diagram's hull, in one batch.
 
-    One cut of every (box, cell) pair (:func:`_clip_cells`) and one moment
-    sum over all pairs (:func:`_row_moments`), scattered to (k, n) arrays.
+    On rows, one cut of every (box, cell) pair (:func:`_clip_cells`) and
+    one moment sum over all pairs (:func:`_row_moments`), scattered to
+    (k, n) arrays. In 1-D each chain cell is an interval, cut by each box
+    directly; in 2-D without rows each box clips its own cells by all pairs
+    of sinks, in plain floats (:func:`_all_pairs_cells`), as only a few
+    sinks or inputs that Qhull cannot handle take that route. With
+    ``facets`` the batch holds the boundary pieces, box-major; a point
+    counts 1 in 1-D. Raises VolumeSumError unless each box's cell volumes
+    sum to its volume within ``VOLUME_SUM_TOL`` of it.
     """
-    box, cell, rows = _clip_cells(diagram.rows, diagram.low, diagram.high, los, his)
-    vol, first, second, pieces = _row_moments(rows, len(cell), facets)
-    k, l = los.shape
-    j = diagram.cells[cell]
-    vols, firsts, seconds = np.zeros((k, n)), np.zeros((k, n, l)), np.zeros((k, n))
-    vols[box, j], firsts[box, j], seconds[box, j] = vol, first, second
-    bounds = None
-    if facets:
-        # The sides come in row order, which is box-major; caps have no
-        # neighbour.
-        pair, i, measure = pieces
-        bounds = np.searchsorted(box[pair], np.arange(k + 1))
-        pieces = j[pair], i, measure
+    n, l = samples.n, samples.dimension
+    k = len(boxes)
+    if diagram.rows is not None:
+        los = np.array([box.lo for box in boxes])
+        his = np.array([box.hi for box in boxes])
+        box, cell, rows = _clip_cells(diagram.rows, diagram.low, diagram.high, los, his)
+        vol, first, second, pieces = _row_moments(rows, len(cell), facets)
+        j = diagram.cells[cell]
+        vols, firsts, seconds = np.zeros((k, n)), np.zeros((k, n, l)), np.zeros((k, n))
+        vols[box, j], firsts[box, j], seconds[box, j] = vol, first, second
+        totals = vols.sum(1).tolist()
+        bounds = None
+        if facets:
+            # The sides come in row order, which is box-major; caps have no
+            # neighbour.
+            pair, i, measure = pieces
+            bounds = np.searchsorted(box[pair], np.arange(k + 1))
+            pieces = j[pair], i, measure
+    else:
+        vols, firsts, seconds, totals, sides, runs = [], [], [], [], [], [0]
+        for box in boxes:
+            vol, first, second = [0.0] * n, [(0.0,) * l] * n, [0.0] * n
+            lo, hi = box.lo.tolist(), box.hi.tolist()
+            if l == 1:
+                (box_lo,), (box_hi,) = lo, hi
+                ends, chain = diagram.ends, diagram.cells
+                for pos, j in enumerate(chain):
+                    a = max(box_lo, ends[pos])
+                    b = min(box_hi, ends[pos + 1])
+                    if b > a:
+                        vol[j] = b - a
+                        first[j] = ((b**2 - a**2) / 2.0,)
+                        second[j] = (b**3 - a**3) / 3.0
+                    if facets and box_lo < ends[pos + 1] < box_hi:
+                        i = chain[pos + 1]
+                        sides += [(j, i, 1.0), (i, j, 1.0)]
+            else:
+                for j, (poly, tags) in zip(*_all_pairs_cells(samples, g, lo, hi)):
+                    vol[j], first[j], second[j] = _polygon_moments(poly)
+                    if facets and vol[j] > 0.0:
+                        for c, i in enumerate(tags):
+                            if i >= 0:
+                                p, q = poly[c], poly[c - len(poly) + 1]
+                                side = math.hypot(q[0] - p[0], q[1] - p[1])
+                                sides.append((j, i, side))
+            vols.append(vol)
+            firsts.append(first)
+            seconds.append(second)
+            totals.append(sum(vol))
+            runs.append(len(sides))
+        vols, firsts, seconds = np.array(vols), np.array(firsts), np.array(seconds)
+        pieces = bounds = None
+        if facets:
+            j, i, measure = zip(*sides) if sides else ((), (), ())
+            pieces = np.array(j, np.intp), np.array(i, np.intp), np.array(measure)
+            bounds = np.array(runs)
+    for b, (total, box) in enumerate(zip(totals, boxes)):
+        if not abs(total - box.volume) <= VOLUME_SUM_TOL * box.volume:
+            raise VolumeSumError(
+                f"box {b}: exact cell volumes sum to {total!r}, not to its "
+                f"volume {box.volume!r}"
+            )
     return _Batch(vols, firsts, seconds, pieces, bounds)
 
 
 def cell_box_moments_exact(
-    samples: SampleSet,
-    g: np.ndarray,
-    box: Hyperrectangle,
-    diagram: _PowerDiagram | None = None,
-    facets: bool = False,
+    samples: SampleSet, g: np.ndarray, box: Hyperrectangle, facets: bool = False
 ) -> tuple:
     """Exact (volume, integral x, integral ||x||^2) of L_j(g) n box for all j.
 
-    Restricted power diagram, for l <= 3 only. ``diagram`` is
-    ``_power_diagram(samples, g, hull)`` for a hull that holds the box,
-    built here with the box as its hull when None; a caller with several
-    boxes builds it once per g, with a hull that holds them all, and passes
-    it to every box. In 2-D and 3-D the diagram's cells, read off the
-    lifted hull or, in 3-D, clipped into the hull by all pairs of sinks,
-    are numpy rows. A box the diagram was built for (its ``boxes``, with
-    facet pieces when ``facets`` asks for them) gets its slice of the batch
-    that measured all those boxes at once, as views into it; any other box
-    is measured here as a batch of one (:func:`_box_batch`). Where a 2-D
-    diagram holds no cells, the box is clipped, in plain floats, once per
-    cell by the rows of all the other sinks (:func:`_all_pairs_cells`), as
-    only a few sinks or inputs that Qhull cannot handle take that route.
-    Returns (vols (n,), firsts (n, l), seconds (n,)). Deterministic.
+    Restricted power diagram, for l <= 3 only: the batch of one box
+    (:func:`_box_batch`) on the diagram of (samples, g) with the box as its
+    hull (:func:`_power_diagram`). Returns (vols (n,), firsts (n, l),
+    seconds (n,)). Deterministic. Raises ValueError unless g holds n finite
+    weights, and VolumeSumError if the volumes do not sum to the box's.
 
     With ``facets`` it also returns the boundary pieces as three parallel
     arrays (j, i, measure): the measure of the piece of cell j's boundary
@@ -1431,57 +1467,10 @@ def cell_box_moments_exact(
     2-D, an area in 3-D), one entry per piece of each nonempty cell, so
     every facet appears once from each side.
     """
-    if diagram is None:
-        diagram = _power_diagram(samples, g, box)
-    n, l = samples.n, box.dimension
-    lo, hi = box.lo.tolist(), box.hi.tolist()
-    if l > 1 and (lo != diagram.lo or hi != diagram.hi):
-        inside = all(map(operator.ge, lo, diagram.lo))
-        if not (inside and all(map(operator.le, hi, diagram.hi))):
-            raise ValueError("the box reaches outside the diagram's hull")
-
-    if diagram.rows is not None:
-        batch, index = diagram.batch, diagram.boxes.get((*lo, *hi))
-        if index is None or (facets and batch.pieces is None):
-            batch, index = _box_batch(diagram, n, box.lo[None], box.hi[None], facets), 0
-        moments = batch.vols[index], batch.firsts[index], batch.seconds[index]
-        if not facets:
-            return moments
-        start, stop = batch.bounds[index], batch.bounds[index + 1]
-        return (*moments, tuple(x[start:stop] for x in batch.pieces))
-
-    vols = [0.0] * n
-    firsts = [(0.0,) * l] * n
-    seconds = [0.0] * n
-    pieces = []
-    if l == 1:
-        (box_lo,), (box_hi,) = lo, hi
-        ends = diagram.ends
-        chain = diagram.cells
-        for pos, j in enumerate(chain):
-            lo = max(box_lo, ends[pos])
-            hi = min(box_hi, ends[pos + 1])
-            if hi > lo:
-                vols[j] = hi - lo
-                firsts[j] = ((hi**2 - lo**2) / 2.0,)
-                seconds[j] = (hi**3 - lo**3) / 3.0
-            if facets and box_lo < ends[pos + 1] < box_hi:
-                i = chain[pos + 1]
-                pieces += [(j, i, 1.0), (i, j, 1.0)]
-    else:
-        for j, (poly, tags) in zip(*_all_pairs_cells(samples, g, lo, hi)):
-            vols[j], firsts[j], seconds[j] = _polygon_moments(poly)
-            if facets and vols[j] > 0.0:
-                for k, i in enumerate(tags):
-                    if i >= 0:
-                        p, q = poly[k], poly[k - len(poly) + 1]
-                        pieces.append((j, i, math.hypot(q[0] - p[0], q[1] - p[1])))
-    moments = np.array(vols), np.array(firsts), np.array(seconds)
-    if not facets:
-        return moments
-    j, i, measure = zip(*pieces) if pieces else ((), (), ())
-    pieces = np.array(j, np.intp), np.array(i, np.intp), np.array(measure, float)
-    return (*moments, pieces)
+    g = _finite_weights(g, samples.n)
+    batch = _box_batch(_power_diagram(samples, g, box), samples, g, [box], facets)
+    moments = batch.vols[0], batch.firsts[0], batch.seconds[0]
+    return (*moments, batch.pieces) if facets else moments
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from boxot import cli, dual_solver, oracle
+from boxot import cli, dual_solver, geometry, oracle
 from boxot.cli import (
     EXIT_BAD_INPUT,
     EXIT_CHECK_FAILED,
@@ -471,6 +471,10 @@ FAULTS = {
     ),
     "bad-seed": lambda mp: mp.setenv(SEED_ENV_VAR, "not-a-number"),
     "no-solve": lambda mp: mp.setattr(cli, "estimate_parameters", _no_solve),
+    # Every 2-D cell clipped in plain floats measures nothing.
+    "lost-volume": lambda mp: mp.setattr(
+        geometry, "_polygon_moments", lambda poly: (0.0, (0.0, 0.0), 0.0)
+    ),
 }
 
 # (argv, fault, exit code, stderr prefix, stderr substring); {name} is a path
@@ -516,6 +520,8 @@ EXIT_TABLE = [
      None, EXIT_BAD_INPUT, "error:", "No such file"),
     (["verify", "{missing}/nope.cnf", "--mode", "sat"],
      None, EXIT_BAD_INPUT, "error:", "No such file"),
+    (["estimate", "{square}"], "lost-volume", EXIT_NUMERICAL_ABORT,
+     "numerical failure:", "box 0: exact cell volumes sum to 0.0"),
 ]
 
 

@@ -7,9 +7,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from boxot import fixtures as fx
 from boxot import geometry
@@ -979,15 +981,32 @@ class TestExactCellMoments3d:
             cell_box_moments_exact(samples, np.zeros(2), box)
 
 
+def _corners(a, b):
+    # The points where l of the rows a x <= b meet, each solved on its own,
+    # that violate no row by more than 1e-14: a convex cell's corners, and
+    # maybe points on its boundary between them.
+    l = a.shape[1]
+    meet = np.array(list(itertools.combinations(range(len(a)), l)))
+    meet = meet[np.abs(np.linalg.det(a[meet])) > 1e-14]
+    pts = np.linalg.solve(a[meet], b[meet][..., None])[..., 0]
+    return pts[(pts @ a.T - b <= 1e-14).all(1)]
+
+
 def _brute_force_moments(samples, g, box):
     """Cell moments from all n - 1 half-spaces per cell, without neighbour lists.
 
-    1-D cells are intervals. In 2-D and 3-D each cell is built by scipy's
-    HalfspaceIntersection from a Chebyshev centre found by linprog, and its
-    moments are summed over the simplices joining that centre to the facets
-    of the ConvexHull of the cell's vertices. A cell whose inradius r is
-    below 1e-14 of the smallest box width counts as empty: a convex cell's
-    volume is at most r times its surface, far below the tolerance.
+    1-D cells are intervals. In 2-D and 3-D each cell's rows (its half-space
+    against every other sink, and the box's faces) are scaled to unit
+    normals, and linprog finds the centre and radius r of the largest ball
+    in the cell. Where r is at least 1e-6 of the smallest box width, far
+    above the solver's feasibility tolerance, scipy's HalfspaceIntersection
+    from that centre gives the cell's corners. Below it, the cell is a
+    sliver or empty, and its corners are the points where l of its rows
+    meet that satisfy every row (:func:`_corners`). The moments are summed
+    over the simplices joining the corners' mean to the facets of their
+    ConvexHull. A cell the LP finds empty, with at most l corners, or whose
+    corners Qhull rejects as flat, counts as empty: it is thinner than
+    Qhull's precision, and its volume far below the tolerance.
     """
     y = samples.points
     n, l = y.shape
@@ -1011,8 +1030,7 @@ def _brute_force_moments(samples, g, box):
                 seconds[j] = (hi**3 - lo**3) / 3.0
             continue
         # Unit normals: the row of two sinks 1e-14 apart would otherwise lie
-        # within the solver's feasibility tolerance, and within rounding of
-        # the value by which Qhull checks that the centre is inside.
+        # within the solver's feasibility tolerance.
         scale = np.linalg.norm(a, axis=1)
         a, b = a / scale[:, None], b / scale
         res = linprog(
@@ -1022,11 +1040,21 @@ def _brute_force_moments(samples, g, box):
             bounds=[(None, None)] * l + [(0.0, None)],
             method="highs",
         )
-        if res.status != 0 or res.x[l] <= 1e-14 * box.widths.min():
+        if res.status != 0:
             continue
-        centre = res.x[:l]
-        pts = HalfspaceIntersection(np.hstack([a, -b[:, None]]), centre).intersections
-        for facet in ConvexHull(pts).simplices:
+        if res.x[l] >= 1e-6 * box.widths.min():
+            halfspaces = np.hstack([a, -b[:, None]])
+            pts = HalfspaceIntersection(halfspaces, res.x[:l]).intersections
+        else:
+            pts = _corners(a, b)
+            if len(pts) <= l:
+                continue
+        try:
+            hull = ConvexHull(pts)
+        except QhullError:
+            continue
+        centre = pts[hull.vertices].mean(0)
+        for facet in hull.simplices:
             simplex = np.vstack([centre, pts[facet]])
             v = abs(np.linalg.det(simplex[1:] - simplex[0])) / math.factorial(l)
             s = simplex.sum(axis=0)
@@ -1135,7 +1163,7 @@ class TestRestrictedPowerDiagram:
         for box in boxes:
             vols, firsts, seconds = cell_box_moments_exact(samples, g, box)
             # A one-box density's diagram, whose hull is the box, gives the
-            # same bits as the call that builds its own.
+            # same bits in a batch of the box as the one-box call.
             density = BoxDensity(box.dimension, ((box, 1.0 / box.volume),))
             diagram = geometry._power_diagram(samples, g, density.hull)
             # Every case with Qhull's l + 2 sinks, cospherical ones too, is
@@ -1144,11 +1172,9 @@ class TestRestrictedPowerDiagram:
             n, l = points.shape
             assert _lifted(diagram) == (l > 1 and n > l + 1)
             assert (diagram.rows is not None) == (l == 3 or _lifted(diagram))
-            for own, shared in zip(
-                (vols, firsts, seconds),
-                cell_box_moments_exact(samples, g, box, diagram),
-            ):
-                assert own.tobytes() == shared.tobytes()
+            (shared,) = _slices(geometry._box_batch(diagram, samples, g, [box], False))
+            for own, cut in zip((vols, firsts, seconds), shared):
+                assert own.tobytes() == cut.tobytes()
             ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
             tol = 1e-12 * box.volume
             r = box.max_corner_norm()
@@ -1162,7 +1188,8 @@ class TestRestrictedPowerDiagram:
     )
     def test_shared_hull_matches_per_box_calls(self, case):
         # One diagram clipped into the hull of all the case's boxes serves
-        # each box, cut by its own faces, as well as the box's own diagram.
+        # each box, cut by its own faces in a batch of that box, as well as
+        # the box's own diagram.
         # Where a facet lies on a face of the box (the kinked boxes of
         # TestFacetHessian), the box's own call counts it as the box's side
         # and the shared hull as the cell's, so there only the moments agree.
@@ -1176,7 +1203,7 @@ class TestRestrictedPowerDiagram:
         diagram = geometry._power_diagram(samples, g, hull)
         for index, box in enumerate(boxes):
             own = cell_box_moments_exact(samples, g, box, facets=True)
-            shared = cell_box_moments_exact(samples, g, box, diagram, facets=True)
+            (shared,) = _slices(geometry._box_batch(diagram, samples, g, [box], True))
             tol = 1e-12 * box.volume
             r = box.max_corner_norm()
             assert abs(shared[0].sum() - box.volume) <= tol
@@ -1200,16 +1227,33 @@ class TestRestrictedPowerDiagram:
             scale = float(box.widths.max()) ** (l - 1)
             assert np.abs(facet_sums[0] - facet_sums[1]).max() <= 1e-12 * scale
 
-    def test_box_outside_the_hull_is_refused(self):
-        samples = SampleSet.uniform([[0.2, 0.1], [0.6, 0.9], [-0.4, 0.3]])
-        g = np.zeros(3)
-        diagram = geometry._power_diagram(
-            samples, g, Hyperrectangle([0.0, 0.0], [1.0, 1.0])
-        )
-        with pytest.raises(ValueError, match="outside the diagram's hull"):
-            cell_box_moments_exact(
-                samples, g, Hyperrectangle([0.5, 0.5], [1.5, 1.0]), diagram
-            )
+    @pytest.mark.parametrize(
+        "route, points",
+        [
+            ("chain", [[-1.0], [1.0]]),
+            ("plain", [[-0.5, 0.0], [0.5, 0.0]]),
+            ("lifted", [[-0.5, 0.0], [0.5, 0.0], [0.0, 0.5], [0.1, -0.6]]),
+            ("all-pairs", [[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]]),
+        ],
+    )
+    def test_weights_are_checked(self, route, points):
+        # Every route refuses a g of the wrong length or with a NaN or an
+        # infinite weight, before it measures a cell.
+        samples = SampleSet.uniform(points)
+        n, l = samples.n, samples.dimension
+        box = Hyperrectangle([-1.0] * l, [1.0] * l)
+        diagram = geometry._power_diagram(samples, np.zeros(n), box)
+        assert (diagram.rows is not None) == (route in ("lifted", "all-pairs"))
+        assert _lifted(diagram) == (route == "lifted")
+        for bad, message in (
+            (np.zeros(n + 1), "shape"),
+            (np.array([math.nan] + [0.0] * (n - 1)), "finite"),
+            (np.array([math.inf] + [0.0] * (n - 1)), "finite"),
+        ):
+            with pytest.raises(ValueError, match=f"dual weights must .*{message}"):
+                cell_box_moments_exact(samples, bad, box)
+            with pytest.raises(ValueError, match=f"dual weights must .*{message}"):
+                cell_box_moments_exact(samples, bad, box, facets=True)
 
 
 def _lifted(diagram):
@@ -1217,6 +1261,19 @@ def _lifted(diagram):
     # those cells, so each of their sides names a neighbour; cells clipped
     # into the hull by all pairs keep its sides, tag -1.
     return diagram.rows is not None and (diagram.rows.tags >= 0).all()
+
+
+def _slices(batch):
+    # Each box's (vols, firsts, seconds) from a batch, and its facet pieces
+    # when the batch has them.
+    out = []
+    for b in range(len(batch.vols)):
+        moments = batch.vols[b], batch.firsts[b], batch.seconds[b]
+        if batch.pieces is not None:
+            start, stop = batch.bounds[b], batch.bounds[b + 1]
+            moments += (tuple(x[start:stop] for x in batch.pieces),)
+        out.append(moments)
+    return out
 
 
 def _ladder(rng, l, n, k=4):
@@ -1276,10 +1333,7 @@ class TestLiftedCells:
 
         def run():
             diagram = geometry._power_diagram(samples, g, density.hull)
-            moments = [
-                cell_box_moments_exact(samples, g, box, diagram, facets=True)
-                for box in boxes
-            ]
+            moments = _slices(geometry._box_batch(diagram, samples, g, boxes, True))
             return diagram, moments, _evaluate(instance, g, hessian=True).hess
 
         lifted, moments, hess = run()
@@ -1310,8 +1364,9 @@ class TestLiftedCells:
     def test_fallbacks_clip_all_pairs(self, trigger, monkeypatch):
         # Each input that Qhull does not see or cannot be trusted on takes the
         # all-pairs clip, in plain floats in 2-D and as rows in 3-D, and its
-        # cells match the brute force. Flat facets are no such input: their
-        # pieces share the merged facet's vertex.
+        # cells match the brute force, in the hull and in its two halves
+        # along x_1, all three measured in one batch. Flat facets are no such
+        # input: their pieces share the merged facet's vertex.
         rng = np.random.default_rng(11)
         l, g = 2, None
         if trigger == "few-sinks":
@@ -1338,19 +1393,24 @@ class TestLiftedCells:
         if g is None:
             g = rng.normal(scale=0.1, size=len(points)) * (l == 2)
         samples = SampleSet.uniform(points)
-        box = Hyperrectangle([-1.2] * l, [1.2] * l)
-        diagram = geometry._power_diagram(samples, g, box)
+        hull = Hyperrectangle([-1.2] * l, [1.2] * l)
+        halves = (
+            Hyperrectangle([-1.2] * l, [0.1] + [1.2] * (l - 1)),
+            Hyperrectangle([0.1] + [-1.2] * (l - 1), [1.2] * l),
+        )
+        diagram = geometry._power_diagram(samples, g, hull)
         assert _lifted(diagram) == (trigger == "flat")
         assert (diagram.rows is None) == (l == 2)
-        vols, firsts, seconds = cell_box_moments_exact(samples, g, box, diagram)
-        ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
-        tol = 1e-12 * box.volume
-        r = box.max_corner_norm()
-        assert np.abs(vols - ref_vols).max() <= tol
-        assert np.abs(firsts - ref_firsts).max() <= tol * r
-        assert np.abs(seconds - ref_seconds).max() <= tol * r**2
+        batch = geometry._box_batch(diagram, samples, g, (hull, *halves), False)
+        for box, (vols, firsts, seconds) in zip((hull, *halves), _slices(batch)):
+            ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
+            tol = 1e-12 * box.volume
+            r = box.max_corner_norm()
+            assert np.abs(vols - ref_vols).max() <= tol
+            assert np.abs(firsts - ref_firsts).max() <= tol * r
+            assert np.abs(seconds - ref_seconds).max() <= tol * r**2
         if trigger == "coplanar-3d":
-            assert vols[:2].min() > 0.5
+            assert batch.vols[0, :2].min() > 0.5
 
     def test_large_lattice_takes_the_lifted_route(self):
         # 216 cospherical sinks at g = 0, whose merged facets Qhull cuts into
@@ -1358,9 +1418,10 @@ class TestLiftedCells:
         points = _lattice(3, 6, 0.4)
         samples = SampleSet.uniform(points)
         box = Hyperrectangle([-1.0] * 3, [1.0] * 3)
-        diagram = geometry._power_diagram(samples, np.zeros(len(points)), box)
+        g = np.zeros(len(points))
+        diagram = geometry._power_diagram(samples, g, box)
         assert diagram.rows is not None
-        vols = cell_box_moments_exact(samples, np.zeros(len(points)), box, diagram)[0]
+        vols = geometry._box_batch(diagram, samples, g, [box], False).vols[0]
         assert abs(vols.sum() - box.volume) <= 1e-12 * box.volume
 
 
@@ -1409,21 +1470,20 @@ _LIFTED_CASES = [
 
 
 class TestBatchedPass:
-    """All of a pass's boxes cut and measured at once, handed out box by box."""
+    """All of a pass's boxes cut and measured at once, in one batch."""
 
     @staticmethod
     def check_slices(samples, g, boxes, skip=()):
-        # Each box's slice of a diagram told about every box against the
-        # box's own one-box call.
+        # Each box's slice of one batch of every box, on the diagram of their
+        # hull, against the box's own one-box call.
         n, l = samples.n, samples.dimension
         hull = Hyperrectangle(
             np.min([box.lo for box in boxes], axis=0),
             np.max([box.hi for box in boxes], axis=0),
         )
-        diagram = geometry._power_diagram(samples, g, hull, boxes, facets=True)
-        assert (diagram.batch is None) == (diagram.rows is None)
-        for index, box in enumerate(boxes):
-            shared = cell_box_moments_exact(samples, g, box, diagram, facets=True)
+        diagram = geometry._power_diagram(samples, g, hull)
+        batch = geometry._box_batch(diagram, samples, g, boxes, True)
+        for index, (box, shared) in enumerate(zip(boxes, _slices(batch))):
             own = cell_box_moments_exact(samples, g, box, facets=True)
             tol = 1e-12 * box.volume
             r = box.max_corner_norm()
@@ -1469,10 +1529,11 @@ class TestBatchedPass:
         _, points, g, boxes = case
         samples = SampleSet.uniform(points)
         for box in boxes:
-            diagram = geometry._power_diagram(samples, g, box, [box], facets=True)
+            diagram = geometry._power_diagram(samples, g, box)
             if diagram.rows is None:
                 continue
-            batched = cell_box_moments_exact(samples, g, box, diagram, facets=True)
+            batch = geometry._box_batch(diagram, samples, g, [box], True)
+            (batched,) = _slices(batch)
             reference = _hull_route(diagram, samples.n, box, facets=True)
             for got, want in zip(
                 batched[:3] + batched[3], reference[:3] + reference[3]
@@ -1480,39 +1541,31 @@ class TestBatchedPass:
                 assert got.tobytes() == want.tobytes()
 
     def test_box_that_meets_no_cell(self):
-        # A box beyond every cell's bounding box gets zeros and no pieces;
-        # the boxes around it in the batch keep their slices.
+        # A box beyond every cell's bounding box, outside the diagram's hull,
+        # gets no volume, and the batch refuses it by name.
         rng = np.random.default_rng(3)
         samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(12, 2)))
         g = rng.normal(scale=0.1, size=12)
         inside = Hyperrectangle([-1.0, -1.0], [1.0, 1.0])
         far = Hyperrectangle([1e6, 1e6], [1e6 + 1.0, 1e6 + 1.0])
-        diagram = geometry._power_diagram(
-            samples, g, inside, [far, inside, far], facets=True
-        )
-        batch = diagram.batch
-        for index in (0, 2):
-            assert not batch.vols[index].any() and not batch.seconds[index].any()
-            assert not batch.firsts[index].any()
-            assert batch.bounds[index] == batch.bounds[index + 1]
-        assert batch.bounds[-1] == len(batch.pieces[0])
-        own = cell_box_moments_exact(samples, g, inside, facets=True)
-        shared = cell_box_moments_exact(samples, g, inside, diagram, facets=True)
-        for got, want in zip(shared[:3] + shared[3], own[:3] + own[3]):
-            assert got.tobytes() == want.tobytes()
+        diagram = geometry._power_diagram(samples, g, inside)
+        assert _lifted(diagram)
+        with pytest.raises(geometry.VolumeSumError, match="box 1: .* sum to 0.0,"):
+            geometry._box_batch(diagram, samples, g, [inside, far, inside], True)
 
     def test_box_not_in_the_batch_is_measured(self):
-        # A box the diagram was not built for, or a request for facet pieces
-        # that its batch did not make, is measured as a batch of one.
+        # Boxes inside the hull that the diagram was not built for, measured
+        # in one batch, match their own one-box calls.
         rng = np.random.default_rng(4)
         boxes, points = _ladder(rng, 3, 32)
         samples = SampleSet.uniform(points)
         g = np.zeros(32)
         hull = Hyperrectangle([-1.0] * 3, [1.0] * 3)
-        diagram = geometry._power_diagram(samples, g, hull, boxes[:1])
+        diagram = geometry._power_diagram(samples, g, hull)
         inner = Hyperrectangle([-0.4, -0.5, -0.6], [0.3, 0.2, 0.1])
-        for box in (boxes[0], boxes[2], inner):
-            shared = cell_box_moments_exact(samples, g, box, diagram, facets=True)
+        some = (boxes[0], boxes[2], inner)
+        batch = geometry._box_batch(diagram, samples, g, some, True)
+        for box, shared in zip(some, _slices(batch)):
             own = cell_box_moments_exact(samples, g, box, facets=True)
             tol = 1e-12 * box.volume
             assert abs(shared[0].sum() - box.volume) <= tol
@@ -1522,15 +1575,58 @@ class TestBatchedPass:
             difference = _facet_sums(32, shared[3]) - _facet_sums(32, own[3])
             assert np.abs(difference).max() <= 1e-12 * float(box.widths.max()) ** 2
 
+    @pytest.mark.parametrize("route", ["chain", "plain", "lifted", "all-pairs"])
+    def test_volumes_that_do_not_sum_raise(self, route, monkeypatch):
+        # Cell volumes off by 2e-9 of a box's volume stop the pass, on every
+        # route; off by 5e-10, within the tolerance of 1e-9, they do not.
+        l = {"chain": 1, "plain": 2, "lifted": 2, "all-pairs": 3}[route]
+        n = 3 if route == "plain" else 6
+        rng = np.random.default_rng(12)
+        samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(n, l)))
+        g = np.zeros(n)
+        box = Hyperrectangle([-1.0] * l, [1.0] * l)
+        if route == "all-pairs":
+            monkeypatch.setattr(geometry, "_power_neighbours", lambda y, lift: None)
+        diagram = geometry._power_diagram(samples, g, box)
+        assert (diagram.rows is not None) == (route in ("lifted", "all-pairs"))
+        for error, raises in ((2e-9, True), (5e-10, False)):
+            damaged = diagram
+            with monkeypatch.context() as patch:
+                if route == "chain":
+                    # The last cell ends short of the box's upper face.
+                    ends = [*diagram.ends[:-1], 1.0 - 2.0 * error]
+                    damaged = diagram._replace(ends=ends)
+                elif route == "plain":
+                    real = geometry._polygon_moments
+
+                    def scaled(poly):
+                        area, first, second = real(poly)
+                        return area * (1.0 + error), first, second
+
+                    patch.setattr(geometry, "_polygon_moments", scaled)
+                else:
+                    real = geometry._row_moments
+
+                    def scaled(rows, count, facets):
+                        vol, *rest = real(rows, count, facets)
+                        return (vol * (1.0 + error), *rest)
+
+                    patch.setattr(geometry, "_row_moments", scaled)
+                if raises:
+                    with pytest.raises(geometry.VolumeSumError, match="box 0"):
+                        geometry._box_batch(damaged, samples, g, [box], False)
+                else:
+                    geometry._box_batch(damaged, samples, g, [box], False)
+
     def test_pass_clips_once_per_face_direction(self, monkeypatch):
         # One exact pass on a k = 4 ladder: at most 2l clip calls and one
-        # moment sum for all boxes, and still one measured call per box.
+        # moment sum for all boxes.
         rng = np.random.default_rng(7)
         l, n = 3, 32
         boxes, points = _ladder(rng, l, n)
         density = BoxDensity(l, tuple((box, 1.0 / (4 * box.volume)) for box in boxes))
         instance = Instance(density, SampleSet.uniform(points))
-        calls = {"_clip_rows": 0, "_row_moments": 0, "cell_box_moments_exact": 0}
+        calls = {"_clip_rows": 0, "_row_moments": 0}
 
         def counted(module, name):
             real = getattr(module, name)
@@ -1543,11 +1639,10 @@ class TestBatchedPass:
 
         counted(geometry, "_clip_rows")
         counted(geometry, "_row_moments")
-        counted(ds_module, "cell_box_moments_exact")
         _evaluate(instance, np.zeros(n), hessian=True)
         assert 0 < calls["_clip_rows"] <= 2 * l
         assert calls["_row_moments"] == 1
-        assert calls["cell_box_moments_exact"] == 4
+
 
 def _tie_cases():
     """(id, points, g, boxes) whose cutting planes pass through vertices."""
@@ -1587,15 +1682,16 @@ class TestAllPairsRows:
             np.min([box.lo for box in boxes], axis=0),
             np.max([box.hi for box in boxes], axis=0),
         )
-        diagram = geometry._power_diagram(samples, g, hull, boxes)
+        diagram = geometry._power_diagram(samples, g, hull)
         assert diagram.rows is not None and not _lifted(diagram)
-        for box in (hull, *boxes):
+        batch = geometry._box_batch(diagram, samples, g, (hull, *boxes), False)
+        for box, shared in zip((hull, *boxes), _slices(batch)):
             ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
             tol = 1e-12 * box.volume
             r = box.max_corner_norm()
             # Cut from the shared hull, and built with the box as its hull.
-            for shared in (diagram, None):
-                vols, firsts, seconds = cell_box_moments_exact(samples, g, box, shared)
+            own = cell_box_moments_exact(samples, g, box)
+            for vols, firsts, seconds in (shared, own):
                 assert abs(vols.sum() - box.volume) <= tol
                 assert np.abs(vols - ref_vols).max() <= tol
                 assert np.abs(firsts - ref_firsts).max() <= tol * r
@@ -1645,6 +1741,62 @@ class TestAllPairsRows:
             assert np.abs(closure).max() <= 1e-13
             vol = geometry._row_moments(rows, 1, facets=False)[0][0]
             assert abs(vol - ConvexHull(p).volume) <= 1e-13
+
+
+@st.composite
+def _lattice_cases(draw):
+    """(samples, g, density) on one lattice of spacing h in {0.25, 0.5, 1}.
+
+    Sinks sit at lattice points, each moved by up to ``jitter`` per axis;
+    weights come from {0, +-0.25, +-0.5} or N(0, 0.3). The density's 1-3
+    boxes are slabs along x_1 with every face on the lattice.
+    """
+    l = draw(st.integers(1, 3))
+    h = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    jitter = draw(st.sampled_from([0.0, 1e-14, 1e-9, 1e-3]))
+    n = draw(st.integers(1, 5 if l == 1 else 8))
+    coords = st.tuples(*[st.integers(-2, 2)] * l)
+    points = draw(st.lists(coords, min_size=n, max_size=n, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = h * np.array(points, float) + jitter * rng.uniform(-1.0, 1.0, (n, l))
+    if draw(st.booleans()):
+        g = np.array(draw(st.lists(
+            st.sampled_from([0.0, 0.25, -0.25, 0.5, -0.5]), min_size=n, max_size=n
+        )))
+    else:
+        g = rng.normal(scale=0.3, size=n)
+    k = draw(st.integers(1, 3))
+    faces = st.integers(-3, 3)
+    cuts = sorted(draw(st.lists(faces, min_size=2 * k, max_size=2 * k, unique=True)))
+    boxes = []
+    for i in range(k):
+        lo, hi = [h * cuts[2 * i]], [h * cuts[2 * i + 1]]
+        for _ in range(l - 1):
+            a, b = sorted(draw(st.lists(faces, min_size=2, max_size=2, unique=True)))
+            lo.append(h * a)
+            hi.append(h * b)
+        boxes.append(Hyperrectangle(lo, hi))
+    density = BoxDensity(l, tuple((box, 1.0 / (k * box.volume)) for box in boxes))
+    return SampleSet.uniform(y), g, density
+
+
+class TestGeometryFuzz:
+    """One batch over every box of a density against the brute force, on ties."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_lattice_cases())
+    def test_batch_matches_brute_force(self, case):
+        samples, g, density = case
+        boxes = [box for box, _ in density.boxes]
+        diagram = geometry._power_diagram(samples, g, density.hull)
+        batch = geometry._box_batch(diagram, samples, g, boxes, False)
+        for box, (vols, firsts, seconds) in zip(boxes, _slices(batch)):
+            ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
+            tol = 1e-12 * box.volume
+            r = box.max_corner_norm()
+            assert np.abs(vols - ref_vols).max() <= tol
+            assert np.abs(firsts - ref_firsts).max() <= tol * r
+            assert np.abs(seconds - ref_seconds).max() <= tol * r**2
 
 
 def _midpoint_moments(density, cells_per_box=10_000):
