@@ -31,6 +31,7 @@ import numpy as np
 from .dual_solver import (
     SolverAbort,
     SolverConfig,
+    _mc_energy,
     energy,
     epsilon_prime,
     gradient,
@@ -41,6 +42,7 @@ from .fixtures import random_instance, sample_separation_family, thin_box_family
 from .geometry import (
     EXACT_MAX_DIMENSION,
     BudgetRefused,
+    VolumeSumError,
     box_moments,
     cell_box_moments_exact,
     cell_box_volumes_mc,
@@ -197,9 +199,7 @@ def _family_ratio_rows(name: str) -> tuple[list[str], bool]:
     ratios = {}
     for m in (1, 2, 4, 8, 16):
         instance, (g_a, g_b) = family(m)
-        diff = gradient(instance, g_a, backend="exact") - gradient(
-            instance, g_b, backend="exact"
-        )
+        diff = gradient(instance, g_a) - gradient(instance, g_b)
         ratio = float(np.linalg.norm(diff) / np.linalg.norm(g_a - g_b))
         ratios[m] = ratio
         rows.append(f"{name},{m},{ratio!r}")
@@ -211,25 +211,22 @@ def _family_ratio_rows(name: str) -> tuple[list[str], bool]:
 def _instance_failures(instance, seed: int) -> list[str]:
     """Per-instance invariants; returns one message per failed check.
 
-    In every dimension: the eps' floor, and the dual energy at g = 0,
-    E(0) = integral of min_j ||x - y_j||^2 dalpha, bracketed below by
+    In every dimension: the eps' floor, which :func:`epsilon_prime` checks
+    itself, and the dual energy at g = 0, E(0) = integral of
+    min_j ||x - y_j||^2 dalpha, bracketed below by
     sum_i gamma_i vol(H_i) min_j dist(y_j, H_i)^2 and above by the
     demand-weighted mean of ||x - y_j||^2 integrated against alpha. With the
     exact kernel (l <= EXACT_MAX_DIMENSION) E(0) is exact, with slack 1e-9
-    times the upper bound, each box's exact cell volumes sum to its volume,
-    and box 0's MC volumes match them within 0.05 vol(box). Above it, E(0)
-    is a Monte-Carlo estimate at accuracy 1 % of the integrand's range
-    4 D^2 (failure probability 0.1), which is also the slack.
+    times the upper bound, and box 0's MC volumes match its exact ones
+    within 0.05 vol(box); every exact pass raises VolumeSumError unless each
+    box's cell volumes sum to its volume. Above it, E(0) is a Monte-Carlo
+    estimate at accuracy 1 % of the integrand's range 4 D^2 (failure
+    probability 0.1), which is also the slack.
     """
     density, samples = instance.density, instance.samples
     g = np.zeros(samples.n)
     failures = []
-
-    eps = 0.05
-    ep = epsilon_prime(instance, eps)
-    floor = eps * instance.stats.s**2 / 12.0
-    if ep < floor - 1e-12:
-        failures.append(f"epsilon' {ep!r} below floor {floor!r}")
+    epsilon_prime(instance, 0.05)
 
     y, b = samples.points, samples.demands
     n_mass, first, second = box_moments(density)
@@ -244,24 +241,15 @@ def _instance_failures(instance, seed: int) -> list[str]:
     )
     if density.dimension > EXACT_MAX_DIMENSION:
         slack = 0.01 * 4.0 * instance.stats.D**2
-        e0 = energy(
-            instance, g, accuracy=slack, eta_prime=0.1, seed=seed, backend="mc"
-        )
+        e0, _ = _mc_energy(instance, g, slack, 0.1, seed)
     else:
         e0, slack = energy(instance, g), 1e-9 * upper
-        exact = [cell_box_moments_exact(samples, g, box)[0] for box, _ in density.boxes]
-        for i, (box, _) in enumerate(density.boxes):
-            total = float(exact[i].sum())
-            if abs(total - box.volume) > 1e-9:
-                failures.append(
-                    f"box {i}: exact cell volumes sum {total!r}, "
-                    f"expected {box.volume!r}"
-                )
         box, _ = density.boxes[0]
+        exact = cell_box_moments_exact(samples, g, box)[0]
         mc = cell_box_volumes_mc(
             samples, g, box, eps_bar=0.05, eta_prime=0.1, seed=seed, box_index=0,
         )
-        if np.max(np.abs(mc - exact[0])) > 0.05 * box.volume:
+        if np.max(np.abs(mc - exact)) > 0.05 * box.volume:
             failures.append("MC volumes deviate beyond the additive tolerance")
     if not lower - slack <= e0 <= upper + slack:
         failures.append(
@@ -289,7 +277,11 @@ def _verify_invariants(args: argparse.Namespace, seed: int) -> int:
         else:
             named = [("", load_instance(target)[0])]
         for where, instance in named:
-            for message in _instance_failures(instance, seed):
+            try:
+                failures = _instance_failures(instance, seed)
+            except VolumeSumError as exc:
+                failures = [str(exc)]
+            for message in failures:
                 print(f"FAIL{where}: {message}")
                 ok = False
 

@@ -155,17 +155,6 @@ def center_weights(g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_backend(backend: str, dimension: int) -> str:
-    exact_ok = dimension <= EXACT_MAX_DIMENSION
-    if backend == "auto":
-        return "exact" if exact_ok else "mc"
-    if backend == "exact" and not exact_ok:
-        raise ValueError(
-            f"exact backend supports dimension <= {EXACT_MAX_DIMENSION} only"
-        )
-    return backend
-
-
 class _Pass(NamedTuple):
     """Energy, gradient and cell masses at one g from one geometry pass.
 
@@ -230,98 +219,60 @@ def _evaluate(instance: Instance, g: np.ndarray, hessian: bool = False) -> _Pass
     )
 
 
-def energy(
-    instance: Instance,
-    g: np.ndarray,
-    accuracy: float | None = None,
-    eta_prime: float | None = None,
-    seed=0,
-    backend: str = "exact",
-    drawn: list[int] | None = None,
-) -> float:
-    """Dual energy E(g).
+def energy(instance: Instance, g: np.ndarray) -> float:
+    """Dual energy E(g) from one exact pass (:func:`_evaluate`).
 
-    Exact backend (l <= 3): closed-form clipped-cell quadratic moments per
-    box. MC backend: uniform sampling of the potential
-    min_j(||x - y_j||^2 - g_j), every box in lockstep, with Hoeffding counts
-    for additive error ``accuracy`` > 0 at failure probability eta_prime in
-    (0, 1), both checked before any draw; the integrand range is bounded by
-    4 D^2 + 2 ||g||_inf. ``drawn``, when given, gets the number of points
-    drawn in each box appended.
+    Closed-form clipped-cell quadratic moments per box; an instance above
+    dimension 3 is refused with a ValueError before any geometry.
     """
-    g = _finite_weights(g, instance.samples.n)
-    samples = instance.samples
-    backend = _resolve_backend(backend, instance.dimension)
-
-    if backend == "exact":
-        return _evaluate(instance, g).energy
-
-    if accuracy is None or eta_prime is None:
-        raise ValueError("mc energy needs accuracy and eta_prime")
-    if not 0.0 < accuracy < math.inf:
-        raise ValueError(f"accuracy must be finite and positive, not {accuracy}")
-    if not 0.0 < eta_prime < 1.0:
-        raise ValueError(f"eta_prime must lie in (0, 1), not {eta_prime}")
-    stats = instance.stats
-    rng_range = 4.0 * stats.D**2 + 2.0 * float(np.abs(g).max())
-    k = instance.density.k
-    m = int(
-        math.ceil(rng_range**2 * math.log(2.0 * k / eta_prime) / (2.0 * accuracy**2))
-    )
-    boxes, weights = zip(*instance.density.boxes)
-    total = 0.0
-    for value in potential_integral_mc(samples, g, boxes, weights, m, seed).tolist():
-        total += value
-    if drawn is not None:
-        drawn.extend([m] * k)
-    return total + float(g @ samples.demands)
+    return _evaluate(instance, g).energy
 
 
-def gradient(
+def gradient(instance: Instance, g: np.ndarray) -> np.ndarray:
+    """grad E(g), mean-centred onto G_0, from one exact pass (:func:`_evaluate`).
+
+    grad E(g)_j = b_j - sum_boxes gamma vol(L_j(g) n H); an instance above
+    dimension 3 is refused with a ValueError before any geometry.
+    """
+    return _evaluate(instance, g).grad
+
+
+def _mc_gradient(
     instance: Instance,
     g: np.ndarray,
-    eps_bar: float | None = None,
-    eta_prime: float | None = None,
-    seed=0,
-    backend: str = "exact",
-    threshold: float | None = None,
-    drawn: list[int] | None = None,
-) -> np.ndarray:
-    """Gradient of E at g, mean-centered onto G_0.
+    eps_bar: float,
+    eta_prime: float,
+    seed,
+    threshold: float,
+) -> tuple[np.ndarray, int]:
+    """Monte Carlo grad E(g), mean-centred onto G_0, and the points drawn.
 
-    grad E(g)_j = b_j - sum_boxes gamma vol(L_j(g) n H). The MC backend
-    estimates each box's cell volumes to additive accuracy
+    Each box's cell volumes are estimated to additive accuracy
     (eps_bar/sqrt(n)) vol(H) with per-box failure eta_prime/k, which gives
-    ||returned - grad E|| <= eps_bar with probability >= 1 - eta_prime.
-    Projection onto G_0 is a contraction (grad E lies in G_0), so it never
-    increases the error.
+    ||g_m - grad E|| <= eps_bar for the full draw's estimate g_m, with
+    probability >= 1 - eta_prime. Projection onto G_0 is a contraction
+    (grad E lies in G_0), so it never increases the error.
 
-    With a ``threshold`` (the solver's stop on ||grad||), the MC draw ends
-    at the first checked prefix whose estimate g_k, from the first k of
-    the m points of every box, satisfies ||g_k|| + (3 + m/k) eps_bar / 2
-    <= threshold, and returns g_k. Hoeffding's supermartingale and Ville's
-    inequality put every prefix within (m/k + 1) eps_bar / 2 of grad E at
-    once, on an event inside the full draw's own of probability >= 1 -
-    eta_prime (see :func:`cell_box_volumes_mc`). There ||g_m|| <=
-    ||grad E|| + eps_bar <= ||g_k|| + (3 + m/k) eps_bar / 2 <= threshold:
-    the full draw would pass the threshold too, so a solver that stops on
-    it stops at the same iterate. The rule can hold at k only if k >=
-    m eps_bar / (2 threshold - 3 eps_bar - 2 ||g_k||), so the first check
-    is at k_0 = m eps_bar / (2 threshold - 3 eps_bar) (m/13 at the
-    solver's threshold of 8 eps_bar), and a check that fails at prefix
-    norm nu plans the next at m eps_bar / (2 threshold - 3 eps_bar - 2 nu),
-    or a block further when that denominator is not positive. Every box is
-    drawn in lockstep to each check's row, on one pool of threads. A
-    prefix that never certifies runs to m and returns the full draw's
-    bits. ``drawn``, when given, gets the number of points drawn in each
-    box appended.
+    The draw ends at the first checked prefix whose estimate g_k, from the
+    first k of the m points of every box, satisfies ||g_k|| + (3 + m/k)
+    eps_bar / 2 <= threshold (the solver's stop on ||grad||), and returns
+    g_k. Hoeffding's supermartingale and Ville's inequality put every
+    prefix within (m/k + 1) eps_bar / 2 of grad E at once, on an event
+    inside the full draw's own of probability >= 1 - eta_prime (see
+    :func:`cell_box_volumes_mc`). There ||g_m|| <= ||grad E|| + eps_bar <=
+    ||g_k|| + (3 + m/k) eps_bar / 2 <= threshold: the full draw would pass
+    the threshold too, so a solver that stops on it stops at the same
+    iterate. The rule can hold at k only if k >= m eps_bar / (2 threshold -
+    3 eps_bar - 2 ||g_k||), so the first check is at k_0 = m eps_bar /
+    (2 threshold - 3 eps_bar) (m/13 at the solver's threshold of 8
+    eps_bar), and a check that fails at prefix norm nu plans the next at
+    m eps_bar / (2 threshold - 3 eps_bar - 2 nu), or a block further when
+    that denominator is not positive. Every box is drawn in lockstep to
+    each check's row, on one pool of threads. A prefix that never
+    certifies, as at any threshold <= 2 eps_bar, runs to m and returns the
+    full draw's bits. The count is the points drawn, summed over the k
+    boxes.
     """
-    g = _finite_weights(g, instance.samples.n)
-    backend = _resolve_backend(backend, instance.dimension)
-    if backend == "exact":
-        return _evaluate(instance, g).grad
-    if eps_bar is None or eta_prime is None:
-        raise ValueError("mc gradient needs eps_bar and eta_prime")
     samples = instance.samples
     boxes = instance.density.boxes
     k = len(boxes)
@@ -350,11 +301,37 @@ def gradient(
 
     volumes = cell_box_volumes_mc(
         samples, g, [box for box, _ in boxes], per_cell, eta_prime / k, seed,
-        plan=None if threshold is None else plan,
+        plan=plan,
     )
-    if drawn is not None:
-        drawn.extend([rows] * k)
-    return estimate(volumes)
+    return estimate(volumes), rows * k
+
+
+def _mc_energy(
+    instance: Instance, g: np.ndarray, accuracy: float, eta_prime: float, seed
+) -> tuple[float, int]:
+    """Monte Carlo E(g) and the points drawn, summed over the k boxes.
+
+    Uniform sampling of the potential min_j(||x - y_j||^2 - g_j), every box
+    in lockstep, with Hoeffding counts for additive error ``accuracy`` > 0
+    at failure probability eta_prime in (0, 1), both checked before any
+    draw; the integrand range is bounded by 4 D^2 + 2 ||g||_inf.
+    """
+    samples = instance.samples
+    g = _finite_weights(g, samples.n)
+    if not 0.0 < accuracy < math.inf:
+        raise ValueError(f"accuracy must be finite and positive, not {accuracy}")
+    if not 0.0 < eta_prime < 1.0:
+        raise ValueError(f"eta_prime must lie in (0, 1), not {eta_prime}")
+    rng_range = 4.0 * instance.stats.D**2 + 2.0 * float(np.abs(g).max())
+    k = instance.density.k
+    m = int(
+        math.ceil(rng_range**2 * math.log(2.0 * k / eta_prime) / (2.0 * accuracy**2))
+    )
+    boxes, weights = zip(*instance.density.boxes)
+    total = 0.0
+    for value in potential_integral_mc(samples, g, boxes, weights, m, seed).tolist():
+        total += value
+    return total + float(g @ samples.demands), m * k
 
 
 # ---------------------------------------------------------------------------
@@ -435,21 +412,19 @@ def solve_dual(
     depend on the gradient draws only, so the last pass's energy, which the
     solve returns on both backends, carries that bound.
 
-    Each mc gradient draw is given the threshold and ends at the first
-    checked prefix, of k of the m points of every box, whose estimate g_k
-    has ||g_k|| + (3 + m/k) eps_bar / 2 <= eps'/(45 n D^2); the checks
-    are planned from that rule, the first at k = m/13 (see
-    :func:`gradient`). By Hoeffding's supermartingale and Ville's
-    inequality this happens, on an event inside the full draw's own of the
-    same probability, only where the full draw's norm is below the
-    threshold too: the solve stops at the same t with the same iterate and
-    the same energy, and only the last row's ``grad_norm`` is the
+    Each mc gradient draw ends at the first checked prefix whose estimate
+    certifies that the full draw's norm is below the threshold too (see
+    :func:`_mc_gradient`): on an event inside the full draw's own of the
+    same probability, the solve stops at the same t with the same iterate
+    and the same energy, and only the last row's ``grad_norm`` is the
     prefix's. A draw whose prefix never certifies is the full draw, bit
     for bit.
     """
     stats = instance.stats
     n = instance.samples.n
-    backend = _resolve_backend(config.volume_backend, instance.dimension)
+    backend = config.volume_backend
+    if backend == "auto":
+        backend = "exact" if instance.dimension <= EXACT_MAX_DIMENSION else "mc"
     uniform = instance.samples.uniform_demands
     if not uniform:
         warnings.warn(
@@ -485,28 +460,14 @@ def solve_dual(
         trace.passes += 1
         if backend == "exact":
             return _evaluate(instance, g, t < m_eff)
-        grad_drawn, energy_drawn = [], []
-        grad = gradient(
-            instance,
-            g,
-            eps_bar=noise_budget,
-            eta_prime=eta_iter,
-            seed=(config.seed, t),
-            backend=backend,
-            threshold=grad_threshold,
-            drawn=grad_drawn,
+        grad, drawn = _mc_gradient(
+            instance, g, noise_budget, eta_iter, (config.seed, t), grad_threshold
         )
-        e_here = energy(
-            instance,
-            g,
-            accuracy=trace.energy_accuracy,
-            eta_prime=eta_iter,
-            seed=(config.seed, t, 1),
-            backend=backend,
-            drawn=energy_drawn,
+        trace.mc_points_gradient += drawn
+        e_here, drawn = _mc_energy(
+            instance, g, trace.energy_accuracy, eta_iter, (config.seed, t, 1)
         )
-        trace.mc_points_gradient += sum(grad_drawn)
-        trace.mc_points_energy += sum(energy_drawn)
+        trace.mc_points_energy += drawn
         return _Pass(e_here, grad, None, None)
 
     start = time.perf_counter()

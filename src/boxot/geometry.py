@@ -1451,7 +1451,7 @@ def _box_batch(
 
 
 def cell_box_moments_exact(
-    samples: SampleSet, g: np.ndarray, box: Hyperrectangle, facets: bool = False
+    samples: SampleSet, g: np.ndarray, box: Hyperrectangle
 ) -> tuple:
     """Exact (volume, integral x, integral ||x||^2) of L_j(g) n box for all j.
 
@@ -1460,17 +1460,10 @@ def cell_box_moments_exact(
     hull (:func:`_power_diagram`). Returns (vols (n,), firsts (n, l),
     seconds (n,)). Deterministic. Raises ValueError unless g holds n finite
     weights, and VolumeSumError if the volumes do not sum to the box's.
-
-    With ``facets`` it also returns the boundary pieces as three parallel
-    arrays (j, i, measure): the measure of the piece of cell j's boundary
-    against neighbour i in the box (a point counts 1 in 1-D, a length in
-    2-D, an area in 3-D), one entry per piece of each nonempty cell, so
-    every facet appears once from each side.
     """
     g = _finite_weights(g, samples.n)
-    batch = _box_batch(_power_diagram(samples, g, box), samples, g, [box], facets)
-    moments = batch.vols[0], batch.firsts[0], batch.seconds[0]
-    return (*moments, batch.pieces) if facets else moments
+    batch = _box_batch(_power_diagram(samples, g, box), samples, g, [box], False)
+    return batch.vols[0], batch.firsts[0], batch.seconds[0]
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def test_criterion_03_gradient_matches_finite_differences():
         scale = 0.5 * instance.stats.D**2
         for _ in range(20):
             g = rng.normal(scale=scale, size=n)
-            analytic = gradient(instance, g, backend="exact")
+            analytic = gradient(instance, g)
             fd = finite_difference_gradient(instance, g)
             norm = float(np.linalg.norm(analytic))
             if norm == 0.0:
@@ -157,8 +157,8 @@ def test_criterion_04_smoothness_bound():
         for _ in range(100):
             g = rng.normal(scale=scale, size=n)
             h = rng.normal(scale=scale, size=n)
-            dg = gradient(instance, g, backend="exact")
-            dh = gradient(instance, h, backend="exact")
+            dg = gradient(instance, g)
+            dh = gradient(instance, h)
             ratio = float(
                 np.linalg.norm(dg - dh) / np.linalg.norm(g - h)
             )
@@ -171,9 +171,7 @@ def test_criterion_05_necessity_families_blow_up():
         ratios = {}
         for m in (1, 2, 4, 8, 16):
             instance, (g_a, g_b) = family(m)
-            diff = gradient(instance, g_a, backend="exact") - gradient(
-                instance, g_b, backend="exact"
-            )
+            diff = gradient(instance, g_a) - gradient(instance, g_b)
             ratios[m] = float(
                 np.linalg.norm(diff) / np.linalg.norm(g_a - g_b)
             )

@@ -360,19 +360,25 @@ class TestVerify:
         assert capsys.readouterr().out.strip() == "PASS"
 
     def test_invariants_random_checks_the_partition(self, monkeypatch, capsys):
-        real = cli.cell_box_moments_exact
+        # A kernel whose 2-D cells lose 1e-6 of their volume fails every
+        # exact pass's volume-sum check; the invariants mode reports it as a
+        # FAIL line and exit 1, not as a numerical failure.
+        real = geometry._polygon_moments
 
-        def drop_largest_cell(*args, **kwargs):
-            vols, *rest = real(*args, **kwargs)
-            vols = vols.copy()
-            vols[np.argmax(vols)] = 0.0
-            return (vols, *rest)
+        def shrunk(poly):
+            vol, first, second = real(poly)
+            return vol * (1.0 - 1e-6), first, second
 
-        monkeypatch.setattr(cli, "cell_box_moments_exact", drop_largest_cell)
+        monkeypatch.setattr(geometry, "_polygon_moments", shrunk)
         code = main(["verify", "random", "--mode", "invariants", "--seed", "3"])
-        assert code == EXIT_CHECK_FAILED
-        out = capsys.readouterr().out.splitlines()
-        assert out[0].startswith("FAIL random instance 0: box 0: exact cell volumes")
+        captured = capsys.readouterr()
+        assert code == EXIT_CHECK_FAILED, captured.err
+        out = captured.out.splitlines()
+        assert any(
+            line.startswith("FAIL random instance ")
+            and ": box 0: exact cell volumes sum to " in line
+            for line in out
+        ), out
         assert out[-1] == "FAIL"
 
     def test_missing_path(self, tmp_path, capsys):

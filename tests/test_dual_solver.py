@@ -14,6 +14,8 @@ from boxot.dual_solver import (
     ITERATION_CAP,
     SolverAbort,
     SolverConfig,
+    _mc_energy,
+    _mc_gradient,
     center_weights,
     energy,
     epsilon_prime,
@@ -65,14 +67,8 @@ class TestEnergy:
     def test_mc_close_to_exact(self, symmetric_square):
         g = np.array([0.2, -0.2])
         exact = energy(symmetric_square, g)
-        mc = energy(
-            symmetric_square, g, accuracy=0.02, eta_prime=0.05, seed=3, backend="mc"
-        )
+        mc, _ = _mc_energy(symmetric_square, g, 0.02, 0.05, 3)
         assert abs(mc - exact) <= 0.02
-
-    def test_mc_needs_budgets(self, symmetric_square):
-        with pytest.raises(ValueError):
-            energy(symmetric_square, np.zeros(2), backend="mc")
 
     def test_non_finite_weights_raise(self, symmetric_interval):
         with pytest.raises(ValueError):
@@ -96,15 +92,9 @@ class TestGradient:
 
     def test_mc_within_budget(self, symmetric_square):
         g = np.array([0.3, -0.3])
-        exact = gradient(symmetric_square, g, backend="exact")
-        mc = gradient(
-            symmetric_square, g, eps_bar=0.02, eta_prime=0.05, seed=11, backend="mc"
-        )
+        exact = gradient(symmetric_square, g)
+        mc, _ = _mc_gradient(symmetric_square, g, 0.02, 0.05, 11, 0.0)
         assert np.linalg.norm(mc - exact) <= 0.02
-
-    def test_mc_needs_budgets(self, symmetric_square):
-        with pytest.raises(ValueError):
-            gradient(symmetric_square, np.zeros(2), backend="mc")
 
     def test_concavity_monotone_gradients(self, asymmetric_demands):
         # concave E: (grad E(g) - grad E(h)) . (g - h) <= 0
@@ -185,14 +175,13 @@ class TestMcDraws:
     # Values recorded with the per-estimator draw loops that the shared
     # chunked loop replaced; the MC contract is that they stay bit-identical.
     def test_gradient_is_pinned(self, symmetric_square):
-        grad = gradient(
-            symmetric_square, np.array([0.1, -0.1]),
-            eps_bar=0.05, eta_prime=0.1, seed=(5, 3), backend="mc",
+        # A threshold of 0 certifies no prefix: the full draw's bits.
+        grad, _ = _mc_gradient(
+            symmetric_square, np.array([0.1, -0.1]), 0.05, 0.1, (5, 3), 0.0
         )
         assert grad.tolist() == [-0.050135501355013545, 0.050135501355013545]
-        grad = gradient(
-            _box_pair_3d(), np.array([0.05, -0.1, 0.05]),
-            eps_bar=0.05, eta_prime=0.1, seed=(5, 3), backend="mc",
+        grad, _ = _mc_gradient(
+            _box_pair_3d(), np.array([0.05, -0.1, 0.05]), 0.05, 0.1, (5, 3), 0.0
         )
         assert grad.tolist() == [
             -0.03179023088525351, 0.19602042000232045, -0.16423018911706694
@@ -200,29 +189,24 @@ class TestMcDraws:
 
     def test_energy_is_pinned(self, symmetric_square):
         # about 2.4e6 draws: more than one chunk
-        e = energy(
-            symmetric_square, np.array([0.1, -0.1]),
-            accuracy=0.0065, eta_prime=0.1, seed=(5, 3, 1), backend="mc",
+        e, _ = _mc_energy(
+            symmetric_square, np.array([0.1, -0.1]), 0.0065, 0.1, (5, 3, 1)
         )
         assert e == 0.6642276323166377
-        e = energy(
-            _box_pair_3d(), np.array([0.05, -0.1, 0.05]),
-            accuracy=0.5, eta_prime=0.1, seed=(5, 3, 1), backend="mc",
+        e, _ = _mc_energy(
+            _box_pair_3d(), np.array([0.05, -0.1, 0.05]), 0.5, 0.1, (5, 3, 1)
         )
         assert e == 0.216445801774224
 
     def test_two_box_energy_across_blocks_is_pinned(self):
         # 2 258 906 draws a box: both boxes cross a block boundary, drawn in
         # lockstep. Recorded with each box's potential drawn on its own.
-        drawn = []
-        e = energy(
-            _box_pair_3d(), np.array([0.05, -0.1, 0.05]),
-            accuracy=0.03, eta_prime=0.1, seed=(5, 3, 1), backend="mc",
-            drawn=drawn,
+        e, drawn = _mc_energy(
+            _box_pair_3d(), np.array([0.05, -0.1, 0.05]), 0.03, 0.1, (5, 3, 1)
         )
         assert e == 0.21697698708222898
-        assert drawn == [2_258_906, 2_258_906]
-        assert drawn[0] > geometry._MC_CHUNK
+        assert drawn == 2 * 2_258_906
+        assert drawn // 2 > geometry._MC_CHUNK
 
     @pytest.mark.parametrize(
         "accuracy, eta_prime, message",
@@ -250,10 +234,7 @@ class TestMcDraws:
 
         monkeypatch.setattr(geometry, "box_rng", no_draws)
         with pytest.raises(ValueError, match=message):
-            energy(
-                symmetric_square, np.zeros(2), accuracy=accuracy,
-                eta_prime=eta_prime, backend="mc",
-            )
+            _mc_energy(symmetric_square, np.zeros(2), accuracy, eta_prime, 0)
 
     def test_budget_above_cap_is_refused_before_drawing(
         self, symmetric_square, monkeypatch
@@ -264,9 +245,20 @@ class TestMcDraws:
         monkeypatch.setattr(geometry, "box_rng", no_draws)
         g = np.zeros(2)
         with pytest.raises(ValueError, match="exceeds cap"):
-            energy(symmetric_square, g, accuracy=1e-3, eta_prime=0.1, backend="mc")
+            _mc_energy(symmetric_square, g, 1e-3, 0.1, 0)
         with pytest.raises(ValueError, match="exceeds cap"):
-            gradient(symmetric_square, g, eps_bar=1e-4, eta_prime=0.1, backend="mc")
+            _mc_gradient(symmetric_square, g, 1e-4, 0.1, 0, 0.0)
+
+    @pytest.mark.parametrize("oracle", [energy, gradient])
+    def test_exact_oracle_refuses_four_dimensions(self, oracle, monkeypatch):
+        # energy and gradient are the exact oracle only: a 4-D instance is
+        # refused by its dimension, with no Monte Carlo draw in its place.
+        def no_draws(seed, box_index):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(geometry, "box_rng", no_draws)
+        with pytest.raises(ValueError, match="dimension <= 3"):
+            oracle(_cube_4d(), np.zeros(2))
 
 
 def _cube_4d():
@@ -295,9 +287,10 @@ def _split_square():
     return Instance(density, SampleSet.uniform([[-1.0, 0.0], [1.0, 0.0]]))
 
 
-def _full_draw(*args, threshold=None, **kwargs):
-    # gradient without the prefix stop: every draw runs to m
-    return gradient(*args, **kwargs)
+def _full_draw(instance, g, eps_bar, eta_prime, seed, threshold):
+    # The solver's gradient draw at a threshold of 0, which no prefix can
+    # certify: every draw runs to m.
+    return _mc_gradient(instance, g, eps_bar, eta_prime, seed, 0.0)
 
 
 _PREFIX_CASES = {
@@ -340,7 +333,7 @@ class TestPrefixStop:
             )
             g, e, trace = solve_dual(instance, config)
             with monkeypatch.context() as patch:
-                patch.setattr(ds, "gradient", _full_draw)
+                patch.setattr(ds, "_mc_gradient", _full_draw)
                 g_full, e_full, full = solve_dual(instance, config)
             assert g.tolist() == g_full.tolist()
             assert e == e_full
@@ -375,17 +368,16 @@ class TestPrefixStop:
         for seed in range(40):
             shift = rng.uniform(0.0, 0.3)
             g = np.array([shift, -shift])
-            args = (instance, g, eps_bar, eta_prime, (seed, 1), "mc")
-            drawn = []
-            grad = gradient(*args, threshold=threshold, drawn=drawn)
-            full = gradient(*args)
+            args = (instance, g, eps_bar, eta_prime, (seed, 1))
+            grad, drawn = _mc_gradient(*args, threshold)
+            full, _ = _mc_gradient(*args, 0.0)
             norm = math.sqrt(float(grad @ grad))
-            if drawn[0] < m:
+            if drawn < m:
                 stops += 1
-                assert norm + (3.0 + m / drawn[0]) * eps_bar / 2.0 <= threshold
+                assert norm + (3.0 + m / drawn) * eps_bar / 2.0 <= threshold
                 assert math.sqrt(float(full @ full)) <= threshold
             else:
-                assert drawn == [m]
+                assert drawn == m
                 assert grad.tolist() == full.tolist()
         assert 5 <= stops <= 35
 
@@ -421,9 +413,10 @@ class TestCheckSchedule:
         monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 50)
         monkeypatch.setattr(geometry, "_MC_CHUNK", 10_000)
 
-    def _draw(self, instance, g, monkeypatch, threshold=None, seed=(3, 1)):
+    def _draw(self, instance, g, monkeypatch, threshold=0.0, seed=(3, 1)):
         # The gradient's draw with every plan call recorded as
-        # (prefix volumes, k, returned row).
+        # (prefix volumes, k, returned row); the points drawn over all boxes.
+        # The default threshold of 0 certifies no prefix.
         calls = []
         count = geometry.cell_box_volumes_mc
 
@@ -436,11 +429,7 @@ class TestCheckSchedule:
             return count(*args, plan=None if plan is None else logged, **kwargs)
 
         monkeypatch.setattr(ds, "cell_box_volumes_mc", recorded)
-        drawn = []
-        grad = gradient(
-            instance, g, self.EPS_BAR, self.ETA, seed, "mc",
-            threshold=threshold, drawn=drawn,
-        )
+        grad, drawn = _mc_gradient(instance, g, self.EPS_BAR, self.ETA, seed, threshold)
         return grad, drawn, calls
 
     def _m(self, instance):
@@ -471,8 +460,8 @@ class TestCheckSchedule:
         assert calls[0][:2] == (None, 0) and calls[0][2] == k0
         # no prefix is seen before k_0 = ceil(m/13)
         assert calls[1][1] == math.ceil(k0) == math.ceil(m / 13)
-        assert drawn == [calls[-1][1]] * instance.density.k
-        assert calls[-1][2] is None and drawn[0] < m
+        assert drawn == calls[-1][1] * instance.density.k
+        assert calls[-1][2] is None and calls[-1][1] < m
 
     def test_a_failed_check_plans_from_its_norm(self, monkeypatch):
         # Off the optimum, the rule fails at k_0 and the next check is
@@ -492,7 +481,7 @@ class TestCheckSchedule:
             assert target == (m * self.EPS_BAR / slack if slack > 0 else math.inf)
             planned = k + 10_000 if math.isinf(target) else math.ceil(target)
             assert k_next == min(m, max(planned, k + gap))
-        assert drawn == [checks[-1][1] if checks[-1][2] is None else m] * 2
+        assert drawn == 2 * (checks[-1][1] if checks[-1][2] is None else m)
 
     @pytest.mark.parametrize("build", [fx.symmetric_square, _split_square])
     def test_every_checked_prefix_lies_within_the_line(self, build, monkeypatch):
@@ -506,7 +495,7 @@ class TestCheckSchedule:
         checked = 0
         for shift in (0.0, 0.004, 0.3):
             g = np.array([shift, -shift])
-            exact = gradient(instance, g, backend="exact")
+            exact = gradient(instance, g)
             for seed in range(20):
                 _, _, calls = self._draw(
                     instance, g, monkeypatch, 8.0 * self.EPS_BAR, seed=(seed, 5)
@@ -533,7 +522,7 @@ class TestCheckSchedule:
         grad, drawn, calls = self._draw(instance, g, monkeypatch, threshold)
         checks = [k for _, k, _ in calls]
         assert checks == [0, *range(math.ceil(self._k0(m, threshold)), m, 10_000)]
-        assert drawn == [m, m]
+        assert drawn == 2 * m
         full, _, _ = self._draw(instance, g, monkeypatch)
         assert grad.tolist() == full.tolist()
         expected = instance.samples.demands.copy()
@@ -562,7 +551,7 @@ class TestCheckSchedule:
         _, drawn, _ = self._draw(
             instance, np.zeros(2), monkeypatch, 8.0 * self.EPS_BAR
         )
-        assert drawn[0] < self._m(instance)
+        assert drawn < instance.density.k * self._m(instance)
         assert threading.active_count() == baseline
 
 
@@ -640,7 +629,7 @@ class TestSolveDual:
         g, e, trace = solve_dual(symmetric_interval, config)
         assert trace.stop_reason == "threshold"
         assert trace.backend == "mc"
-        exact_e = energy(symmetric_interval, g, backend="exact")
+        exact_e = energy(symmetric_interval, g)
         assert abs(e - exact_e) <= trace.eps_prime / 4
         assert trace.guarantee_holds
         assert trace.step_size == [0.0]

@@ -1202,7 +1202,7 @@ class TestRestrictedPowerDiagram:
         )
         diagram = geometry._power_diagram(samples, g, hull)
         for index, box in enumerate(boxes):
-            own = cell_box_moments_exact(samples, g, box, facets=True)
+            own = _own_batch(samples, g, box)
             (shared,) = _slices(geometry._box_batch(diagram, samples, g, [box], True))
             tol = 1e-12 * box.volume
             r = box.max_corner_norm()
@@ -1252,8 +1252,6 @@ class TestRestrictedPowerDiagram:
         ):
             with pytest.raises(ValueError, match=f"dual weights must .*{message}"):
                 cell_box_moments_exact(samples, bad, box)
-            with pytest.raises(ValueError, match=f"dual weights must .*{message}"):
-                cell_box_moments_exact(samples, bad, box, facets=True)
 
 
 def _lifted(diagram):
@@ -1261,6 +1259,14 @@ def _lifted(diagram):
     # those cells, so each of their sides names a neighbour; cells clipped
     # into the hull by all pairs keep its sides, tag -1.
     return diagram.rows is not None and (diagram.rows.tags >= 0).all()
+
+
+def _own_batch(samples, g, box):
+    # The box's one-box call, cell_box_moments_exact, with its facet pieces:
+    # a batch of the box on the diagram with the box as its hull.
+    diagram = geometry._power_diagram(samples, g, box)
+    (own,) = _slices(geometry._box_batch(diagram, samples, g, [box], True))
+    return own
 
 
 def _slices(batch):
@@ -1484,7 +1490,7 @@ class TestBatchedPass:
         diagram = geometry._power_diagram(samples, g, hull)
         batch = geometry._box_batch(diagram, samples, g, boxes, True)
         for index, (box, shared) in enumerate(zip(boxes, _slices(batch))):
-            own = cell_box_moments_exact(samples, g, box, facets=True)
+            own = _own_batch(samples, g, box)
             tol = 1e-12 * box.volume
             r = box.max_corner_norm()
             assert abs(shared[0].sum() - box.volume) <= tol
@@ -1566,7 +1572,7 @@ class TestBatchedPass:
         some = (boxes[0], boxes[2], inner)
         batch = geometry._box_batch(diagram, samples, g, some, True)
         for box, shared in zip(some, _slices(batch)):
-            own = cell_box_moments_exact(samples, g, box, facets=True)
+            own = _own_batch(samples, g, box)
             tol = 1e-12 * box.volume
             assert abs(shared[0].sum() - box.volume) <= tol
             assert np.abs(shared[0] - own[0]).max() <= tol

@@ -647,7 +647,7 @@ class TestFiniteDifferenceGradient:
             g = rng.uniform(-0.8, 0.8, size=2)
             g -= g.mean()
             fd = finite_difference_gradient(symmetric_square, g)
-            an = gradient(symmetric_square, g, backend="exact")
+            an = gradient(symmetric_square, g)
             assert np.linalg.norm(fd - an) <= 1e-3 * max(np.linalg.norm(an), 1e-12)
 
     def test_matches_exact_gradient_in_3d(self):
@@ -663,7 +663,7 @@ class TestFiniteDifferenceGradient:
         for _ in range(3):
             g = rng.normal(scale=0.2, size=10)
             fd = finite_difference_gradient(instance, g)
-            an = gradient(instance, g, backend="exact")
+            an = gradient(instance, g)
             assert np.linalg.norm(fd - an) <= 1e-6 * np.linalg.norm(an)
 
     def test_bad_step_raises(self, symmetric_interval):

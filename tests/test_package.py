@@ -193,10 +193,38 @@ def test_tracer_targets_resolve():
         assert span.rsplit(".", 1)[1] == attr, span
 
 
+# TARGETS pairs whose module never calls the name it binds, so the tracer's
+# wrapper there records nothing. A refactor that moves a call away from a
+# wrapped binding blinds that span; this list makes it a test edit.
+UNCALLED_TARGETS = (
+    "dual_solver.cell_box_moments_exact",
+    "dual_solver.energy",
+    "dual_solver.gradient",
+    "sat_reduction.likelihood_positive",
+    "sat_reduction.reduce_3sat",
+)
+
+
+def test_tracer_targets_that_no_call_reaches():
+    uncalled = []
+    for module_name, attr, _ in _tracer_targets():
+        short = module_name.split(".")[-1]
+        tree = ast.parse((ROOT / "src" / "boxot" / f"{short}.py").read_text())
+        if not any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == attr
+            for node in ast.walk(tree)
+        ):
+            uncalled.append(f"{short}.{attr}")
+    assert tuple(sorted(uncalled)) == UNCALLED_TARGETS
+
+
 def test_mc_gradient_calls_the_volume_count_as_the_tracer_reads_it(monkeypatch):
     # The tracer wraps dual_solver.cell_box_volumes_mc and reads its first
     # five positional arguments: (samples, g, box, eps_bar, eta_prime). The
-    # gradient makes one call for all its boxes, drawn in lockstep.
+    # solver's Monte Carlo gradient makes one call for all its boxes, drawn
+    # in lockstep.
     from boxot import dual_solver
 
     calls = []
@@ -209,9 +237,7 @@ def test_mc_gradient_calls_the_volume_count_as_the_tracer_reads_it(monkeypatch):
     monkeypatch.setattr(dual_solver, "cell_box_volumes_mc", recording)
     instance = symmetric_interval()
     g = np.array([0.1, -0.1])
-    dual_solver.gradient(
-        instance, g, eps_bar=0.05, eta_prime=0.1, seed=3, backend="mc", threshold=0.4
-    )
+    dual_solver._mc_gradient(instance, g, 0.05, 0.1, 3, 0.4)
     (args,) = calls
     samples, weights, boxes, eps_bar, eta_prime = args[:5]
     assert samples is instance.samples
