@@ -38,7 +38,7 @@ def main():
 
     exact, _, _ = cell_box_moments_exact(samples, g, box)
     mc = cell_box_volumes_mc(
-        samples, g, box, eps_bar=0.005, eta_prime=0.05, seed=7, box_index=0
+        samples, g, box, eps_bar=0.005, eta_prime=0.05, seed=7
     )
     print("cell  exact volume  monte carlo   |difference|")
     for j in range(samples.n):

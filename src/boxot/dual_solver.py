@@ -32,7 +32,6 @@ from .geometry import (
     SampleSet,
     _box_batch,
     _finite_weights,
-    _power_diagram,
     box_moments,
     # Not called here; bench/tracer.py wraps it here until ROADMAP item 13.
     cell_box_moments_exact,
@@ -170,35 +169,45 @@ class _Pass(NamedTuple):
     hess: np.ndarray | None
 
 
+def _grad_mass(samples: SampleSet, weights, vols) -> tuple[np.ndarray, np.ndarray]:
+    """grad E(g), mean-centred onto G_0, and the cell masses, from cell volumes.
+
+    ``vols`` (k, n) holds every box's cell volumes, exact or estimated, and
+    ``weights`` the boxes' densities gamma. Cell j's mass is the sum over
+    boxes of gamma vol(L_j n H), and grad E(g)_j = b_j - mass_j.
+    """
+    resid = samples.demands.copy()
+    for w, v in zip(weights, vols):
+        resid -= w * v
+    return resid - resid.sum() / resid.size, samples.demands - resid
+
+
 def _evaluate(instance: Instance, g: np.ndarray, hessian: bool = False) -> _Pass:
     """E(g), grad E(g) and, on request, its Hessian on the exact backend.
 
-    One power diagram of g, built for the density's hull, and one batch
-    that measures every box on it (``geometry._box_batch``, which also
-    checks that each box's cell volumes sum to its volume). Each box's row
-    of the batch gives its share of the energy (sum_j of the integral of
-    ||x - y_j||^2 - g_j over L_j(g), plus <g, b>) and of the gradient
-    (b_j - sum_boxes gamma vol(L_j n H)). The Hessian's off-diagonal entry
-    is sum_boxes gamma measure(facet_ij n H) / (2 ||y_i - y_j||); its
-    diagonal makes every row sum to zero (Kitagawa, Merigot and Thibert
-    2019, with the factor 2 of the cost ||x - y||^2).
+    One call of ``geometry._box_batch`` builds the cells of g for the
+    density's hull and measures every box on them, checking that each
+    box's cell volumes sum to its volume. Each box's row of the batch gives
+    its share of the energy (sum_j of the integral of ||x - y_j||^2 - g_j
+    over L_j(g), plus <g, b>); the volumes give the gradient and the cell
+    masses (:func:`_grad_mass`). The Hessian's off-diagonal entry is
+    sum_boxes gamma measure(facet_ij n H) / (2 ||y_i - y_j||); its diagonal
+    makes every row sum to zero (Kitagawa, Merigot and Thibert 2019, with
+    the factor 2 of the cost ||x - y||^2).
     """
     g = _finite_weights(g, instance.samples.n)
     samples = instance.samples
     y = samples.points
     n = samples.n
     boxes, weights = zip(*instance.density.boxes)
-    batch = _box_batch(
-        _power_diagram(samples, g, instance.density.hull), samples, g, boxes, hessian
-    )
-    resid = samples.demands.copy()
+    batch = _box_batch(samples, g, instance.density.hull, boxes, hessian)
+    grad, mass = _grad_mass(samples, weights, batch.vols)
     hess = np.zeros((n, n)) if hessian else None
     shifted = samples.squared_norms - g
     total = 0.0
     for w, vols, firsts, seconds in zip(
         weights, batch.vols, batch.firsts, batch.seconds
     ):
-        resid -= w * vols
         total += w * float(
             seconds.sum()
             - 2.0 * (firsts * y).sum()
@@ -213,10 +222,7 @@ def _evaluate(instance: Instance, g: np.ndarray, hessian: bool = False) -> _Pass
             dist = np.sqrt(((y[i] - y[j]) ** 2).sum(axis=1))
             np.add.at(hess, (j, i), measure / (2.0 * dist))
         hess.flat[:: n + 1] -= hess.sum(axis=1)
-    grad = resid - resid.sum() / n
-    return _Pass(
-        total + float(g @ samples.demands), grad, samples.demands - resid, hess
-    )
+    return _Pass(total + float(g @ samples.demands), grad, mass, hess)
 
 
 def energy(instance: Instance, g: np.ndarray) -> float:
@@ -274,23 +280,17 @@ def _mc_gradient(
     boxes.
     """
     samples = instance.samples
-    boxes = instance.density.boxes
+    boxes, weights = zip(*instance.density.boxes)
     k = len(boxes)
     per_cell = eps_bar / math.sqrt(samples.n)
     m = mc_sample_count(samples.n, per_cell, eta_prime / k)
     rows = m
 
-    def estimate(volumes: np.ndarray) -> np.ndarray:
-        out = samples.demands.copy()
-        for (_, w), v in zip(boxes, volumes):
-            out -= w * v
-        return out - out.sum() / out.size
-
     def plan(volumes: np.ndarray | None, prefix_rows: int) -> float | None:
         norm = 0.0
         if volumes is not None:
             # The solver's gradient norm of the prefix, to the same bits.
-            prefix = estimate(volumes)
+            prefix = _grad_mass(samples, weights, volumes)[0]
             norm = math.sqrt(float(prefix.dot(prefix)))
             if norm + (3.0 + m / prefix_rows) * eps_bar / 2.0 <= threshold:
                 nonlocal rows
@@ -300,10 +300,9 @@ def _mc_gradient(
         return m * eps_bar / slack if slack > 0.0 else math.inf
 
     volumes = cell_box_volumes_mc(
-        samples, g, [box for box, _ in boxes], per_cell, eta_prime / k, seed,
-        plan=plan,
+        samples, g, boxes, per_cell, eta_prime / k, seed, plan=plan
     )
-    return estimate(volumes), rows * k
+    return _grad_mass(samples, weights, volumes)[0], rows * k
 
 
 def _mc_energy(

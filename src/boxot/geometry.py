@@ -21,9 +21,9 @@ needs. Where Qhull does not run (n <= l + 1), or rejects the sinks or drops
 one as coplanar, each cell is clipped by the half-spaces of all the other
 sinks: in 2-D in plain floats, box by box; in 3-D by the same numpy cut as
 the box faces, n - 1 rounds of it on copies of the hull, after which the
-cells are measured like the lifted ones. The diagram holds only the cells.
-Every route measures a list of boxes into one batch of (k, n) arrays
-(:func:`_box_batch`), which the dual solver reads whole and which raises
+cells are measured like the lifted ones. One call, :func:`_box_batch`,
+picks the route, builds the cells and measures a list of boxes into one
+batch of (k, n) arrays, which the dual solver reads whole and which raises
 :class:`VolumeSumError` unless each box's cell volumes sum to its volume
 within ``VOLUME_SUM_TOL`` of it. The Qhull call is the module's
 only use of scipy, so ``scipy.spatial`` is imported inside
@@ -31,11 +31,11 @@ only use of scipy, so ``scipy.spatial`` is imported inside
 diagram with at least l + 2 sinks, never at import.
 
 All operations are pure functions on immutable inputs. Monte-Carlo sampling
-is deterministic given (seed, box index); see :func:`box_rng` for the
-substream rule. Each stretch of draws is split into row ranges over one
-thread per usable core; a worker jumps its copy of a box's stream to its
+is deterministic given (seed, i) for box i of a call; see :func:`box_rng`
+for the substream rule. Each stretch of draws is split into row ranges over
+one thread per usable core; a worker jumps its copy of a box's stream to its
 first row, so every point's value depends only on its position in the
-``(seed, box_index)`` stream, never on the worker count. One kernel scores
+``(seed, i)`` stream, never on the worker count. One kernel scores
 every point from its unit draw u, not from its point x = lo + w u: with the
 box folded into the sinks, ||x - y_j||^2 - g_j - ||x||^2 is u . W_j + c_j.
 The volume count labels a point by the first index of its least score, or
@@ -68,7 +68,7 @@ MASS_TOL = 1e-9
 # is the only realistic option and we refuse rather than thrash.
 MC_SAMPLE_CAP = 50_000_000
 # Rows per block of a box's draws. Each point's value depends only on its
-# position in the (seed, box_index) stream, never on the worker count, but
+# position in the (seed, i) stream of box i, never on the worker count, but
 # the potential adds the values one block at a time: the block length fixes
 # its summation order, and so its bits. It also bounds the potential's
 # buffer to k * min(m, _MC_CHUNK) floats for k boxes drawn in lockstep, and
@@ -441,7 +441,7 @@ def classify_points(samples: SampleSet, g: np.ndarray, xs: np.ndarray) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def box_rng(seed: int, box_index: int) -> np.random.Generator:
+def box_rng(seed: int, i: int) -> np.random.Generator:
     """Deterministic per-box substream: default_rng(SeedSequence(seed, spawn_key=(i,))).
 
     Part of the sampling contract: serial and parallel sweeps over boxes see
@@ -450,7 +450,7 @@ def box_rng(seed: int, box_index: int) -> np.random.Generator:
     ``box_rng(seed, i).uniform(lo, hi, (m, l))``, however the draws are
     split into blocks, sub-chunks and worker threads.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(box_index,)))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
 
 
 def _subchunk_rows(samples: SampleSet, l: int) -> int:
@@ -488,13 +488,12 @@ def _draw(
     k: int,
     m: int,
     seed,
-    box_index: int,
     scorer: Callable[[int], Callable[[np.ndarray, int], None]],
     plan: Callable[[int], float | None],
 ) -> int:
     """Draw the first rows of k boxes' streams in lockstep; return the rows drawn.
 
-    Box i draws from ``box_rng(seed, box_index + i)``, and ``scorer(i)``
+    Box i draws from ``box_rng(seed, i)``, and ``scorer(i)``
     returns the ``per_point`` that :func:`_fill` hands its unit draws u; the
     point of u is ``lo + width * u``, the value ``Generator.uniform`` gives.
     A ``per_point`` may overwrite u. A scorer may build its box's fold, so
@@ -523,7 +522,7 @@ def _draw(
         )
     l = samples.dimension
     size = _subchunk_rows(samples, l)
-    states = [box_rng(seed, box_index + i).bit_generator.state for i in range(k)]
+    states = [box_rng(seed, i).bit_generator.state for i in range(k)]
 
     def draw(first: int, span: int, a: int, b: int) -> None:
         # Positions [a, b) of rows [first, first + span), box after box.
@@ -572,7 +571,6 @@ def cell_box_volumes_mc(
     eps_bar: float,
     eta_prime: float,
     seed: int,
-    box_index: int = 0,
     *,
     plan: Callable[[np.ndarray | None, int], float | None] | None = None,
 ) -> np.ndarray:
@@ -583,7 +581,7 @@ def cell_box_volumes_mc(
     least 1 - eta' every cell satisfies |v_j - vol(L_j n box)| <=
     eps_bar * vol(box) (Hoeffding plus a union bound over the n cells).
     Given a sequence of k boxes, it draws m points in each, box i from the
-    stream of box_index + i, all of them in lockstep on one pool of
+    stream ``box_rng(seed, i)``, all of them in lockstep on one pool of
     threads, and returns the (k, n) estimates, each box's with failure
     probability at most eta'.
 
@@ -611,7 +609,7 @@ def cell_box_volumes_mc(
     it has without ``plan``.
 
     One pass serves every cell: the gradient consumes all j for a fixed box.
-    The points are the first m rows u of the ``box_rng(seed, box_index)``
+    The points of box i are the first m rows u of the ``box_rng(seed, i)``
     stream, labelled and counted on one thread per usable core. Each is
     labelled from u itself, with the box folded into the sinks: the first
     index of the least ``u @ W + c``, or with n = 2 whether ``u . v < c'``
@@ -667,7 +665,7 @@ def cell_box_volumes_mc(
     def check(rows: int) -> float | None:
         return m if plan is None else plan(volumes(rows) if rows else None, rows)
 
-    return volumes(_draw(samples, len(boxes), m, seed, box_index, counter, check))
+    return volumes(_draw(samples, len(boxes), m, seed, counter, check))
 
 
 def potential_integral_mc(
@@ -677,7 +675,6 @@ def potential_integral_mc(
     weight: float | Sequence[float],
     m: int,
     seed,
-    box_index: int = 0,
 ) -> float | np.ndarray:
     """Estimate weight * integral over the box of min_j(||x - y_j||^2 - g_j).
 
@@ -728,7 +725,7 @@ def potential_integral_mc(
         start = stop
         return math.inf
 
-    add_block(_draw(samples, len(boxes), m, seed, box_index, potential, add_block))
+    add_block(_draw(samples, len(boxes), m, seed, potential, add_block))
     values = [w * b.volume * acc / m for b, w, acc in zip(boxes, weights, sums)]
     return values[0] if single else np.array(values)
 
@@ -1001,7 +998,7 @@ def _all_pairs_rows(
 
 
 class _Batch(NamedTuple):
-    """Every box's cell moments from one pass of a diagram over a list of boxes.
+    """Every box's cell moments from one :func:`_box_batch` call.
 
     Box b's are ``vols[b]`` (n,), ``firsts[b]`` (n, l) and ``seconds[b]``
     (n,). ``pieces`` is None, or (j, i, measure) box-major: box b's facet
@@ -1015,81 +1012,22 @@ class _Batch(NamedTuple):
     bounds: np.ndarray | None
 
 
-class _PowerDiagram(NamedTuple):
-    """The Laguerre cells of one (samples, g), for the boxes in one hull.
+def _chain_cells(samples: SampleSet, g: np.ndarray):
+    """The 1-D cells: the lower chain of the lifted sinks and its cut points.
 
-    In 1-D, ``cells`` lists the lower chain's cells in order, and cell
-    ``cells[p]`` is the interval ``[ends[p], ends[p + 1]]``. In 2-D and
-    3-D, ``rows`` holds the cells whole: ``cells[p]`` is the sink of cell
-    position p, and ``low[p]`` and ``high[p]`` are the corners of its
-    vertices' bounding box. Cells read off the lifted hull are bounded by
-    the ghosts, and their bounding boxes may reach past the hull; 3-D cells
-    that do not come off it are the hull clipped by all pairs of sinks
-    (:func:`_all_pairs_rows`), with bounding boxes inside the hull.
-    Otherwise, in 2-D, ``rows`` is None and ``cells`` empty: each box clips
-    its own cells by all pairs of sinks (:func:`_all_pairs_cells`).
-    :func:`_box_batch` measures boxes inside the hull on any of these.
+    The cells, left to right, are those of the sinks on the lower convex
+    hull of the points (y_j, ||y_j||^2 - g_j) (:func:`_lower_chain`), and
+    consecutive cells meet where their half-space rows cut. Returns (chain,
+    ends): cell ``chain[p]`` is the interval ``[ends[p], ends[p + 1]]``.
     """
-
-    cells: Sequence[int]
-    ends: Sequence[float] = ()
-    rows: _Rows | None = None
-    low: np.ndarray | None = None
-    high: np.ndarray | None = None
-
-
-def _power_diagram(
-    samples: SampleSet, g: np.ndarray, hull: Hyperrectangle
-) -> _PowerDiagram:
-    """The restricted power diagram of the sinks under weights g (l <= 3).
-
-    Cell j is {x : ||x - y_j||^2 - g_j <= ||x - y_j'||^2 - g_j' for all j'}.
-    In 1-D the cells are read off the lower chain of the lifted points
-    (y_j, ||y_j||^2 - g_j). In 2-D and 3-D with n > l + 1 sinks they are
-    read off the lower facets of one Qhull hull of the lifted sinks and of
-    2l ghosts, which bound every cell and own no point of the hull
-    (:func:`_power_neighbours`, :func:`_ghosts`): each facet's plane gives
-    its vertex, and one sort orders the corners of every cell
-    (:func:`_polygon_rows`, :func:`_face_rows`), all in numpy. Where Qhull
-    does not run (n <= l + 1) or cannot be trusted (it rejects the points,
-    or reports one as coplanar), each cell is clipped by the rows of all the
-    other sinks: in 3-D the hull as numpy rows (:func:`_all_pairs_rows`); in
-    2-D the diagram holds no cells, and each box clips its own in plain
-    floats. The diagram builds only the cells; :func:`_box_batch` measures
-    the boxes.
-    """
-    g = np.asarray(g, dtype=float)
-    y = samples.points
-    n, l = y.shape
-    if l > EXACT_MAX_DIMENSION:
-        raise ValueError(
-            f"exact cell volumes support dimension <= {EXACT_MAX_DIMENSION} only"
-        )
-    if l == 1:
-        gs, ns = g.tolist(), samples.squared_norms.tolist()
-        ys = y[:, 0].tolist()
-        chain = _lower_chain(ys, [nj - gj for nj, gj in zip(ns, gs)])
-        # Consecutive chain cells meet where their half-space rows cut.
-        cuts = [
-            (gs[i] - gs[j] + ns[j] - ns[i]) / (2.0 * (ys[j] - ys[i]))
-            for i, j in zip(chain, chain[1:])
-        ]
-        return _PowerDiagram(chain, [-math.inf, *cuts, math.inf])
-
-    lo, hi = hull.lo.tolist(), hull.hi.tolist()
-    cut = None
-    if n > l + 1:
-        ghosts, weights = _ghosts(y, g, lo, hi)
-        ys = np.concatenate([y, ghosts])
-        lower = _power_neighbours(ys, (ys**2).sum(-1) - np.concatenate([g, weights]))
-        if lower is not None:
-            cut = _lifted_cells(ys, n, *lower)
-    if cut is None and l == 3:
-        cut = _all_pairs_rows(samples, g, lo, hi)
-    if cut is None:
-        return _PowerDiagram([])
-    cells, low, high, rows = cut
-    return _PowerDiagram(cells, rows=rows, low=low, high=high)
+    gs, ns = g.tolist(), samples.squared_norms.tolist()
+    ys = samples.points[:, 0].tolist()
+    chain = _lower_chain(ys, [nj - gj for nj, gj in zip(ns, gs)])
+    cuts = [
+        (gs[i] - gs[j] + ns[j] - ns[i]) / (2.0 * (ys[j] - ys[i]))
+        for i, j in zip(chain, chain[1:])
+    ]
+    return chain, [-math.inf, *cuts, math.inf]
 
 
 def _all_pairs_cells(
@@ -1367,32 +1305,63 @@ def _row_moments(rows: _Rows, count: int, facets: bool):
 
 
 def _box_batch(
-    diagram: _PowerDiagram,
     samples: SampleSet,
     g: np.ndarray,
+    hull: Hyperrectangle,
     boxes: Sequence[Hyperrectangle],
     facets: bool,
 ) -> _Batch:
-    """The cell moments of every box, each inside the diagram's hull, in one batch.
+    """The cell moments of every box inside ``hull``, in one batch (l <= 3).
 
-    On rows, one cut of every (box, cell) pair (:func:`_clip_cells`) and
-    one moment sum over all pairs (:func:`_row_moments`), scattered to
-    (k, n) arrays. In 1-D each chain cell is an interval, cut by each box
-    directly; in 2-D without rows each box clips its own cells by all pairs
-    of sinks, in plain floats (:func:`_all_pairs_cells`), as only a few
-    sinks or inputs that Qhull cannot handle take that route. With
-    ``facets`` the batch holds the boundary pieces, box-major; a point
-    counts 1 in 1-D. Raises VolumeSumError unless each box's cell volumes
-    sum to its volume within ``VOLUME_SUM_TOL`` of it.
+    Cell j is {x : ||x - y_j||^2 - g_j <= ||x - y_j'||^2 - g_j' for all j'}
+    under n finite weights g. The call picks the route that builds the
+    cells, once for all boxes:
+
+    - in 1-D, the lower chain of the lifted sinks (:func:`_chain_cells`),
+      whose intervals each box cuts directly;
+    - in 2-D and 3-D with n > l + 1 sinks, the lower facets of one Qhull
+      hull of the lifted sinks and of 2l ghosts, which bound every cell and
+      own no point of the hull (:func:`_power_neighbours`, :func:`_ghosts`):
+      each facet's plane gives its vertex, and one sort orders the corners
+      of every cell (:func:`_lifted_cells`);
+    - where Qhull does not run or cannot be trusted (it rejects the points,
+      or reports one as coplanar), each cell clipped by the rows of all the
+      other sinks: in 3-D the hull as numpy rows (:func:`_all_pairs_rows`);
+      in 2-D each box's own cells in plain floats (:func:`_all_pairs_cells`).
+
+    On rows, one cut of every (box, cell) pair (:func:`_clip_cells`) and one
+    moment sum over all pairs (:func:`_row_moments`) are scattered to (k, n)
+    arrays. With ``facets`` the batch holds the boundary pieces, box-major;
+    a point counts 1 in 1-D. Raises ValueError above dimension 3, and
+    VolumeSumError unless each box's cell volumes sum to its volume within
+    ``VOLUME_SUM_TOL`` of it.
     """
-    n, l = samples.n, samples.dimension
+    y = samples.points
+    n, l = y.shape
+    if l > EXACT_MAX_DIMENSION:
+        raise ValueError(
+            f"exact cell volumes support dimension <= {EXACT_MAX_DIMENSION} only"
+        )
     k = len(boxes)
-    if diagram.rows is not None:
+    corners = hull.lo.tolist(), hull.hi.tolist()
+    lower = cells = None
+    if l > 1 and n > l + 1:
+        ghosts, weights = _ghosts(y, g, *corners)
+        ys = np.concatenate([y, ghosts])
+        lower = _power_neighbours(ys, (ys**2).sum(-1) - np.concatenate([g, weights]))
+    if l == 1:
+        chain, ends = _chain_cells(samples, g)
+    elif lower is not None:
+        cells = _lifted_cells(ys, n, *lower)
+    elif l == 3:
+        cells = _all_pairs_rows(samples, g, *corners)
+    if cells is not None:
+        sinks, low, high, rows = cells
         los = np.array([box.lo for box in boxes])
         his = np.array([box.hi for box in boxes])
-        box, cell, rows = _clip_cells(diagram.rows, diagram.low, diagram.high, los, his)
+        box, cell, rows = _clip_cells(rows, low, high, los, his)
         vol, first, second, pieces = _row_moments(rows, len(cell), facets)
-        j = diagram.cells[cell]
+        j = sinks[cell]
         vols, firsts, seconds = np.zeros((k, n)), np.zeros((k, n, l)), np.zeros((k, n))
         vols[box, j], firsts[box, j], seconds[box, j] = vol, first, second
         totals = vols.sum(1).tolist()
@@ -1410,7 +1379,6 @@ def _box_batch(
             lo, hi = box.lo.tolist(), box.hi.tolist()
             if l == 1:
                 (box_lo,), (box_hi,) = lo, hi
-                ends, chain = diagram.ends, diagram.cells
                 for pos, j in enumerate(chain):
                     a = max(box_lo, ends[pos])
                     b = min(box_hi, ends[pos + 1])
@@ -1455,14 +1423,14 @@ def cell_box_moments_exact(
 ) -> tuple:
     """Exact (volume, integral x, integral ||x||^2) of L_j(g) n box for all j.
 
-    Restricted power diagram, for l <= 3 only: the batch of one box
-    (:func:`_box_batch`) on the diagram of (samples, g) with the box as its
-    hull (:func:`_power_diagram`). Returns (vols (n,), firsts (n, l),
-    seconds (n,)). Deterministic. Raises ValueError unless g holds n finite
-    weights, and VolumeSumError if the volumes do not sum to the box's.
+    Restricted power diagram, for l <= 3 only: the batch of the one box,
+    with the box as its hull (:func:`_box_batch`). Returns (vols (n,),
+    firsts (n, l), seconds (n,)). Deterministic. Raises ValueError unless g
+    holds n finite weights, and VolumeSumError if the volumes do not sum to
+    the box's.
     """
     g = _finite_weights(g, samples.n)
-    batch = _box_batch(_power_diagram(samples, g, box), samples, g, [box], False)
+    batch = _box_batch(samples, g, box, [box], False)
     return batch.vols[0], batch.firsts[0], batch.seconds[0]
 
 

@@ -310,7 +310,7 @@ def test_criterion_10_mc_volume_accuracy():
         for seed in range(trials):
             est = cell_box_volumes_mc(
                 samples, g, box, eps_bar=eps_bar, eta_prime=eta_prime,
-                seed=seed, box_index=0,
+                seed=seed,
             )
             if float(np.max(np.abs(est - exact))) > tolerance:
                 failures += 1

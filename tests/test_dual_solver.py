@@ -159,7 +159,7 @@ class TestCentering:
 
 
 def _box_pair_3d():
-    """Two unit cubes in 3-D with three sinks: exercises box_index > 0."""
+    """Two unit cubes in 3-D with three sinks: exercises a second box's stream."""
     density = BoxDensity(
         dimension=3,
         boxes=(
@@ -229,7 +229,7 @@ class TestMcDraws:
         # Refused by name before any draw: a negative accuracy or an
         # eta_prime above 1 would return an energy, and a zero one divide
         # by zero or take the log of a negative number.
-        def no_draws(seed, box_index):
+        def no_draws(seed, i):
             raise AssertionError("drew samples")
 
         monkeypatch.setattr(geometry, "box_rng", no_draws)
@@ -239,7 +239,7 @@ class TestMcDraws:
     def test_budget_above_cap_is_refused_before_drawing(
         self, symmetric_square, monkeypatch
     ):
-        def no_draws(seed, box_index):
+        def no_draws(seed, i):
             raise AssertionError("drew samples past the cap")
 
         monkeypatch.setattr(geometry, "box_rng", no_draws)
@@ -253,7 +253,7 @@ class TestMcDraws:
     def test_exact_oracle_refuses_four_dimensions(self, oracle, monkeypatch):
         # energy and gradient are the exact oracle only: a 4-D instance is
         # refused by its dimension, with no Monte Carlo draw in its place.
-        def no_draws(seed, box_index):
+        def no_draws(seed, i):
             raise AssertionError("drew samples")
 
         monkeypatch.setattr(geometry, "box_rng", no_draws)
@@ -526,11 +526,13 @@ class TestCheckSchedule:
         full, _, _ = self._draw(instance, g, monkeypatch)
         assert grad.tolist() == full.tolist()
         expected = instance.samples.demands.copy()
-        for i, (box, w) in enumerate(instance.density.boxes):
-            expected -= w * geometry.cell_box_volumes_mc(
-                instance.samples, g, box, self.EPS_BAR / math.sqrt(2),
-                self.ETA / 2, (3, 1), box_index=i,
-            )
+        boxes, weights = zip(*instance.density.boxes)
+        volumes = geometry.cell_box_volumes_mc(
+            instance.samples, g, boxes, self.EPS_BAR / math.sqrt(2), self.ETA / 2,
+            (3, 1),
+        )
+        for w, v in zip(weights, volumes):
+            expected -= w * v
         assert grad.tolist() == (expected - expected.sum() / 2).tolist()
 
     def test_lost_labels_are_raised_on_a_prefix(self, monkeypatch):

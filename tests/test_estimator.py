@@ -129,6 +129,40 @@ class TestEstimateParameters:
                 )
             assert abs(base.sigma_hat - trans.sigma_hat) <= 2 * eps
 
+    def test_scale_shift_and_permutation_equivariance(self):
+        # Samples mapped to a P y + c (a > 0, P a permutation of the sinks)
+        # map sigma* to a sigma* and mu* to a mu* - c. Where both solves hold
+        # the guarantee, each is within eps of its sigma* and eps D of its
+        # mu*, so sigma_hat' / a and sigma_hat agree within eps (1 + 1/a),
+        # and mu_hat' and a mu_hat - c within eps (D' + a D).
+        rng = np.random.default_rng(16)
+        eps = 0.1
+        config = SolverConfig(
+            epsilon=eps, eta=0.1, max_iters_override=100, volume_backend="exact"
+        )
+        unheld = 0
+        for _ in range(40):
+            instance = fx.random_instance(rng, max_dim=3, max_boxes=2, max_samples=8)
+            l, n = instance.dimension, instance.samples.n
+            a = rng.uniform(0.3, 3.0)
+            c = rng.uniform(-2.0, 2.0, size=l)
+            points = a * instance.samples.points[rng.permutation(n)] + c
+            moved = Instance(instance.density, SampleSet.uniform(points))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                base = estimate_parameters(instance, config)
+                mapped = estimate_parameters(moved, config)
+            if not (base.guarantee_holds and mapped.guarantee_holds):
+                unheld += 1
+                continue
+            assert abs(mapped.sigma_hat / a - base.sigma_hat) <= eps * (1.0 + 1.0 / a)
+            bound = eps * (moved.stats.D + a * instance.stats.D)
+            assert np.linalg.norm(mapped.mu_hat - (a * base.mu_hat - c)) <= bound
+        # Pairs with a solve stopped at the override: six 1-D pairs and one
+        # 2-D pair. ROADMAP item 15 (the 1-D weights in closed form) is to
+        # end the 1-D stalls; re-pin this count when it lands.
+        assert unheld == 7
+
     def test_json_fields(self, symmetric_interval):
         result = estimate_parameters(
             symmetric_interval, SolverConfig(epsilon=0.05, eta=0.01)

@@ -358,19 +358,18 @@ class TestMcVolumes:
         v = cell_box_volumes_mc(samples, np.array([0.0, 0.5]), box, 0.01, 0.05, seed=1)
         assert_allclose(v[0], 0.875, atol=0.02)
 
-    def test_deterministic_per_seed_and_box_index(self):
+    def test_deterministic_per_seed_and_box(self):
+        # Box i of a call draws from stream i: the first of two copies of a
+        # box repeats the box's own call, and the second differs from it.
         samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
         box = Hyperrectangle([-1.0], [1.0])
         a = cell_box_volumes_mc(samples, np.zeros(2), box, 0.01, 0.1, seed=4)
-        b = cell_box_volumes_mc(samples, np.zeros(2), box, 0.01, 0.1, seed=4)
-        c = cell_box_volumes_mc(
-            samples, np.zeros(2), box, 0.01, 0.1, seed=4, box_index=1
-        )
+        b, c = cell_box_volumes_mc(samples, np.zeros(2), [box, box], 0.01, 0.1, seed=4)
         assert (a == b).all()
         assert (a != c).any()
 
     def test_substream_rule_is_stable(self):
-        # the per-box stream is pinned to (seed, box_index), not call order
+        # the per-box stream is pinned to (seed, i), not call order
         first = box_rng(7, 2).uniform(size=3)
         again = box_rng(7, 2).uniform(size=3)
         other = box_rng(7, 3).uniform(size=3)
@@ -429,7 +428,7 @@ class TestMcVolumes:
             calls[consumer]()
 
     def test_budget_above_cap_is_refused_before_drawing(self, monkeypatch):
-        def no_draws(seed, box_index):
+        def no_draws(seed, i):
             raise AssertionError("drew samples past the cap")
 
         monkeypatch.setattr(geometry, "box_rng", no_draws)
@@ -467,8 +466,8 @@ _SPLIT_CASES = [(l, w, n) for n in (5, 2) for l in (1, 2, 4) for w in (1, 3, 8)]
 
 
 class TestMcWorkers:
-    # A point's value depends only on its row of the (seed, box_index)
-    # stream, whatever the block length, sub-chunk length and worker count.
+    # A point's value depends only on its row of the (seed, i) stream of
+    # box i, whatever the block length, sub-chunk length and worker count.
 
     @pytest.fixture
     def frequent_switches(self):
@@ -491,6 +490,7 @@ class TestMcWorkers:
         # With 3 workers a 1000-row block splits into ranges of 333, 333 and
         # 334 rows; 333 = 4 * 83 + 1 would end in a single-row piece. Eight
         # workers are more threads than the cores of most test machines.
+        # The box is box 3 of a call of four copies of it, so stream 3.
         monkeypatch.setattr(geometry, "_MC_CHUNK", 1000)
         monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 83)
         monkeypatch.setattr(geometry, "_MC_WORKERS", workers)
@@ -509,14 +509,14 @@ class TestMcWorkers:
             return _unit_broadcast_scores(samples, g, box, u, project=False)[0]
 
         counts = _unit_rule_counts(samples, g, box, units)
-        v = cell_box_volumes_mc(samples, g, box, 0.1, 0.1, seed=(4, 2), box_index=3)
+        v = cell_box_volumes_mc(samples, g, [box] * 4, 0.1, 0.1, seed=(4, 2))[3]
         assert v.tolist() == (counts / m * box.volume).tolist()
 
         serial = []
         for first in range(0, m, 1000):
             least = broadcast_scores(units[first : first + 1000]).min(axis=1)
             serial.append(least + (pts[first : first + 1000] ** 2).sum(-1))
-        e = potential_integral_mc(samples, g, box, 0.25, m, (4, 2), box_index=3)
+        e = potential_integral_mc(samples, g, [box] * 4, [0.25] * 4, m, (4, 2))[3]
         acc = sum(float(block.sum()) for block in serial)
         assert e == 0.25 * box.volume * acc / m
 
@@ -527,9 +527,10 @@ class TestMcWorkers:
 
         def potential(i):
             def value(u, row):
-                xs = box.lo + box.widths * u
-                out = swept[row : row + len(u)]
-                np.add(broadcast_scores(u).min(axis=1), (xs**2).sum(-1), out=out)
+                if i == 3:
+                    xs = box.lo + box.widths * u
+                    out = swept[row : row + len(u)]
+                    np.add(broadcast_scores(u).min(axis=1), (xs**2).sum(-1), out=out)
 
             return value
 
@@ -537,7 +538,7 @@ class TestMcWorkers:
             asked.append(rows)
             return math.inf
 
-        assert geometry._draw(samples, 1, m, (4, 2), 3, potential, next_block) == m
+        assert geometry._draw(samples, 4, m, (4, 2), potential, next_block) == m
         assert asked == [0, 1000, 2000]
         assert swept.tolist() == np.concatenate(serial).tolist()
 
@@ -576,12 +577,12 @@ class TestMcWorkers:
         samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(n, 2)))
         g = rng.uniform(-0.2, 0.2, size=n)
         box = Hyperrectangle([-1.0, -0.5], [1.0, 1.5])
-        units = box_rng(11, 2).random((m, 2))
+        units = box_rng(11, 0).random((m, 2))
         counts = np.zeros(n, dtype=np.int64)
         # 2 000 003 = 20 * 100 000 + 3: no piece of a single row
         for first in range(0, m, 100_000):
             counts += _unit_rule_counts(samples, g, box, units[first : first + 100_000])
-        v = cell_box_volumes_mc(samples, g, box, 0.1, 0.1, seed=11, box_index=2)
+        v = cell_box_volumes_mc(samples, g, box, 0.1, 0.1, seed=11)
         assert v.tolist() == (counts / m * box.volume).tolist()
 
     @pytest.mark.parametrize("n", [2, 5])
@@ -646,8 +647,8 @@ class TestMcWorkers:
         samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(n, 2)))
         g = rng.uniform(-0.2, 0.2, size=n)
         box = Hyperrectangle([-1.0, -0.5], [1.0, 1.5])
-        units = box_rng(11, 2).random((m, 2))
-        args = (samples, g, box, 0.1, 0.1, 11, 2)
+        units = box_rng(11, 0).random((m, 2))
+        args = (samples, g, box, 0.1, 0.1, 11)
         seen = []
 
         def stop_at(rows):
@@ -694,7 +695,7 @@ class TestMcWorkers:
             Hyperrectangle([0.0, -0.5], [1.0, 0.5]),
             Hyperrectangle([0.0, 0.5], [1.0, 1.5]),
         ]
-        units = [box_rng(11, 2 + i).random((m, 2)) for i in range(3)]
+        units = [box_rng(11, i).random((m, 2)) for i in range(3)]
 
         def expected(k):
             return [
@@ -710,7 +711,7 @@ class TestMcWorkers:
                 seen.append(k)
             return k + 1201
 
-        args = (samples, g, boxes, 0.1, 0.1, 11, 2)
+        args = (samples, g, boxes, 0.1, 0.1, 11)
         v = cell_box_volumes_mc(*args, plan=plan)
         assert seen == [1201, 2402, 3603, 4804]
         assert v.tolist() == expected(m)
@@ -721,9 +722,10 @@ class TestMcWorkers:
         self, workers, monkeypatch, frequent_switches
     ):
         # Three boxes' potentials drawn in lockstep on one pool, in blocks of
-        # 1000 rows and with more workers than cores: each box's estimate
-        # has the bits of its own draw alone, whatever piece of a block a
-        # worker took across the boxes, and every thread is gone after.
+        # 1000 rows and with more workers than cores: box i's estimate has
+        # the bits of box i drawn as box i of i + 1 copies of itself (box 0
+        # alone), whatever piece of a block a worker took across the boxes,
+        # and every thread is gone after.
         monkeypatch.setattr(geometry, "_MC_CHUNK", 1000)
         monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 83)
         monkeypatch.setattr(geometry, "_MC_WORKERS", workers)
@@ -738,10 +740,12 @@ class TestMcWorkers:
         ]
         weights = [0.25, 0.5, 0.125]
         baseline = threading.active_count()
-        values = potential_integral_mc(samples, g, boxes, weights, m, (4, 2), 3)
+        values = potential_integral_mc(samples, g, boxes, weights, m, (4, 2))
         assert threading.active_count() == baseline
         alone = [
-            potential_integral_mc(samples, g, box, w, m, (4, 2), 3 + i)
+            potential_integral_mc(
+                samples, g, [box] * (i + 1), [w] * (i + 1), m, (4, 2)
+            )[i]
             for i, (box, w) in enumerate(zip(boxes, weights))
         ]
         assert values.tolist() == alone
@@ -815,7 +819,7 @@ class TestMcWorkers:
         assert (labels[clear] == expected[clear]).all()
 
     def test_refusal_starts_no_thread(self, monkeypatch):
-        def no_draws(seed, box_index):
+        def no_draws(seed, i):
             raise AssertionError("drew samples past the cap")
 
         def no_thread(thread):
@@ -1162,17 +1166,19 @@ class TestRestrictedPowerDiagram:
         samples = SampleSet.uniform(points)
         for box in boxes:
             vols, firsts, seconds = cell_box_moments_exact(samples, g, box)
-            # A one-box density's diagram, whose hull is the box, gives the
-            # same bits in a batch of the box as the one-box call.
+            # A one-box density's batch, whose hull is the box, gives the
+            # same bits as the one-box call.
             density = BoxDensity(box.dimension, ((box, 1.0 / box.volume),))
-            diagram = geometry._power_diagram(samples, g, density.hull)
+            route, _, batch = _spied_batch(samples, g, density.hull, [box], False)
             # Every case with Qhull's l + 2 sinks, cospherical ones too, is
             # read off the lifted hull; the other 3-D cases are clipped by
             # all pairs as rows.
             n, l = points.shape
-            assert _lifted(diagram) == (l > 1 and n > l + 1)
-            assert (diagram.rows is not None) == (l == 3 or _lifted(diagram))
-            (shared,) = _slices(geometry._box_batch(diagram, samples, g, [box], False))
+            assert route == (
+                "chain" if l == 1 else "lifted" if n > l + 1
+                else "all-pairs" if l == 3 else "plain"
+            )
+            (shared,) = _slices(batch)
             for own, cut in zip((vols, firsts, seconds), shared):
                 assert own.tobytes() == cut.tobytes()
             ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
@@ -1187,9 +1193,9 @@ class TestRestrictedPowerDiagram:
         "case", _POWER_DIAGRAM_CASES, ids=[case[0] for case in _POWER_DIAGRAM_CASES]
     )
     def test_shared_hull_matches_per_box_calls(self, case):
-        # One diagram clipped into the hull of all the case's boxes serves
-        # each box, cut by its own faces in a batch of that box, as well as
-        # the box's own diagram.
+        # Cells built for the hull of all the case's boxes serve each box,
+        # cut by its own faces in a batch of that box, as well as the cells
+        # built for the box itself.
         # Where a facet lies on a face of the box (the kinked boxes of
         # TestFacetHessian), the box's own call counts it as the box's side
         # and the shared hull as the cell's, so there only the moments agree.
@@ -1200,10 +1206,9 @@ class TestRestrictedPowerDiagram:
             np.min([box.lo for box in boxes], axis=0),
             np.max([box.hi for box in boxes], axis=0),
         )
-        diagram = geometry._power_diagram(samples, g, hull)
         for index, box in enumerate(boxes):
             own = _own_batch(samples, g, box)
-            (shared,) = _slices(geometry._box_batch(diagram, samples, g, [box], True))
+            (shared,) = _slices(geometry._box_batch(samples, g, hull, [box], True))
             tol = 1e-12 * box.volume
             r = box.max_corner_norm()
             assert abs(shared[0].sum() - box.volume) <= tol
@@ -1242,9 +1247,7 @@ class TestRestrictedPowerDiagram:
         samples = SampleSet.uniform(points)
         n, l = samples.n, samples.dimension
         box = Hyperrectangle([-1.0] * l, [1.0] * l)
-        diagram = geometry._power_diagram(samples, np.zeros(n), box)
-        assert (diagram.rows is not None) == (route in ("lifted", "all-pairs"))
-        assert _lifted(diagram) == (route == "lifted")
+        assert _spied_batch(samples, np.zeros(n), box, [box], False)[0] == route
         for bad, message in (
             (np.zeros(n + 1), "shape"),
             (np.array([math.nan] + [0.0] * (n - 1)), "finite"),
@@ -1254,18 +1257,40 @@ class TestRestrictedPowerDiagram:
                 cell_box_moments_exact(samples, bad, box)
 
 
-def _lifted(diagram):
-    # Whether the diagram's cells came off the lifted hull. The ghosts bound
-    # those cells, so each of their sides names a neighbour; cells clipped
-    # into the hull by all pairs keep its sides, tag -1.
-    return diagram.rows is not None and (diagram.rows.tags >= 0).all()
+# The route that each cell builder of _box_batch serves.
+_BUILDERS = {
+    "_chain_cells": "chain",
+    "_all_pairs_cells": "plain",
+    "_lifted_cells": "lifted",
+    "_all_pairs_rows": "all-pairs",
+}
+
+
+def _spied_batch(samples, g, hull, boxes, facets):
+    """(route, cells, batch) of one _box_batch call, spying on its builders.
+
+    ``route`` names the one cell builder that ran and ``cells`` is what it
+    returned first (the plain route builds each box's cells on its own).
+    """
+    built = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in _BUILDERS:
+
+            def spy(*args, real=getattr(geometry, name), name=name):
+                cells = real(*args)
+                built.setdefault(name, cells)
+                return cells
+
+            patch.setattr(geometry, name, spy)
+        batch = geometry._box_batch(samples, g, hull, boxes, facets)
+    (name,) = built
+    return _BUILDERS[name], built[name], batch
 
 
 def _own_batch(samples, g, box):
     # The box's one-box call, cell_box_moments_exact, with its facet pieces:
-    # a batch of the box on the diagram with the box as its hull.
-    diagram = geometry._power_diagram(samples, g, box)
-    (own,) = _slices(geometry._box_batch(diagram, samples, g, [box], True))
+    # a batch of the box with the box as its hull.
+    (own,) = _slices(geometry._box_batch(samples, g, box, [box], True))
     return own
 
 
@@ -1338,15 +1363,14 @@ class TestLiftedCells:
         instance = Instance(density, samples)
 
         def run():
-            diagram = geometry._power_diagram(samples, g, density.hull)
-            moments = _slices(geometry._box_batch(diagram, samples, g, boxes, True))
-            return diagram, moments, _evaluate(instance, g, hessian=True).hess
+            route, _, batch = _spied_batch(samples, g, density.hull, boxes, True)
+            return route, _slices(batch), _evaluate(instance, g, hessian=True).hess
 
         lifted, moments, hess = run()
         monkeypatch.setattr(geometry, "_power_neighbours", lambda y, lift: None)
         clipped, reference, ref_hess = run()
-        assert _lifted(lifted) and not _lifted(clipped)
-        assert (clipped.rows is None) == (l == 2)
+        assert lifted == "lifted"
+        assert clipped == ("plain" if l == 2 else "all-pairs")
         vols = np.array([out[0] for out in moments])
         assert (vols.sum(0) == 0.0).any() == hide
         for box, out, ref in zip(boxes, moments, reference):
@@ -1404,10 +1428,10 @@ class TestLiftedCells:
             Hyperrectangle([-1.2] * l, [0.1] + [1.2] * (l - 1)),
             Hyperrectangle([0.1] + [-1.2] * (l - 1), [1.2] * l),
         )
-        diagram = geometry._power_diagram(samples, g, hull)
-        assert _lifted(diagram) == (trigger == "flat")
-        assert (diagram.rows is None) == (l == 2)
-        batch = geometry._box_batch(diagram, samples, g, (hull, *halves), False)
+        route, _, batch = _spied_batch(samples, g, hull, (hull, *halves), False)
+        assert route == (
+            "lifted" if trigger == "flat" else "plain" if l == 2 else "all-pairs"
+        )
         for box, (vols, firsts, seconds) in zip((hull, *halves), _slices(batch)):
             ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
             tol = 1e-12 * box.volume
@@ -1425,9 +1449,9 @@ class TestLiftedCells:
         samples = SampleSet.uniform(points)
         box = Hyperrectangle([-1.0] * 3, [1.0] * 3)
         g = np.zeros(len(points))
-        diagram = geometry._power_diagram(samples, g, box)
-        assert diagram.rows is not None
-        vols = geometry._box_batch(diagram, samples, g, [box], False).vols[0]
+        route, _, batch = _spied_batch(samples, g, box, [box], False)
+        assert route == "lifted"
+        vols = batch.vols[0]
         assert abs(vols.sum() - box.volume) <= 1e-12 * box.volume
 
 
@@ -1437,19 +1461,20 @@ def _facet_sums(n, pieces):
     return total
 
 
-def _hull_route(diagram, n, box, facets):
+def _hull_route(built, n, box, facets):
     """One box measured as before the batch: the cells cut into it, in place.
 
-    The cells whose bounding box meets the box keep their own positions as
-    owners and are clipped by each face that their bounding box crosses, in
-    the order -x_d <= -lo_d, x_d <= hi_d for d = 1..l; one moment sum follows.
+    ``built`` is a rows builder's (cells, low, high, rows). The cells whose
+    bounding box meets the box keep their own positions as owners and are
+    clipped by each face that their bounding box crosses, in the order
+    -x_d <= -lo_d, x_d <= hi_d for d = 1..l; one moment sum follows.
     """
-    rows, low, high = diagram.rows, diagram.low, diagram.high
+    cells, low, high, rows = built
     lo, hi = box.lo.tolist(), box.hi.tolist()
     meets = (low < hi).all(1) & (high > lo).all(1)
     keep = meets[rows.owner]
     rows = geometry._Rows(*(x[keep] for x in rows))
-    count = len(diagram.cells)
+    count = len(cells)
     for d, axis in enumerate(np.eye(len(lo))):
         for normal, offset, crossing in (
             (-axis, -lo[d], low[:, d] < lo[d]), (axis, hi[d], high[:, d] > hi[d])
@@ -1462,7 +1487,6 @@ def _hull_route(diagram, n, box, facets):
                 )
     vol, first, second, pieces = geometry._row_moments(rows, count, facets)
     vols, firsts, seconds = np.zeros(n), np.zeros((n, len(lo))), np.zeros(n)
-    cells = diagram.cells
     vols[cells], firsts[cells], seconds[cells] = vol, first, second
     if not facets:
         return vols, firsts, seconds
@@ -1480,15 +1504,14 @@ class TestBatchedPass:
 
     @staticmethod
     def check_slices(samples, g, boxes, skip=()):
-        # Each box's slice of one batch of every box, on the diagram of their
+        # Each box's slice of one batch of every box, on the cells of their
         # hull, against the box's own one-box call.
         n, l = samples.n, samples.dimension
         hull = Hyperrectangle(
             np.min([box.lo for box in boxes], axis=0),
             np.max([box.hi for box in boxes], axis=0),
         )
-        diagram = geometry._power_diagram(samples, g, hull)
-        batch = geometry._box_batch(diagram, samples, g, boxes, True)
+        batch = geometry._box_batch(samples, g, hull, boxes, True)
         for index, (box, shared) in enumerate(zip(boxes, _slices(batch))):
             own = _own_batch(samples, g, box)
             tol = 1e-12 * box.volume
@@ -1530,47 +1553,44 @@ class TestBatchedPass:
         "case", _LIFTED_CASES, ids=[case[0] for case in _LIFTED_CASES]
     )
     def test_one_box_keeps_the_hull_route_bits(self, case):
-        # A batch of one box, the diagram's hull, cuts the same faces in the
+        # A batch of one box, the cells' hull, cuts the same faces in the
         # same order as cutting each cell into the hull in place.
         _, points, g, boxes = case
         samples = SampleSet.uniform(points)
         for box in boxes:
-            diagram = geometry._power_diagram(samples, g, box)
-            if diagram.rows is None:
+            route, cells, batch = _spied_batch(samples, g, box, [box], True)
+            if route == "plain":
                 continue
-            batch = geometry._box_batch(diagram, samples, g, [box], True)
             (batched,) = _slices(batch)
-            reference = _hull_route(diagram, samples.n, box, facets=True)
+            reference = _hull_route(cells, samples.n, box, facets=True)
             for got, want in zip(
                 batched[:3] + batched[3], reference[:3] + reference[3]
             ):
                 assert got.tobytes() == want.tobytes()
 
     def test_box_that_meets_no_cell(self):
-        # A box beyond every cell's bounding box, outside the diagram's hull,
+        # A box beyond every cell's bounding box, outside the cells' hull,
         # gets no volume, and the batch refuses it by name.
         rng = np.random.default_rng(3)
         samples = SampleSet.uniform(rng.uniform(-1.0, 1.0, size=(12, 2)))
         g = rng.normal(scale=0.1, size=12)
         inside = Hyperrectangle([-1.0, -1.0], [1.0, 1.0])
         far = Hyperrectangle([1e6, 1e6], [1e6 + 1.0, 1e6 + 1.0])
-        diagram = geometry._power_diagram(samples, g, inside)
-        assert _lifted(diagram)
+        assert _spied_batch(samples, g, inside, [inside], True)[0] == "lifted"
         with pytest.raises(geometry.VolumeSumError, match="box 1: .* sum to 0.0,"):
-            geometry._box_batch(diagram, samples, g, [inside, far, inside], True)
+            geometry._box_batch(samples, g, inside, [inside, far, inside], True)
 
     def test_box_not_in_the_batch_is_measured(self):
-        # Boxes inside the hull that the diagram was not built for, measured
-        # in one batch, match their own one-box calls.
+        # Boxes inside the hull that the cells were built for, none of them
+        # the hull, measured in one batch, match their own one-box calls.
         rng = np.random.default_rng(4)
         boxes, points = _ladder(rng, 3, 32)
         samples = SampleSet.uniform(points)
         g = np.zeros(32)
         hull = Hyperrectangle([-1.0] * 3, [1.0] * 3)
-        diagram = geometry._power_diagram(samples, g, hull)
         inner = Hyperrectangle([-0.4, -0.5, -0.6], [0.3, 0.2, 0.1])
         some = (boxes[0], boxes[2], inner)
-        batch = geometry._box_batch(diagram, samples, g, some, True)
+        batch = geometry._box_batch(samples, g, hull, some, True)
         for box, shared in zip(some, _slices(batch)):
             own = _own_batch(samples, g, box)
             tol = 1e-12 * box.volume
@@ -1593,15 +1613,18 @@ class TestBatchedPass:
         box = Hyperrectangle([-1.0] * l, [1.0] * l)
         if route == "all-pairs":
             monkeypatch.setattr(geometry, "_power_neighbours", lambda y, lift: None)
-        diagram = geometry._power_diagram(samples, g, box)
-        assert (diagram.rows is not None) == (route in ("lifted", "all-pairs"))
+        assert _spied_batch(samples, g, box, [box], False)[0] == route
         for error, raises in ((2e-9, True), (5e-10, False)):
-            damaged = diagram
             with monkeypatch.context() as patch:
                 if route == "chain":
-                    # The last cell ends short of the box's upper face.
-                    ends = [*diagram.ends[:-1], 1.0 - 2.0 * error]
-                    damaged = diagram._replace(ends=ends)
+                    chain_cells = geometry._chain_cells
+
+                    def short(samples, g):
+                        # The last cell ends short of the box's upper face.
+                        chain, ends = chain_cells(samples, g)
+                        return chain, [*ends[:-1], 1.0 - 2.0 * error]
+
+                    patch.setattr(geometry, "_chain_cells", short)
                 elif route == "plain":
                     real = geometry._polygon_moments
 
@@ -1620,9 +1643,9 @@ class TestBatchedPass:
                     patch.setattr(geometry, "_row_moments", scaled)
                 if raises:
                     with pytest.raises(geometry.VolumeSumError, match="box 0"):
-                        geometry._box_batch(damaged, samples, g, [box], False)
+                        geometry._box_batch(samples, g, box, [box], False)
                 else:
-                    geometry._box_batch(damaged, samples, g, [box], False)
+                    geometry._box_batch(samples, g, box, [box], False)
 
     def test_pass_clips_once_per_face_direction(self, monkeypatch):
         # One exact pass on a k = 4 ladder: at most 2l clip calls and one
@@ -1688,9 +1711,8 @@ class TestAllPairsRows:
             np.min([box.lo for box in boxes], axis=0),
             np.max([box.hi for box in boxes], axis=0),
         )
-        diagram = geometry._power_diagram(samples, g, hull)
-        assert diagram.rows is not None and not _lifted(diagram)
-        batch = geometry._box_batch(diagram, samples, g, (hull, *boxes), False)
+        route, _, batch = _spied_batch(samples, g, hull, (hull, *boxes), False)
+        assert route == "all-pairs"
         for box, shared in zip((hull, *boxes), _slices(batch)):
             ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
             tol = 1e-12 * box.volume
@@ -1794,8 +1816,7 @@ class TestGeometryFuzz:
     def test_batch_matches_brute_force(self, case):
         samples, g, density = case
         boxes = [box for box, _ in density.boxes]
-        diagram = geometry._power_diagram(samples, g, density.hull)
-        batch = geometry._box_batch(diagram, samples, g, boxes, False)
+        batch = geometry._box_batch(samples, g, density.hull, boxes, False)
         for box, (vols, firsts, seconds) in zip(boxes, _slices(batch)):
             ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
             tol = 1e-12 * box.volume

@@ -172,6 +172,36 @@ def test_readme_quickstart_runs():
     assert proc.stdout.strip()
 
 
+def _names_used(paths) -> set[str]:
+    # Every name a file reads as a variable or an attribute; an import alias
+    # is neither.
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_definition_is_used_by_the_package_demos_or_acceptance():
+    # The surface holds only what the pipeline, the CLI, the demos and the
+    # acceptance criteria use: a module-level function or class that only
+    # other tests name is dead code.
+    package = sorted((ROOT / "src" / "boxot").glob("*.py"))
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    used = _names_used([*package, *demos, ROOT / "tests" / "test_acceptance.py"])
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in package
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in used
+    ]
+    assert unused == []
+
+
 def _tracer_targets() -> tuple:
     # TARGETS of bench/tracer.py, read from its source: nothing under bench/
     # is imported, run or written.
