@@ -95,6 +95,9 @@ class SolverTrace:
     the solve returns. ``mc_points_gradient`` and ``mc_points_energy``
     count the Monte Carlo points the solve drew for its gradients and its
     energies, summed over boxes and passes; both are 0 on exact.
+    ``eta_spent`` sums the failure probability charged to the mc draws the
+    solve made (:func:`_mc_failure`): eta T/(T + 1) after T mc passes, and
+    0 on exact.
     """
 
     eps_prime: float
@@ -116,6 +119,7 @@ class SolverTrace:
     passes: int = 0
     mc_points_gradient: int = 0
     mc_points_energy: int = 0
+    eta_spent: float = 0.0
     stop_reason: str = ""
     guarantee_holds: bool = False
 
@@ -128,13 +132,15 @@ class SolverTrace:
         self.g_inf_norm.append(float(g_inf))
 
     def to_csv(self, path) -> None:
-        """Write the plot-ready trace: t, grad_norm, energy_estimate, wallclock_ms."""
+        """Write the plot-ready trace, one row per iterate: t, grad_norm,
+        energy_estimate, step_size, wallclock_ms, g_inf_norm."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,grad_norm,energy_estimate,wallclock_ms\n")
+            fh.write("t,grad_norm,energy_estimate,step_size,wallclock_ms,g_inf_norm\n")
             for i in range(len(self.t)):
                 fh.write(
                     f"{self.t[i]},{self.grad_norm[i]!r},"
-                    f"{self.energy_estimate[i]!r},{self.wallclock_ms[i]!r}\n"
+                    f"{self.energy_estimate[i]!r},{self.step_size[i]!r},"
+                    f"{self.wallclock_ms[i]!r},{self.g_inf_norm[i]!r}\n"
                 )
 
 
@@ -368,6 +374,16 @@ def iteration_budget(instance: Instance, eps_prime: float) -> int:
     return int(min(math.ceil(m), ITERATION_CAP))
 
 
+def _mc_failure(eta: float, t: int) -> float:
+    """Failure probability eta/(2 t (t + 1)) charged to each mc draw of pass t.
+
+    The gradient draw and the energy draw of iterate t each get it; summed
+    over t = 1..T it telescopes to (eta/2) T/(T + 1) < eta/2 per draw
+    stream. :func:`solve_dual` says why the split is anytime and chosen.
+    """
+    return eta / (2.0 * t * (t + 1.0))
+
+
 # ---------------------------------------------------------------------------
 # the solver
 # ---------------------------------------------------------------------------
@@ -404,12 +420,30 @@ def solve_dual(
     The mc backend's pass has no Hessian, so every step is the 1/L step of
     the paper's inexact gradient descent, with noise budget
     ||e_t|| <= eps'/(360 n D^2); the returned iterate then satisfies
-    E(g*) - E(g_Mbar) <= eps' with probability >= 1 - eta (per-iteration
-    failure eta/(k M), union-bounded). Each mc pass also estimates E at
-    its iterate from an independent draw, to ``trace.energy_accuracy`` =
-    eps'/4 with failure eta/(M + 1). The iterate and the stopping time
-    depend on the gradient draws only, so the last pass's energy, which the
-    solve returns on both backends, carries that bound.
+    E(g*) - E(g_Mbar) <= eps'. Each mc pass also estimates E at its
+    iterate from an independent draw, to ``trace.energy_accuracy`` =
+    eps'/4. The iterate and the stopping time depend on the gradient draws
+    only, so the last pass's energy, which the solve returns on both
+    backends, carries that bound.
+
+    Both bounds hold together with probability >= 1 - eta. The gradient
+    draw and the energy draw of pass t are each charged failure eta_t =
+    eta/(2 t (t + 1)) (:func:`_mc_failure`; the gradient's is split evenly
+    over the k boxes). Each stream sums to (eta/2) T/(T + 1) < eta/2 over
+    any T passes, so a union bound over both streams fails with
+    probability < eta. That holds at the solve's random stopping time too:
+    eta_t depends on t alone, not on M or on when the solve stops, and
+    each draw is fresh from its own seed (seed, t), so its failure has
+    probability <= eta_t given every earlier draw. The draws a solve makes
+    are then among those of a solve that never stops, whose failures over
+    all t >= 1 sum to < eta. The a-priori split eta/(M + 1) charges every
+    draw ln(M) in its Hoeffding count, with M of 1e5-1e18, while solves
+    stop within a few passes; eta_t charges ln(2 t (t + 1)). Near t = M its
+    count is at most 2x the a-priori one, since ln(t^2) <= 2 ln M. A
+    slower schedule, such as eta_t ~ 1/((t + 1) ln^2(t + 1)), would trim
+    that factor at the price of more points at small t, where the solves
+    stop, so it was not chosen. ``trace.eta_spent`` sums the eta_t of the
+    draws made.
 
     Each mc gradient draw ends at the first checked prefix whose estimate
     certifies that the full draw's norm is below the threshold too (see
@@ -439,7 +473,6 @@ def solve_dual(
     nd2 = n * stats.D**2
     noise_budget = eps_p / (360.0 * nd2)
     grad_threshold = eps_p / (45.0 * nd2)
-    eta_iter = config.eta / (big_m + 1.0)
 
     trace = SolverTrace(
         eps_prime=eps_p,
@@ -459,14 +492,16 @@ def solve_dual(
         trace.passes += 1
         if backend == "exact":
             return _evaluate(instance, g, t < m_eff)
+        failure = _mc_failure(config.eta, t)
         grad, drawn = _mc_gradient(
-            instance, g, noise_budget, eta_iter, (config.seed, t), grad_threshold
+            instance, g, noise_budget, failure, (config.seed, t), grad_threshold
         )
         trace.mc_points_gradient += drawn
         e_here, drawn = _mc_energy(
-            instance, g, trace.energy_accuracy, eta_iter, (config.seed, t, 1)
+            instance, g, trace.energy_accuracy, failure, (config.seed, t, 1)
         )
         trace.mc_points_energy += drawn
+        trace.eta_spent += 2.0 * failure
         return _Pass(e_here, grad, None, None)
 
     start = time.perf_counter()

@@ -53,6 +53,7 @@ class EstimationResult:
             "passes": self.trace.passes,
             "mc_points_gradient": self.trace.mc_points_gradient,
             "mc_points_energy": self.trace.mc_points_energy,
+            "eta_spent": self.trace.eta_spent,
             "stop_reason": self.trace.stop_reason,
             "backend": self.trace.backend,
         }

@@ -79,11 +79,12 @@ class TestEstimate:
         assert set(payload) == {
             "sigma_hat", "mu_hat", "rho", "dual_energy",
             "epsilon", "eta", "guarantee_holds", "iterations",
-            "passes", "mc_points_gradient", "mc_points_energy", "stop_reason",
-            "backend",
+            "passes", "mc_points_gradient", "mc_points_energy", "eta_spent",
+            "stop_reason", "backend",
         }
         assert payload["backend"] == "exact"
         assert payload["mc_points_gradient"] == payload["mc_points_energy"] == 0
+        assert payload["eta_spent"] == 0.0
         assert payload["stop_reason"] in ("threshold", "budget")
         assert payload["passes"] >= payload["iterations"]
 
@@ -97,10 +98,14 @@ class TestEstimate:
             )
         assert code == EXIT_OK
         lines = trace.read_text().splitlines()
-        assert lines[0] == "t,grad_norm,energy_estimate,wallclock_ms"
+        assert lines[0] == (
+            "t,grad_norm,energy_estimate,step_size,wallclock_ms,g_inf_norm"
+        )
         payload = json.loads(out.read_text())
         assert len(lines) - 1 == payload["iterations"]
         assert lines[1].startswith("1,")
+        # no step leaves the last iterate
+        assert float(lines[-1].split(",")[3]) == 0.0
 
     def test_same_seed_is_deterministic(self, instance_files, tmp_path):
         # The second run also writes the trace, which adds no solver work:

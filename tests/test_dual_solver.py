@@ -2,6 +2,7 @@
 
 import math
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -302,11 +303,73 @@ _PREFIX_CASES = {
 }
 
 
-def _sample_count(instance, trace, eta):
-    # the m of each box's gradient draw in the solve of trace
+def _sample_counts(instance, trace, eta):
+    # the m of each box's gradient draw at every pass t of the solve of
+    # trace, at the failure the solver charges that pass
     n, k = instance.samples.n, instance.density.k
     per_cell = trace.noise_budget / math.sqrt(n)
-    return geometry.mc_sample_count(n, per_cell, eta / (trace.M + 1.0) / k)
+    return [
+        geometry.mc_sample_count(n, per_cell, ds._mc_failure(eta, t) / k)
+        for t in range(1, trace.passes + 1)
+    ]
+
+
+class TestFailureSplit:
+    # Each mc draw of pass t is charged eta_t = eta/(2 t (t + 1)); the
+    # gradient stream and the energy stream each sum to (eta/2) T/(T + 1).
+    ETA = 0.05
+
+    @pytest.mark.parametrize("big_t", [1, 10**6])
+    def test_each_stream_sums_below_half_eta(self, big_t):
+        t = np.arange(1, big_t + 1, dtype=float)
+        total = math.fsum(ds._mc_failure(self.ETA, t).tolist())
+        closed = self.ETA / 2.0 * big_t / (big_t + 1.0)
+        assert total == pytest.approx(closed, rel=1e-12)
+        assert total <= self.ETA / 2.0
+
+    def test_the_sum_telescopes_up_to_the_cap(self):
+        # eta_t = (eta/2) (1/t - 1/(t + 1)) to rounding, so the partial sum
+        # at T = ITERATION_CAP telescopes to the closed form, below eta/2.
+        half = Fraction(self.ETA) / 2
+        for t in (1, 2, 7, 10**6, ITERATION_CAP - 1, ITERATION_CAP):
+            telescoped = half * (Fraction(1, t) - Fraction(1, t + 1))
+            assert ds._mc_failure(self.ETA, t) == pytest.approx(
+                float(telescoped), rel=1e-15
+            )
+        cap = ITERATION_CAP
+        assert half * cap / (cap + 1) < half
+
+    def test_count_at_the_budget_is_at_most_twice_the_a_priori_one(
+        self, symmetric_square
+    ):
+        config = SolverConfig(epsilon=0.9, eta=self.ETA, volume_backend="mc")
+        _, _, trace = solve_dual(symmetric_square, config)
+        n, k = symmetric_square.samples.n, symmetric_square.density.k
+        per_cell = trace.noise_budget / math.sqrt(n)
+
+        def count(failure):
+            return geometry.mc_sample_count(n, per_cell, failure / k)
+
+        a_priori = count(self.ETA / (trace.M + 1.0))
+        assert count(ds._mc_failure(self.ETA, trace.M)) <= 2 * a_priori
+        # where every solve stops, the split draws fewer points
+        assert count(ds._mc_failure(self.ETA, 1)) < a_priori
+
+    def test_eta_spent_sums_the_draws_made(self, symmetric_square):
+        config = SolverConfig(epsilon=0.9, eta=self.ETA, seed=1, volume_backend="mc")
+        _, _, trace = solve_dual(symmetric_square, config)
+        assert trace.M_bar == trace.passes == 1
+        assert trace.eta_spent == self.ETA / 2.0
+        config = SolverConfig(
+            epsilon=0.95, eta=self.ETA, seed=2, volume_backend="mc",
+            max_iters_override=2,
+        )
+        _, _, trace = solve_dual(_off_centre_1d(), config)
+        assert trace.passes == 2
+        assert trace.eta_spent == pytest.approx(self.ETA * 2.0 / 3.0, rel=1e-15)
+        config = SolverConfig(epsilon=0.9, eta=self.ETA, volume_backend="exact")
+        _, _, trace = solve_dual(symmetric_square, config)
+        assert trace.eta_spent == 0.0
 
 
 class TestPrefixStop:
@@ -341,8 +404,9 @@ class TestPrefixStop:
             assert trace.stop_reason == full.stop_reason == "threshold"
             assert trace.energy_estimate == full.energy_estimate
             assert trace.mc_points_energy == full.mc_points_energy > 0
-            k_m = instance.density.k * _sample_count(instance, trace, config.eta)
-            draws = trace.passes * k_m
+            ms = _sample_counts(instance, trace, config.eta)
+            k_m = instance.density.k * ms[-1]
+            draws = instance.density.k * sum(ms)
             assert full.mc_points_gradient == draws
             # only the last pass can stop early
             assert trace.mc_points_gradient > draws - k_m
@@ -386,8 +450,8 @@ class TestPrefixStop:
         config = SolverConfig(epsilon=0.9, eta=0.05, seed=seed, volume_backend="mc")
         _, _, trace = solve_dual(symmetric_square, config)
         assert trace.stop_reason == "threshold"
-        m = _sample_count(symmetric_square, trace, config.eta)
-        assert 0 < trace.mc_points_gradient <= trace.passes * m / 4
+        m = sum(_sample_counts(symmetric_square, trace, config.eta))
+        assert 0 < trace.mc_points_gradient <= m / 4
 
     @pytest.mark.parametrize("seed", [1, 7, 42])
     def test_symmetric_square_draws_an_eighth(self, seed, symmetric_square):
@@ -396,8 +460,8 @@ class TestPrefixStop:
         config = SolverConfig(epsilon=0.9, eta=0.05, seed=seed, volume_backend="mc")
         _, _, trace = solve_dual(symmetric_square, config)
         assert trace.stop_reason == "threshold"
-        m = _sample_count(symmetric_square, trace, config.eta)
-        assert 0 < trace.mc_points_gradient <= trace.passes * m / 8
+        m = sum(_sample_counts(symmetric_square, trace, config.eta))
+        assert 0 < trace.mc_points_gradient <= m / 8
 
 
 class TestCheckSchedule:
@@ -707,11 +771,16 @@ class TestSolveDual:
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "t,grad_norm,energy_estimate,wallclock_ms"
+        assert lines[0] == (
+            "t,grad_norm,energy_estimate,step_size,wallclock_ms,g_inf_norm"
+        )
         assert len(lines) == trace.M_bar + 1
         first = lines[1].split(",")
         assert int(first[0]) == 1
         assert float(first[1]) == trace.grad_norm[0]
+        columns = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert [row[3] for row in columns] == trace.step_size
+        assert [row[5] for row in columns] == trace.g_inf_norm
 
 
 def _fixed_step_solve(instance, config):

@@ -57,6 +57,38 @@ class TestClosedForm:
             closed_form_from_plan(moments, np.array([0.5]), 0.3)
 
 
+def _cube_3d():
+    """Uniform density on [-1,1]^3 with sinks (+-1,0,0): the optimum is g = 0."""
+    box = Hyperrectangle([-1.0] * 3, [1.0] * 3)
+    density = BoxDensity(dimension=3, boxes=((box, 0.125),))
+    return Instance(density, SampleSet.uniform([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
+
+
+class TestMcAccuracy:
+    # The Monte Carlo route under its per-pass failure split, against the
+    # exact backend on instances whose optimum g = 0 is the start: every
+    # mc energy estimates the exact optimum's energy to its stated budget.
+    @pytest.mark.parametrize(
+        "build", [fx.symmetric_square, _cube_3d], ids=["square-2d", "cube-3d"]
+    )
+    def test_twenty_seeds_stay_within_their_accuracies(self, build):
+        instance, eps = build(), 0.9
+        exact = estimate_parameters(
+            instance, SolverConfig(epsilon=eps, eta=0.05, volume_backend="exact")
+        )
+        assert exact.trace.stop_reason == "threshold"
+        for seed in range(20):
+            result = estimate_parameters(
+                instance,
+                SolverConfig(epsilon=eps, eta=0.05, seed=seed, volume_backend="mc"),
+            )
+            trace = result.trace
+            assert trace.backend == "mc" and trace.stop_reason == "threshold"
+            assert trace.guarantee_holds
+            assert abs(result.dual_energy - exact.dual_energy) <= trace.energy_accuracy
+            assert abs(result.sigma_hat - exact.sigma_hat) <= eps
+
+
 class TestEstimateParameters:
     def test_symmetric_interval(self, symmetric_interval):
         result = estimate_parameters(
@@ -180,6 +212,7 @@ class TestEstimateParameters:
             "passes",
             "mc_points_gradient",
             "mc_points_energy",
+            "eta_spent",
             "stop_reason",
             "backend",
         }
@@ -187,6 +220,7 @@ class TestEstimateParameters:
         assert doc["passes"] == result.trace.passes
         assert doc["mc_points_gradient"] == result.trace.mc_points_gradient == 0
         assert doc["mc_points_energy"] == result.trace.mc_points_energy == 0
+        assert doc["eta_spent"] == result.trace.eta_spent == 0.0
         assert doc["stop_reason"] == result.trace.stop_reason
         assert doc["backend"] == result.trace.backend
         assert isinstance(doc["mu_hat"], list)
