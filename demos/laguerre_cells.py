@@ -36,7 +36,7 @@ def main():
         print("".join("ABC"[j] for j in labels))
     print()
 
-    exact, _, _ = cell_box_moments_exact(samples, g, box)
+    exact, _ = cell_box_moments_exact(samples, g, box)
     mc = cell_box_volumes_mc(
         samples, g, box, eps_bar=0.005, eta_prime=0.05, seed=7
     )

@@ -193,13 +193,14 @@ def _evaluate(instance: Instance, g: np.ndarray, hessian: bool = False) -> _Pass
 
     One call of ``geometry._box_batch`` builds the cells of g for the
     density's hull and measures every box on them, checking that each
-    box's cell volumes sum to its volume. Each box's row of the batch gives
-    its share of the energy (sum_j of the integral of ||x - y_j||^2 - g_j
-    over L_j(g), plus <g, b>); the volumes give the gradient and the cell
-    masses (:func:`_grad_mass`). The Hessian's off-diagonal entry is
-    sum_boxes gamma measure(facet_ij n H) / (2 ||y_i - y_j||); its diagonal
-    makes every row sum to zero (Kitagawa, Merigot and Thibert 2019, with
-    the factor 2 of the cost ||x - y||^2).
+    box's cell volumes sum to its volume. E(g) is the density's closed-form
+    integral of ||x||^2 (``BoxDensity.second_moment``) plus sum_boxes gamma
+    sum_j [(||y_j||^2 - g_j) vol(L_j n H) - 2 y_j . int_{L_j n H} x] plus
+    <g, b>; the volumes give the gradient and the cell masses
+    (:func:`_grad_mass`). The Hessian's off-diagonal entry is sum_boxes
+    gamma measure(facet_ij n H) / (2 ||y_i - y_j||); its diagonal makes
+    every row sum to zero (Kitagawa, Merigot and Thibert 2019, with the
+    factor 2 of the cost ||x - y||^2).
     """
     g = _finite_weights(g, instance.samples.n)
     samples = instance.samples
@@ -209,24 +210,13 @@ def _evaluate(instance: Instance, g: np.ndarray, hessian: bool = False) -> _Pass
     batch = _box_batch(samples, g, instance.density.hull, boxes, hessian)
     grad, mass = _grad_mass(samples, weights, batch.vols)
     hess = np.zeros((n, n)) if hessian else None
-    shifted = samples.squared_norms - g
-    total = 0.0
-    for w, vols, firsts, seconds in zip(
-        weights, batch.vols, batch.firsts, batch.seconds
-    ):
-        total += w * float(
-            seconds.sum()
-            - 2.0 * (firsts * y).sum()
-            + (shifted * vols).sum()
-        )
+    cells = batch.vols @ (samples.squared_norms - g)
+    cells -= 2.0 * (batch.firsts.reshape(len(boxes), -1) @ y.ravel())
+    total = instance.density.second_moment + float(np.dot(weights, cells))
     if hessian:
-        j, i, measure = batch.pieces
-        if len(j):
-            # Each piece weighted by its box's gamma, as w * measure.
-            runs = batch.bounds[1:] - batch.bounds[:-1]
-            measure = np.array(weights).repeat(runs) * measure
-            dist = np.sqrt(((y[i] - y[j]) ** 2).sum(axis=1))
-            np.add.at(hess, (j, i), measure / (2.0 * dist))
+        box, j, i, measure = batch.pieces
+        dist = np.sqrt(((y[i] - y[j]) ** 2).sum(axis=1))
+        np.add.at(hess, (j, i), np.array(weights)[box] * measure / (2.0 * dist))
         hess.flat[:: n + 1] -= hess.sum(axis=1)
     return _Pass(total + float(g @ samples.demands), grad, mass, hess)
 
@@ -234,8 +224,8 @@ def _evaluate(instance: Instance, g: np.ndarray, hessian: bool = False) -> _Pass
 def energy(instance: Instance, g: np.ndarray) -> float:
     """Dual energy E(g) from one exact pass (:func:`_evaluate`).
 
-    Closed-form clipped-cell quadratic moments per box; an instance above
-    dimension 3 is refused with a ValueError before any geometry.
+    Closed-form integral of ||x||^2 plus clipped-cell volumes and first
+    moments per box; above dimension 3 a ValueError before any geometry.
     """
     return _evaluate(instance, g).energy
 
@@ -316,10 +306,16 @@ def _mc_energy(
 ) -> tuple[float, int]:
     """Monte Carlo E(g) and the points drawn, summed over the k boxes.
 
-    Uniform sampling of the potential min_j(||x - y_j||^2 - g_j), every box
-    in lockstep, with Hoeffding counts for additive error ``accuracy`` > 0
-    at failure probability eta_prime in (0, 1), both checked before any
-    draw; the integrand range is bounded by 4 D^2 + 2 ||g||_inf.
+    The density's closed-form integral of ||x||^2 (``BoxDensity.second_moment``),
+    plus <g, b>, plus each box's gamma vol(H) times the mean over uniform
+    draws, every box in lockstep, of h(x) = min_j(||y_j||^2 - 2 x.y_j - g_j),
+    the potential min_j(||x - y_j||^2 - g_j) less ||x||^2. Hoeffding counts
+    give additive error ``accuracy`` > 0 at failure probability eta_prime in
+    (0, 1), both checked before any draw, from h's range: with ||x||,
+    ||y_j|| <= D, ||y_j||^2 - 2 x.y_j lies in [-D^2, 3 D^2] (t^2 - 2 D t >=
+    -D^2), so h lies in [-D^2 - ||g||_inf, 3 D^2 + ||g||_inf], of width
+    4 D^2 + 2 ||g||_inf, as the potential's range [-||g||_inf, 4 D^2 +
+    ||g||_inf] is.
     """
     samples = instance.samples
     g = _finite_weights(g, samples.n)
@@ -333,7 +329,7 @@ def _mc_energy(
         math.ceil(rng_range**2 * math.log(2.0 * k / eta_prime) / (2.0 * accuracy**2))
     )
     boxes, weights = zip(*instance.density.boxes)
-    total = 0.0
+    total = instance.density.second_moment
     for value in potential_integral_mc(samples, g, boxes, weights, m, seed).tolist():
         total += value
     return total + float(g @ samples.demands), m * k

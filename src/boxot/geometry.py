@@ -42,12 +42,14 @@ The volume count labels a point by the first index of its least score, or
 with n = 2 sinks by one projection ``u . v < c'``; ties go to the first
 index. :func:`classify_points` is that rule on the unit cube [0, 1]^l, so a
 count label can differ from ``classify_points(lo + w u)`` only within
-rounding of a cell boundary. The potential integral adds ||x||^2 to the
-least score. Both draw any number of boxes in lockstep through one loop on
-one pool of threads (:func:`_draw`). The potential adds one block after
-another; the volume count's caller may plan its prefix checks and end it at
-any checked prefix, whose estimate a line boundary of Hoeffding's
-supermartingale bounds on an event inside the full count's own.
+rounding of a cell boundary. The potential integral averages the least
+score, the potential less ||x||^2, whose integral the dual energy takes in
+closed form (:attr:`BoxDensity.second_moment`). Both draw any number of
+boxes in lockstep through one loop on one pool of threads (:func:`_draw`).
+The potential adds one block after another; the volume count's caller may
+plan its prefix checks and end it at any checked prefix, whose estimate a
+line boundary of Hoeffding's supermartingale bounds on an event inside the
+full count's own.
 """
 
 from __future__ import annotations
@@ -219,6 +221,11 @@ class BoxDensity:
             np.min([box.lo for box, _ in self.boxes], axis=0),
             np.max([box.hi for box, _ in self.boxes], axis=0),
         )
+
+    @cached_property
+    def second_moment(self) -> float:
+        """integral ||x||^2 dalpha (:func:`box_moments`), a term of the dual energy."""
+        return box_moments(self)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -496,8 +503,8 @@ def _draw(
     Box i draws from ``box_rng(seed, i)``, and ``scorer(i)``
     returns the ``per_point`` that :func:`_fill` hands its unit draws u; the
     point of u is ``lo + width * u``, the value ``Generator.uniform`` gives.
-    A ``per_point`` may overwrite u. A scorer may build its box's fold, so
-    that only the folds of the boxes being drawn are held.
+    A scorer may build its box's fold, so that only the folds of the boxes
+    being drawn are held.
 
     ``plan(rows)`` is called with 0, then with the rows drawn after each
     stretch short of m. It returns None to end the draw, or the row at which
@@ -676,13 +683,14 @@ def potential_integral_mc(
     m: int,
     seed,
 ) -> float | np.ndarray:
-    """Estimate weight * integral over the box of min_j(||x - y_j||^2 - g_j).
+    """Estimate weight * integral over the box of min_j(||y_j||^2 - 2 x.y_j - g_j).
 
-    Averages the potential over m >= 1 uniform points of the box, the first
-    m rows of the stream :func:`cell_box_volumes_mc` draws; the caller picks
-    m for its accuracy target. A point's value is ||x||^2 plus the least of
-    the volume count's scores of its unit draw u (at n = 2 both scores, not
-    the projection), for x = lo + w u. Given k boxes and their k weights, it
+    The integrand is the potential min_j(||x - y_j||^2 - g_j) less ||x||^2,
+    averaged over m >= 1 uniform points of the box, the first m rows of the
+    stream :func:`cell_box_volumes_mc` draws; the caller picks m for its
+    accuracy target. A point's value is the least of the volume count's
+    scores of its unit draw u (at n = 2 both scores, not the projection);
+    no x is built. Given k boxes and their k weights, it
     draws them in lockstep as the count does and returns the k estimates.
     Each box's values are added one ``_MC_CHUNK`` block at a time, so an
     estimate has the same bits alone as among other boxes. Raises
@@ -702,18 +710,10 @@ def potential_integral_mc(
 
     def potential(i: int):
         fold = _unit_fold(samples, g, boxes[i], rows, project=False)
-        # lo and width repeated along the flat buffer, like the fold's c: one
-        # contiguous multiply and add, where broadcasting over rows of l = 2-4
-        # was 4-13x slower. Built for the longest sub-chunk.
-        flat_lo, flat_width = np.tile(boxes[i].lo, rows), np.tile(boxes[i].widths, rows)
 
         def value(u: np.ndarray, row: int) -> None:
-            least = _unit_scores(fold, u).min(axis=1)
-            flat = u.reshape(-1)
-            flat *= flat_width[: flat.size]
-            flat += flat_lo[: flat.size]
             out = blocks[i, row - start : row - start + len(u)]
-            np.add(least, (u**2).sum(-1), out=out)
+            np.min(_unit_scores(fold, u), axis=1, out=out)
 
         return value
 
@@ -998,18 +998,15 @@ def _all_pairs_rows(
 
 
 class _Batch(NamedTuple):
-    """Every box's cell moments from one :func:`_box_batch` call.
+    """Every box's cell volumes and first moments from one :func:`_box_batch` call.
 
-    Box b's are ``vols[b]`` (n,), ``firsts[b]`` (n, l) and ``seconds[b]``
-    (n,). ``pieces`` is None, or (j, i, measure) box-major: box b's facet
-    pieces are the run ``bounds[b]:bounds[b + 1]``.
+    Box b's are ``vols[b]`` (n,) and ``firsts[b]`` (n, l). ``pieces`` is
+    None, or (box, j, i, measure): every box's facet pieces, box-major.
     """
 
     vols: np.ndarray
     firsts: np.ndarray
-    seconds: np.ndarray
-    pieces: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-    bounds: np.ndarray | None
+    pieces: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
 
 
 def _chain_cells(samples: SampleSet, g: np.ndarray):
@@ -1105,25 +1102,22 @@ def _clip_polygon(poly, tags, a, b, tag):
 
 
 def _polygon_moments(poly):
-    """(area, (integral x, integral y), integral ||x||^2) of a convex polygon."""
+    """(area, (integral x, integral y)) of a convex polygon."""
     if len(poly) < 3:
-        return 0.0, (0.0, 0.0), 0.0
+        return 0.0, (0.0, 0.0)
     x0, y0 = poly[0]
-    area = fx = fy = second = 0.0
+    area = fx = fy = 0.0
     for i in range(1, len(poly) - 1):
         x1, y1 = poly[i]
         x2, y2 = poly[i + 1]
         cross = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
         tri = 0.5 * cross
         area += tri
-        sx, sy = x0 + x1 + x2, y0 + y1 + y2
-        fx += tri * sx / 3.0
-        fy += tri * sy / 3.0
-        sq = x0**2 + y0**2 + x1**2 + y1**2 + x2**2 + y2**2
-        second += tri / 12.0 * (sq + sx**2 + sy**2)
+        fx += tri * (x0 + x1 + x2) / 3.0
+        fy += tri * (y0 + y1 + y2) / 3.0
     if area < 0:
-        return -area, (-fx, -fy), -second
-    return area, (fx, fy), second
+        return -area, (-fx, -fy)
+    return area, (fx, fy)
 
 
 def _clip_cells(rows: _Rows, low, high, los, his):
@@ -1246,7 +1240,7 @@ def _clip_rows(rows: _Rows, normal, offset, tag, crossing) -> _Rows:
 
 
 def _row_moments(rows: _Rows, count: int, facets: bool):
-    """(vol, integral x, integral ||x||^2, pieces) of ``count`` cells as rows.
+    """(vol, integral x, pieces) of ``count`` cells as rows.
 
     Sums the triangles (2-D) or tetrahedra (3-D) that join each side's fan
     to the mean of the cell's corner rows, which lies in the cell. With
@@ -1269,8 +1263,6 @@ def _row_moments(rows: _Rows, count: int, facets: bool):
         t = 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
         vol = np.bincount(owner, t, count)
         s = (a + b) * (t / 3.0)[:, None]
-        sq = t / 6.0 * (a * a + a * b + b * b).sum(1)
-        by = owner
         if facets:
             sides = tags >= 0
             step = p[nxt[sides]] - p[sides]
@@ -1286,9 +1278,7 @@ def _row_moments(rows: _Rows, count: int, facets: bool):
         a, b, e = p[head[tri]] - c, p[tri] - c, p[nxt[tri]] - c
         t = (a * _cross(b, e)).sum(1) / 6.0
         vol = np.bincount(by, t, count)
-        s = a + b + e
-        sq = t / 20.0 * (a * a + b * b + e * e + s * s).sum(1)
-        s *= (t / 4.0)[:, None]
+        s = (a + b + e) * (t / 4.0)[:, None]
         if facets:
             normal = _cross(b - a, e - a)
             normal = np.stack(
@@ -1297,11 +1287,8 @@ def _row_moments(rows: _Rows, count: int, facets: bool):
             sides = tags[starts] >= 0
             area = 0.5 * np.sqrt((normal[sides] ** 2).sum(1))
             pieces = owner[starts][sides], tags[starts][sides], area
-    first = np.bincount(bins, s.ravel(), count * l).reshape(count, l)
-    second = np.bincount(by, sq, count)
-    firsts = first + vol[:, None] * centre
-    seconds = second + 2.0 * (centre * first).sum(1) + vol * (centre**2).sum(1)
-    return vol, firsts, seconds, pieces
+    firsts = np.bincount(bins, s.ravel(), count * l).reshape(count, l)
+    return vol, firsts + vol[:, None] * centre, pieces
 
 
 def _box_batch(
@@ -1331,10 +1318,10 @@ def _box_batch(
 
     On rows, one cut of every (box, cell) pair (:func:`_clip_cells`) and one
     moment sum over all pairs (:func:`_row_moments`) are scattered to (k, n)
-    arrays. With ``facets`` the batch holds the boundary pieces, box-major;
-    a point counts 1 in 1-D. Raises ValueError above dimension 3, and
-    VolumeSumError unless each box's cell volumes sum to its volume within
-    ``VOLUME_SUM_TOL`` of it.
+    arrays. With ``facets`` the batch holds the boundary pieces, each tagged
+    by its box; a point counts 1 in 1-D. Raises ValueError above dimension
+    3, and VolumeSumError unless each box's cell volumes sum to its volume
+    within ``VOLUME_SUM_TOL`` of it.
     """
     y = samples.points
     n, l = y.shape
@@ -1360,22 +1347,19 @@ def _box_batch(
         los = np.array([box.lo for box in boxes])
         his = np.array([box.hi for box in boxes])
         box, cell, rows = _clip_cells(rows, low, high, los, his)
-        vol, first, second, pieces = _row_moments(rows, len(cell), facets)
+        vol, first, pieces = _row_moments(rows, len(cell), facets)
         j = sinks[cell]
-        vols, firsts, seconds = np.zeros((k, n)), np.zeros((k, n, l)), np.zeros((k, n))
-        vols[box, j], firsts[box, j], seconds[box, j] = vol, first, second
-        totals = vols.sum(1).tolist()
-        bounds = None
+        vols, firsts = np.zeros((k, n)), np.zeros((k, n, l))
+        vols[box, j], firsts[box, j] = vol, first
         if facets:
             # The sides come in row order, which is box-major; caps have no
             # neighbour.
             pair, i, measure = pieces
-            bounds = np.searchsorted(box[pair], np.arange(k + 1))
-            pieces = j[pair], i, measure
+            pieces = box[pair], j[pair], i, measure
     else:
-        vols, firsts, seconds, totals, sides, runs = [], [], [], [], [], [0]
-        for box in boxes:
-            vol, first, second = [0.0] * n, [(0.0,) * l] * n, [0.0] * n
+        vols, firsts, sides = [], [], []
+        for index, box in enumerate(boxes):
+            vol, first = [0.0] * n, [(0.0,) * l] * n
             lo, hi = box.lo.tolist(), box.hi.tolist()
             if l == 1:
                 (box_lo,), (box_hi,) = lo, hi
@@ -1385,53 +1369,45 @@ def _box_batch(
                     if b > a:
                         vol[j] = b - a
                         first[j] = ((b**2 - a**2) / 2.0,)
-                        second[j] = (b**3 - a**3) / 3.0
                     if facets and box_lo < ends[pos + 1] < box_hi:
                         i = chain[pos + 1]
-                        sides += [(j, i, 1.0), (i, j, 1.0)]
+                        sides += [(index, j, i, 1.0), (index, i, j, 1.0)]
             else:
                 for j, (poly, tags) in zip(*_all_pairs_cells(samples, g, lo, hi)):
-                    vol[j], first[j], second[j] = _polygon_moments(poly)
+                    vol[j], first[j] = _polygon_moments(poly)
                     if facets and vol[j] > 0.0:
                         for c, i in enumerate(tags):
                             if i >= 0:
                                 p, q = poly[c], poly[c - len(poly) + 1]
                                 side = math.hypot(q[0] - p[0], q[1] - p[1])
-                                sides.append((j, i, side))
+                                sides.append((index, j, i, side))
             vols.append(vol)
             firsts.append(first)
-            seconds.append(second)
-            totals.append(sum(vol))
-            runs.append(len(sides))
-        vols, firsts, seconds = np.array(vols), np.array(firsts), np.array(seconds)
-        pieces = bounds = None
-        if facets:
-            j, i, measure = zip(*sides) if sides else ((), (), ())
-            pieces = np.array(j, np.intp), np.array(i, np.intp), np.array(measure)
-            bounds = np.array(runs)
-    for b, (total, box) in enumerate(zip(totals, boxes)):
+        vols, firsts = np.array(vols), np.array(firsts)
+        sides = np.array(sides).reshape(-1, 4).T
+        pieces = (*sides[:3].astype(np.intp), sides[3]) if facets else None
+    for b, (total, box) in enumerate(zip(vols.sum(1).tolist(), boxes)):
         if not abs(total - box.volume) <= VOLUME_SUM_TOL * box.volume:
             raise VolumeSumError(
                 f"box {b}: exact cell volumes sum to {total!r}, not to its "
                 f"volume {box.volume!r}"
             )
-    return _Batch(vols, firsts, seconds, pieces, bounds)
+    return _Batch(vols, firsts, pieces)
 
 
 def cell_box_moments_exact(
     samples: SampleSet, g: np.ndarray, box: Hyperrectangle
 ) -> tuple:
-    """Exact (volume, integral x, integral ||x||^2) of L_j(g) n box for all j.
+    """Exact (volume, integral x) of L_j(g) n box for all j.
 
     Restricted power diagram, for l <= 3 only: the batch of the one box,
     with the box as its hull (:func:`_box_batch`). Returns (vols (n,),
-    firsts (n, l), seconds (n,)). Deterministic. Raises ValueError unless g
-    holds n finite weights, and VolumeSumError if the volumes do not sum to
-    the box's.
+    firsts (n, l)). Deterministic. Raises ValueError unless g holds n finite
+    weights, and VolumeSumError if the volumes do not sum to the box's.
     """
     g = _finite_weights(g, samples.n)
     batch = _box_batch(samples, g, box, [box], False)
-    return batch.vols[0], batch.firsts[0], batch.seconds[0]
+    return batch.vols[0], batch.firsts[0]
 
 
 # ---------------------------------------------------------------------------

@@ -371,8 +371,8 @@ class TestVerify:
         real = geometry._polygon_moments
 
         def shrunk(poly):
-            vol, first, second = real(poly)
-            return vol * (1.0 - 1e-6), first, second
+            vol, first = real(poly)
+            return vol * (1.0 - 1e-6), first
 
         monkeypatch.setattr(geometry, "_polygon_moments", shrunk)
         code = main(["verify", "random", "--mode", "invariants", "--seed", "3"])
@@ -484,7 +484,7 @@ FAULTS = {
     "no-solve": lambda mp: mp.setattr(cli, "estimate_parameters", _no_solve),
     # Every 2-D cell clipped in plain floats measures nothing.
     "lost-volume": lambda mp: mp.setattr(
-        geometry, "_polygon_moments", lambda poly: (0.0, (0.0, 0.0), 0.0)
+        geometry, "_polygon_moments", lambda poly: (0.0, (0.0, 0.0))
     ),
 }
 

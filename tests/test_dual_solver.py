@@ -1,5 +1,6 @@
 """Dual energy, gradient, budgets, the solve loop and its two steps, transforms."""
 
+import itertools
 import math
 import threading
 from fractions import Fraction
@@ -193,11 +194,11 @@ class TestMcDraws:
         e, _ = _mc_energy(
             symmetric_square, np.array([0.1, -0.1]), 0.0065, 0.1, (5, 3, 1)
         )
-        assert e == 0.6642276323166377
+        assert e == 0.6643251314841074
         e, _ = _mc_energy(
             _box_pair_3d(), np.array([0.05, -0.1, 0.05]), 0.5, 0.1, (5, 3, 1)
         )
-        assert e == 0.216445801774224
+        assert e == 0.2143285702526332
 
     def test_two_box_energy_across_blocks_is_pinned(self):
         # 2 258 906 draws a box: both boxes cross a block boundary, drawn in
@@ -205,7 +206,7 @@ class TestMcDraws:
         e, drawn = _mc_energy(
             _box_pair_3d(), np.array([0.05, -0.1, 0.05]), 0.03, 0.1, (5, 3, 1)
         )
-        assert e == 0.21697698708222898
+        assert e == 0.2160997853987543
         assert drawn == 2 * 2_258_906
         assert drawn // 2 > geometry._MC_CHUNK
 
@@ -312,6 +313,37 @@ def _sample_counts(instance, trace, eta):
         geometry.mc_sample_count(n, per_cell, ds._mc_failure(eta, t) / k)
         for t in range(1, trace.passes + 1)
     ]
+
+
+class TestMcEnergyRange:
+    def test_least_score_lies_in_the_hoeffding_range(self):
+        # _mc_energy's count takes h = min_j(||y_j||^2 - 2 x.y_j - g_j), the
+        # least folded score, to lie in [-D^2 - ||g||_inf, 3 D^2 +
+        # ||g||_inf], of width 4 D^2 + 2 ||g||_inf. h is a least of affine
+        # maps, so concave: its least value on a box is at a corner. Every
+        # box's corners and random points, in random instances up to l = 4,
+        # stay in that range, and the score is the potential less ||x||^2.
+        rng = np.random.default_rng(34)
+        for _ in range(120):
+            instance = fx.random_instance(rng, max_dim=4, max_boxes=3, max_samples=6)
+            samples, l = instance.samples, instance.dimension
+            g = rng.normal(size=samples.n)
+            d2, g_inf = instance.stats.D ** 2, float(np.abs(g).max())
+            units = np.vstack([
+                list(itertools.product((0.0, 1.0), repeat=l)), rng.random((200, l))
+            ])
+            least = []
+            for box, _ in instance.density.boxes:
+                fold = geometry._unit_fold(samples, g, box, len(units), project=False)
+                scores = geometry._unit_scores(fold, units).min(axis=1)
+                x = box.lo + box.widths * units
+                power = ((x[:, None] - samples.points) ** 2).sum(-1) - g
+                less = power.min(axis=1) - (x**2).sum(-1)
+                assert np.abs(scores - less).max() <= 1e-12 * (4 * d2 + 2 * g_inf)
+                least.append(scores)
+            least = np.concatenate(least)
+            assert -d2 - g_inf <= least.min() and least.max() <= 3 * d2 + g_inf
+            assert least.max() - least.min() <= 4 * d2 + 2 * g_inf
 
 
 class TestFailureSplit:

@@ -195,6 +195,31 @@ class TestEstimateParameters:
         # end the 1-D stalls; re-pin this count when it lands.
         assert unheld == 7
 
+        # l = 4 on Monte Carlo: the cube [-1, 1]^4 with sinks (+-1, 0, 0, 0).
+        # Monte Carlo answers only instances whose optimum is its start
+        # g = 0, so the maps keep it there: a scale a, a shift c orthogonal
+        # to y_0 - y_1 and the swap of the two sinks.
+        eps = 0.95
+        cube = BoxDensity(4, ((Hyperrectangle([-1.0] * 4, [1.0] * 4), 1.0 / 16.0),))
+        sinks = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+        instance = Instance(cube, SampleSet.uniform(sinks))
+
+        def mc(target, seed):
+            config = SolverConfig(epsilon=eps, eta=0.1, seed=seed, volume_backend="mc")
+            result = estimate_parameters(target, config)
+            assert result.trace.backend == "mc" and result.guarantee_holds
+            return result
+
+        base = mc(instance, 0)
+        for seed in range(1, 7):
+            a = rng.uniform(0.5, 1.5)
+            c = np.concatenate([[0.0], rng.uniform(-0.5, 0.5, size=3)])
+            moved = Instance(cube, SampleSet.uniform(a * sinks[rng.permutation(2)] + c))
+            mapped = mc(moved, seed)
+            assert abs(mapped.sigma_hat / a - base.sigma_hat) <= eps * (1.0 + 1.0 / a)
+            bound = eps * (moved.stats.D + a * instance.stats.D)
+            assert np.linalg.norm(mapped.mu_hat - (a * base.mu_hat - c)) <= bound
+
     def test_json_fields(self, symmetric_interval):
         result = estimate_parameters(
             symmetric_interval, SolverConfig(epsilon=0.05, eta=0.01)

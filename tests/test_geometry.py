@@ -501,7 +501,6 @@ class TestMcWorkers:
         g = rng.uniform(-0.2, 0.2, size=n)
         box = Hyperrectangle(np.full(l, -1.0), np.linspace(0.5, 1.5, l))
         units = box_rng((4, 2), 3).random((m, l))
-        pts = box_rng((4, 2), 3).uniform(box.lo, box.hi, (m, l))
 
         def broadcast_scores(u):
             # the broadcast form of the scores, which the kernel must round
@@ -514,8 +513,7 @@ class TestMcWorkers:
 
         serial = []
         for first in range(0, m, 1000):
-            least = broadcast_scores(units[first : first + 1000]).min(axis=1)
-            serial.append(least + (pts[first : first + 1000] ** 2).sum(-1))
+            serial.append(broadcast_scores(units[first : first + 1000]).min(axis=1))
         e = potential_integral_mc(samples, g, [box] * 4, [0.25] * 4, m, (4, 2))[3]
         acc = sum(float(block.sum()) for block in serial)
         assert e == 0.25 * box.volume * acc / m
@@ -528,9 +526,7 @@ class TestMcWorkers:
         def potential(i):
             def value(u, row):
                 if i == 3:
-                    xs = box.lo + box.widths * u
-                    out = swept[row : row + len(u)]
-                    np.add(broadcast_scores(u).min(axis=1), (xs**2).sum(-1), out=out)
+                    swept[row : row + len(u)] = broadcast_scores(u).min(axis=1)
 
             return value
 
@@ -887,18 +883,15 @@ class TestExactCellMoments1d:
     def test_interval_split_moments(self):
         samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
         box = Hyperrectangle([-1.0], [1.0])
-        vols, firsts, seconds = cell_box_moments_exact(
-            samples, np.array([0.0, 0.5]), box
-        )
+        vols, firsts = cell_box_moments_exact(samples, np.array([0.0, 0.5]), box)
         # boundary at -1/8
         assert_allclose(vols, [0.875, 1.125])
         assert_allclose(firsts[:, 0], [(0.125**2 - 1) / 2, (1 - 0.125**2) / 2])
-        assert_allclose(seconds, [(1 - 0.125**3) / 3, (1 + 0.125**3) / 3])
 
     def test_empty_cell(self):
         samples = SampleSet.uniform(np.array([[0.0], [10.0]]))
         box = Hyperrectangle([-1.0], [1.0])
-        vols, _, _ = cell_box_moments_exact(samples, np.zeros(2), box)
+        vols, _ = cell_box_moments_exact(samples, np.zeros(2), box)
         assert vols[1] == 0.0
         assert_allclose(vols[0], 2.0)
 
@@ -907,10 +900,9 @@ class TestExactCellMoments2d:
     def test_half_square_moments(self, symmetric_square):
         samples = symmetric_square.samples
         box = symmetric_square.density.boxes[0][0]
-        vols, firsts, seconds = cell_box_moments_exact(samples, np.zeros(2), box)
+        vols, firsts = cell_box_moments_exact(samples, np.zeros(2), box)
         assert_allclose(vols, [2.0, 2.0])
         assert_allclose(firsts, [[-1.0, 0.0], [1.0, 0.0]], atol=1e-12)
-        assert_allclose(seconds, [4 / 3, 4 / 3])
 
     def test_partition_of_box(self):
         rng = np.random.default_rng(21)
@@ -956,15 +948,14 @@ class TestExactCellMoments3d:
     def test_axis_aligned_split(self):
         samples = SampleSet.uniform(np.array([[0.25, 0.5, 0.5], [0.75, 0.5, 0.5]]))
         box = Hyperrectangle([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-        vols, firsts, seconds = cell_box_moments_exact(samples, np.zeros(2), box)
+        vols, firsts = cell_box_moments_exact(samples, np.zeros(2), box)
         assert_allclose(vols, [0.5, 0.5], atol=1e-9)
         assert_allclose(firsts, [[0.125, 0.25, 0.25], [0.375, 0.25, 0.25]], atol=1e-9)
-        assert_allclose(seconds, [0.375, 0.625], atol=1e-9)
 
     def test_diagonal_split_is_symmetric(self):
         samples = SampleSet.uniform(np.array([[0.2, 0.2, 0.2], [0.8, 0.8, 0.8]]))
         box = Hyperrectangle([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-        vols, _, _ = cell_box_moments_exact(samples, np.zeros(2), box)
+        vols, _ = cell_box_moments_exact(samples, np.zeros(2), box)
         assert_allclose(vols, [0.5, 0.5], atol=1e-9)
 
     def test_partition_and_mc_agreement(self):
@@ -973,7 +964,7 @@ class TestExactCellMoments3d:
             samples = SampleSet.uniform(rng.uniform(0, 1, size=(3, 3)))
             g = rng.uniform(-0.2, 0.2, size=3)
             box = Hyperrectangle([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-            vols, _, _ = cell_box_moments_exact(samples, g, box)
+            vols, _ = cell_box_moments_exact(samples, g, box)
             assert abs(vols.sum() - 1.0) <= 1e-9
             mc = cell_box_volumes_mc(samples, g, box, 0.02, 0.01, seed=6)
             assert np.abs(mc - vols).max() <= 0.02
@@ -1165,7 +1156,7 @@ class TestRestrictedPowerDiagram:
     def test_matches_brute_force(self, points, g, boxes):
         samples = SampleSet.uniform(points)
         for box in boxes:
-            vols, firsts, seconds = cell_box_moments_exact(samples, g, box)
+            vols, firsts = cell_box_moments_exact(samples, g, box)
             # A one-box density's batch, whose hull is the box, gives the
             # same bits as the one-box call.
             density = BoxDensity(box.dimension, ((box, 1.0 / box.volume),))
@@ -1179,15 +1170,14 @@ class TestRestrictedPowerDiagram:
                 else "all-pairs" if l == 3 else "plain"
             )
             (shared,) = _slices(batch)
-            for own, cut in zip((vols, firsts, seconds), shared):
+            for own, cut in zip((vols, firsts), shared):
                 assert own.tobytes() == cut.tobytes()
-            ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
+            ref_vols, ref_firsts, _ = _brute_force_moments(samples, g, box)
             tol = 1e-12 * box.volume
             r = box.max_corner_norm()
             assert abs(vols.sum() - box.volume) <= tol
             assert np.abs(vols - ref_vols).max() <= tol
             assert np.abs(firsts - ref_firsts).max() <= tol * r
-            assert np.abs(seconds - ref_seconds).max() <= tol * r**2
 
     @pytest.mark.parametrize(
         "case", _POWER_DIAGRAM_CASES, ids=[case[0] for case in _POWER_DIAGRAM_CASES]
@@ -1214,18 +1204,17 @@ class TestRestrictedPowerDiagram:
             assert abs(shared[0].sum() - box.volume) <= tol
             assert np.abs(shared[0] - own[0]).max() <= tol
             assert np.abs(shared[1] - own[1]).max() <= tol * r
-            assert np.abs(shared[2] - own[2]).max() <= tol * r**2
             if n == 1 and l < 3:
                 # The lone cell is the whole hull; its part of the box is the
                 # box itself, with the box's own corners. (A 3-D cell is the
                 # hull's rows cut by the box's faces, whose caps hold each
                 # corner twice, so its sums run over other rows.)
-                for exact, cut in zip(own[:3], shared[:3]):
+                for exact, cut in zip(own[:2], shared[:2]):
                     assert exact.tobytes() == cut.tobytes()
             if index in TestFacetHessian.KINKED.get(name, ()):
                 continue
             facet_sums = []
-            for j, i, measure in (own[3], shared[3]):
+            for j, i, measure in (own[2], shared[2]):
                 total = np.zeros((n, n))
                 np.add.at(total, (j, i), measure)
                 facet_sums.append(total)
@@ -1255,6 +1244,45 @@ class TestRestrictedPowerDiagram:
         ):
             with pytest.raises(ValueError, match=f"dual weights must .*{message}"):
                 cell_box_moments_exact(samples, bad, box)
+
+
+class TestExactEnergy:
+    """The exact energy against the brute-force cells' moments, term by term."""
+
+    @staticmethod
+    def reference(samples, g, density):
+        # sum_j gamma int_{L_j n H} (||x - y_j||^2 - g_j) + <g, b>, with each
+        # cell's integral from its volume and first and second moments.
+        y, shifted = samples.points, samples.squared_norms - g
+        total = float(g @ samples.demands)
+        for box, gamma in density.boxes:
+            vols, firsts, seconds = _brute_force_moments(samples, g, box)
+            cells = seconds - 2.0 * (firsts * y).sum(1) + shifted * vols
+            total += gamma * cells.sum()
+        return total
+
+    @pytest.mark.parametrize(
+        "case", _POWER_DIAGRAM_CASES, ids=[case[0] for case in _POWER_DIAGRAM_CASES]
+    )
+    def test_matches_brute_force_moments(self, case):
+        # The case's wide box, which holds every sink, and the gapped pair of
+        # its corner box and the box outside the sinks' hull, each at a
+        # random g: the energy's closed-form integral of ||x||^2 must be the
+        # one the cells' second moments add up to, box by box.
+        name, points, _, boxes = case
+        samples = SampleSet.uniform(points)
+        l = samples.dimension
+        wide, corner, outside = boxes[:3]
+        pair = 1.0 / (corner.volume + outside.volume)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        for density in (
+            BoxDensity(l, ((wide, 1.0 / wide.volume),)),
+            BoxDensity(l, ((corner, pair), (outside, pair))),
+        ):
+            g = rng.normal(scale=0.3, size=samples.n)
+            e = ds_module.energy(Instance(density, samples), g)
+            ref = self.reference(samples, g, density)
+            assert abs(e - ref) <= 1e-12 * abs(ref)
 
 
 # The route that each cell builder of _box_batch serves.
@@ -1295,14 +1323,14 @@ def _own_batch(samples, g, box):
 
 
 def _slices(batch):
-    # Each box's (vols, firsts, seconds) from a batch, and its facet pieces
-    # when the batch has them.
+    # Each box's (vols, firsts) from a batch, and its facet pieces (j, i,
+    # measure) when the batch has them.
     out = []
     for b in range(len(batch.vols)):
-        moments = batch.vols[b], batch.firsts[b], batch.seconds[b]
+        moments = batch.vols[b], batch.firsts[b]
         if batch.pieces is not None:
-            start, stop = batch.bounds[b], batch.bounds[b + 1]
-            moments += (tuple(x[start:stop] for x in batch.pieces),)
+            box, *pieces = batch.pieces
+            moments += (tuple(x[box == b] for x in pieces),)
         out.append(moments)
     return out
 
@@ -1378,9 +1406,8 @@ class TestLiftedCells:
             r = box.max_corner_norm()
             assert np.abs(out[0] - ref[0]).max() <= tol
             assert np.abs(out[1] - ref[1]).max() <= tol * r
-            assert np.abs(out[2] - ref[2]).max() <= tol * r**2
             sums = []
-            for j, i, measure in (out[3], ref[3]):
+            for j, i, measure in (out[2], ref[2]):
                 total = np.zeros((n, n))
                 np.add.at(total, (j, i), measure)
                 sums.append(total)
@@ -1432,13 +1459,12 @@ class TestLiftedCells:
         assert route == (
             "lifted" if trigger == "flat" else "plain" if l == 2 else "all-pairs"
         )
-        for box, (vols, firsts, seconds) in zip((hull, *halves), _slices(batch)):
-            ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
+        for box, (vols, firsts) in zip((hull, *halves), _slices(batch)):
+            ref_vols, ref_firsts, _ = _brute_force_moments(samples, g, box)
             tol = 1e-12 * box.volume
             r = box.max_corner_norm()
             assert np.abs(vols - ref_vols).max() <= tol
             assert np.abs(firsts - ref_firsts).max() <= tol * r
-            assert np.abs(seconds - ref_seconds).max() <= tol * r**2
         if trigger == "coplanar-3d":
             assert batch.vols[0, :2].min() > 0.5
 
@@ -1485,12 +1511,12 @@ def _hull_route(built, n, box, facets):
                     rows, np.tile(normal, (count, 1)), np.full(count, offset),
                     np.full(count, -1), crossing,
                 )
-    vol, first, second, pieces = geometry._row_moments(rows, count, facets)
-    vols, firsts, seconds = np.zeros(n), np.zeros((n, len(lo))), np.zeros(n)
-    vols[cells], firsts[cells], seconds[cells] = vol, first, second
+    vol, first, pieces = geometry._row_moments(rows, count, facets)
+    vols, firsts = np.zeros(n), np.zeros((n, len(lo)))
+    vols[cells], firsts[cells] = vol, first
     if not facets:
-        return vols, firsts, seconds
-    return vols, firsts, seconds, (cells[pieces[0]], *pieces[1:])
+        return vols, firsts
+    return vols, firsts, (cells[pieces[0]], *pieces[1:])
 
 
 # The cases whose cells may come off the lifted hull: 2-D and 3-D, n > l + 1.
@@ -1519,11 +1545,10 @@ class TestBatchedPass:
             assert abs(shared[0].sum() - box.volume) <= tol
             assert np.abs(shared[0] - own[0]).max() <= tol
             assert np.abs(shared[1] - own[1]).max() <= tol * r
-            assert np.abs(shared[2] - own[2]).max() <= tol * r**2
             if index in skip:
                 continue
             scale = float(box.widths.max()) ** (l - 1)
-            difference = _facet_sums(n, shared[3]) - _facet_sums(n, own[3])
+            difference = _facet_sums(n, shared[2]) - _facet_sums(n, own[2])
             assert np.abs(difference).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize(
@@ -1564,7 +1589,7 @@ class TestBatchedPass:
             (batched,) = _slices(batch)
             reference = _hull_route(cells, samples.n, box, facets=True)
             for got, want in zip(
-                batched[:3] + batched[3], reference[:3] + reference[3]
+                batched[:2] + batched[2], reference[:2] + reference[2]
             ):
                 assert got.tobytes() == want.tobytes()
 
@@ -1597,8 +1622,7 @@ class TestBatchedPass:
             assert abs(shared[0].sum() - box.volume) <= tol
             assert np.abs(shared[0] - own[0]).max() <= tol
             assert np.abs(shared[1] - own[1]).max() <= tol
-            assert np.abs(shared[2] - own[2]).max() <= tol * 3
-            difference = _facet_sums(32, shared[3]) - _facet_sums(32, own[3])
+            difference = _facet_sums(32, shared[2]) - _facet_sums(32, own[2])
             assert np.abs(difference).max() <= 1e-12 * float(box.widths.max()) ** 2
 
     @pytest.mark.parametrize("route", ["chain", "plain", "lifted", "all-pairs"])
@@ -1629,8 +1653,8 @@ class TestBatchedPass:
                     real = geometry._polygon_moments
 
                     def scaled(poly):
-                        area, first, second = real(poly)
-                        return area * (1.0 + error), first, second
+                        area, first = real(poly)
+                        return area * (1.0 + error), first
 
                     patch.setattr(geometry, "_polygon_moments", scaled)
                 else:
@@ -1714,16 +1738,15 @@ class TestAllPairsRows:
         route, _, batch = _spied_batch(samples, g, hull, (hull, *boxes), False)
         assert route == "all-pairs"
         for box, shared in zip((hull, *boxes), _slices(batch)):
-            ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
+            ref_vols, ref_firsts, _ = _brute_force_moments(samples, g, box)
             tol = 1e-12 * box.volume
             r = box.max_corner_norm()
             # Cut from the shared hull, and built with the box as its hull.
             own = cell_box_moments_exact(samples, g, box)
-            for vols, firsts, seconds in (shared, own):
+            for vols, firsts in (shared, own):
                 assert abs(vols.sum() - box.volume) <= tol
                 assert np.abs(vols - ref_vols).max() <= tol
                 assert np.abs(firsts - ref_firsts).max() <= tol * r
-                assert np.abs(seconds - ref_seconds).max() <= tol * r**2
 
     def test_planes_through_box_corners(self):
         # Cut the unit cube in turn by planes through existing corners: the
@@ -1743,7 +1766,7 @@ class TestAllPairsRows:
             rows = geometry._clip_rows(
                 rows, np.array([a]), np.array([b]), np.array([tag]), np.array([True])
             )
-            vol, _, _, pieces = geometry._row_moments(rows, 1, facets=True)
+            vol, _, pieces = geometry._row_moments(rows, 1, facets=True)
             assert abs(vol[0] - ConvexHull(rows.points).volume) <= 1e-15
             assert pieces[2][pieces[1] == tag].sum() > 0.0
 
@@ -1817,13 +1840,12 @@ class TestGeometryFuzz:
         samples, g, density = case
         boxes = [box for box, _ in density.boxes]
         batch = geometry._box_batch(samples, g, density.hull, boxes, False)
-        for box, (vols, firsts, seconds) in zip(boxes, _slices(batch)):
-            ref_vols, ref_firsts, ref_seconds = _brute_force_moments(samples, g, box)
+        for box, (vols, firsts) in zip(boxes, _slices(batch)):
+            ref_vols, ref_firsts, _ = _brute_force_moments(samples, g, box)
             tol = 1e-12 * box.volume
             r = box.max_corner_norm()
             assert np.abs(vols - ref_vols).max() <= tol
             assert np.abs(firsts - ref_firsts).max() <= tol * r
-            assert np.abs(seconds - ref_seconds).max() <= tol * r**2
 
 
 def _midpoint_moments(density, cells_per_box=10_000):
