@@ -107,8 +107,6 @@ class SolverTrace:
     L: float
     M: int
     backend: str
-    seed: int
-    uniform_demands: bool
     t: list[int] = field(default_factory=list)
     grad_norm: list[float] = field(default_factory=list)
     energy_estimate: list[float] = field(default_factory=list)
@@ -194,7 +192,7 @@ def _evaluate(instance: Instance, g: np.ndarray, hessian: bool = False) -> _Pass
     One call of ``geometry._box_batch`` builds the cells of g for the
     density's hull and measures every box on them, checking that each
     box's cell volumes sum to its volume. E(g) is the density's closed-form
-    integral of ||x||^2 (``BoxDensity.second_moment``) plus sum_boxes gamma
+    integral of ||x||^2 (``BoxDensity.moments[2]``) plus sum_boxes gamma
     sum_j [(||y_j||^2 - g_j) vol(L_j n H) - 2 y_j . int_{L_j n H} x] plus
     <g, b>; the volumes give the gradient and the cell masses
     (:func:`_grad_mass`). The Hessian's off-diagonal entry is sum_boxes
@@ -212,7 +210,7 @@ def _evaluate(instance: Instance, g: np.ndarray, hessian: bool = False) -> _Pass
     hess = np.zeros((n, n)) if hessian else None
     cells = batch.vols @ (samples.squared_norms - g)
     cells -= 2.0 * (batch.firsts.reshape(len(boxes), -1) @ y.ravel())
-    total = instance.density.second_moment + float(np.dot(weights, cells))
+    total = instance.density.moments[2] + float(np.dot(weights, cells))
     if hessian:
         box, j, i, measure = batch.pieces
         dist = np.sqrt(((y[i] - y[j]) ** 2).sum(axis=1))
@@ -306,7 +304,7 @@ def _mc_energy(
 ) -> tuple[float, int]:
     """Monte Carlo E(g) and the points drawn, summed over the k boxes.
 
-    The density's closed-form integral of ||x||^2 (``BoxDensity.second_moment``),
+    The density's closed-form integral of ||x||^2 (``BoxDensity.moments[2]``),
     plus <g, b>, plus each box's gamma vol(H) times the mean over uniform
     draws, every box in lockstep, of h(x) = min_j(||y_j||^2 - 2 x.y_j - g_j),
     the potential min_j(||x - y_j||^2 - g_j) less ||x||^2. Hoeffding counts
@@ -329,7 +327,7 @@ def _mc_energy(
         math.ceil(rng_range**2 * math.log(2.0 * k / eta_prime) / (2.0 * accuracy**2))
     )
     boxes, weights = zip(*instance.density.boxes)
-    total = instance.density.second_moment
+    total = instance.density.moments[2]
     for value in potential_integral_mc(samples, g, boxes, weights, m, seed).tolist():
         total += value
     return total + float(g @ samples.demands), m * k
@@ -478,8 +476,6 @@ def solve_dual(
         L=stats.L,
         M=big_m,
         backend=backend,
-        seed=config.seed,
-        uniform_demands=uniform,
     )
 
     def measure(g: np.ndarray, t: int) -> _Pass:
@@ -551,8 +547,7 @@ def _massive_start(instance: Instance, measure) -> tuple:
     p = measure(g)
     if p.mass is None:
         return g, p
-    lo = np.array([box.lo for box, _ in instance.density.boxes])
-    hi = np.array([box.hi for box, _ in instance.density.boxes])
+    lo, hi = instance.density.bounds
     for r in range(_LIFT_ROUNDS):
         empty = np.flatnonzero(p.mass <= 0.0)
         if not empty.size:

@@ -27,7 +27,8 @@ class EstimationResult:
     """Estimation outputs plus the solve trace and guarantee bookkeeping.
 
     sigma_hat is never clamped: zero and negative values are legitimate
-    degenerate outputs and are only flagged (``degenerate_sigma``).
+    degenerate outputs and are only flagged (``degenerate_sigma``, which
+    also flags positive values within their rounding bound).
     """
 
     sigma_hat: float
@@ -84,9 +85,20 @@ def estimate_parameters(instance: Instance, config: SolverConfig) -> EstimationR
     For uniform demands the result satisfies |sigma_hat - sigma*| <= epsilon
     and ||mu_hat - mu*|| <= epsilon D with probability >= 1 - eta whenever
     ``guarantee_holds``.
+
+    ``degenerate_sigma`` flags sigma_hat <= tau, the rounding bound of the
+    steps from E to sigma_hat. With S = int ||x||^2 dalpha and Y = sum_j
+    b_j ||y_j||^2, the energy adds S to its g-dependent part and rho =
+    (S + Y - E) / 2 takes it out again: a few float adds, each off by at
+    most u = 2^-53 times a magnitude of about S + Y + |E| at most.
+    sigma_hat multiplies rho by N, subtracts (sum_j b_j y_j) . int x dalpha,
+    of the same size, and divides by V = N S - ||int x dalpha||^2; so tau =
+    16 u N (S + Y + |E|) / V. With one sink sigma* = 0 and sigma_hat is
+    this rounding, of either sign, which the flag then does not follow.
+    tau does not cover the error of E itself.
     """
     moments = box_moments(instance.density)
-    second = moments[2]
+    n_mass, first, second = moments
     b = instance.samples.demands
     y = instance.samples.points
     sum_by = b @ y
@@ -95,10 +107,14 @@ def estimate_parameters(instance: Instance, config: SolverConfig) -> EstimationR
     g, e_est, trace = solve_dual(instance, config)
     rho = 0.5 * (second + sum_by_norm - e_est)
     sigma, mu = closed_form_from_plan(moments, sum_by, rho)
-    degenerate = sigma <= 0
+    spread = n_mass * (second + sum_by_norm + abs(e_est))
+    tau = 16.0 * 2.0**-53 * spread / (n_mass * second - float(first @ first))
+    degenerate = sigma <= tau
     if degenerate:
         warnings.warn(
-            f"degenerate estimate sigma_hat = {sigma:.6g} <= 0", stacklevel=2
+            f"degenerate estimate sigma_hat = {sigma:.6g} <= {tau:.3g}, "
+            "its rounding bound",
+            stacklevel=2,
         )
     return EstimationResult(
         sigma_hat=sigma,

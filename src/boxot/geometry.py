@@ -44,7 +44,7 @@ index. :func:`classify_points` is that rule on the unit cube [0, 1]^l, so a
 count label can differ from ``classify_points(lo + w u)`` only within
 rounding of a cell boundary. The potential integral averages the least
 score, the potential less ||x||^2, whose integral the dual energy takes in
-closed form (:attr:`BoxDensity.second_moment`). Both draw any number of
+closed form (:attr:`BoxDensity.moments`). Both draw any number of
 boxes in lockstep through one loop on one pool of threads (:func:`_draw`).
 The potential adds one block after another; the volume count's caller may
 plan its prefix checks and end it at any checked prefix, whose estimate a
@@ -187,8 +187,7 @@ class BoxDensity:
         # argwhere scans in row-major order, so the first hit is the first
         # pair (i, j) in loop order.
         k = len(boxes)
-        los = np.array([box.lo for box, _ in boxes])
-        his = np.array([box.hi for box, _ in boxes])
+        los, his = self.bounds
         step = max(1, _PAIR_BLOCK // (k * self.dimension))
         for first in range(0, k - 1, step):
             rows = slice(first, first + step)
@@ -213,19 +212,38 @@ class BoxDensity:
         return float(sum(w * box.volume for box, w in self.boxes))
 
     @cached_property
-    def hull(self) -> Hyperrectangle:
-        """The smallest box that holds every box of the density."""
-        if self.k == 1:
-            return self.boxes[0][0]
-        return Hyperrectangle(
-            np.min([box.lo for box, _ in self.boxes], axis=0),
-            np.max([box.hi for box, _ in self.boxes], axis=0),
-        )
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (k, l) lower and upper corners of the boxes, read-only."""
+        los = np.array([box.lo for box, _ in self.boxes])
+        his = np.array([box.hi for box, _ in self.boxes])
+        los.flags.writeable = his.flags.writeable = False
+        return los, his
 
     @cached_property
-    def second_moment(self) -> float:
-        """integral ||x||^2 dalpha (:func:`box_moments`), a term of the dual energy."""
-        return box_moments(self)[2]
+    def hull(self) -> Hyperrectangle:
+        """The smallest box that holds every box of the density."""
+        los, his = self.bounds
+        return Hyperrectangle(los.min(axis=0), his.max(axis=0))
+
+    @cached_property
+    def moments(self) -> tuple[float, np.ndarray, float]:
+        """Closed-form (N, integral x dalpha, integral ||x||^2 dalpha).
+
+        Per box, integral of x_d is midpoint_d * volume and integral of
+        x_d^2 is (hi_d^3 - lo_d^3)/3 * volume / width_d; weights multiply
+        through. The first moment is read-only.
+        """
+        n_mass = 0.0
+        first = np.zeros(self.dimension)
+        second = 0.0
+        for box, w in self.boxes:
+            vol = box.volume
+            n_mass += w * vol
+            first += w * vol * box.midpoint
+            cubes = (box.hi**3 - box.lo**3) / 3.0
+            second += w * float((cubes * (vol / box.widths)).sum())
+        first.flags.writeable = False
+        return n_mass, first, second
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,24 +347,12 @@ def instance_stats(density: BoxDensity, samples: SampleSet) -> InstanceStats:
     s = min(float(box.widths.min()) for box, _ in density.boxes)
     # Squared distances of pairs i < j, a block of rows i at a time against
     # every j > first row of the block; pairs with j <= i are masked out.
-    # The squares are added axis by axis, in turn: that is the order in which
-    # numpy sums fewer than 8 terms along the last axis of the (rows, n, l)
-    # differences (from 8 terms on it keeps eight running sums, so there the
-    # squares are stacked and summed by numpy). sqrt is monotone, so s has
-    # the bits of the minimum over sqrt((diffs**2).sum(-1)).
-    cols = samples.points.T
+    # sqrt is monotone, so s is the minimum over sqrt((diffs**2).sum()).
+    p = samples.points
     step = max(1, _PAIR_BLOCK // (n * l))
     for first in range(0, n - 1, step):
         rows = slice(first, first + step)
-        squares = [
-            (axis[rows, None] - axis[None, first + 1 :]) ** 2 for axis in cols
-        ]
-        sq = squares[0]
-        if l < 8:
-            for square in squares[1:]:
-                sq = sq + square
-        else:
-            sq = np.stack(squares, axis=-1).sum(-1)
+        sq = ((p[rows, None] - p[None, first + 1 :]) ** 2).sum(-1)
         later = np.arange(sq.shape[1]) >= np.arange(sq.shape[0])[:, None]
         s = min(s, math.sqrt(sq.min(where=later, initial=math.inf)))
     if not s > 0:
@@ -678,27 +684,25 @@ def cell_box_volumes_mc(
 def potential_integral_mc(
     samples: SampleSet,
     g: np.ndarray,
-    box: Hyperrectangle | Sequence[Hyperrectangle],
-    weight: float | Sequence[float],
+    boxes: Sequence[Hyperrectangle],
+    weights: Sequence[float],
     m: int,
     seed,
-) -> float | np.ndarray:
-    """Estimate weight * integral over the box of min_j(||y_j||^2 - 2 x.y_j - g_j).
+) -> np.ndarray:
+    """Estimate weight * integral over a box of min_j(||y_j||^2 - 2 x.y_j - g_j).
 
     The integrand is the potential min_j(||x - y_j||^2 - g_j) less ||x||^2,
     averaged over m >= 1 uniform points of the box, the first m rows of the
     stream :func:`cell_box_volumes_mc` draws; the caller picks m for its
     accuracy target. A point's value is the least of the volume count's
     scores of its unit draw u (at n = 2 both scores, not the projection);
-    no x is built. Given k boxes and their k weights, it
-    draws them in lockstep as the count does and returns the k estimates.
-    Each box's values are added one ``_MC_CHUNK`` block at a time, so an
-    estimate has the same bits alone as among other boxes. Raises
-    ValueError, before any thread starts, unless g holds n finite weights,
-    there are at least one box and one weight per box, and m >= 1.
+    no x is built. It draws the k boxes in lockstep as the count does and
+    returns their k estimates. Each box's values are added one
+    ``_MC_CHUNK`` block at a time, so an estimate has the same bits alone
+    as among other boxes. Raises ValueError, before any thread starts,
+    unless g holds n finite weights, there are at least one box and one
+    weight per box, and m >= 1.
     """
-    single = isinstance(box, Hyperrectangle)
-    boxes, weights = ([box], [weight]) if single else (list(box), list(weight))
     if not boxes or len(weights) != len(boxes):
         raise ValueError("the potential needs at least one box and one weight per box")
     if m < 1:
@@ -726,8 +730,7 @@ def potential_integral_mc(
         return math.inf
 
     add_block(_draw(samples, len(boxes), m, seed, potential, add_block))
-    values = [w * b.volume * acc / m for b, w, acc in zip(boxes, weights, sums)]
-    return values[0] if single else np.array(values)
+    return np.array([w * b.volume * a / m for b, w, a in zip(boxes, weights, sums)])
 
 
 # ---------------------------------------------------------------------------
@@ -1416,18 +1419,8 @@ def cell_box_moments_exact(
 
 
 def box_moments(density: BoxDensity) -> tuple[float, np.ndarray, float]:
-    """Closed-form (N, integral x dalpha, integral ||x||^2 dalpha).
+    """Closed-form (N, integral x dalpha, integral ||x||^2 dalpha) of a density.
 
-    Per box, integral of x_d is midpoint_d * volume and integral of x_d^2 is
-    (hi_d^3 - lo_d^3)/3 * volume / width_d; weights multiply through.
+    The triple :attr:`BoxDensity.moments` computes once per density.
     """
-    n_mass = 0.0
-    first = np.zeros(density.dimension)
-    second = 0.0
-    for box, w in density.boxes:
-        vol = box.volume
-        n_mass += w * vol
-        first += w * vol * box.midpoint
-        cubes = (box.hi**3 - box.lo**3) / 3.0
-        second += w * float((cubes * (vol / box.widths)).sum())
-    return n_mass, first, second
+    return density.moments

@@ -12,7 +12,6 @@ which happens for some theta iff the formula is satisfiable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -83,13 +82,6 @@ class ReductionOutput:
     def instance(self) -> Instance:
         return Instance(self.density, self.samples)
 
-    @cached_property
-    def _box_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper corners of every gadget box, stacked once."""
-        los = np.stack([box.lo for box, _ in self.density.boxes])
-        his = np.stack([box.hi for box, _ in self.density.boxes])
-        return los, his
-
 
 # Bit of truth-table row i (FFF..TTT ascending) that sets a clause's k-th
 # smallest variable: bit 2 - k.
@@ -155,7 +147,7 @@ def likelihood_positive(reduction: ReductionOutput, theta: np.ndarray) -> bool:
     boundaries).
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    los, his = reduction._box_bounds
+    los, his = reduction.density.bounds
     shifted = reduction.samples.points - theta[None, :]
     inside = (
         (shifted[:, None, :] >= los[None, :, :])

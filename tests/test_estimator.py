@@ -109,6 +109,42 @@ class TestEstimateParameters:
         assert_allclose(result.mu_hat, [-0.5], atol=1e-9)
         assert result.degenerate_sigma
 
+    def test_single_sink_flags_at_every_seed(self, symmetric_interval):
+        # With one sink sigma* = 0 and sigma_hat is rounding of either sign;
+        # the flag does not follow that sign. The sink sits anywhere near a
+        # box that is shifted and scaled.
+        config = SolverConfig(epsilon=0.05, eta=0.01, volume_backend="exact")
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            l = 1 + seed % 3
+            a, c = rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0, size=l)
+            box = Hyperrectangle(c, c + a * rng.uniform(0.5, 1.5, size=l))
+            sink = c + a * rng.uniform(-1.0, 2.0, size=(1, l))
+            instance = Instance(
+                BoxDensity(l, ((box, 1.0 / box.volume),)), SampleSet.uniform(sink)
+            )
+            with pytest.warns(UserWarning, match="degenerate"):
+                result = estimate_parameters(instance, config)
+            assert result.degenerate_sigma and abs(result.sigma_hat) <= 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = estimate_parameters(symmetric_interval, config)
+        assert not result.degenerate_sigma
+
+    def test_density_moments_are_computed_once(self, monkeypatch):
+        # The closed-form moments' per-box loop reads each box's midpoint
+        # once; epsilon_prime, the energies and the closed forms share it.
+        reads = []
+        midpoint = Hyperrectangle.midpoint
+        monkeypatch.setattr(
+            Hyperrectangle,
+            "midpoint",
+            property(lambda box: reads.append(box) or midpoint.fget(box)),
+        )
+        instance = fx.symmetric_square()
+        estimate_parameters(instance, SolverConfig(epsilon=0.05, eta=0.01))
+        assert reads == [box for box, _ in instance.density.boxes]
+
     def test_square(self, symmetric_square):
         result = estimate_parameters(
             symmetric_square, SolverConfig(epsilon=0.05, eta=0.01)
@@ -219,6 +255,11 @@ class TestEstimateParameters:
             assert abs(mapped.sigma_hat / a - base.sigma_hat) <= eps * (1.0 + 1.0 / a)
             bound = eps * (moved.stats.D + a * instance.stats.D)
             assert np.linalg.norm(mapped.mu_hat - (a * base.mu_hat - c)) <= bound
+
+        # The cube's own sigma* = 0.375 at an eps below 0.5, the shift of
+        # sigma_hat that an energy without its closed-form term would give.
+        eps = 0.4
+        assert abs(mc(instance, 0).sigma_hat - 0.375) <= eps
 
     def test_json_fields(self, symmetric_interval):
         result = estimate_parameters(

@@ -62,6 +62,21 @@ class TestBoxDensity:
         with pytest.raises(ValueError):
             BoxDensity(dimension=1, boxes=((Hyperrectangle([0.0], [1.0]), 0.9),))
 
+    def test_bounds_are_read_only_and_give_the_hull(self):
+        boxes = (
+            (Hyperrectangle([0.0, 2.0], [1.0, 3.0]), 0.5),
+            (Hyperrectangle([-1.0, 0.0], [-0.5, 1.0]), 1.0),
+        )
+        density = BoxDensity(dimension=2, boxes=boxes)
+        los, his = density.bounds
+        assert los.tolist() == [[0.0, 2.0], [-1.0, 0.0]]
+        assert his.tolist() == [[1.0, 3.0], [-0.5, 1.0]]
+        for corners in density.bounds:
+            with pytest.raises(ValueError, match="read-only"):
+                corners[0, 0] = 5.0
+        assert density.hull.lo.tolist() == los.min(axis=0).tolist() == [-1.0, 0.0]
+        assert density.hull.hi.tolist() == his.max(axis=0).tolist() == [1.0, 3.0]
+
     def test_overlap_names_the_pair(self):
         boxes = (
             (Hyperrectangle([0.0], [1.0]), 0.5),
@@ -224,6 +239,26 @@ class TestInstanceStats:
             s = float(dist[np.triu_indices(n, 1)].min())
             assert s < 2.0
             assert instance_stats(density, samples).s == s
+
+    @pytest.mark.parametrize(
+        "l, n", [(1, 30), (2, 30), (7, 30), (8, 30), (9, 30), (12, 300)]
+    )
+    def test_s_has_the_bits_of_each_pair_distance(self, l, n):
+        # s against the least sqrt of each pair's summed squares, one pair at
+        # a time; at l = 12 the 300 sinks span two blocks of rows.
+        blocks = math.ceil((n - 1) / (geometry._PAIR_BLOCK // (n * l)))
+        assert blocks == (2 if n == 300 else 1)
+        rng = np.random.default_rng(l)
+        pts = rng.normal(size=(n, l))
+        samples = SampleSet.uniform(pts)
+        box = Hyperrectangle(np.full(l, -100.0), np.full(l, 100.0))
+        density = BoxDensity(dimension=l, boxes=((box, 1.0 / box.volume),))
+        s = min(
+            math.sqrt(((pts[i] - pts[j]) ** 2).sum())
+            for i in range(n)
+            for j in range(i + 1, n)
+        )
+        assert instance_stats(density, samples).s == s
 
     @pytest.mark.parametrize("block", [geometry._PAIR_BLOCK, 500])
     def test_blocked_distance_matches_full_matrix(self, block, monkeypatch):
@@ -416,7 +451,9 @@ class TestMcVolumes:
         g = np.array(g)
         calls = {
             "volumes": lambda: cell_box_volumes_mc(samples, g, box, 0.05, 0.1, 0),
-            "potential": lambda: potential_integral_mc(samples, g, box, 0.5, 100, 0),
+            "potential": lambda: potential_integral_mc(
+                samples, g, [box], [0.5], 100, 0
+            ),
             "potentials": lambda: potential_integral_mc(
                 samples, g, [box, box], [0.5, 0.5], 100, 0
             ),
@@ -829,7 +866,7 @@ class TestMcWorkers:
             cell_box_volumes_mc(samples, np.zeros(2), box, 1e-4, 0.05, seed=0)
         with pytest.raises(geometry.BudgetRefused, match="exceeds cap"):
             potential_integral_mc(
-                samples, np.zeros(2), box, 0.5, geometry.MC_SAMPLE_CAP + 1, 0
+                samples, np.zeros(2), [box], [0.5], geometry.MC_SAMPLE_CAP + 1, 0
             )
         with pytest.raises(geometry.BudgetRefused, match="exceeds cap"):
             potential_integral_mc(
@@ -842,7 +879,7 @@ class TestMcWorkers:
         samples = SampleSet.uniform(np.array([[-1.0], [1.0]]))
         box = Hyperrectangle([-1.0], [1.0])
         with pytest.raises(ValueError, match="m >= 1"):
-            potential_integral_mc(samples, np.zeros(2), box, 0.5, m, 0)
+            potential_integral_mc(samples, np.zeros(2), [box], [0.5], m, 0)
 
     @pytest.mark.parametrize("l, n", [(1, 2), (3, 2), (2, 5), (4, 8)])
     def test_one_rule_for_every_consumer(self, l, n, monkeypatch):
@@ -1869,6 +1906,12 @@ def _midpoint_moments(density, cells_per_box=10_000):
 
 
 class TestBoxMoments:
+    def test_computed_once_and_read_only(self, symmetric_square):
+        density = symmetric_square.density
+        assert box_moments(density) is box_moments(density) is density.moments
+        with pytest.raises(ValueError, match="read-only"):
+            density.moments[1][0] = 1.0
+
     def test_named_instance_values(
         self, symmetric_interval, single_sink, symmetric_square
     ):

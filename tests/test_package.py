@@ -223,6 +223,29 @@ def test_tracer_targets_resolve():
         assert span.rsplit(".", 1)[1] == attr, span
 
 
+def test_every_module_level_import_is_read():
+    # An import that its module never reads is dead, unless bench/tracer.py
+    # rebinds that name there; the package's re-exports are read through
+    # its __all__.
+    rebound = {(module.split(".")[-1], name) for module, name, _ in _tracer_targets()}
+    unread = []
+    for path in sorted((ROOT / "src" / "boxot").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.stem == "__init__":
+            read.update(boxot.__all__)
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and (path.stem, name) not in rebound:
+                    unread.append(f"{path.stem}.{name}")
+    assert unread == []
+
+
 # TARGETS pairs whose module never calls the name it binds, so the tracer's
 # wrapper there records nothing. A refactor that moves a call away from a
 # wrapped binding blinds that span; this list makes it a test edit.
