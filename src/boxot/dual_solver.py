@@ -248,53 +248,70 @@ def _mc_gradient(
     """Monte Carlo grad E(g), mean-centred onto G_0, and the points drawn.
 
     Each box's cell volumes are estimated to additive accuracy
-    (eps_bar/sqrt(n)) vol(H) with per-box failure eta_prime/k, which gives
-    ||g_m - grad E|| <= eps_bar for the full draw's estimate g_m, with
-    probability >= 1 - eta_prime. Projection onto G_0 is a contraction
-    (grad E lies in G_0), so it never increases the error.
+    (eps_bar/sqrt(n)) vol(H) with per-box failure eta_prime/(2k), which
+    gives ||g_m - grad E|| <= eps_bar for the full draw's estimate g_m,
+    with probability >= 1 - eta_prime/2. Projection onto G_0 is a
+    contraction (grad E lies in G_0), so it never increases the error.
 
     The draw ends at the first checked prefix whose estimate g_k, from the
-    first k of the m points of every box, satisfies ||g_k|| + (3 + m/k)
-    eps_bar / 2 <= threshold (the solver's stop on ||grad||), and returns
-    g_k. Hoeffding's supermartingale and Ville's inequality put every
-    prefix within (m/k + 1) eps_bar / 2 of grad E at once, on an event
-    inside the full draw's own of probability >= 1 - eta_prime (see
-    :func:`cell_box_volumes_mc`). There ||g_m|| <= ||grad E|| + eps_bar <=
-    ||g_k|| + (3 + m/k) eps_bar / 2 <= threshold: the full draw would pass
-    the threshold too, so a solver that stops on it stops at the same
-    iterate. The rule can hold at k only if k >= m eps_bar / (2 threshold -
-    3 eps_bar - 2 ||g_k||), so the first check is at k_0 = m eps_bar /
-    (2 threshold - 3 eps_bar) (m/13 at the solver's threshold of 8
-    eps_bar), and a check that fails at prefix norm nu plans the next at
-    m eps_bar / (2 threshold - 3 eps_bar - 2 nu), or a block further when
-    that denominator is not positive. Every box is drawn in lockstep to
-    each check's row, on one pool of threads. A prefix that never
-    certifies, as at any threshold <= 2 eps_bar, runs to m and returns the
-    full draw's bits. The count is the points drawn, summed over the k
+    first k of the m points of every box, certifies the solver's stop on
+    ||grad|| <= threshold, and returns g_k. Hoeffding's supermartingale and
+    Ville's inequality give a line boundary for every lambda > 0 (see
+    :func:`cell_box_volumes_mc`): with failure eta_prime/2 spread evenly
+    over the boxes, a line tuned at row r puts every prefix of k rows
+    within c_r (r/k + 1) / 2 of grad E at once, c_r = eps_bar sqrt(m/r).
+    It meets the fixed-size bound eps_bar sqrt(m/k) at k = r alone. Two
+    lines spend eta_prime/2 each:
+
+    - A, tuned at m (c = eps_bar): at k = m it is the full draw's own
+      bound, so its event lies inside the full draw's;
+    - B, tuned at k_min = m (eps_bar / (threshold - eps_bar))^2 (m/49 at
+      the solver's threshold of 8 eps_bar), the least row at which any
+      line can certify: there its bound is threshold - eps_bar.
+
+    The rule is ||g_k|| + min(d_A(k), d_B(k)) + eps_bar <= threshold, with
+    d the lines' bounds at k. On the intersection of both events, of
+    probability >= 1 - eta_prime, ||g_m|| <= ||grad E|| + eps_bar <=
+    ||g_k|| + min(d_A, d_B) + eps_bar <= threshold: the full draw would
+    pass the threshold too, so a solver that stops on it stops at the same
+    iterate. A line (c, r) passes at prefix norm nu from k >= r c / (2 s -
+    c), s = threshold - eps_bar - nu, when 2 s > c. So the first check is
+    at k_min, B's row at nu = 0, and a check at k that fails at norm nu
+    plans the next at the lesser of both lines' rows at nu, and never past
+    2k: the prefix's noise shrinks as 1/sqrt(k), so its norm may fall. At
+    any threshold <= 2 eps_bar no line can certify before m, k_min is m and
+    B is A. Every box is drawn in lockstep to each check's row, on one
+    pool of threads. A prefix that never certifies runs to m and returns
+    the full draw's bits. The count is the points drawn, summed over the k
     boxes.
     """
     samples = instance.samples
     boxes, weights = zip(*instance.density.boxes)
     k = len(boxes)
     per_cell = eps_bar / math.sqrt(samples.n)
-    m = mc_sample_count(samples.n, per_cell, eta_prime / k)
+    m = mc_sample_count(samples.n, per_cell, eta_prime / (2 * k))
+    # Lines A and B as (c, r): every prefix k within c (r/k + 1) / 2.
+    lead = max(threshold - eps_bar, eps_bar)
+    lines = ((eps_bar, m), (lead, m * (eps_bar / lead) ** 2))
     rows = m
 
     def plan(volumes: np.ndarray | None, prefix_rows: int) -> float | None:
-        norm = 0.0
+        slack = threshold - eps_bar
         if volumes is not None:
             # The solver's gradient norm of the prefix, to the same bits.
             prefix = _grad_mass(samples, weights, volumes)[0]
-            norm = math.sqrt(float(prefix.dot(prefix)))
-            if norm + (3.0 + m / prefix_rows) * eps_bar / 2.0 <= threshold:
+            slack -= math.sqrt(float(prefix.dot(prefix)))
+            if min(c * (r / prefix_rows + 1.0) for c, r in lines) / 2.0 <= slack:
                 nonlocal rows
                 rows = prefix_rows
                 return None
-        slack = 2.0 * threshold - 3.0 * eps_bar - 2.0 * norm
-        return m * eps_bar / slack if slack > 0.0 else math.inf
+        reach = [r * c / (2.0 * slack - c) for c, r in lines if 2.0 * slack > c]
+        if prefix_rows:
+            reach.append(2.0 * prefix_rows)
+        return min(reach, default=math.inf)
 
     volumes = cell_box_volumes_mc(
-        samples, g, boxes, per_cell, eta_prime / k, seed, plan=plan
+        samples, g, boxes, per_cell, eta_prime / (2 * k), seed, plan=plan
     )
     return _grad_mass(samples, weights, volumes)[0], rows * k
 
@@ -423,29 +440,29 @@ def solve_dual(
     Both bounds hold together with probability >= 1 - eta. The gradient
     draw and the energy draw of pass t are each charged failure eta_t =
     eta/(2 t (t + 1)) (:func:`_mc_failure`; the gradient's is split evenly
-    over the k boxes). Each stream sums to (eta/2) T/(T + 1) < eta/2 over
-    any T passes, so a union bound over both streams fails with
-    probability < eta. That holds at the solve's random stopping time too:
-    eta_t depends on t alone, not on M or on when the solve stops, and
-    each draw is fresh from its own seed (seed, t), so its failure has
-    probability <= eta_t given every earlier draw. The draws a solve makes
-    are then among those of a solve that never stops, whose failures over
-    all t >= 1 sum to < eta. The a-priori split eta/(M + 1) charges every
-    draw ln(M) in its Hoeffding count, with M of 1e5-1e18, while solves
-    stop within a few passes; eta_t charges ln(2 t (t + 1)). Near t = M its
-    count is at most 2x the a-priori one, since ln(t^2) <= 2 ln M. A
-    slower schedule, such as eta_t ~ 1/((t + 1) ln^2(t + 1)), would trim
-    that factor at the price of more points at small t, where the solves
-    stop, so it was not chosen. ``trace.eta_spent`` sums the eta_t of the
-    draws made.
+    over the k boxes and the prefix stop's two lines). Each stream sums to
+    (eta/2) T/(T + 1) < eta/2 over any T passes, so a union bound over
+    both streams fails with probability < eta. That holds at the solve's
+    random stopping time too: eta_t depends on t alone, not on M or on
+    when the solve stops, and each draw is fresh from its own seed (seed,
+    t), so its failure has probability <= eta_t given every earlier draw.
+    The draws a solve makes are then among those of a solve that never
+    stops, whose failures over all t >= 1 sum to < eta. The a-priori split
+    eta/(M + 1) charges every draw ln(M) in its Hoeffding count, with M of
+    1e5-1e18, while solves stop within a few passes; eta_t charges
+    ln(2 t (t + 1)). Near t = M its count is at most 2x the a-priori one,
+    since ln(t^2) <= 2 ln M. A slower schedule, such as eta_t ~ 1/((t + 1)
+    ln^2(t + 1)), would trim that factor at the price of more points at
+    small t, where the solves stop, so it was not chosen.
+    ``trace.eta_spent`` sums the eta_t of the draws made.
 
     Each mc gradient draw ends at the first checked prefix whose estimate
     certifies that the full draw's norm is below the threshold too (see
-    :func:`_mc_gradient`): on an event inside the full draw's own of the
-    same probability, the solve stops at the same t with the same iterate
-    and the same energy, and only the last row's ``grad_norm`` is the
-    prefix's. A draw whose prefix never certifies is the full draw, bit
-    for bit.
+    :func:`_mc_gradient`): on an event of the draw's probability on which
+    the full draw is within its bound, the solve stops at the same t with
+    the same iterate and the same energy, and only the last row's
+    ``grad_norm`` is the prefix's. A draw whose prefix never certifies is
+    the full draw, bit for bit.
     """
     stats = instance.stats
     n = instance.samples.n

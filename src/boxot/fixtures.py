@@ -12,6 +12,10 @@ import numpy as np
 
 from .geometry import BoxDensity, Hyperrectangle, Instance, SampleSet
 
+# Consecutive rejected sink draws after which random_instance gives up: a
+# jammed packing rejects every draw.
+_REJECTIONS = 10_000
+
 
 def symmetric_interval() -> Instance:
     """Uniform density on [-1,1], sinks at -1 and 1: sigma* = 1.5, mu* = 0."""
@@ -105,6 +109,9 @@ def random_instance(
     Boxes are stacked in disjoint slabs along axis 0 with widths >= 0.5 and
     samples are rejection-drawn with pairwise distance >= 0.35, keeping the
     derived separation s moderate so solver thresholds stay reachable.
+    Sequential packing can jam, in 1-D at about 10-11 sinks, where no
+    point is left at that distance from all; after ``_REJECTIONS`` rejected
+    draws in a row it raises a ValueError instead of looping forever.
     """
     l = int(rng.integers(1, max_dim + 1))
     k = int(rng.integers(1, max_boxes + 1))
@@ -127,9 +134,18 @@ def random_instance(
     gammas = raw / float(raw @ vols)
     density = BoxDensity(dimension=l, boxes=tuple(zip(boxes, gammas)))
 
-    points = []
+    points, rejected = [], 0
     while len(points) < n:
         p = rng.uniform(-2.5, 2.5, size=l)
         if all(np.linalg.norm(p - q) >= 0.35 for q in points):
             points.append(p)
+            rejected = 0
+            continue
+        rejected += 1
+        if rejected == _REJECTIONS:
+            raise ValueError(
+                f"sink {len(points) + 1} of n = {n} in [-2.5, 2.5]^{l} at spacing"
+                f" >= 0.35: {rejected} draws in a row were rejected, so the"
+                " packing has most likely jammed"
+            )
     return Instance(density, SampleSet.uniform(np.array(points)))

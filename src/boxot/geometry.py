@@ -47,9 +47,10 @@ score, the potential less ||x||^2, whose integral the dual energy takes in
 closed form (:attr:`BoxDensity.moments`). Both draw any number of
 boxes in lockstep through one loop on one pool of threads (:func:`_draw`).
 The potential adds one block after another; the volume count's caller may
-plan its prefix checks and end it at any checked prefix, whose estimate a
-line boundary of Hoeffding's supermartingale bounds on an event inside the
-full count's own.
+plan its prefix checks and end it at any checked prefix. Each line boundary
+of Hoeffding's supermartingale, tuned at a row of the caller's choice,
+bounds every prefix's estimate at once, at the count's failure probability;
+the line tuned at the full count lies inside the full count's own event.
 """
 
 from __future__ import annotations
@@ -569,12 +570,18 @@ def _draw(
 
 
 def mc_sample_count(n: int, eps_bar: float, eta_prime: float) -> int:
-    """Hoeffding count ceil(ln(2n/eta') / (2 eps_bar^2)) for n simultaneous cells."""
+    """Hoeffding count ceil(ln(2c/eta') / (2 eps_bar^2)) for n simultaneous cells.
+
+    c = n two-sided bounds are unioned for n >= 3. At n <= 2 one cell's
+    bound covers every cell, c = 1: the counts sum to the rows drawn, so
+    the two cells' errors are equal and opposite.
+    """
     if not 0.0 < eps_bar < 1.0:
         raise ValueError("eps_bar must lie in (0, 1)")
     if not 0.0 < eta_prime < 1.0:
         raise ValueError("eta_prime must lie in (0, 1)")
-    return int(math.ceil(math.log(2.0 * n / eta_prime) / (2.0 * eps_bar**2)))
+    cells = n if n >= 3 else 1
+    return int(math.ceil(math.log(2.0 * cells / eta_prime) / (2.0 * eps_bar**2)))
 
 
 def cell_box_volumes_mc(
@@ -589,27 +596,32 @@ def cell_box_volumes_mc(
 ) -> np.ndarray:
     """Estimate vol(L_j(g) n box) for all j at once by rejection sampling.
 
-    Draws m >= ceil(ln(2n/eta')/(2 eps_bar^2)) uniform points in the box,
-    classifies each, and returns fraction_j * vol(box). With probability at
-    least 1 - eta' every cell satisfies |v_j - vol(L_j n box)| <=
-    eps_bar * vol(box) (Hoeffding plus a union bound over the n cells).
-    Given a sequence of k boxes, it draws m points in each, box i from the
-    stream ``box_rng(seed, i)``, all of them in lockstep on one pool of
-    threads, and returns the (k, n) estimates, each box's with failure
-    probability at most eta'.
+    Draws m = :func:`mc_sample_count` (n, eps_bar, eta') uniform points in
+    the box, classifies each, and returns fraction_j * vol(box). With
+    probability at least 1 - eta' every cell satisfies |v_j - vol(L_j n
+    box)| <= eps_bar * vol(box): Hoeffding plus a union bound over the n
+    cells, or, with n = 2 sinks, over cell 0 alone, since the counts sum to
+    the rows drawn and cell 1's error is minus cell 0's. Given a sequence
+    of k boxes, it draws m points in each, box i from the stream
+    ``box_rng(seed, i)``, all of them in lockstep on one pool of threads,
+    and returns the (k, n) estimates, each box's with failure probability
+    at most eta'.
 
     Hoeffding's bound holds for every prefix of the count at once, not only
     for the last. For one cell's centred count S_k after k draws,
     exp(lambda S_k - k lambda^2 / 8) is a supermartingale (Hoeffding's
-    lemma), and Ville's inequality at lambda = 4 eps_bar gives
-    P(S_k >= (m + k) eps_bar / 2 for some k) <= exp(-2 m eps_bar^2): the
-    probability the union bound spends on the full count's deviation
-    m eps_bar (Hoeffding 1963; Howard et al. 2021). That line meets
-    m eps_bar at k = m and lies below it for every k < m. So on an event
-    of probability at least 1 - eta' inside the full count's own, the
-    estimate from the first k draws, counts_j / k * vol(box), is within
-    (m/k + 1) eps_bar vol(box) / 2 of every cell's volume, for every
-    k <= m at once.
+    lemma), and Ville's inequality gives, for every lambda > 0,
+    P(S_k >= 2 m eps_bar^2 / lambda + k lambda / 8 for some k) <=
+    exp(-2 m eps_bar^2): the probability the union bound spends on the
+    full count's deviation m eps_bar (Hoeffding 1963; Howard et al. 2021).
+    Tuned at a row r, lambda = 4 eps_bar sqrt(m/r), that line is (r + k)
+    sqrt(m/r) eps_bar / 2. It meets the fixed-size bound sqrt(m k) eps_bar
+    at k = r and lies above it at every other k. Tuned at r = m, it meets
+    m eps_bar at k = m and lies below it for every k < m, so its event lies
+    inside the full count's own. So for each r, on an event of probability
+    at least 1 - eta', the estimate from the first k draws, counts_j / k *
+    vol(box), is within (r/k + 1) sqrt(m/r) eps_bar vol(box) / 2 of every
+    cell's volume, for every k <= m at once.
 
     ``plan``, when given, schedules checks of that prefix. It is called
     first with no estimate and k = 0, then with the prefix estimate and k

@@ -182,11 +182,13 @@ class TestMcDraws:
             symmetric_square, np.array([0.1, -0.1]), 0.05, 0.1, (5, 3), 0.0
         )
         assert grad.tolist() == [-0.050135501355013545, 0.050135501355013545]
+        # Each box's count runs at eta'/(2k): the prefix stop's two lines
+        # each spend half of eta'.
         grad, _ = _mc_gradient(
             _box_pair_3d(), np.array([0.05, -0.1, 0.05]), 0.05, 0.1, (5, 3), 0.0
         )
         assert grad.tolist() == [
-            -0.03179023088525351, 0.19602042000232045, -0.16423018911706694
+            -0.034559643255295425, 0.19864193777237255, -0.16408229451707712
         ]
 
     def test_energy_is_pinned(self, symmetric_square):
@@ -306,13 +308,30 @@ _PREFIX_CASES = {
 
 def _sample_counts(instance, trace, eta):
     # the m of each box's gradient draw at every pass t of the solve of
-    # trace, at the failure the solver charges that pass
+    # trace: the failure the solver charges that pass, split over the k
+    # boxes and the two lines of the prefix stop
     n, k = instance.samples.n, instance.density.k
     per_cell = trace.noise_budget / math.sqrt(n)
     return [
-        geometry.mc_sample_count(n, per_cell, ds._mc_failure(eta, t) / k)
+        geometry.mc_sample_count(n, per_cell, ds._mc_failure(eta, t) / (2 * k))
         for t in range(1, trace.passes + 1)
     ]
+
+
+def _line_bound(m, k, threshold, eps_bar):
+    # The prefix stop's bound on ||g_k - grad E||: the lesser of line A,
+    # tuned at m, and line B, tuned at k_min. A line tuned at row r bounds
+    # every prefix k by (r/k + 1) sqrt(m/r) eps_bar / 2.
+    def line(r):
+        return (r / k + 1.0) * math.sqrt(m / r) * eps_bar / 2.0
+
+    return min(line(m), line(_k_min(m, threshold, eps_bar)))
+
+
+def _k_min(m, threshold, eps_bar):
+    # line B's row: m (eps_bar / (threshold - eps_bar))^2, or m where no
+    # line can certify before m (threshold <= 2 eps_bar)
+    return m * (eps_bar / max(threshold - eps_bar, eps_bar)) ** 2
 
 
 class TestMcEnergyRange:
@@ -458,7 +477,7 @@ class TestPrefixStop:
         instance = fx.symmetric_square()
         eps_bar, eta_prime = 0.01, 1e-6
         threshold = 8.0 * eps_bar
-        m = geometry.mc_sample_count(2, eps_bar / math.sqrt(2), eta_prime)
+        m = geometry.mc_sample_count(2, eps_bar / math.sqrt(2), eta_prime / 2)
         rng = np.random.default_rng(11)
         stops = 0
         for seed in range(40):
@@ -470,7 +489,8 @@ class TestPrefixStop:
             norm = math.sqrt(float(grad @ grad))
             if drawn < m:
                 stops += 1
-                assert norm + (3.0 + m / drawn) * eps_bar / 2.0 <= threshold
+                bound = _line_bound(m, drawn, threshold, eps_bar)
+                assert norm + bound + eps_bar <= threshold
                 assert math.sqrt(float(full @ full)) <= threshold
             else:
                 assert drawn == m
@@ -487,22 +507,24 @@ class TestPrefixStop:
 
     @pytest.mark.parametrize("seed", [1, 7, 42])
     def test_symmetric_square_draws_an_eighth(self, seed, symmetric_square):
-        # The line boundary's first check is at m/13, so the stop lies
-        # below m/8 after a failed check or two.
+        # The first check is at k_min = m/49, where line B alone can pass,
+        # so the stop lies well below m/8 after a failed check or two: at
+        # m/32.5-m/35.3 on these seeds (m/13 or later with line A alone).
         config = SolverConfig(epsilon=0.9, eta=0.05, seed=seed, volume_backend="mc")
         _, _, trace = solve_dual(symmetric_square, config)
         assert trace.stop_reason == "threshold"
         m = sum(_sample_counts(symmetric_square, trace, config.eta))
-        assert 0 < trace.mc_points_gradient <= m / 8
+        assert 0 < trace.mc_points_gradient <= m / 30
 
 
 class TestCheckSchedule:
     # The gradient checks its prefix where the stop rule can first hold,
     # and draws every box of the density in lockstep to each checked row.
     # eps_bar = 0.01 at the solver's threshold of 8 eps_bar makes m about
-    # 1.5e5 rows a box and k_0 = m/13; sub-chunks of 50 rows let the checks
-    # lie 200 rows apart.
+    # 1.5e5 rows a box and k_min = m/49; sub-chunks of 50 rows let the
+    # checks lie 200 rows apart.
     EPS_BAR, ETA = 0.01, 1e-6
+    THRESHOLD = 8.0 * EPS_BAR
 
     @pytest.fixture(autouse=True)
     def small_sub_chunks(self, monkeypatch):
@@ -529,8 +551,11 @@ class TestCheckSchedule:
         return grad, drawn, calls
 
     def _m(self, instance):
+        # each of the two lines spends half of eta over the k boxes
         n, k = instance.samples.n, instance.density.k
-        return geometry.mc_sample_count(n, self.EPS_BAR / math.sqrt(n), self.ETA / k)
+        return geometry.mc_sample_count(
+            n, self.EPS_BAR / math.sqrt(n), self.ETA / (2 * k)
+        )
 
     def _prefix(self, instance, volumes):
         # the prefix gradient, as the solver takes it
@@ -543,88 +568,109 @@ class TestCheckSchedule:
         grad = self._prefix(instance, volumes)
         return math.sqrt(float(grad @ grad))
 
-    def _k0(self, m, threshold):
-        return m * self.EPS_BAR / (2.0 * threshold - 3.0 * self.EPS_BAR)
+    def _passes(self, m, k, nu):
+        # the stop rule at a prefix of k rows whose gradient norm is nu
+        bound = _line_bound(m, k, self.THRESHOLD, self.EPS_BAR)
+        return nu + bound + self.EPS_BAR <= self.THRESHOLD
 
     @pytest.mark.parametrize("build", [fx.symmetric_square, _split_square])
     def test_first_check_is_at_k0(self, build, monkeypatch):
+        # k_0, the first checked row, is line B's row k_min
         instance = build()
         m = self._m(instance)
-        threshold = 8.0 * self.EPS_BAR
-        _, drawn, calls = self._draw(instance, np.zeros(2), monkeypatch, threshold)
-        k0 = self._k0(m, threshold)
-        assert calls[0][:2] == (None, 0) and calls[0][2] == k0
-        # no prefix is seen before k_0 = ceil(m/13)
-        assert calls[1][1] == math.ceil(k0) == math.ceil(m / 13)
+        _, drawn, calls = self._draw(instance, np.zeros(2), monkeypatch, self.THRESHOLD)
+        k_min = _k_min(m, self.THRESHOLD, self.EPS_BAR)
+        assert calls[0][:2] == (None, 0)
+        assert calls[0][2] == pytest.approx(k_min, rel=1e-12)
+        # no prefix is seen before k_min = m/49, where line B alone could
+        # pass; line A could not until m/13
+        assert calls[1][1] == math.ceil(calls[0][2]) == math.ceil(m / 49)
+        assert self._passes(m, math.ceil(m / 49), 0.0)
+        assert not self._passes(m, math.ceil(m / 49) - 1, 0.0)
         assert drawn == calls[-1][1] * instance.density.k
         assert calls[-1][2] is None and calls[-1][1] < m
 
     def test_a_failed_check_plans_from_its_norm(self, monkeypatch):
-        # Off the optimum, the rule fails at k_0 and the next check is
-        # where the failed prefix's norm nu would pass it.
+        # Off the optimum, the rule fails at k_min. Each failed check at k
+        # with prefix norm nu plans the next at the least row where either
+        # line would pass at nu, or at 2k if that is sooner: near the
+        # optimum (shift 0.004) at a line's row, further off it at 2k first.
         instance = _split_square()
         m = self._m(instance)
-        threshold = 8.0 * self.EPS_BAR
-        g = np.array([0.004, -0.004])
-        _, drawn, calls = self._draw(instance, g, monkeypatch, threshold)
         gap = geometry._MC_CHECK_SUBCHUNKS * 50
-        checks = calls[1:]
-        assert len(checks) >= 2
-        for (volumes, k, target), (_, k_next, _) in zip(checks, checks[1:]):
-            nu = self._norm(instance, volumes)
-            slack = 2.0 * threshold - 3.0 * self.EPS_BAR - 2.0 * nu
-            assert nu + (3.0 + m / k) * self.EPS_BAR / 2.0 > threshold
-            assert target == (m * self.EPS_BAR / slack if slack > 0 else math.inf)
-            planned = k + 10_000 if math.isinf(target) else math.ceil(target)
-            assert k_next == min(m, max(planned, k + gap))
-        assert drawn == 2 * (checks[-1][1] if checks[-1][2] is None else m)
+        for shift in (0.004, 0.05, 0.1):
+            g = np.array([shift, -shift])
+            _, drawn, calls = self._draw(instance, g, monkeypatch, self.THRESHOLD)
+            checks = calls[1:]
+            assert len(checks) >= 2
+            doubled = from_line = 0
+            for (volumes, k, target), (_, k_next, _) in zip(checks, checks[1:]):
+                nu = self._norm(instance, volumes)
+                assert not self._passes(m, k, nu)
+                if target == 2 * k:
+                    doubled += 1
+                    assert not self._passes(m, 2 * k - 1, nu)
+                else:
+                    # the least row where a line passes at nu, short of 2k
+                    from_line += 1
+                    assert target < 2 * k
+                    assert self._passes(m, target * (1 + 1e-9), nu)
+                    assert not self._passes(m, target * (1 - 1e-9), nu)
+                assert k_next == min(m, max(math.ceil(target), k + gap))
+            assert drawn == 2 * (checks[-1][1] if checks[-1][2] is None else m)
+            assert from_line and (doubled or shift < 0.05)
 
     @pytest.mark.parametrize("build", [fx.symmetric_square, _split_square])
     def test_every_checked_prefix_lies_within_the_line(self, build, monkeypatch):
-        # On the line boundary's event, of probability >= 1 - 1e-6 here,
-        # every prefix g_k the plan sees is within (m/k + 1) eps_bar / 2 of
-        # the exact gradient: at the optimum, near it (a check or two fail)
-        # and far from it (every block's check fails).
+        # On both lines' events, of probability >= 1 - 1e-6 here, every
+        # prefix g_k the plan sees is within the lesser of the two lines'
+        # bounds of the exact gradient: at the optimum, near it (a check or
+        # two fail) and far from it (every check fails).
         monkeypatch.setattr(geometry, "_MC_SUBCHUNK", 1000)
         instance = build()
         m = self._m(instance)
-        checked = 0
+        checked = tighter = 0
         for shift in (0.0, 0.004, 0.3):
             g = np.array([shift, -shift])
             exact = gradient(instance, g)
             for seed in range(20):
                 _, _, calls = self._draw(
-                    instance, g, monkeypatch, 8.0 * self.EPS_BAR, seed=(seed, 5)
+                    instance, g, monkeypatch, self.THRESHOLD, seed=(seed, 5)
                 )
                 for volumes, k, _ in calls[1:]:
                     error = self._prefix(instance, volumes) - exact
-                    bound = (m / k + 1.0) * self.EPS_BAR / 2.0
+                    bound = _line_bound(m, k, self.THRESHOLD, self.EPS_BAR)
                     assert math.sqrt(float(error @ error)) <= bound
                     checked += 1
-        assert checked >= 3 * 20
+                    # line A alone, tuned at m, bounds by (m/k + 1) eps_bar/2
+                    tighter += bound < (m / k + 1.0) * self.EPS_BAR / 2.0
+        assert checked >= 3 * 20 and tighter >= 3 * 20
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_a_draw_that_never_certifies_keeps_the_full_bits(
         self, workers, monkeypatch
     ):
-        # Far from the optimum every check from k_0 on fails and asks for a
-        # block more; the draw runs to m, with the bits of each box's own
-        # full count.
+        # Far from the optimum every check from k_min on fails and no line
+        # can pass at its norm: each plans twice its row, up to m. The draw
+        # runs to m, with the bits of each box's own full count.
         monkeypatch.setattr(geometry, "_MC_WORKERS", workers)
         instance = _split_square()
         m = self._m(instance)
         g = np.array([0.3, -0.3])
-        threshold = 8.0 * self.EPS_BAR
-        grad, drawn, calls = self._draw(instance, g, monkeypatch, threshold)
+        grad, drawn, calls = self._draw(instance, g, monkeypatch, self.THRESHOLD)
         checks = [k for _, k, _ in calls]
-        assert checks == [0, *range(math.ceil(self._k0(m, threshold)), m, 10_000)]
+        row, doubling = math.ceil(m / 49), []
+        while row < m:
+            doubling.append(row)
+            row *= 2
+        assert checks == [0, *doubling]
         assert drawn == 2 * m
         full, _, _ = self._draw(instance, g, monkeypatch)
         assert grad.tolist() == full.tolist()
         expected = instance.samples.demands.copy()
         boxes, weights = zip(*instance.density.boxes)
         volumes = geometry.cell_box_volumes_mc(
-            instance.samples, g, boxes, self.EPS_BAR / math.sqrt(2), self.ETA / 2,
+            instance.samples, g, boxes, self.EPS_BAR / math.sqrt(2), self.ETA / 4,
             (3, 1),
         )
         for w, v in zip(weights, volumes):
@@ -637,18 +683,15 @@ class TestCheckSchedule:
             geometry, "_unit_labels", lambda fold, u, out: labels(fold, u, out)[1:]
         )
         instance = _split_square()
-        threshold = 8.0 * self.EPS_BAR
-        k0 = math.ceil(self._k0(self._m(instance), threshold))
-        with pytest.raises(RuntimeError, match=f"not to the {k0} rows drawn"):
-            self._draw(instance, np.zeros(2), monkeypatch, threshold)
+        k_min = math.ceil(self._m(instance) / 49)
+        with pytest.raises(RuntimeError, match=f"not to the {k_min} rows drawn"):
+            self._draw(instance, np.zeros(2), monkeypatch, self.THRESHOLD)
 
     def test_an_early_stop_leaves_no_thread(self, monkeypatch):
         monkeypatch.setattr(geometry, "_MC_WORKERS", 3)
         instance = _split_square()
         baseline = threading.active_count()
-        _, drawn, _ = self._draw(
-            instance, np.zeros(2), monkeypatch, 8.0 * self.EPS_BAR
-        )
+        _, drawn, _ = self._draw(instance, np.zeros(2), monkeypatch, self.THRESHOLD)
         assert drawn < instance.density.k * self._m(instance)
         assert threading.active_count() == baseline
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import signal
 import sys
 import threading
 
@@ -412,8 +413,13 @@ class TestMcVolumes:
         assert (first != other).any()
 
     def test_sample_count_formula(self):
+        # At n = 2 the counts sum to the rows drawn, so one cell's two-sided
+        # bound covers both cells: ln(2/eta'). From n = 3 on, a union over
+        # the n cells: ln(2n/eta').
         m = mc_sample_count(2, 0.01, 0.05)
-        assert m == int(np.ceil(np.log(2 * 2 / 0.05) / (2 * 0.01**2)))
+        assert m == int(np.ceil(np.log(2 / 0.05) / (2 * 0.01**2)))
+        m = mc_sample_count(3, 0.01, 0.05)
+        assert m == int(np.ceil(np.log(2 * 3 / 0.05) / (2 * 0.01**2)))
         with pytest.raises(ValueError):
             mc_sample_count(2, 0.0, 0.05)
         with pytest.raises(ValueError):
@@ -1996,3 +2002,32 @@ class TestFacetHessian:
             assert np.abs(hess - fd).max() <= 1e-6 * scale
             assert np.abs(hess - hess.T).max() <= 1e-12 * scale
             assert np.abs(hess.sum(axis=1)).max() <= 1e-12 * scale
+
+
+class TestRandomInstance:
+    def test_a_jammed_packing_raises_within_a_second(self):
+        # From default_rng(11), the 27th 1-D draw of up to 12 sinks jams:
+        # nine sinks at spacing >= 0.35 leave no room in [-2.5, 2.5] for a
+        # tenth. The sequence must end, by value or by error, within 1 s.
+        # The draws before it keep the stream they had before the bound.
+        def overrun(signum, frame):
+            raise TimeoutError("random_instance ran past 1 s")
+
+        rng = np.random.default_rng(11)
+        previous = signal.signal(signal.SIGALRM, overrun)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            drawn = [
+                fx.random_instance(rng, max_dim=1, max_boxes=3, max_samples=12)
+                for _ in range(26)
+            ]
+            with pytest.raises(ValueError, match=r"n = 12 .*\^1 at spacing >= 0\.35"):
+                fx.random_instance(rng, max_dim=1, max_boxes=3, max_samples=12)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [i.samples.n for i in drawn] == [
+            2, 2, 7, 3, 9, 9, 10, 9, 1, 4, 5, 11, 11,
+            9, 9, 9, 11, 6, 3, 4, 9, 4, 4, 6, 5, 6,
+        ]
+        assert sum(float(i.samples.points.sum()) for i in drawn) == 11.111802051113418

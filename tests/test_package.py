@@ -277,7 +277,8 @@ def test_mc_gradient_calls_the_volume_count_as_the_tracer_reads_it(monkeypatch):
     # The tracer wraps dual_solver.cell_box_volumes_mc and reads its first
     # five positional arguments: (samples, g, box, eps_bar, eta_prime). The
     # solver's Monte Carlo gradient makes one call for all its boxes, drawn
-    # in lockstep.
+    # in lockstep, at half its failure a box: the other half is the prefix
+    # stop's second line.
     from boxot import dual_solver
 
     calls = []
@@ -296,4 +297,4 @@ def test_mc_gradient_calls_the_volume_count_as_the_tracer_reads_it(monkeypatch):
     assert samples is instance.samples
     assert weights.tolist() == g.tolist()
     assert list(boxes) == [instance.density.boxes[0][0]]
-    assert eps_bar == 0.05 / np.sqrt(2) and eta_prime == 0.1
+    assert eps_bar == 0.05 / np.sqrt(2) and eta_prime == 0.1 / 2
